@@ -15,7 +15,7 @@ from levy_gqmle import benchmark_model, noise_case, optimal_values, run_asymptot
 case = "i"
 theta = optimal_values(case)
 res = run_asymptotics(benchmark_model(), true_ou(), noise_case(case), theta,
-                      seed=17, budget=8000, m=400, threads=2)
+                      seed=17, budget=8000, m=400)
 
 np.set_printoptions(precision=4, suppress=True)
 print(f"case {case} at theta* = ({theta[0]:.6f}, {theta[1]:.6f}); rows/cols ordered (gamma, alpha)")

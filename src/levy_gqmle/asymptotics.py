@@ -38,7 +38,7 @@ from .levy import (
     cumulants,
     sample_increments,
 )
-from .sde import DivergenceError, TrueModel, _euler_columns
+from .sde import DIVERGENCE_BOUND, DivergenceError, TrueModel, _euler_columns
 
 __all__ = [
     "AsymptoticsResult",
@@ -68,6 +68,8 @@ _TAG_INVARIANT = 3101
 _TAG_EPE = 7001
 _TAG_MARTINGALE = 7301
 _CHUNK_STEPS = 500
+# states per time block of an EPE solve: a block of g temporaries stays in cache
+_BLOCK_CELLS = 1 << 16
 
 
 class MixingError(NumericalError):
@@ -207,34 +209,42 @@ def invariant_char(
     return out if np.ndim(u) else complex(out[0])
 
 
+def _epe_rhs(
+    model: ModelSpec, true_model: TrueModel, theta_star: tuple[float, float]
+) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
+    """Both score integrands (g_1, g_2) at the optimal parameter, in one pass.
+
+    Scale families are multiplicative, c = gamma p(x) with dc/dgamma = p(x),
+    so g_1 = c'(c^2 - C^2)/c^3 = (c^2 - C^2)/(gamma c^2) and
+    g_2 = a'(A - a)/c^2 share one evaluation of the fitted scale.
+    """
+    alpha_s, gamma_s = theta_star
+    drift, scale = model.drift, model.scale
+
+    def g(x):
+        x = np.asarray(x, dtype=float)
+        c2 = (gamma_s * scale.profile(x)) ** 2
+        g1 = (c2 - true_model.C(x) ** 2) / (gamma_s * c2)
+        g2 = drift.d_theta(x, alpha_s) * (true_model.A(x) - drift.value(x, alpha_s)) / c2
+        return g1, g2
+
+    return g
+
+
 def epe_rhs_scale(
     model: ModelSpec, true_model: TrueModel, theta_star: tuple[float, float]
 ) -> Callable[[np.ndarray], np.ndarray]:
     """Scale-score integrand g_1 at the optimal parameter (centered under pi_0)."""
-    _, gamma_s = theta_star
-    scale = model.scale
-
-    def g1(x):
-        x = np.asarray(x, dtype=float)
-        c = scale.value(x, gamma_s)
-        return scale.d_theta(x, gamma_s) * (c * c - true_model.C(x) ** 2) / c**3
-
-    return g1
+    both = _epe_rhs(model, true_model, theta_star)
+    return lambda x: both(x)[0]
 
 
 def epe_rhs_drift(
     model: ModelSpec, true_model: TrueModel, theta_star: tuple[float, float]
 ) -> Callable[[np.ndarray], np.ndarray]:
     """Drift-score integrand g_2 at the optimal parameter (centered under pi_0)."""
-    alpha_s, gamma_s = theta_star
-    drift, scale = model.drift, model.scale
-
-    def g2(x):
-        x = np.asarray(x, dtype=float)
-        c2 = scale.value(x, gamma_s) ** 2
-        return drift.d_theta(x, alpha_s) * (true_model.A(x) - drift.value(x, alpha_s)) / c2
-
-    return g2
+    both = _epe_rhs(model, true_model, theta_star)
+    return lambda x: both(x)[1]
 
 
 @dataclass(frozen=True)
@@ -242,7 +252,9 @@ class EPEApprox:
     """Grid approximation of a Poisson-equation solution.
 
     Calling the object interpolates linearly on the grid and extrapolates
-    linearly beyond it using the outermost grid slopes.
+    linearly beyond it using the outermost grid slopes.  ``g_mean`` and
+    ``g_se`` are the pi_0 mean of the right-hand side and its batch-means
+    standard error, as gated by :func:`epe_solve`.
     """
 
     x: np.ndarray
@@ -251,6 +263,8 @@ class EPEApprox:
     t_max: float
     m: int
     tail_bound: np.ndarray
+    g_mean: float = math.nan
+    g_se: float = math.nan
 
     def __post_init__(self) -> None:
         x = np.asarray(self.x, dtype=float)
@@ -306,8 +320,12 @@ def _run_columns(model: TrueModel, step: float, x0: float, z: np.ndarray) -> np.
     return values
 
 
+def _as_tuple(values) -> tuple:
+    return values if isinstance(values, tuple) else (values,)
+
+
 def epe_solve(
-    g: Callable[[np.ndarray], np.ndarray],
+    g: Callable[[np.ndarray], np.ndarray | tuple[np.ndarray, ...]],
     model: TrueModel,
     noise: LevyLaw,
     grid: np.ndarray | None = None,
@@ -316,16 +334,30 @@ def epe_solve(
     seed: int = 0,
     inv: InvariantSample | None = None,
     step: float = 0.01,
-    threads: int | None = None,
-) -> EPEApprox:
+) -> EPEApprox | tuple[EPEApprox, ...]:
     """Monte Carlo solution f(x) = int_0^t_max E^x[g(X_t)] dt on a grid.
 
-    From each grid point, ``m`` Euler paths share one increment panel
-    (common random numbers), and the time integral uses the trapezoid rule
-    on the simulation grid.  ``g`` must average to zero under pi_0; the
-    centering is gated at three batch-means standard errors against ``inv``
-    (sampled internally when not supplied) because a non-centered g makes
-    the time integral diverge linearly.
+    This is the Poisson-equation representation of Glynn & Meyn (1996,
+    Ann. Probab.).  ``g`` maps states to values; a ``g`` that returns a
+    tuple of arrays is solved for every right-hand side on the same paths
+    and gets a tuple of :class:`EPEApprox` back, in the same order.
+
+    Every right-hand side must average to zero under pi_0; the centering is
+    gated at three batch-means standard errors against ``inv`` (sampled
+    internally when not supplied), before any path is drawn, because a
+    non-centered g makes the time integral diverge linearly.
+
+    All grid points share one panel of ``m`` Euler paths (common random
+    numbers).  The true model has linear drift rate (mean - x) and constant
+    scale, so the Euler recursion is affine in its start:
+    X^x_k = rho^k x + Y_k with rho = 1 - rate * step, where Y is the path
+    started at zero.  One ``lfilter`` pass over the increment panel gives Y
+    for every grid point.  Each grid point's states are then formed and
+    evaluated in time blocks of max(1, 2^16 // m) steps, keeping only the
+    running time sum and the first and last rows of g, so no temporary
+    larger than a block is built.  The time integral is the trapezoid rule
+    on the simulation grid.  A state that is non-finite or beyond
+    ``DIVERGENCE_BOUND`` raises :class:`DivergenceError`.
 
     The reported tail bound combines the conditional-mean remainder at
     ``t_max``, discounted at the known mixing rate, with a 3-sigma allowance
@@ -333,16 +365,21 @@ def epe_solve(
     """
     if t_max <= 0 or m < 30 or step <= 0:
         raise ValueError("need t_max > 0, m >= 30, step > 0")
-    rate, _, _ = _linear_ou_form(model)
+    rate, mean, sigma = _linear_ou_form(model)
     if inv is None:
         inv = sample_invariant(model, noise, seed=seed)
-    gvals = np.asarray(g(inv.states), dtype=float)
-    gbar = float(np.mean(gvals))
-    gse = batch_means_se(gvals)
-    if abs(gbar) > 3.0 * gse:
-        raise NotCenteredError(
-            f"mean of g under pi_0 is {gbar:.4g} ({gse:.4g} se): not centered"
-        )
+    raw = g(inv.states)
+    centering = []
+    for i, gvals in enumerate(_as_tuple(raw)):
+        gvals = np.asarray(gvals, dtype=float)
+        gbar = float(np.mean(gvals))
+        gse = batch_means_se(gvals)
+        if abs(gbar) > 3.0 * gse:
+            name = "g" if not isinstance(raw, tuple) else f"g[{i}]"
+            raise NotCenteredError(
+                f"mean of {name} under pi_0 is {gbar:.4g} ({gse:.4g} se): not centered"
+            )
+        centering.append((gbar, gse))
     if grid is None:
         grid = np.quantile(inv.states, np.linspace(0.01, 0.99, 25))
     grid = np.unique(np.asarray(grid, dtype=float))
@@ -350,28 +387,49 @@ def epe_solve(
         raise ValueError("grid collapsed to fewer than two points")
 
     steps = int(round(t_max / step))
-    z = _chunked_increments(noise, step, steps, m, seed, _TAG_EPE)
+    rho = 1.0 - rate * step
+    u = _chunked_increments(noise, step, steps, m, seed, _TAG_EPE)
+    u *= sigma
+    u += rate * mean * step
+    y = lfilter([1.0], [1.0, -rho], u, axis=0)  # y[k - 1] = Y_k
+    del u
+    decay = rho ** np.arange(1, steps + 1)
+    # fl(a + y) is monotone in y, so each row's extreme states are the
+    # shifted extremes of y: the divergence gate costs O(steps) per start
+    y_lo, y_hi = y.min(axis=1), y.max(axis=1)
+    block = max(1, _BLOCK_CELLS // m)
 
-    def one(x0: float) -> tuple[float, float, float]:
-        values = _run_columns(model, step, x0, z)
-        gx = np.asarray(g(values), dtype=float)
-        total = step * (gx.sum(axis=0) - 0.5 * (gx[0] + gx[-1]))
-        g_end = gx[-1]
-        m_end = float(np.mean(g_end))
-        se_end = batch_means_se(g_end)
-        fluct = 3.0 * math.sqrt(2.0 * t_max * float(np.var(g_end)) / (rate * m))
-        bound = (abs(m_end) + 3.0 * se_end) / rate + fluct
-        return float(np.mean(total)), batch_means_se(total), bound
+    stats = np.empty((len(centering), 3, grid.size))  # (f, se, tail bound) per g
+    for i, x0 in enumerate(grid):
+        shift = decay * x0
+        if not abs(x0) <= DIVERGENCE_BOUND:
+            raise DivergenceError(0)
+        bad = ~((shift + y_hi <= DIVERGENCE_BOUND) & (shift + y_lo >= -DIVERGENCE_BOUND))
+        if bad.any():
+            raise DivergenceError(int(np.argmax(bad)) + 1)
+        first = [np.asarray(v, dtype=float) for v in _as_tuple(g(np.full(m, x0)))]
+        sums = [v.copy() for v in first]
+        last = first
+        for k0 in range(0, steps, block):
+            gx = _as_tuple(g(shift[k0 : k0 + block, None] + y[k0 : k0 + block]))
+            last = []
+            for acc, v in zip(sums, gx):
+                v = np.asarray(v, dtype=float)
+                acc += v.sum(axis=0)
+                last.append(v[-1])
+        for j, (acc, g_start, g_end) in enumerate(zip(sums, first, last)):
+            total = step * (acc - 0.5 * (g_start + g_end))
+            m_end = float(np.mean(g_end))
+            se_end = batch_means_se(g_end)
+            fluct = 3.0 * math.sqrt(2.0 * t_max * float(np.var(g_end)) / (rate * m))
+            bound = (abs(m_end) + 3.0 * se_end) / rate + fluct
+            stats[j, :, i] = float(np.mean(total)), batch_means_se(total), bound
 
-    if threads and threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=min(threads, grid.size)) as pool:
-            rows = list(pool.map(one, grid))
-    else:
-        rows = [one(x0) for x0 in grid]
-    f, se, tail = (np.array(col) for col in zip(*rows))
-    return EPEApprox(grid, f, se, t_max, m, tail)
+    out = tuple(
+        EPEApprox(grid, f, se, t_max, m, tail, gbar, gse)
+        for (f, se, tail), (gbar, gse) in zip(stats, centering)
+    )
+    return out if isinstance(raw, tuple) else out[0]
 
 
 @dataclass(frozen=True)
@@ -627,7 +685,6 @@ def run_asymptotics(
     grid_points: int = 25,
     n_states: int = 4000,
     step: float = 0.01,
-    threads: int | None = None,
 ) -> AsymptoticsResult:
     """Full pipeline: pi_0 sample, EPE solves, Gamma, Sigma, V.
 
@@ -644,10 +701,9 @@ def run_asymptotics(
     right = np.linspace(base[-1], base[-1] + reach, 5)[1:]
     grid = np.concatenate([left, base, right])
 
-    g1 = epe_rhs_scale(model, true_model, theta_star)
-    g2 = epe_rhs_drift(model, true_model, theta_star)
-    f1 = epe_solve(g1, true_model, noise, grid, t_max, m, seed, inv, step, threads)
-    f2 = epe_solve(g2, true_model, noise, grid, t_max, m, seed, inv, step, threads)
+    f1, f2 = epe_solve(
+        _epe_rhs(model, true_model, theta_star), true_model, noise, grid, t_max, m, seed, inv, step
+    )
 
     gg, ga, gag = _gamma_terms(model, true_model, theta_star, inv.states)
     gamma = np.array([[float(np.mean(gg)), 0.0], [float(np.mean(gag)), float(np.mean(ga))]])
@@ -660,8 +716,6 @@ def run_asymptotics(
     )
     v = avar(gamma, sigma)
 
-    g1v = np.asarray(g1(inv.states), dtype=float)
-    g2v = np.asarray(g2(inv.states), dtype=float)
     diagnostics = {
         "seed": seed,
         "invariant": {
@@ -673,10 +727,10 @@ def run_asymptotics(
             "step": inv.step,
         },
         "centering": {
-            "g1_mean": float(np.mean(g1v)),
-            "g1_se": batch_means_se(g1v),
-            "g2_mean": float(np.mean(g2v)),
-            "g2_se": batch_means_se(g2v),
+            "g1_mean": f1.g_mean,
+            "g1_se": f1.g_se,
+            "g2_mean": f2.g_mean,
+            "g2_se": f2.g_se,
         },
         "epe": {
             "t_max": t_max,

@@ -62,7 +62,6 @@ def _common_flags() -> _Parser:
     common = _Parser(add_help=False)
     common.add_argument("--config", metavar="FILE", help="JSON settings file; flags override it")
     common.add_argument("--seed", type=int, metavar="N")
-    common.add_argument("--threads", type=int, metavar="N")
     common.add_argument("--out-dir", dest="out_dir", metavar="DIR")
     common.add_argument("--format", choices=_FORMATS)
     return common
@@ -90,6 +89,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("mc", parents=common, help="replication study")
     p.add_argument("--case", default=None)
     p.add_argument("--replications", type=int, default=None)
+    p.add_argument("--threads", type=int, metavar="N", help="worker threads for the replications")
     p.set_defaults(func=_cmd_mc)
 
     p = sub.add_parser("asymptotics", parents=common, help="Gamma / Sigma / V pipeline")
@@ -233,7 +233,7 @@ def _cmd_asymptotics(ns, cfg) -> int:
     seed = _resolve_seed(ns, cfg)
     formats = _resolve_formats(ns, cfg, allowed=("csv", "json"))
     kwargs = {"seed": seed}
-    for key, cast in (("budget", int), ("m", int), ("t_max", float), ("step", float), ("threads", int)):
+    for key, cast in (("budget", int), ("m", int), ("t_max", float), ("step", float)):
         value = _setting(ns, cfg, key, None, cast)
         if value is not None:
             kwargs[key] = value

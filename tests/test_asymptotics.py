@@ -6,7 +6,10 @@ import numpy as np
 import pytest
 from scipy.signal import lfilter
 
+from levy_gqmle._util import batch_means_se
 from levy_gqmle.asymptotics import (
+    _BLOCK_CELLS,
+    _TAG_EPE,
     AsymptoticsResult,
     CovarianceError,
     EPEApprox,
@@ -14,6 +17,7 @@ from levy_gqmle.asymptotics import (
     MixingError,
     NotCenteredError,
     SingularGammaError,
+    _chunked_increments,
     avar,
     epe_rhs_drift,
     epe_rhs_scale,
@@ -34,7 +38,7 @@ from levy_gqmle.coefficients import (
 )
 from levy_gqmle.gqmle import ModelSpec
 from levy_gqmle.levy import Brownian, sample_increments
-from levy_gqmle.sde import SamplePath, TrueModel
+from levy_gqmle.sde import DIVERGENCE_BOUND, DivergenceError, SamplePath, TrueModel, _euler_columns
 from levy_gqmle.gqmle import g1_eval, g2_eval
 from _oracles import benchmark_oracle
 from test_levy import CASE_I, CASE_III, DIFFUSION
@@ -177,6 +181,45 @@ class TestEPESolve:
         f20 = epe_solve(g, OU, CASE_I, grid=grid, t_max=20.0, m=500, seed=9, inv=inv_i)
         f40 = epe_solve(g, OU, CASE_I, grid=grid, t_max=40.0, m=500, seed=9, inv=inv_i)
         assert np.all(np.abs(f40.f - f20.f) <= f20.tail_bound)
+
+    def test_matches_euler_reference(self):
+        # the affine, time-blocked solve against the Euler recursion run from
+        # every grid point on the same increment panel; m != 0 exercises the
+        # mean term of the affine form, and the horizon ends mid-block
+        model = TrueModel(MeanRevertLinear(m=0.7), 0.5, ConstantScale(), 1.0)
+        inv = sample_invariant(model, CASE_I, budget=20000, seed=31)
+        g = lambda x: (np.asarray(x, float) - 0.7, (np.asarray(x, float) - 0.7) ** 3)
+        grid, t_max, m, step, seed = np.linspace(-5.0, 5.0, 7), 10.0, 100, 0.01, 4
+        steps = int(round(t_max / step))
+        assert steps % max(1, _BLOCK_CELLS // m) != 0
+        got = epe_solve(g, model, CASE_I, grid=grid, t_max=t_max, m=m, seed=seed, inv=inv, step=step)
+
+        z = _chunked_increments(CASE_I, step, steps, m, seed, _TAG_EPE)
+        want = np.empty((2, 3, grid.size))
+        for i, x0 in enumerate(grid):
+            values, first_bad = _euler_columns(model, step, np.full(m, x0), z)
+            assert (first_bad < 0).all()
+            for j, gx in enumerate(g(values)):
+                total = step * (gx.sum(axis=0) - 0.5 * (gx[0] + gx[-1]))
+                g_end = gx[-1]
+                tail = (abs(np.mean(g_end)) + 3.0 * batch_means_se(g_end)) / 0.5 + 3.0 * math.sqrt(
+                    2.0 * t_max * np.var(g_end) / (0.5 * m)
+                )
+                want[j, :, i] = np.mean(total), batch_means_se(total), tail
+        for j, (approx, gv) in enumerate(zip(got, g(inv.states))):
+            for name, ref in zip(("f", "se", "tail_bound"), want[j]):
+                err = np.max(np.abs(getattr(approx, name) - ref))
+                assert err <= 1e-12 * np.max(np.abs(ref)), (j, name, err)
+            assert approx.g_mean == float(np.mean(gv)) and approx.g_se == batch_means_se(gv)
+        # a single right-hand side gives the same numbers as its slot in the tuple
+        alone = epe_solve(lambda x: g(x)[0], model, CASE_I, grid=grid, t_max=t_max, m=m,
+                          seed=seed, inv=inv, step=step)
+        assert np.array_equal(alone.f, got[0].f) and np.array_equal(alone.se, got[0].se)
+
+    def test_divergent_start_rejected(self, inv_i):
+        grid = np.array([0.0, 2.0 * DIVERGENCE_BOUND])
+        with pytest.raises(DivergenceError):
+            epe_solve(lambda x: np.asarray(x, float), OU, CASE_I, grid=grid, m=60, seed=2, inv=inv_i)
 
     def test_linear_tail_extrapolation(self):
         grid = np.linspace(-2.0, 2.0, 5)

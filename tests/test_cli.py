@@ -244,7 +244,7 @@ class TestAsymptotics:
     def test_small_run_emits_json_and_csv(self, capsys, tmp_path):
         code, out, _ = invoke(capsys, "asymptotics", "--case", "i", "--budget", "3000",
                               "--m", "150", "--t-max", "15", "--seed", "3",
-                              "--threads", "2", "--out-dir", str(tmp_path))
+                              "--out-dir", str(tmp_path))
         assert code == 0
         obj = json.loads((tmp_path / "asymptotics.json").read_text())
         assert sorted(obj) == ["Gamma", "Sigma", "V", "diagnostics"]
