@@ -3,8 +3,9 @@
 The scale stage's limit criterion depends on the noise only through the
 invariant law of X, and for the linear-drift truth that dependence reduces
 to two moments.  optimal_values evaluates the resulting rationals exactly;
-optimal_values_numeric maximizes the sample criteria over a long simulated
-invariant sample and should agree to MC accuracy.
+optimal_values_numeric evaluates the closed-form maximizers of the sample
+criteria, gamma^2 = E[C^2/p^2] and alpha = E[A b/c^2] / E[b^2/c^2], over a
+long simulated invariant sample and should agree to MC accuracy.
 """
 
 from levy_gqmle import CASES, benchmark_model, noise_case, optimal_values, optimal_values_numeric, sample_invariant, true_ou

@@ -1,8 +1,8 @@
 """A reduced replication study, summarized and reported.
 
 run_mc simulates and fits R independent paths per (n, h) design, each
-replication on its own seed substream, so the study is reproducible and
-scheduling-independent.  The full benchmark uses R = 1000 over three
+replication on its own seed substream, so a replication's result depends
+only on its (seed, design, k) address.  The full benchmark uses R = 1000 over three
 designs; this trims both to keep the script quick.
 """
 
@@ -11,7 +11,7 @@ import numpy as np
 from levy_gqmle import ExperimentDesign, emit_report, run_mc
 
 design = ExperimentDesign("ii", designs=((1000, 0.05), (5000, 0.02)), replications=200, seed=3)
-summary = run_mc(design, threads=2)
+summary = run_mc(design)
 
 alpha_star, gamma_star = summary.theta_star
 print(f"case {summary.case}, R = {summary.replications}, "

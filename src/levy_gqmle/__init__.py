@@ -44,7 +44,6 @@ from .sde import (
     write_path,
 )
 from .gqmle import (
-    EstimateOptions,
     EstimateResult,
     EstimationError,
     ModelSpec,
@@ -96,7 +95,6 @@ __all__ = [
     "load_path",
     "simulate_euler",
     "write_path",
-    "EstimateOptions",
     "EstimateResult",
     "EstimationError",
     "ModelSpec",

@@ -26,7 +26,7 @@ from scipy.signal import lfilter
 
 from ._util import NumericalError, batch_means_se, substream
 from .coefficients import ConstantScale, LinearDecay, MeanRevertLinear
-from .gqmle import ModelSpec
+from .gqmle import ModelSpec, _criterion_terms
 from .levy import (
     Brownian,
     LevyLaw,
@@ -215,8 +215,9 @@ def _epe_rhs(
     """Both score integrands (g_1, g_2) at the optimal parameter, in one pass.
 
     Scale families are multiplicative, c = gamma p(x) with dc/dgamma = p(x),
-    so g_1 = c'(c^2 - C^2)/c^3 = (c^2 - C^2)/(gamma c^2) and
-    g_2 = a'(A - a)/c^2 share one evaluation of the fitted scale.
+    and drifts are linear, a = alpha b(x) with da/dalpha = b(x), so
+    g_1 = c'(c^2 - C^2)/c^3 = (c^2 - C^2)/(gamma c^2) and
+    g_2 = b(A - a)/c^2 share one evaluation of the fitted scale.
     """
     alpha_s, gamma_s = theta_star
     drift, scale = model.drift, model.scale
@@ -225,7 +226,7 @@ def _epe_rhs(
         x = np.asarray(x, dtype=float)
         c2 = (gamma_s * scale.profile(x)) ** 2
         g1 = (c2 - true_model.C(x) ** 2) / (gamma_s * c2)
-        g2 = drift.d_theta(x, alpha_s) * (true_model.A(x) - drift.value(x, alpha_s)) / c2
+        g2 = drift.basis(x) * (true_model.A(x) - drift.value(x, alpha_s)) / c2
         return g1, g2
 
     return g
@@ -503,21 +504,18 @@ def _gamma_terms(
     theta_star: tuple[float, float],
     states: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-state integrands of (Gamma_gamma, Gamma_alpha, Gamma_alphagamma)."""
+    """Per-state integrands of (Gamma_gamma, Gamma_alpha, Gamma_alphagamma).
+
+    These are the stage-criterion curvatures under pi_0, whose states enter
+    with increment moments (A, C^2) on a unit step: Gamma_gamma is the
+    stage-one curvature, Gamma_alpha and Gamma_alphagamma are the negated
+    stage-two ones.
+    """
     alpha_s, gamma_s = theta_star
-    x = states
-    c = model.scale.value(x, gamma_s)
-    c1 = model.scale.d_theta(x, gamma_s)
-    c2 = model.scale.d2_theta(x, gamma_s)
-    big_c2 = true_model.C(x) ** 2
-    gg = -2.0 * ((c2 * c - c1**2) / c**2 - (c2 * c - 3.0 * c1**2) / c**4 * big_c2)
-    a = model.drift.value(x, alpha_s)
-    a1 = model.drift.d_theta(x, alpha_s)
-    a2 = model.drift.d2_theta(x, alpha_s)
-    gap = true_model.A(x) - a
-    ga = 2.0 * (a1**2 - gap * a2) / c**2
-    gag = 4.0 * gap * a1 * c1 / c**3
-    return gg, ga, gag
+    (_, _, gg), (_, _, ga, gag) = _criterion_terms(
+        model, states, true_model.A(states), true_model.C(states) ** 2, 1.0, gamma_s, alpha_s
+    )
+    return gg, -ga, -gag
 
 
 def _check_invertible(g: np.ndarray) -> None:
@@ -564,8 +562,8 @@ def _sigma_terms(
         x = states[i : i + chunk, None]
         c = model.scale.value(x, gamma_s)
         big_c = true_model.C(x)
-        w_g = model.scale.d_theta(x, gamma_s) * big_c**2 / c**3
-        w_a = model.drift.d_theta(x, alpha_s) * big_c / c**2
+        w_g = model.scale.profile(x) * big_c**2 / c**3
+        w_a = model.drift.basis(x) * big_c / c**2
         xz = x + big_c * z
         v1 = w_g * z**2 + f1(xz) - f1(x)
         v2 = w_a * z + f2(xz) - f2(x)

@@ -11,7 +11,7 @@ Subcommands:
 
 Settings resolve as flag > config file > environment > built-in default.
 The config file named by --config is a flat JSON object keyed like the long
-flags ("seed", "threads", "out_dir", "format", "case", ...), plus "designs"
+flags ("seed", "out_dir", "format", "case", ...), plus "designs"
 (a list of [n, h] pairs) for mc.  LEVY_GQMLE_SEED supplies the seed when
 neither flag nor config does.
 
@@ -89,7 +89,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("mc", parents=common, help="replication study")
     p.add_argument("--case", default=None)
     p.add_argument("--replications", type=int, default=None)
-    p.add_argument("--threads", type=int, metavar="N", help="worker threads for the replications")
     p.set_defaults(func=_cmd_mc)
 
     p = sub.add_parser("asymptotics", parents=common, help="Gamma / Sigma / V pipeline")
@@ -209,13 +208,12 @@ def _cmd_mc(ns, cfg) -> int:
     case = _setting(ns, cfg, "case", "i")
     replications = _setting(ns, cfg, "replications", 1000, int)
     seed = _resolve_seed(ns, cfg)
-    threads = _setting(ns, cfg, "threads", None, int)
     formats = _resolve_formats(ns, cfg)
     kwargs = {"replications": replications, "seed": seed}
     if "designs" in cfg:
         kwargs["designs"] = cfg["designs"]
     design = ExperimentDesign(case, **kwargs)
-    summary = run_mc(design, threads=threads)
+    summary = run_mc(design)
     for d in summary.per_design:
         print(
             f"n={d.n} h={d.h:g}: alpha {d.mean_alpha:.4f} ({d.sd_alpha:.4f}), "

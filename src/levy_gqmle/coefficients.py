@@ -1,11 +1,11 @@
-"""Parametric drift and scale families with analytic derivatives.
+"""Parametric drift and scale families.
 
-Every family is scalar-parametric and exposes ``value``, ``d_theta``,
-``d2_theta`` and ``d_x``, vectorized over the state.  Drift families are
-linear in their parameter and expose the factorization
+Every family is scalar-parametric and exposes ``value``, vectorized over
+the state.  Drift families are linear in their parameter,
 ``a(x, theta) = theta * basis(x)``; scale families are multiplicative,
-``c(x, theta) = theta * profile(x)``.  The estimation stages exploit both
-structures for closed forms.
+``c(x, theta) = theta * profile(x)``.  Every parameter derivative follows
+from ``basis``/``profile``, and the estimation stages use both structures
+for their closed forms.
 """
 
 from __future__ import annotations
@@ -40,15 +40,6 @@ class MeanRevertLinear:
     def value(self, x, alpha):
         return alpha * self.basis(x)
 
-    def d_theta(self, x, alpha):
-        return self.basis(x)
-
-    def d2_theta(self, x, alpha):
-        return np.zeros_like(np.asarray(x, dtype=float))
-
-    def d_x(self, x, alpha):
-        return np.full_like(np.asarray(x, dtype=float), -alpha)
-
 
 @dataclass(frozen=True)
 class ConstantDrift:
@@ -61,15 +52,6 @@ class ConstantDrift:
 
     def value(self, x, alpha):
         return alpha * self.basis(x)
-
-    def d_theta(self, x, alpha):
-        return self.basis(x)
-
-    def d2_theta(self, x, alpha):
-        return np.zeros_like(np.asarray(x, dtype=float))
-
-    def d_x(self, x, alpha):
-        return np.zeros_like(np.asarray(x, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -84,15 +66,6 @@ class LinearDecay:
     def value(self, x, alpha):
         return alpha * self.basis(x)
 
-    def d_theta(self, x, alpha):
-        return self.basis(x)
-
-    def d2_theta(self, x, alpha):
-        return np.zeros_like(np.asarray(x, dtype=float))
-
-    def d_x(self, x, alpha):
-        return np.full_like(np.asarray(x, dtype=float), -alpha)
-
 
 @dataclass(frozen=True)
 class RationalSqrt:
@@ -106,16 +79,6 @@ class RationalSqrt:
     def value(self, x, gamma):
         return gamma * self.profile(x)
 
-    def d_theta(self, x, gamma):
-        return self.profile(x)
-
-    def d2_theta(self, x, gamma):
-        return np.zeros_like(np.asarray(x, dtype=float))
-
-    def d_x(self, x, gamma):
-        x = np.asarray(x, dtype=float)
-        return -gamma * x * (1.0 + x**2) ** -1.5
-
 
 @dataclass(frozen=True)
 class ConstantScale:
@@ -128,15 +91,6 @@ class ConstantScale:
 
     def value(self, x, gamma):
         return gamma * self.profile(x)
-
-    def d_theta(self, x, gamma):
-        return self.profile(x)
-
-    def d2_theta(self, x, gamma):
-        return np.zeros_like(np.asarray(x, dtype=float))
-
-    def d_x(self, x, gamma):
-        return np.zeros_like(np.asarray(x, dtype=float))
 
 
 DriftFamily = MeanRevertLinear | ConstantDrift | LinearDecay

@@ -14,7 +14,6 @@ from __future__ import annotations
 import json
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -23,7 +22,7 @@ from scipy.stats import norm as _norm
 
 from ._util import NumericalError, atomic_write_text, substream
 from .coefficients import ConstantScale, LinearDecay, MeanRevertLinear, RationalSqrt
-from .gqmle import EstimateOptions, EstimationError, ModelSpec, _ascend, estimate_staged
+from .gqmle import ModelSpec, _fit_drift, _fit_rows, _fit_scale
 from .levy import (
     BilateralGamma,
     Brownian,
@@ -32,7 +31,7 @@ from .levy import (
     sample_increments,
     standardization_check,
 )
-from .sde import SamplePath, TrueModel, _euler_columns
+from .sde import TrueModel, _euler_columns
 
 __all__ = [
     "CASES",
@@ -57,6 +56,9 @@ CASES = ("i", "ii", "iii", "diffusion")
 TAIL_RADII = (1.0, 2.0, 4.0, 8.0)
 
 _TAG_MC = 5501  # replication increment streams hang off (seed, tag, design, k)
+# replications per fitted row block: small enough that a block's temporaries
+# stay far below the size of the Euler panel it is copied from
+_FIT_ROWS = 32
 
 
 class ExperimentError(NumericalError):
@@ -128,54 +130,21 @@ def optimal_values_numeric(
     true_model: TrueModel,
     noise: LevyLaw,
     inv,
-    options: EstimateOptions | None = None,
 ) -> tuple[float, float]:
     """Empirical-criterion maximizer over an invariant sample.
 
-    Stage one maximizes the sample analogue of -E[log c^2 + C^2 / c^2] over
-    the gamma box; stage two, with that gamma plugged in, maximizes
-    -E[(A - a)^2 / c^2] over the alpha box, both with the same safeguarded
-    Newton machinery as the path estimators.  Agreement with
-    ``optimal_values`` is up to Monte Carlo error in the sample.
+    The stage criteria under pi_0 are the path criteria with increment
+    moments (A, C^2) on a unit step, so the path closed forms give their
+    maximizers: gamma^2 = E[C^2 / p^2], then, with that gamma in
+    c = gamma p, alpha = E[A b / c^2] / E[b^2 / c^2], each kept inside its
+    box.  Agreement with ``optimal_values`` is up to Monte Carlo error in
+    the sample.
     """
     del noise  # the invariant sample already carries the law's effect
-    options = options or EstimateOptions()
-    x = np.asarray(inv.states, dtype=float)
-    ax = true_model.A(x)
-    cx2 = true_model.C(x) ** 2
-
-    def crit1(g):
-        c = model.scale.value(x, g)
-        dc = model.scale.d_theta(x, g)
-        d2c = model.scale.d2_theta(x, g)
-        c2 = c * c
-        value = -float(np.mean(np.log(c2) + cx2 / c2))
-        grad = -2.0 * float(np.mean(dc / c - dc * cx2 / (c2 * c)))
-        hess = -2.0 * float(
-            np.mean((d2c * c - dc**2) / c2 - (d2c * c - 3.0 * dc**2) * cx2 / (c2 * c2))
-        )
-        return value, grad, hess
-
-    lo, hi = model.gamma_box
-    s1 = _ascend(crit1, lo, hi, options.tol, options.max_iter, options.grid_points)
-
-    c2 = model.scale.value(x, s1.estimate) ** 2
-
-    def crit2(a_par):
-        a = model.drift.value(x, a_par)
-        da = model.drift.d_theta(x, a_par)
-        d2a = model.drift.d2_theta(x, a_par)
-        r = ax - a
-        value = -float(np.mean(r * r / c2))
-        grad = 2.0 * float(np.mean(r * da / c2))
-        hess = 2.0 * float(np.mean((r * d2a - da * da) / c2))
-        return value, grad, hess
-
-    lo, hi = model.alpha_box
-    s2 = _ascend(crit2, lo, hi, options.tol, options.max_iter, options.grid_points)
-    if not (s1.converged and s2.converged):
-        raise EstimationError("empirical optimal-value maximization did not converge")
-    return s2.estimate, s1.estimate
+    x = np.asarray(inv.states, dtype=float)[None, :]
+    gamma = _fit_scale(model, x, true_model.C(x) ** 2, 1.0)[0]
+    alpha = _fit_drift(model, x, true_model.A(x), 1.0, gamma)[0]
+    return float(alpha[0]), float(gamma[0])
 
 
 @dataclass(frozen=True)
@@ -337,70 +306,67 @@ def run_mc(
     true_model: TrueModel | None = None,
     theta_star: tuple[float, float] | None = None,
     x0: float = 0.0,
-    options: EstimateOptions | None = None,
-    threads: int | None = None,
     max_failure_fraction: float = 0.01,
 ) -> McSummary:
     """Simulate-and-fit replication study over the design grids.
 
     Replication k of design d draws increments from the substream
-    (seed, tag, d, k), so results are independent of scheduling; estimation
-    may run on a thread pool but the reduction is ordered by replication
-    index.  Failed replications (divergent paths, estimation errors) are
-    excluded and counted; more than ``max_failure_fraction`` of them raises
-    ExperimentError.  Defaults reproduce the benchmark study from x0 = 0.
+    (seed, tag, d, k), so its result depends only on that address.  The
+    surviving replications are fitted in the closed form, 32 at a time, as
+    rows of a (32, n+1) block taken from the Euler panel.  Each row reduces
+    along time exactly as a lone path does, so every estimate is bitwise
+    equal to ``estimate_staged`` on that replication's path.  Failed
+    replications (divergent paths) are excluded and counted; more than
+    ``max_failure_fraction`` of them raises ExperimentError.  Defaults
+    reproduce the benchmark study from x0 = 0.
     """
     model = model or benchmark_model()
     true_model = true_model or true_ou()
     law = noise_case(design.case)
     if theta_star is None:
         theta_star = optimal_values(design.case)
-    workers = threads if threads is not None else (os.cpu_count() or 1)
+    R = design.replications
     per = []
     for d_index, (n, h) in enumerate(design.designs):
-        R = design.replications
         z = np.empty((n, R))
         for k in range(R):
             z[:, k] = sample_increments(law, h, n, substream(design.seed, _TAG_MC, d_index, k))
         values, first_bad = _euler_columns(true_model, h, np.full(R, float(x0)), z)
-
-        def fit(k: int):
-            if first_bad[k] >= 0:
-                return f"replication {k}: path diverged at step {first_bad[k]}"
-            try:
-                est = estimate_staged(SamplePath(h=h, values=values[:, k]), model, options)
-            except NumericalError as e:
-                return f"replication {k}: {e}"
-            return (est.alpha_hat, est.gamma_hat, est.stage1.boundary or est.stage2.boundary)
-
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as ex:
-                results = list(ex.map(fit, range(R)))
-        else:
-            results = [fit(k) for k in range(R)]
-
-        failures = tuple(r for r in results if isinstance(r, str))
+        del z
+        failures = tuple(
+            f"replication {k}: path diverged at step {first_bad[k]}" for k in np.flatnonzero(first_bad >= 0)
+        )
         if len(failures) > max_failure_fraction * R:
             raise ExperimentError(
                 f"{len(failures)} of {R} replications failed at design (n={n}, h={h}); "
                 f"first: {failures[0]}"
             )
-        good = np.array([r for r in results if not isinstance(r, str)], dtype=float)
+        good = np.flatnonzero(first_bad < 0)
+        estimates = np.empty((good.size, 2))
+        boundary = 0
+        for i in range(0, good.size, _FIT_ROWS):
+            # rows, not columns: each row then sums pairwise along time like a
+            # lone path, where a C-ordered column block would sum sequentially
+            rows = np.ascontiguousarray(values[:, good[i : i + _FIT_ROWS]].T)
+            alpha, gamma, clamped = _fit_rows(model, rows, h)
+            estimates[i : i + alpha.size] = np.column_stack([alpha, gamma])
+            boundary += int(np.count_nonzero(clamped))
+        del values
         per.append(
             summarize_replications(
                 n,
                 h,
-                good[:, :2],
+                estimates,
                 theta_star,
                 n_failed=len(failures),
                 failures=failures[:20],
-                boundary_count=int(good[:, 2].sum()),
+                boundary_count=boundary,
             )
         )
     return McSummary(
         case=design.case,
         theta_star=(float(theta_star[0]), float(theta_star[1])),
-        replications=design.replications,
+        replications=R,
         seed=design.seed,
         per_design=tuple(per),
     )

@@ -1,12 +1,19 @@
 """Two-stage Gaussian quasi-likelihood estimation.
 
-Stage one estimates the scale parameter gamma from a drift-free Gaussian
-quasi-likelihood of the squared increments; stage two estimates the drift
-parameter alpha by weighted least squares with the stage-one gamma plugged
-into the weights.  Both stages admit closed forms for the catalog families
-(multiplicative scale, drift linear in its parameter); a safeguarded
-ascent/Newton optimizer with a grid fallback covers forced-iterative runs
-and any future family without the structure.
+This is the stepwise Gaussian QMLE of Uchida & Yoshida (2012, SPA 122) and
+Masuda (2013, Ann. Statist. 41(3)).  Stage one estimates the scale
+parameter gamma from a drift-free Gaussian quasi-likelihood of the squared
+increments; stage two estimates the drift parameter alpha by weighted
+least squares with the stage-one gamma plugged into the weights.
+
+Every catalog drift is a = alpha b(x) and every catalog scale is
+c = gamma p(x), so each stage is a weighted least-squares problem with a
+closed form and no optimizer is needed.  Both criteria are written once,
+in ``_criterion_terms``, as functions of the state and of the increment
+moments (m1, m2): a path enters with (D_j X, (D_j X)^2), the invariant law
+pi_0 with (h A(x), h C(x)^2).  The closed forms fit a block of rows at a
+time, shape (R, n+1) with time contiguous; a single path is a one-row
+block, and each row reduces exactly as a lone path would.
 """
 
 from __future__ import annotations
@@ -23,7 +30,6 @@ from .sde import SamplePath
 
 __all__ = [
     "ModelSpec",
-    "EstimateOptions",
     "StageResult",
     "EstimateResult",
     "ClosedFormResult",
@@ -84,23 +90,11 @@ class ModelSpec:
 
 
 @dataclass(frozen=True)
-class EstimateOptions:
-    method: str = "auto"  # auto | newton | closed-form
-    tol: float = 1e-10
-    max_iter: int = 100
-    grid_points: int = 200
-
-    def __post_init__(self):
-        if self.method not in ("auto", "newton", "closed-form"):
-            raise ValueError(f"unknown method {self.method!r}")
-
-
-@dataclass(frozen=True)
 class StageResult:
     estimate: float
     objective: float
     gradient: float
-    method: str  # closed-form | newton | grid-fallback
+    method: str  # "closed-form", the only method; kept in the estimate JSON
     iterations: int = 0
     converged: bool = True
     boundary: bool = False
@@ -140,23 +134,48 @@ def _check_scale(c: np.ndarray) -> None:
         raise ValueError("scale coefficient evaluated non-positive on the path")
 
 
+def _criterion_terms(
+    model: ModelSpec, x: np.ndarray, m1: np.ndarray, m2: np.ndarray, h: float, gamma: float, alpha: float
+) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+    """Per-state terms of both stage criteria and their parameter derivatives.
+
+    With c = gamma p(x) and a = alpha b(x), a state x whose next increment
+    has moments (m1, m2) over a step h contributes
+
+        stage one  l1 = -(h log c^2 + m2 / c^2),
+        stage two  l2 = -(m1 - h a)^2 / (h c^2).
+
+    Returns (l1, dl1/dgamma, d2l1/dgamma2) and
+    (l2, dl2/dalpha, d2l2/dalpha2, d2l2/dalpha dgamma).  A criterion is the
+    sum of its terms over N states divided by N h.  Zeroing the summed
+    first derivatives gives the closed forms of :func:`_fit_scale` and
+    :func:`_fit_drift`.
+    """
+    c = gamma * model.scale.profile(x)
+    _check_scale(c)
+    c2 = c * c
+    b = model.drift.basis(x)
+    u = m2 / c2
+    r = m1 - h * (alpha * b)
+    rb = r * b / c2
+    stage1 = (-(h * np.log(c2) + u), -2.0 / gamma * (h - u), 2.0 / gamma**2 * (h - 3.0 * u))
+    stage2 = (-(r * r) / (h * c2), 2.0 * rb, -2.0 * h * (b * b) / c2, -4.0 / gamma * rb)
+    return stage1, stage2
+
+
+def _path_criteria(path: SamplePath, model: ModelSpec, gamma: float, alpha: float):
+    """(stage one, stage two) criteria on a path, each as (value, gradient, Hessian)."""
+    dx = path.increments()
+    stage1, stage2 = _criterion_terms(model, path.values[:-1], dx, dx * dx, path.h, gamma, alpha)
+    return [tuple(float(np.sum(t)) / path.T for t in terms[:3]) for terms in (stage1, stage2)]
+
+
 def g1_eval(path: SamplePath, model: ModelSpec, gamma: float) -> tuple[float, float, float]:
     """Stage-one objective and its first two gamma-derivatives.
 
     value = -(1/T) sum_j { h log c_{j-1}^2 + (D_j X)^2 / c_{j-1}^2 }.
     """
-    x = path.values[:-1]
-    dx2 = path.increments() ** 2
-    h, T = path.h, path.T
-    c = model.scale.value(x, gamma)
-    _check_scale(c)
-    dc = model.scale.d_theta(x, gamma)
-    d2c = model.scale.d2_theta(x, gamma)
-    c2 = c * c
-    value = -float(np.sum(h * np.log(c2) + dx2 / c2)) / T
-    grad = -2.0 / T * float(np.sum(dc / c * h - dc / (c2 * c) * dx2))
-    hess = -2.0 / T * float(np.sum((d2c * c - dc**2) / c2 * h - (d2c * c - 3.0 * dc**2) / (c2 * c2) * dx2))
-    return value, grad, hess
+    return _path_criteria(path, model, gamma, 0.0)[0]
 
 
 def g2_eval(
@@ -166,136 +185,85 @@ def g2_eval(
 
     value = -(1/T) sum_j (D_j X - h a_{j-1})^2 / (h c_{j-1}^2(gamma_hat)).
     """
-    x = path.values[:-1]
-    dx = path.increments()
-    h, T = path.h, path.T
-    c = model.scale.value(x, gamma_hat)
-    _check_scale(c)
-    c2 = c * c
-    a = model.drift.value(x, alpha)
-    da = model.drift.d_theta(x, alpha)
-    d2a = model.drift.d2_theta(x, alpha)
-    r = dx - h * a
-    value = -float(np.sum(r**2 / c2)) / (T * h)
-    grad = 2.0 / T * float(np.sum(r * da / c2))
-    hess = 2.0 / T * float(np.sum((r * d2a - h * da**2) / c2))
-    return value, grad, hess
+    return _path_criteria(path, model, gamma_hat, alpha)[1]
 
 
-def _ascend(fun, lo: float, hi: float, tol: float, max_iter: int, grid_points: int) -> StageResult:
-    """Maximize a scalar objective on (lo, hi): safeguarded Newton/ascent,
-    then a log-grid sweep with Newton polish if the iteration stalls.
+def _fit_scale(model: ModelSpec, x: np.ndarray, m2: np.ndarray, h: float):
+    """Closed-form stage one for each row: gamma^2 = sum(m2 / p^2) / (N h).
 
-    ``fun`` maps x to (value, gradient, hessian).  Grid ties break toward
-    the smaller parameter.
+    ``x`` and ``m2`` have shape (R, N).  Returns (gamma, boundary,
+    degenerate), each of shape (R,); gamma is clamped to the box, and a row
+    with zero quadratic variation is degenerate and sits at the lower edge.
     """
-    eps = 1e-12 * (hi - lo)
-    x = 0.5 * (lo + hi)
-    v, g, H = fun(x)
-    for it in range(1, max_iter + 1):
-        if abs(g) <= tol:
-            return StageResult(x, v, g, "newton", it, True, False, False)
-        step = -g / H if H < 0 else math.copysign(0.1 * (hi - lo), g)
-        x_new = min(max(x + step, lo + eps), hi - eps)
-        v_new, g_new, H_new = fun(x_new)
-        halvings = 0
-        while not (v_new >= v) and halvings < 60:
-            x_new = 0.5 * (x + x_new)
-            v_new, g_new, H_new = fun(x_new)
-            halvings += 1
-        if halvings >= 60 or x_new == x:
-            break
-        x, v, g, H = x_new, v_new, g_new, H_new
-    # grid fallback: log spacing (the boxes sit in the positive half-line)
-    g_lo = max(lo + eps, 1e-6 * hi)
-    grid = np.exp(np.linspace(math.log(g_lo), math.log(hi - eps), grid_points))
-    vals = np.array([fun(t)[0] for t in grid])
-    if not np.any(np.isfinite(vals)):
-        raise EstimationError("all candidate objective evaluations non-finite")
-    x = float(grid[int(np.argmax(vals))])
-    v, g, H = fun(x)
-    for it in range(1, max_iter + 1):
-        if abs(g) <= tol or H >= 0:
-            break
-        x_new = min(max(x - g / H, lo + eps), hi - eps)
-        v_new, g_new, H_new = fun(x_new)
-        if not (v_new >= v):
-            break
-        x, v, g, H = x_new, v_new, g_new, H_new
-    return StageResult(x, v, g, "grid-fallback", grid_points, abs(g) <= tol, False, False)
-
-
-def _clamp_to_box(raw: float, lo: float, hi: float) -> tuple[float, bool]:
-    if raw < lo:
-        return lo, True
-    if raw > hi:
-        return hi, True
-    return raw, False
-
-
-def estimate_scale(path: SamplePath, model: ModelSpec, options: EstimateOptions | None = None) -> StageResult:
-    """Stage one: maximize the drift-free quasi-likelihood over the gamma box.
-
-    Multiplicative families use the closed form
-    gamma^2 = (1/(n h)) sum (D_j X)^2 / profile_{j-1}^2; a degenerate path
-    (zero quadratic variation) returns the lower box edge, flagged.
-    """
-    options = options or EstimateOptions()
     lo, hi = model.gamma_box
-    if options.method in ("auto", "closed-form"):
-        x = path.values[:-1]
-        p2 = model.scale.profile(x) ** 2
-        raw2 = float(np.sum(path.increments() ** 2 / p2)) / (path.n * path.h)
-        if raw2 == 0.0:
-            v, g, _ = g1_eval(path, model, lo)
-            return StageResult(lo, v, g, "closed-form", 0, True, True, True)
-        raw = math.sqrt(raw2)
-        est, boundary = _clamp_to_box(raw, lo, hi)
-        v, g, _ = g1_eval(path, model, est)
-        return StageResult(est, v, g, "closed-form", 0, True, boundary, False)
-    return _ascend(lambda t: g1_eval(path, model, t), lo, hi, options.tol, options.max_iter, options.grid_points)
+    raw = np.sqrt(np.sum(m2 / model.scale.profile(x) ** 2, axis=1) / (x.shape[1] * h))
+    return np.clip(raw, lo, hi), (raw < lo) | (raw > hi), raw == 0.0
 
 
-def estimate_drift(
-    path: SamplePath, model: ModelSpec, gamma_hat: float, options: EstimateOptions | None = None
-) -> StageResult:
+def _fit_drift(model: ModelSpec, x: np.ndarray, m1: np.ndarray, h: float, gamma: np.ndarray):
+    """Closed-form stage two for each row, with that row's gamma in the weights:
+    alpha = sum(m1 b / c^2) / (h sum(b^2 / c^2)).
+
+    Returns (alpha, boundary, degenerate) like :func:`_fit_scale`; a row
+    whose denominator vanishes is degenerate and sits at the lower edge.
+    """
+    lo, hi = model.alpha_box
+    c = gamma[:, None] * model.scale.profile(x)
+    _check_scale(c)
+    b = model.drift.basis(x)
+    w = b / (c * c)
+    denom = np.sum(b * w, axis=1) * h
+    degenerate = denom == 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        raw = np.sum(m1 * w, axis=1) / denom
+    return np.where(degenerate, lo, np.clip(raw, lo, hi)), degenerate | (raw < lo) | (raw > hi), degenerate
+
+
+def _fit_rows(model: ModelSpec, values: np.ndarray, h: float):
+    """Both stages for every row of a (R, n+1) block of paths on step h.
+
+    Returns (alpha, gamma, boundary) of shape (R,); ``boundary`` marks a
+    row where either stage was clamped to its box or degenerate.
+    """
+    x = values[:, :-1]
+    dx = np.diff(values, axis=1)
+    gamma, clamped1, _ = _fit_scale(model, x, dx**2, h)
+    alpha, clamped2, _ = _fit_drift(model, x, dx, h, gamma)
+    return alpha, gamma, clamped1 | clamped2
+
+
+def estimate_scale(path: SamplePath, model: ModelSpec) -> StageResult:
+    """Stage one: the closed-form maximizer of the drift-free quasi-likelihood,
+    gamma^2 = (1/(n h)) sum (D_j X)^2 / profile_{j-1}^2, clamped to the gamma
+    box.  A degenerate path (zero quadratic variation) returns the lower box
+    edge, flagged.
+    """
+    dx = path.increments()[None]
+    gamma, boundary, degenerate = _fit_scale(model, path.values[None, :-1], dx**2, path.h)
+    est = float(gamma[0])
+    v, g, _ = g1_eval(path, model, est)
+    return StageResult(est, v, g, "closed-form", 0, True, bool(boundary[0]), bool(degenerate[0]))
+
+
+def estimate_drift(path: SamplePath, model: ModelSpec, gamma_hat: float) -> StageResult:
     """Stage two: weighted least squares for alpha with gamma_hat in the weights.
 
-    Linear-in-alpha families use the closed form
-    alpha = sum(D_j X b_{j-1}/c_{j-1}^2) / (h sum b_{j-1}^2/c_{j-1}^2)
-    where b is the drift basis; a vanishing denominator flags degeneracy.
+    alpha = sum(D_j X b_{j-1}/c_{j-1}^2) / (h sum b_{j-1}^2/c_{j-1}^2),
+    clamped to the alpha box, where b is the drift basis; a vanishing
+    denominator returns the lower box edge, flagged degenerate.
     """
-    options = options or EstimateOptions()
-    lo, hi = model.alpha_box
-    if options.method in ("auto", "closed-form"):
-        x = path.values[:-1]
-        c = model.scale.value(x, gamma_hat)
-        _check_scale(c)
-        b = model.drift.basis(x)
-        w = b / (c * c)
-        denom = float(np.sum(b * w)) * path.h
-        if denom == 0.0:
-            v, g, _ = g2_eval(path, model, gamma_hat, lo)
-            return StageResult(lo, v, g, "closed-form", 0, False, True, True)
-        raw = float(np.sum(path.increments() * w)) / denom
-        est, boundary = _clamp_to_box(raw, lo, hi)
-        v, g, _ = g2_eval(path, model, gamma_hat, est)
-        return StageResult(est, v, g, "closed-form", 0, True, boundary, False)
-    return _ascend(
-        lambda t: g2_eval(path, model, gamma_hat, t), lo, hi, options.tol, options.max_iter, options.grid_points
+    alpha, boundary, degenerate = _fit_drift(
+        model, path.values[None, :-1], path.increments()[None], path.h, np.array([float(gamma_hat)])
     )
+    est, boundary, degenerate = float(alpha[0]), bool(boundary[0]), bool(degenerate[0])
+    v, g, _ = g2_eval(path, model, gamma_hat, est)
+    return StageResult(est, v, g, "closed-form", 0, not degenerate, boundary, degenerate)
 
 
-def estimate_staged(path: SamplePath, model: ModelSpec, options: EstimateOptions | None = None) -> EstimateResult:
+def estimate_staged(path: SamplePath, model: ModelSpec) -> EstimateResult:
     """Run both stages and aggregate diagnostics."""
-    try:
-        s1 = estimate_scale(path, model, options)
-    except NumericalError as e:
-        raise EstimationError(f"stage one (scale) failed: {e}") from e
-    try:
-        s2 = estimate_drift(path, model, s1.estimate, options)
-    except NumericalError as e:
-        raise EstimationError(f"stage two (drift) failed: {e}") from e
+    s1 = estimate_scale(path, model)
+    s2 = estimate_drift(path, model, s1.estimate)
     return EstimateResult(
         gamma_hat=s1.estimate,
         alpha_hat=s2.estimate,
@@ -322,24 +290,21 @@ class ClosedFormResult:
         return iter((self.alpha_hat, self.gamma_hat))
 
 
-def closed_form_example(path: SamplePath, literal_display: bool = False) -> ClosedFormResult:
+def closed_form_example(path: SamplePath) -> ClosedFormResult:
     """Closed forms for drift alpha(1-x) and scale gamma/sqrt(1+x^2).
 
     gamma_hat = sqrt((1/(n h)) sum (D_j X)^2 (X_{j-1}^2 + 1)) and
     alpha_hat = sum D_j X (1-X_{j-1})(1+X_{j-1}^2) / (h sum (X_{j-1}-1)^2 (1+X_{j-1}^2)).
     The denominator squares the lagged state, which is what the stage-two
-    estimating equation yields; ``literal_display`` squares the leading
-    state instead, for comparison with the other published form.
+    estimating equation yields.
     """
     x_prev = path.values[:-1]
-    x_next = path.values[1:]
     dx = path.increments()
     h = path.h
     gamma_hat = math.sqrt(float(np.sum(dx**2 * (x_prev**2 + 1.0))) / (path.n * h))
     w = 1.0 + x_prev**2
     num = float(np.sum(dx * (1.0 - x_prev) * w))
-    sq = (x_next - 1.0) ** 2 if literal_display else (x_prev - 1.0) ** 2
-    denom = h * float(np.sum(sq * w))
+    denom = h * float(np.sum((x_prev - 1.0) ** 2 * w))
     if denom == 0.0:
         raise DegeneratePathError("drift estimating equation degenerate (constant path at x = 1)")
     return ClosedFormResult(alpha_hat=num / denom, gamma_hat=gamma_hat, boundary=gamma_hat == 0.0)

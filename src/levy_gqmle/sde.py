@@ -198,7 +198,8 @@ def write_path(path: SamplePath, sink) -> None:
 def load_path(source) -> SamplePath:
     """Parse a `t,x` CSV; h is inferred and the grid must be equispaced.
 
-    Rejects relative jitter in the time grid beyond 1e-9.
+    Rejects non-finite time cells and relative jitter in the time grid
+    beyond 1e-9.
     """
     if isinstance(source, (str, os.PathLike)):
         with open(source) as f:
@@ -222,6 +223,8 @@ def load_path(source) -> SamplePath:
     t = np.asarray(t_vals)
     if t.size < 2:
         raise ValueError("need at least 2 rows")
+    if not np.all(np.isfinite(t)):
+        raise ValueError("time cells must all be finite")
     dt = np.diff(t)
     h = float(dt[0])
     if h <= 0 or np.any(dt <= 0):

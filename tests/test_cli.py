@@ -114,6 +114,14 @@ class TestEstimate:
         assert code == 1
         assert "equispaced" in err
 
+    def test_non_finite_time_exits_one(self, capsys, tmp_path):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("t,x\n0,0\n0.1,0.1\nnan,0.2\n0.3,0.3\n")
+        code, out, err = invoke(capsys, "estimate", "--path", str(bad))
+        assert code == 1
+        assert out == ""
+        assert "finite" in err
+
     def test_missing_path_flag(self, capsys):
         code, _, err = invoke(capsys, "estimate")
         assert code == 1

@@ -117,6 +117,12 @@ class TestPathIO:
         with pytest.raises(ValueError, match="equispaced"):
             load_path(io.StringIO("t,x\n0,1\n0.1,0.9\n0.25,0.8\n"))
 
+    def test_non_finite_time_rejected(self):
+        # a NaN time cell compares False against every grid tolerance, so it
+        # must be rejected on its own
+        with pytest.raises(ValueError, match="finite"):
+            load_path(io.StringIO("t,x\n0,1\n0.1,0.9\nnan,0.8\n0.3,0.7\n"))
+
     def test_bad_header_rejected(self):
         with pytest.raises(ValueError, match="header"):
             load_path(io.StringIO("time,value\n0,1\n0.1,0.9\n"))
