@@ -45,7 +45,6 @@ from .sde import (
 )
 from .gqmle import (
     EstimateResult,
-    EstimationError,
     ModelSpec,
     estimate_staged,
 )
@@ -96,7 +95,6 @@ __all__ = [
     "simulate_euler",
     "write_path",
     "EstimateResult",
-    "EstimationError",
     "ModelSpec",
     "estimate_staged",
     "AsymptoticsResult",

@@ -33,7 +33,6 @@ __all__ = [
     "StageResult",
     "EstimateResult",
     "ClosedFormResult",
-    "EstimationError",
     "DegeneratePathError",
     "g1_eval",
     "g2_eval",
@@ -42,10 +41,6 @@ __all__ = [
     "estimate_staged",
     "closed_form_example",
 ]
-
-
-class EstimationError(NumericalError):
-    """An estimation stage could not produce a usable maximizer."""
 
 
 class DegeneratePathError(NumericalError):

@@ -38,6 +38,9 @@ __all__ = [
     "QuadratureError",
 ]
 
+# draws per block of in-place NIG arithmetic: the temporaries stay in cache
+_BLOCK = 1 << 16
+
 
 class QuadratureError(NumericalError):
     """Jump-measure quadrature failed to converge."""
@@ -155,6 +158,9 @@ def sample_increments(
     """Exact draws of ``Z_{t+h} - Z_t``, shape ``size``.
 
     Reproducible given the generator state; ``h = 0`` yields exact zeros.
+    The arithmetic runs in place, NIG's in blocks of ``_BLOCK`` draws, in
+    the order of the textbook expressions, so the result is bitwise equal to
+    them on the same generator.
     """
     if h < 0:
         raise ValueError(f"h must be nonnegative, got {h}")
@@ -162,16 +168,32 @@ def sample_increments(
         return np.zeros(size)
     if isinstance(law, NormalInverseGaussian):
         # subordination: IG mixing variance, then conditional Gaussian
+        # mu h + beta y + sqrt(y) z, with the normals drawn block by block
+        # after all of y; a normal fill keeps no state between calls
         dh = law.delta * h
-        y = rng.wald(dh / law._gbar, dh**2, size)
-        z = rng.standard_normal(size)
-        return law.mu * h + law.beta * y + np.sqrt(y) * z
+        mu_h = law.mu * h
+        out = rng.wald(dh / law._gbar, dh**2, size)
+        flat = out.reshape(-1)
+        z = np.empty(min(flat.size, _BLOCK))
+        root = np.empty_like(z)
+        for b0 in range(0, flat.size, _BLOCK):
+            y = flat[b0 : b0 + _BLOCK]
+            zb, rb = z[: y.size], root[: y.size]
+            rng.standard_normal(out=zb)
+            np.sqrt(y, out=rb)
+            rb *= zb
+            y *= law.beta
+            y += mu_h
+            y += rb
+        return out
     if isinstance(law, BilateralGamma):
         gp = rng.gamma(law.shape_pos * h, 1.0 / law.rate_pos, size)
-        gm = rng.gamma(law.shape_neg * h, 1.0 / law.rate_neg, size)
-        return gp - gm
+        gp -= rng.gamma(law.shape_neg * h, 1.0 / law.rate_neg, size)
+        return gp
     if isinstance(law, Brownian):
-        return law.sigma * math.sqrt(h) * rng.standard_normal(size)
+        z = rng.standard_normal(size)
+        z *= law.sigma * math.sqrt(h)
+        return z
     raise TypeError(f"unknown law {law!r}")
 
 

@@ -1,15 +1,18 @@
 """Invariant sampling, EPE solutions, and the limit matrices vs oracles."""
 
 import math
+import os
 
 import numpy as np
 import pytest
 from scipy.signal import lfilter
 
-from levy_gqmle._util import batch_means_se
+from levy_gqmle import asymptotics
+from levy_gqmle._util import batch_means_se, substream
 from levy_gqmle.asymptotics import (
     _BLOCK_CELLS,
     _TAG_EPE,
+    _TAG_INVARIANT,
     AsymptoticsResult,
     CovarianceError,
     EPEApprox,
@@ -18,6 +21,7 @@ from levy_gqmle.asymptotics import (
     NotCenteredError,
     SingularGammaError,
     _chunked_increments,
+    _gamma_terms,
     avar,
     epe_rhs_drift,
     epe_rhs_scale,
@@ -36,10 +40,9 @@ from levy_gqmle.coefficients import (
     MeanRevertLinear,
     RationalSqrt,
 )
-from levy_gqmle.gqmle import ModelSpec
+from levy_gqmle.gqmle import ModelSpec, _criterion_terms, g1_eval, g2_eval
 from levy_gqmle.levy import Brownian, sample_increments
 from levy_gqmle.sde import DIVERGENCE_BOUND, DivergenceError, SamplePath, TrueModel, _euler_columns
-from levy_gqmle.gqmle import g1_eval, g2_eval
 from _oracles import benchmark_oracle
 from test_levy import CASE_I, CASE_III, DIFFUSION
 
@@ -61,6 +64,17 @@ def inv_i():
 def res_i(oracle_i):
     theta = (oracle_i.alpha_star, oracle_i.gamma_star)
     return run_asymptotics(BENCH, OU, CASE_I, theta, seed=5, budget=40000, m=1500)
+
+
+# three invariant-path chunks: 300 burn-in steps end inside the first, and
+# the third is short (5,000,300 steps in all)
+LONG_PATH = dict(budget=5000, seed=8, burn_in=0.3, step=0.001)
+OU_SHIFTED = TrueModel(MeanRevertLinear(m=0.7), 0.5, ConstantScale(), 1.0)
+
+
+@pytest.fixture(scope="module")
+def inv_long():
+    return sample_invariant(OU_SHIFTED, CASE_I, **LONG_PATH)
 
 
 def _batched(states, stat, n_batches=30):
@@ -96,6 +110,36 @@ class TestSampleInvariant:
         a = sample_invariant(OU, CASE_I, budget=1000, seed=3, burn_in=5.0)
         b = sample_invariant(OU, CASE_I, budget=1000, seed=3, burn_in=5.0)
         assert np.array_equal(a.states, b.states)
+
+    def test_matches_serial_reference(self, inv_long):
+        # the zero-start chunks composed through the affine start map against
+        # one lfilter pass over the whole path, started at the mean
+        rate, mean, step = 0.5, 0.7, LONG_PATH["step"]
+        rho = 1.0 - rate * step
+        keep, burn = 1000, 300
+        total = burn + LONG_PATH["budget"] * keep
+        chunk = 2_000_000
+        dz = np.concatenate([
+            sample_increments(CASE_I, step, min(chunk, total - start),
+                              substream(LONG_PATH["seed"], _TAG_INVARIANT, start // chunk))
+            for start in range(0, total, chunk)
+        ])
+        y, _ = lfilter([1.0], [1.0, -rho], rate * mean * step + dz, zi=np.array([rho * mean]))
+        want = y[burn + keep - 1 :: keep]
+        got = inv_long.states
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_independent_of_worker_count(self, inv_long, monkeypatch):
+        for workers in (1, 3):
+            monkeypatch.setattr(asymptotics, "_pool_size", lambda tasks, n=workers: n)
+            again = sample_invariant(OU_SHIFTED, CASE_I, **LONG_PATH)
+            assert np.array_equal(again.states, inv_long.states), workers
+
+    def test_pool_size_without_cpu_affinity(self, monkeypatch):
+        monkeypatch.delattr(asymptotics.os, "sched_getaffinity", raising=False)
+        assert asymptotics._pool_size(100) == min(4, os.cpu_count() or 1)
+        assert asymptotics._pool_size(1) == 1
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError, match="spacing"):
@@ -274,6 +318,15 @@ class TestGammaMatrix:
         assert g[0, 0] == pytest.approx(oracle_i.gamma_gamma, abs=0.06)
         assert g[1, 1] == pytest.approx(oracle_i.gamma_alpha, abs=0.45)
         assert abs(g[1, 0]) <= 0.08
+
+    def test_blocked_terms_match_one_call_bitwise(self, oracle_i):
+        alpha_s, gamma_s = oracle_i.alpha_star, oracle_i.gamma_star
+        x = np.random.default_rng(3).standard_normal(2 * _BLOCK_CELLS + 5)
+        (_, _, gg), (_, _, ga, gag) = _criterion_terms(BENCH, x, OU.A(x), OU.C(x) ** 2, 1.0, gamma_s, alpha_s)
+        got = _gamma_terms(BENCH, OU, (alpha_s, gamma_s), x)
+        for a, b in zip(got, (gg, -ga, -gag)):
+            assert np.array_equal(a, b)
+            assert np.mean(a) == np.mean(b)
 
     def test_diffusion_values(self):
         orc = benchmark_oracle(DIFFUSION)

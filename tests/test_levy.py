@@ -194,6 +194,28 @@ class TestSampling:
             se = math.hypot(k_full.std(ddof=1), k_half.std(ddof=1)) / math.sqrt(n_batches)
             assert abs(k_full.mean() - k_half.mean()) < 5 * se
 
+    @pytest.mark.parametrize("law", STANDARDIZED + [Brownian(0.3)], ids=str)
+    def test_in_place_arithmetic_matches_textbook_bitwise(self, law):
+        # the blocked, in-place sampler against the plain expressions on the
+        # same generator; sizes straddle the 2^16-draw NIG block
+        for size in (1, 7, (1 << 16) + 3, 2_000_000, (500, 1500), (3, 70000)):
+            got = sample_increments(law, 0.01, size, np.random.default_rng(23))
+            want = _textbook_increments(law, 0.01, size, np.random.default_rng(23))
+            assert got.shape == want.shape and np.array_equal(got, want), size
+
+
+def _textbook_increments(law, h, size, rng):
+    if isinstance(law, NormalInverseGaussian):
+        dh = law.delta * h
+        y = rng.wald(dh / math.sqrt(law.alpha**2 - law.beta**2), dh**2, size)
+        z = rng.standard_normal(size)
+        return law.mu * h + law.beta * y + np.sqrt(y) * z
+    if isinstance(law, BilateralGamma):
+        gp = rng.gamma(law.shape_pos * h, 1.0 / law.rate_pos, size)
+        gm = rng.gamma(law.shape_neg * h, 1.0 / law.rate_neg, size)
+        return gp - gm
+    return law.sigma * math.sqrt(h) * rng.standard_normal(size)
+
 
 def _batch_cumulant(z: np.ndarray, order: int) -> np.ndarray:
     if order == 1:
