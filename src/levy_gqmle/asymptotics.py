@@ -27,7 +27,6 @@ from scipy.integrate import cumulative_trapezoid
 from scipy.signal import lfilter
 
 from ._util import NumericalError, batch_means_se, substream
-from .coefficients import ConstantScale, LinearDecay, MeanRevertLinear
 from .gqmle import ModelSpec, _criterion_terms
 from .levy import (
     Brownian,
@@ -40,7 +39,7 @@ from .levy import (
     cumulants,
     sample_increments,
 )
-from .sde import DIVERGENCE_BOUND, DivergenceError, TrueModel, _euler_columns
+from .sde import DIVERGENCE_BOUND, DivergenceError, TrueModel, _affine_form, _affine_paths
 
 __all__ = [
     "AsymptoticsResult",
@@ -52,15 +51,12 @@ __all__ = [
     "NotCenteredError",
     "SingularGammaError",
     "avar",
-    "epe_rhs_drift",
-    "epe_rhs_scale",
     "epe_solve",
     "gamma_matrix",
     "invariant_char",
     "martingale_check",
     "run_asymptotics",
     "sample_invariant",
-    "sigma_matrix",
 ]
 
 _COND_LIMIT = 1e12
@@ -94,19 +90,12 @@ class CovarianceError(NumericalError):
     """Sigma or V fails the positive-semidefiniteness tolerance."""
 
 
-def _linear_ou_form(model: TrueModel) -> tuple[float, float, float]:
-    """(rate, stationary mean, scale) of a linear-drift constant-scale model."""
-    if not isinstance(model.scale_family, ConstantScale):
-        raise ValueError("need a constant true scale for invariant sampling")
-    if isinstance(model.drift_family, LinearDecay):
-        rate, mean = model.drift_param, 0.0
-    elif isinstance(model.drift_family, MeanRevertLinear):
-        rate, mean = model.drift_param, model.drift_family.m
-    else:
-        raise ValueError("need a linear mean-reverting true drift")
-    if rate <= 0.0:
-        raise ValueError(f"drift rate must be positive, got {rate}")
-    return rate, mean, model.scale_param
+def _linear_ou_form(model: TrueModel) -> tuple[float, float, float, float]:
+    """(rate, level, stationary mean, scale) of an ergodic affine model."""
+    rate, level, sigma = _affine_form(model)
+    if not rate > 0.0:
+        raise ValueError(f"need a linear mean-reverting true drift: rate must be positive, got {rate}")
+    return rate, level, level / rate, sigma
 
 
 @dataclass(frozen=True)
@@ -150,8 +139,8 @@ def sample_invariant(
     """Draw ``budget`` states from one long thinned Euler path.
 
     The path starts at the stationary mean, discards ``burn_in`` time units,
-    then keeps one state every ``spacing`` time units.  A linear drift makes
-    the recursion a scalar AR(1), X_{k+1} = rho X_k + u_k, which is affine
+    then keeps one state every ``spacing`` time units.  The recursion is the
+    AR(1) of ``sde._affine_form``, X_{k+1} = rho X_k + u_k, which is affine
     in its start: k steps from x reach Y_k + rho^k x, with Y the path from 0.
     So the path is cut into chunks of ``_INVARIANT_CHUNK`` steps, each drawn
     from its own substream (seed, 3101, chunk) and filtered from zero by
@@ -172,7 +161,7 @@ def sample_invariant(
         raise ValueError(f"thinning spacing must be >= 1 time unit, got {spacing}")
     if burn_in < 0.0 or step <= 0.0:
         raise ValueError("burn_in must be >= 0 and step > 0")
-    rate, mean, sigma = _linear_ou_form(model)
+    rate, level, mean, sigma = _linear_ou_form(model)
     if rate * step >= 1.0:
         raise ValueError("step too coarse: rate*step must be < 1")
 
@@ -180,7 +169,7 @@ def sample_invariant(
     burn_steps = int(round(burn_in / step))
     total = burn_steps + budget * keep
     rho = 1.0 - rate * step
-    drift = rate * mean * step
+    drift = level * step
     # global index of the first kept state; the last one is total - 1
     first = burn_steps + keep - 1
     # (substream index, steps, chunk-local index of the first kept state)
@@ -271,22 +260,6 @@ def _epe_rhs(
     return g
 
 
-def epe_rhs_scale(
-    model: ModelSpec, true_model: TrueModel, theta_star: tuple[float, float]
-) -> Callable[[np.ndarray], np.ndarray]:
-    """Scale-score integrand g_1 at the optimal parameter (centered under pi_0)."""
-    both = _epe_rhs(model, true_model, theta_star)
-    return lambda x: both(x)[0]
-
-
-def epe_rhs_drift(
-    model: ModelSpec, true_model: TrueModel, theta_star: tuple[float, float]
-) -> Callable[[np.ndarray], np.ndarray]:
-    """Drift-score integrand g_2 at the optimal parameter (centered under pi_0)."""
-    both = _epe_rhs(model, true_model, theta_star)
-    return lambda x: both(x)[1]
-
-
 @dataclass(frozen=True)
 class EPEApprox:
     """Grid approximation of a Poisson-equation solution.
@@ -353,13 +326,6 @@ def _chunked_increments(
     return out
 
 
-def _run_columns(model: TrueModel, step: float, x0: float, z: np.ndarray) -> np.ndarray:
-    values, first_bad = _euler_columns(model, step, np.full(z.shape[1], x0), z)
-    if (first_bad >= 0).any():
-        raise DivergenceError(int(first_bad[first_bad >= 0][0]))
-    return values
-
-
 def _as_tuple(values) -> tuple:
     return values if isinstance(values, tuple) else (values,)
 
@@ -388,11 +354,11 @@ def epe_solve(
     non-centered g makes the time integral diverge linearly.
 
     All grid points share one panel of ``m`` Euler paths (common random
-    numbers).  The true model has linear drift rate (mean - x) and constant
-    scale, so the Euler recursion is affine in its start:
-    X^x_k = rho^k x + Y_k with rho = 1 - rate * step, where Y is the path
-    started at zero.  One ``lfilter`` pass over the increment panel gives Y
-    for every grid point.  Each grid point's states are then formed and
+    numbers).  The Euler recursion is the AR(1) of ``sde._affine_form``,
+    which is affine in its start: X^x_k = rho^k x + Y_k with
+    rho = 1 - rate * step, where Y is the path started at zero.  One
+    ``lfilter`` pass over the increment panel gives Y for every grid
+    point.  Each grid point's states are then formed and
     evaluated in time blocks of max(1, 2^16 // m) steps, keeping only the
     running time sum and the first and last rows of g, so no temporary
     larger than a block is built.  The time integral is the trapezoid rule
@@ -405,7 +371,7 @@ def epe_solve(
     """
     if t_max <= 0 or m < 30 or step <= 0:
         raise ValueError("need t_max > 0, m >= 30, step > 0")
-    rate, mean, sigma = _linear_ou_form(model)
+    rate, level, _, sigma = _linear_ou_form(model)
     if inv is None:
         inv = sample_invariant(model, noise, seed=seed)
     raw = g(inv.states)
@@ -430,7 +396,7 @@ def epe_solve(
     rho = 1.0 - rate * step
     u = _chunked_increments(noise, step, steps, m, seed, _TAG_EPE)
     u *= sigma
-    u += rate * mean * step
+    u += level * step
     y = lfilter([1.0], [1.0, -rho], u, axis=0)  # y[k - 1] = Y_k
     del u
     decay = rho ** np.arange(1, steps + 1)
@@ -517,16 +483,18 @@ def martingale_check(
         raise ValueError("need horizon > 0 and reps >= 30")
     steps = int(round(horizon / step))
     lag_idx = sorted({max(1, steps // 4), max(1, steps // 2), steps})
-    z = _chunked_increments(noise, step, steps, reps, seed, _TAG_MARTINGALE)
+    z = _chunked_increments(noise, step, steps, reps, seed, _TAG_MARTINGALE).T
     means = np.empty((len(starts), len(lag_idx)))
     ses = np.empty_like(means)
     for i, x0 in enumerate(starts):
-        values = _run_columns(model, step, x0, z)
+        values, first_bad = _affine_paths(model, step, x0, z)
+        if (first_bad >= 0).any():
+            raise DivergenceError(int(first_bad[first_bad >= 0][0]))
         gx = np.asarray(g(values), dtype=float)
-        cum = cumulative_trapezoid(gx, dx=step, axis=0, initial=0.0)
+        cum = cumulative_trapezoid(gx, dx=step, axis=1, initial=0.0)
         f0 = float(np.asarray(f(np.float64(x0))))
         for j, k in enumerate(lag_idx):
-            d = np.asarray(f(values[k]), dtype=float) + cum[k] - f0
+            d = np.asarray(f(values[:, k]), dtype=float) + cum[:, k] - f0
             means[i, j] = float(np.mean(d))
             ses[i, j] = batch_means_se(d)
     return MartingaleReport(
@@ -658,27 +626,6 @@ def _sigma_full(
     se_g, se_a, se_x = (4.0 * batch_means_se(t) for t in fine_terms)
     ses = np.array([[se_g, se_x], [se_x, se_a]])
     return sigma, ses
-
-
-def sigma_matrix(
-    model: ModelSpec,
-    true_model: TrueModel,
-    theta_star: tuple[float, float],
-    inv: InvariantSample,
-    f1: Callable,
-    f2: Callable,
-    noise: LevyLaw,
-    rel_tol: float = 1e-9,
-    n_states: int = 4000,
-) -> np.ndarray:
-    """Sigma in (gamma, alpha) order: outer pi_0 average, inner nu_0 quadrature.
-
-    ``theta_star`` is (alpha, gamma); ``f1``/``f2`` are the EPE solutions
-    (any callables accepting arrays, e.g. :class:`EPEApprox`).
-    """
-    return _sigma_full(
-        model, true_model, theta_star, inv, f1, f2, noise, rel_tol, n_states
-    )[0]
 
 
 def avar(gamma: np.ndarray, sigma: np.ndarray) -> np.ndarray:

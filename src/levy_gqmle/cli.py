@@ -211,7 +211,10 @@ def _cmd_mc(ns, cfg) -> int:
     formats = _resolve_formats(ns, cfg)
     kwargs = {"replications": replications, "seed": seed}
     if "designs" in cfg:
-        kwargs["designs"] = cfg["designs"]
+        try:
+            kwargs["designs"] = tuple((int(n), float(h)) for n, h in cfg["designs"])
+        except (TypeError, ValueError):
+            raise _UsageError(f"bad value for designs: {cfg['designs']!r}; expected a list of [n, h] pairs")
     design = ExperimentDesign(case, **kwargs)
     summary = run_mc(design)
     for d in summary.per_design:

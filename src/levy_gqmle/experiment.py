@@ -31,7 +31,7 @@ from .levy import (
     sample_increments,
     standardization_check,
 )
-from .sde import TrueModel, _euler_columns
+from .sde import TrueModel, _affine_paths
 
 __all__ = [
     "CASES",
@@ -56,8 +56,8 @@ CASES = ("i", "ii", "iii", "diffusion")
 TAIL_RADII = (1.0, 2.0, 4.0, 8.0)
 
 _TAG_MC = 5501  # replication increment streams hang off (seed, tag, design, k)
-# replications per fitted row block: small enough that a block's temporaries
-# stay far below the size of the Euler panel it is copied from
+# replications per streamed block: a block's increments, paths and fit
+# temporaries are the only per-replication arrays alive at a time
 _FIT_ROWS = 32
 
 
@@ -312,13 +312,15 @@ def run_mc(
 
     Replication k of design d draws increments from the substream
     (seed, tag, d, k), so its result depends only on that address.  The
-    surviving replications are fitted in the closed form, 32 at a time, as
-    rows of a (32, n+1) block taken from the Euler panel.  Each row reduces
-    along time exactly as a lone path does, so every estimate is bitwise
-    equal to ``estimate_staged`` on that replication's path.  Failed
-    replications (divergent paths) are excluded and counted; more than
-    ``max_failure_fraction`` of them raises ExperimentError.  Defaults
-    reproduce the benchmark study from x0 = 0.
+    replications are streamed in blocks of 32: a block's increments are
+    drawn into a (32, n) array, filtered into (32, n+1) paths by
+    ``_affine_paths``, its surviving rows are fitted in the closed form,
+    and the block is dropped before the next one is drawn.  Each row
+    reduces along time exactly as a lone path does, so every estimate is
+    bitwise equal to ``estimate_staged`` on that replication's path.
+    Failed replications (divergent paths) are excluded and counted; once a
+    design is done, more than ``max_failure_fraction`` of them raises
+    ExperimentError.  Defaults reproduce the benchmark study from x0 = 0.
     """
     model = model or benchmark_model()
     true_model = true_model or true_ou()
@@ -328,38 +330,36 @@ def run_mc(
     R = design.replications
     per = []
     for d_index, (n, h) in enumerate(design.designs):
-        z = np.empty((n, R))
-        for k in range(R):
-            z[:, k] = sample_increments(law, h, n, substream(design.seed, _TAG_MC, d_index, k))
-        values, first_bad = _euler_columns(true_model, h, np.full(R, float(x0)), z)
-        del z
-        failures = tuple(
-            f"replication {k}: path diverged at step {first_bad[k]}" for k in np.flatnonzero(first_bad >= 0)
-        )
+        z = np.empty((_FIT_ROWS, n))
+        estimates = np.empty((R, 2))
+        failures = []
+        fitted = boundary = 0
+        for k0 in range(0, R, _FIT_ROWS):
+            ks = range(k0, min(R, k0 + _FIT_ROWS))
+            for j, k in enumerate(ks):
+                z[j] = sample_increments(law, h, n, substream(design.seed, _TAG_MC, d_index, k))
+            values, first_bad = _affine_paths(true_model, h, float(x0), z[: len(ks)])
+            failures += [f"replication {k}: path diverged at step {b}" for k, b in zip(ks, first_bad) if b >= 0]
+            good = first_bad < 0
+            if not good.any():
+                continue
+            alpha, gamma, clamped = _fit_rows(model, values if good.all() else values[good], h)
+            estimates[fitted : fitted + alpha.size] = np.column_stack([alpha, gamma])
+            fitted += alpha.size
+            boundary += int(np.count_nonzero(clamped))
         if len(failures) > max_failure_fraction * R:
             raise ExperimentError(
                 f"{len(failures)} of {R} replications failed at design (n={n}, h={h}); "
                 f"first: {failures[0]}"
             )
-        good = np.flatnonzero(first_bad < 0)
-        estimates = np.empty((good.size, 2))
-        boundary = 0
-        for i in range(0, good.size, _FIT_ROWS):
-            # rows, not columns: each row then sums pairwise along time like a
-            # lone path, where a C-ordered column block would sum sequentially
-            rows = np.ascontiguousarray(values[:, good[i : i + _FIT_ROWS]].T)
-            alpha, gamma, clamped = _fit_rows(model, rows, h)
-            estimates[i : i + alpha.size] = np.column_stack([alpha, gamma])
-            boundary += int(np.count_nonzero(clamped))
-        del values
         per.append(
             summarize_replications(
                 n,
                 h,
-                estimates,
+                estimates[:fitted],
                 theta_star,
                 n_failed=len(failures),
-                failures=failures[:20],
+                failures=tuple(failures[:20]),
                 boundary_count=boundary,
             )
         )

@@ -19,12 +19,10 @@ block, and each row reduces exactly as a lone path would.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._util import NumericalError
 from .coefficients import DriftFamily, ScaleFamily, family_from_obj, family_to_obj
 from .sde import SamplePath
 
@@ -32,19 +30,12 @@ __all__ = [
     "ModelSpec",
     "StageResult",
     "EstimateResult",
-    "ClosedFormResult",
-    "DegeneratePathError",
     "g1_eval",
     "g2_eval",
     "estimate_scale",
     "estimate_drift",
     "estimate_staged",
-    "closed_form_example",
 ]
-
-
-class DegeneratePathError(NumericalError):
-    """The path makes the estimating equation degenerate."""
 
 
 @dataclass(frozen=True)
@@ -267,39 +258,3 @@ def estimate_staged(path: SamplePath, model: ModelSpec) -> EstimateResult:
         stage1=s1,
         stage2=s2,
     )
-
-
-@dataclass(frozen=True)
-class ClosedFormResult:
-    """Direct estimating-equation solution for the benchmark model.
-
-    Iterates as (alpha_hat, gamma_hat); ``boundary`` marks a gamma at or
-    below the admissible region (zero quadratic variation).
-    """
-
-    alpha_hat: float
-    gamma_hat: float
-    boundary: bool = False
-
-    def __iter__(self):
-        return iter((self.alpha_hat, self.gamma_hat))
-
-
-def closed_form_example(path: SamplePath) -> ClosedFormResult:
-    """Closed forms for drift alpha(1-x) and scale gamma/sqrt(1+x^2).
-
-    gamma_hat = sqrt((1/(n h)) sum (D_j X)^2 (X_{j-1}^2 + 1)) and
-    alpha_hat = sum D_j X (1-X_{j-1})(1+X_{j-1}^2) / (h sum (X_{j-1}-1)^2 (1+X_{j-1}^2)).
-    The denominator squares the lagged state, which is what the stage-two
-    estimating equation yields.
-    """
-    x_prev = path.values[:-1]
-    dx = path.increments()
-    h = path.h
-    gamma_hat = math.sqrt(float(np.sum(dx**2 * (x_prev**2 + 1.0))) / (path.n * h))
-    w = 1.0 + x_prev**2
-    num = float(np.sum(dx * (1.0 - x_prev) * w))
-    denom = h * float(np.sum((x_prev - 1.0) ** 2 * w))
-    if denom == 0.0:
-        raise DegeneratePathError("drift estimating equation degenerate (constant path at x = 1)")
-    return ClosedFormResult(alpha_hat=num / denom, gamma_hat=gamma_hat, boundary=gamma_hat == 0.0)

@@ -11,10 +11,8 @@ enforces this.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import asdict, dataclass
-from typing import Callable
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import k1e
@@ -28,13 +26,9 @@ __all__ = [
     "LevyLaw",
     "cumulants",
     "standardization_check",
-    "sample_increment",
     "sample_increments",
     "levy_density",
     "char_exponent",
-    "integrate_levy",
-    "to_json",
-    "from_json",
     "QuadratureError",
 ]
 
@@ -197,11 +191,6 @@ def sample_increments(
     raise TypeError(f"unknown law {law!r}")
 
 
-def sample_increment(law: LevyLaw, h: float, rng: np.random.Generator) -> float:
-    """One draw of ``Z_{t+h} - Z_t``."""
-    return float(sample_increments(law, h, 1, rng)[0])
-
-
 def levy_density(law: LevyLaw, z: float | np.ndarray) -> float | np.ndarray:
     """Jump-measure density ``nu(z)`` at nonzero ``z``.
 
@@ -280,31 +269,6 @@ def _nodes_at(law: LevyLaw, step: float) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate(zs), np.concatenate(ws)
 
 
-def integrate_levy(
-    law: LevyLaw,
-    integrand: Callable[[np.ndarray], np.ndarray],
-    rel_tol: float = 1e-9,
-    max_halvings: int = 12,
-) -> float:
-    """Integral of ``integrand`` against the jump measure of ``law``.
-
-    ``integrand`` must be vectorized and ``O(z^2)`` near zero so the
-    integral converges at the origin.  The log-spaced trapezoid rule is
-    refined by step halving until successive values agree to ``rel_tol``
-    relative to ``max(|I|, 1)``.
-    """
-    step = 0.5
-    prev = None
-    for _ in range(max_halvings):
-        z, w = _nodes_at(law, step)
-        val = float(np.dot(np.asarray(integrand(z), dtype=float), w))
-        if prev is not None and abs(val - prev) <= rel_tol * max(abs(val), 1.0):
-            return val
-        prev = val
-        step /= 2
-    raise QuadratureError(f"jump integral did not converge below rel_tol={rel_tol}")
-
-
 def _converged_nodes(law: LevyLaw, rel_tol: float = 1e-9) -> tuple[np.ndarray, np.ndarray, float]:
     """Node/weight grid at a step validated on polynomial probes up to z^4.
 
@@ -323,16 +287,3 @@ def _converged_nodes(law: LevyLaw, rel_tol: float = 1e-9) -> tuple[np.ndarray, n
         prev = vals
         step /= 2
     raise QuadratureError("probe moments did not converge on the jump grid")
-
-
-def to_json(law: LevyLaw) -> str:
-    """Serialize a law to a JSON string round-trippable by ``from_json``."""
-    family = {NormalInverseGaussian: "nig", BilateralGamma: "bgamma", Brownian: "brownian"}[type(law)]
-    return json.dumps({"family": family, "params": asdict(law)})
-
-
-def from_json(text: str) -> LevyLaw:
-    """Inverse of ``to_json``."""
-    obj = json.loads(text)
-    cls = {"nig": NormalInverseGaussian, "bgamma": BilateralGamma, "brownian": Brownian}[obj["family"]]
-    return cls(**obj["params"])

@@ -1,8 +1,12 @@
-"""Euler-Maruyama simulation of dX = A(X)dt + C(X-)dZ and path I/O.
+"""Simulation of dX = A(X)dt + C(X-)dZ on a time grid, and path I/O.
 
 The generating coefficients come from the same parametric catalog as the
 fitted families, but with fixed numeric parameters; misspecification means
-the fitted family differs from the generating one.
+the fitted family differs from the generating one.  Every catalog drift is
+linear in the state, and the true scale must be constant, so the Euler
+scheme X_{k+1} = X_k + A(X_k) dt + C dZ_k is the AR(1) recursion
+X_{k+1} = rho X_k + u_k.  Every path is filtered by one ``lfilter`` call
+on rows of increments (:func:`_affine_paths`).
 """
 
 from __future__ import annotations
@@ -11,9 +15,19 @@ import os
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.signal import lfilter
 
 from ._util import NumericalError, atomic_write_text, substream
-from .coefficients import DriftFamily, ScaleFamily, family_from_obj, family_to_obj
+from .coefficients import (
+    ConstantDrift,
+    ConstantScale,
+    DriftFamily,
+    LinearDecay,
+    MeanRevertLinear,
+    ScaleFamily,
+    family_from_obj,
+    family_to_obj,
+)
 from .levy import LevyLaw, sample_increments
 
 __all__ = [
@@ -140,44 +154,65 @@ class SamplePath:
         return np.diff(self.values)
 
 
-def _euler_columns(
-    model: TrueModel, dt: float, x0: np.ndarray, z: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Run the Euler recursion on pre-drawn increments, vectorized over columns.
+def _affine_form(model: TrueModel) -> tuple[float, float, float]:
+    """(rate, level, sigma) with A(x) = level - rate x and C = sigma.
 
-    ``z`` has shape (steps, R); starts ``x0`` shape (R,).  Returns values of
-    shape (steps+1, R) and ``first_bad`` of shape (R,): the first step index
-    at which a column diverged, or -1.  Diverged columns are frozen at 0
-    internally and nan-filled from the bad step onward.
+    This is the one place that reads the AR(1) form off the catalog: an
+    Euler step of size dt has rho = 1 - rate dt and shift level dt.
     """
-    steps, R = z.shape
-    values = np.empty((steps + 1, R))
-    x = np.array(x0, dtype=float, copy=True)
-    values[0] = x
-    first_bad = np.full(R, -1, dtype=int)
-    for j in range(steps):
-        x = x + model.A(x) * dt + model.C(x) * z[j]
-        bad = ~np.isfinite(x) | (np.abs(x) > DIVERGENCE_BOUND)
-        if bad.any():
-            newly = bad & (first_bad < 0)
-            first_bad[newly] = j + 1
-            x[bad] = 0.0
-        values[j + 1] = x
-    for col in np.nonzero(first_bad >= 0)[0]:
-        values[first_bad[col] :, col] = np.nan
+    if not isinstance(model.scale_family, ConstantScale):
+        raise ValueError("need a constant true scale for an affine (AR(1)) path")
+    fam, p = model.drift_family, model.drift_param
+    if isinstance(fam, LinearDecay):
+        rate, level = p, 0.0
+    elif isinstance(fam, MeanRevertLinear):
+        rate, level = p, p * fam.m
+    elif isinstance(fam, ConstantDrift):
+        rate, level = 0.0, p
+    else:
+        raise ValueError(f"need a catalog drift family, got {fam!r}")
+    return rate, level, model.scale_param
+
+
+def _affine_paths(
+    model: TrueModel, dt: float, x0: float | np.ndarray, z: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Euler paths on pre-drawn increments, one path per row.
+
+    ``z`` has shape (R, steps) and ``x0`` is a scalar or shape (R,).  The
+    step X_{k+1} = rho X_k + (sigma dZ_k + level dt) is filtered row-wise by
+    one ``lfilter`` call from zi = rho x0, so a row comes out bitwise the
+    same in any block of rows as alone.  Returns values of shape
+    (R, steps+1) and ``first_bad`` of shape (R,): the index of a row's first
+    state that is non-finite or beyond ``DIVERGENCE_BOUND``, or -1.  States
+    after a row's first bad one are left as the recursion makes them.
+    """
+    rate, level, sigma = _affine_form(model)
+    rho = 1.0 - rate * dt
+    x0 = np.broadcast_to(np.asarray(x0, dtype=float), z.shape[:1])
+    u = np.multiply(z, sigma, order="C")
+    u += level * dt
+    values = np.empty((z.shape[0], z.shape[1] + 1))
+    values[:, 0] = x0
+    values[:, 1:], _ = lfilter([1.0], [1.0, -rho], u, axis=1, zi=rho * x0[:, None])
+    # max/min propagate NaN, so a row passes only if every state is finite
+    # and inside the bound; only failing rows are searched for the index
+    ok = (values.max(axis=1) <= DIVERGENCE_BOUND) & (values.min(axis=1) >= -DIVERGENCE_BOUND)
+    first_bad = np.full(z.shape[0], -1, dtype=int)
+    for row in np.flatnonzero(~ok):
+        first_bad[row] = int(np.argmax(~(np.abs(values[row]) <= DIVERGENCE_BOUND)))
     return values, first_bad
 
 
 def simulate_euler(model: TrueModel, noise: LevyLaw, cfg: PathConfig) -> SamplePath:
     """Simulate one observed path; bitwise deterministic given (seed, refine)."""
-    rng = substream(cfg.seed)
     steps = cfg.n * cfg.refine
     dt = cfg.h / cfg.refine
-    z = sample_increments(noise, dt, (steps, 1), rng)
-    values, first_bad = _euler_columns(model, dt, np.array([cfg.x0]), z)
+    z = sample_increments(noise, dt, steps, substream(cfg.seed))
+    values, first_bad = _affine_paths(model, dt, cfg.x0, z[None])
     if first_bad[0] >= 0:
         raise DivergenceError(int(first_bad[0]))
-    return SamplePath(h=cfg.h, values=values[:: cfg.refine, 0])
+    return SamplePath(h=cfg.h, values=values[0, :: cfg.refine])
 
 
 def write_path(path: SamplePath, sink) -> None:
@@ -276,9 +311,9 @@ def small_time_moment_check(
         for k, x0 in enumerate(grid):
             rng = substream(cfg.seed, i, k)
             z = sample_increments(noise, dt, (cfg.refine, reps), rng)
-            values, first_bad = _euler_columns(model, dt, np.full(reps, x0), z)
+            values, first_bad = _affine_paths(model, dt, x0, z.T)
             if (first_bad >= 0).any():
                 raise DivergenceError(int(first_bad[first_bad >= 0][0]))
-            moment = float(np.mean(np.abs(values[-1] - x0) ** p))
+            moment = float(np.mean(np.abs(values[:, -1] - x0) ** p))
             ratios[i, k] = moment / (h * (1.0 + abs(x0) ** K))
     return SmallTimeReport(p=p, K=K, grid=grid, h_values=h_values, ratios=ratios)

@@ -37,7 +37,7 @@ from levy_gqmle.experiment import (
 from levy_gqmle.gqmle import ModelSpec, estimate_staged, g1_eval, g2_eval
 from levy_gqmle.levy import sample_increments
 from levy_gqmle.moments import residual_moment
-from levy_gqmle.sde import PathConfig, SamplePath, _euler_columns, simulate_euler
+from levy_gqmle.sde import PathConfig, SamplePath, _affine_paths, simulate_euler
 
 BENCH = benchmark_model()
 OU = true_ou()
@@ -199,15 +199,15 @@ def test_criterion_8_residual_moments_correctly_specified():
     allowance = {2: 0.002, 3: 0.01, 4: 3.5 * h}
     for ci, (case, (k2, k3, k4)) in enumerate(targets.items()):
         law = noise_case(case)
-        cols = np.column_stack(
+        rows = np.vstack(
             [sample_increments(law, h, n, substream(41, 7301, ci, p)) for p in range(paths)]
         )
-        values, first_bad = _euler_columns(OU, h, np.zeros(paths), cols)
+        values, first_bad = _affine_paths(OU, h, 0.0, rows)
         assert np.all(first_bad < 0)
         for r, want in ((2, k2), (3, k3), (4, k4)):
             ests = []
             for p in range(paths):
-                sp = SamplePath(h=h, values=values[:, p].copy())
+                sp = SamplePath(h=h, values=values[p])
                 est = estimate_staged(sp, model)
                 ests.append(float(np.asarray(residual_moment(sp, est, model, r))))
             arr = np.array(ests)

@@ -21,17 +21,16 @@ from levy_gqmle.asymptotics import (
     NotCenteredError,
     SingularGammaError,
     _chunked_increments,
+    _epe_rhs,
     _gamma_terms,
+    _sigma_full,
     avar,
-    epe_rhs_drift,
-    epe_rhs_scale,
     epe_solve,
     gamma_matrix,
     invariant_char,
     martingale_check,
     run_asymptotics,
     sample_invariant,
-    sigma_matrix,
 )
 from levy_gqmle.coefficients import (
     ConstantDrift,
@@ -42,8 +41,8 @@ from levy_gqmle.coefficients import (
 )
 from levy_gqmle.gqmle import ModelSpec, _criterion_terms, g1_eval, g2_eval
 from levy_gqmle.levy import Brownian, sample_increments
-from levy_gqmle.sde import DIVERGENCE_BOUND, DivergenceError, SamplePath, TrueModel, _euler_columns
-from _oracles import benchmark_oracle
+from levy_gqmle.sde import DIVERGENCE_BOUND, DivergenceError, SamplePath, TrueModel
+from _oracles import _euler_columns, benchmark_oracle
 from test_levy import CASE_I, CASE_III, DIFFUSION
 
 OU = TrueModel(LinearDecay(), 0.5, ConstantScale(), 1.0)
@@ -177,22 +176,21 @@ class TestSampleInvariant:
 
 class TestEPERhs:
     def test_scale_rhs_reduces_to_quadratic(self, oracle_i):
-        g1 = epe_rhs_scale(BENCH, OU, (oracle_i.alpha_star, oracle_i.gamma_star))
+        g = _epe_rhs(BENCH, OU, (oracle_i.alpha_star, oracle_i.gamma_star))
         x = np.linspace(-3, 3, 13)
         want = (1.0 - x**2) / (2.0 * math.sqrt(2.0))
-        np.testing.assert_allclose(g1(x), want, atol=1e-14)
+        np.testing.assert_allclose(g(x)[0], want, atol=1e-14)
 
     def test_drift_rhs_explicit_form(self, oracle_i):
         a_s, g_s = oracle_i.alpha_star, oracle_i.gamma_star
-        g2 = epe_rhs_drift(BENCH, OU, (a_s, g_s))
+        g = _epe_rhs(BENCH, OU, (a_s, g_s))
         x = np.linspace(-3, 3, 13)
         want = (1.0 - x) * (-x / 2.0 - a_s * (1.0 - x)) * (1.0 + x**2) / g_s**2
-        np.testing.assert_allclose(g2(x), want, atol=1e-14)
+        np.testing.assert_allclose(g(x)[1], want, atol=1e-14)
 
     def test_both_centered_under_invariant_law(self, inv_i, oracle_i):
         theta = (oracle_i.alpha_star, oracle_i.gamma_star)
-        for rhs in (epe_rhs_scale(BENCH, OU, theta), epe_rhs_drift(BENCH, OU, theta)):
-            vals = rhs(inv_i.states)
+        for vals in _epe_rhs(BENCH, OU, theta)(inv_i.states):
             mean, se = _batched(vals, np.mean)
             assert abs(mean) <= 3 * se
 
@@ -299,8 +297,8 @@ class TestMartingaleCheck:
         assert rep.max_abs_z == 0.0
 
     def test_benchmark_f1_panel(self, res_i, oracle_i):
-        g1 = epe_rhs_scale(BENCH, OU, (oracle_i.alpha_star, oracle_i.gamma_star))
-        rep = martingale_check(res_i.f1, g1, OU, CASE_I, reps=4000, seed=13)
+        g = _epe_rhs(BENCH, OU, (oracle_i.alpha_star, oracle_i.gamma_star))
+        rep = martingale_check(res_i.f1, lambda x: g(x)[0], OU, CASE_I, reps=4000, seed=13)
         assert rep.max_abs_z <= 4.0
 
     def test_report_serialization(self):
@@ -390,10 +388,11 @@ class TestSigmaMatrix:
         # c constant and correct: f1 = 0 and Sigma_gamma = 4 kappa_4 exactly
         model = ModelSpec(drift=MeanRevertLinear(m=1.0), scale=ConstantScale())
         theta = (0.25, 1.0)
-        f1 = epe_solve(epe_rhs_scale(model, OU, theta), OU, CASE_I, m=60, seed=15, inv=inv_i)
+        g = _epe_rhs(model, OU, theta)
+        f1 = epe_solve(lambda x: g(x)[0], OU, CASE_I, m=60, seed=15, inv=inv_i)
         assert np.all(f1.f == 0.0)
-        f2 = epe_solve(epe_rhs_drift(model, OU, theta), OU, CASE_I, m=800, seed=15, inv=inv_i)
-        sig = sigma_matrix(model, OU, theta, inv_i, f1, f2, CASE_I)
+        f2 = epe_solve(lambda x: g(x)[1], OU, CASE_I, m=800, seed=15, inv=inv_i)
+        sig = _sigma_full(model, OU, theta, inv_i, f1, f2, CASE_I)[0]
         assert sig[0, 0] == pytest.approx(4.0 * oracle_i.kappas[4], rel=1e-6)
 
     def test_seed_exchangeable(self, oracle_i):

@@ -167,6 +167,14 @@ class TestMc:
         assert code == 2
         assert "numerical failure" in err
 
+    @pytest.mark.parametrize("designs", [5, [[1000, None]]], ids=["scalar", "null-step"])
+    def test_malformed_designs_exit_one(self, capsys, tmp_path, designs):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"designs": designs, "replications": 100}))
+        code, _, err = invoke(capsys, "mc", "--config", str(cfg), "--out-dir", str(tmp_path))
+        assert code == 1
+        assert "bad value for designs" in err
+
     def test_bad_replications_exit_one(self, capsys, tmp_path):
         code, _, err = invoke(capsys, "mc", "--replications", "10", "--out-dir", str(tmp_path))
         assert code == 1

@@ -30,7 +30,8 @@ from levy_gqmle.experiment import (
 )
 from levy_gqmle.gqmle import ModelSpec, estimate_staged
 from levy_gqmle.levy import BilateralGamma, Brownian, NormalInverseGaussian, cumulants, sample_increments
-from levy_gqmle.sde import SamplePath, TrueModel, _euler_columns
+from levy_gqmle.sde import SamplePath, TrueModel, _affine_paths
+from _oracles import _euler_columns
 
 EXACT_ALPHA = {
     "i": 803.0 / 2406.0,
@@ -166,7 +167,8 @@ class TestRunMc:
     def test_substream_address_contract(self):
         # replication k's result depends only on (seed, tag, design, k): a
         # larger study repeats the smaller one's rows bitwise, and each row
-        # is bitwise the per-path fit of that replication's own path
+        # is bitwise the per-path fit of that replication's own path, filtered
+        # as a one-row call; that path also agrees with the Euler loop
         designs = ((250, 0.04), (1000, 0.02))
         small = run_mc(ExperimentDesign("ii", designs=designs, replications=100, seed=7))
         large = run_mc(ExperimentDesign("ii", designs=designs, replications=130, seed=7))
@@ -176,9 +178,12 @@ class TestRunMc:
             assert np.array_equal(a.estimates, b.estimates[:100])
             for k in range(100):
                 z = sample_increments(law, h, n, substream(7, _TAG_MC, d_index, k))
-                values, _ = _euler_columns(true_ou(), h, np.zeros(1), z[:, None])
-                est = estimate_staged(SamplePath(h=h, values=values[:, 0]), model)
+                values, first_bad = _affine_paths(true_ou(), h, 0.0, z[None])
+                assert first_bad[0] == -1
+                est = estimate_staged(SamplePath(h=h, values=values[0]), model)
                 assert (a.estimates[k, 0], a.estimates[k, 1]) == (est.alpha_hat, est.gamma_hat)
+                euler, _ = _euler_columns(true_ou(), h, np.zeros(1), z[:, None])
+                assert np.max(np.abs(values[0] - euler[:, 0])) <= 1e-12 * np.max(np.abs(euler))
 
     def test_zero_scale_truth_every_gamma_at_box_edge(self):
         # a zero true scale keeps every path constant at x0: each replication

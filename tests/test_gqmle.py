@@ -13,9 +13,7 @@ from levy_gqmle.coefficients import (
     RationalSqrt,
 )
 from levy_gqmle.gqmle import (
-    DegeneratePathError,
     ModelSpec,
-    closed_form_example,
     estimate_drift,
     estimate_scale,
     estimate_staged,
@@ -23,6 +21,7 @@ from levy_gqmle.gqmle import (
     g2_eval,
 )
 from levy_gqmle.sde import PathConfig, SamplePath, TrueModel, simulate_euler
+from _oracles import benchmark_closed_form
 from test_levy import CASE_I
 
 BENCH = ModelSpec(drift=MeanRevertLinear(m=1.0), scale=RationalSqrt())
@@ -156,13 +155,13 @@ class TestEstimators:
 
 class TestClosedFormExample:
     def test_matches_staged_on_random_paths(self):
-        # raw display values, so compare against a box that never binds
+        # raw closed-form values, so compare against a box that never binds
         for seed in range(100):
             path = _sim(n=100, seed=500 + seed)
-            cf = closed_form_example(path)
+            alpha, gamma = benchmark_closed_form(path)
             res = estimate_staged(path, BENCH_WIDE)
-            assert cf.gamma_hat == pytest.approx(res.gamma_hat, abs=1e-10)
-            assert cf.alpha_hat == pytest.approx(res.alpha_hat, abs=1e-10)
+            assert gamma == pytest.approx(res.gamma_hat, abs=1e-10)
+            assert alpha == pytest.approx(res.alpha_hat, abs=1e-10)
 
     def test_hand_two_step_path(self):
         # spelled-out display arithmetic on a 3-point path
@@ -172,23 +171,31 @@ class TestClosedFormExample:
         gamma_want = math.sqrt((d1**2 * (x0**2 + 1) + d2**2 * (x1**2 + 1)) / (2 * h))
         num = d1 * (1 - x0) * (1 + x0**2) + d2 * (1 - x1) * (1 + x1**2)
         den = h * ((x0 - 1) ** 2 * (1 + x0**2) + (x1 - 1) ** 2 * (1 + x1**2))
-        cf = closed_form_example(path)
-        assert cf.gamma_hat == pytest.approx(gamma_want, abs=1e-14)
-        assert cf.alpha_hat == pytest.approx(num / den, abs=1e-14)
+        alpha, gamma = benchmark_closed_form(path)
+        assert gamma == pytest.approx(gamma_want, abs=1e-14)
+        assert alpha == pytest.approx(num / den, abs=1e-14)
         res = estimate_staged(path, BENCH)
+        assert res.gamma_hat == pytest.approx(gamma_want, abs=1e-12)
         assert res.alpha_hat == pytest.approx(num / den, abs=1e-12)
 
     def test_zero_path_boundary_flag(self):
+        # zero quadratic variation: the raw closed form gives gamma = 0, which
+        # the staged fit clamps to the lower box edge and flags
         path = SamplePath(h=1.0, values=np.zeros(20))
-        cf = closed_form_example(path)
-        assert cf.gamma_hat == 0.0 and cf.boundary
-        a, g = cf
-        assert (a, g) == (cf.alpha_hat, cf.gamma_hat)
+        alpha, gamma = benchmark_closed_form(path)
+        assert gamma == 0.0
+        res = estimate_staged(path, BENCH)
+        assert res.gamma_hat == BENCH.gamma_box[0]
+        assert res.stage1.boundary and res.stage1.degenerate
+        assert res.alpha_hat == alpha == 0.0
 
     def test_constant_path_at_one_degenerate(self):
+        # the drift basis 1 - x vanishes at x = 1, so the closed form's
+        # denominator is zero: the staged fit returns the lower alpha edge, flagged
         path = SamplePath(h=1.0, values=np.ones(20))
-        with pytest.raises(DegeneratePathError):
-            closed_form_example(path)
+        res = estimate_staged(path, BENCH)
+        assert res.alpha_hat == BENCH.alpha_box[0]
+        assert res.stage2.degenerate and res.stage2.boundary and not res.stage2.converged
 
 
 class TestOptimizerProperties:

@@ -6,19 +6,21 @@ import math
 import numpy as np
 import pytest
 
-from levy_gqmle._util import batch_means_se
-from levy_gqmle.coefficients import ConstantScale, LinearDecay
-from levy_gqmle.levy import NormalInverseGaussian, cumulants
+from levy_gqmle._util import batch_means_se, substream
+from levy_gqmle.coefficients import ConstantDrift, ConstantScale, LinearDecay, MeanRevertLinear, RationalSqrt
+from levy_gqmle.levy import NormalInverseGaussian, cumulants, sample_increments
 from levy_gqmle.sde import (
     DivergenceError,
     PathConfig,
     SamplePath,
     TrueModel,
+    _affine_paths,
     load_path,
     simulate_euler,
     small_time_moment_check,
     write_path,
 )
+from _oracles import _euler_columns
 from test_levy import CASE_I, CASE_II, CASE_III
 
 OU = TrueModel(LinearDecay(), 0.5, ConstantScale(), 1.0)
@@ -63,6 +65,44 @@ class TestSimulate:
             stats.append((x.var(), batch_means_se(x**2)))
         (v8, se8), (v16, se16) = stats
         assert abs(v8 - v16) < 5 * math.hypot(se8, se16)
+
+
+class TestAffinePaths:
+    @pytest.mark.parametrize("model,dt", [
+        (OU, 0.05),
+        (TrueModel(MeanRevertLinear(m=0.7), 0.5, ConstantScale(), 1.3), 0.05),
+        (TrueModel(ConstantDrift(), 0.4, ConstantScale(), 0.8), 0.05),  # rho = 1
+        (TrueModel(LinearDecay(), -5.0, ConstantScale(), 1.0), 1.0),  # rho = 6
+        (TrueModel(LinearDecay(), 4.0, ConstantScale(), 1.0), 1.0),  # rho = -3
+    ], ids=["linear-decay", "mean-revert", "constant-drift", "exploding", "oscillating"])
+    def test_matches_euler_oracle(self, model, dt):
+        # every row against the Euler loop on the same increments, up to the
+        # first bad state, which both must place at the same index
+        R, steps = 6, 2000
+        z = sample_increments(CASE_III, dt, (R, steps), substream(5, 1))
+        x0 = np.linspace(-2.0, 3.0, R)
+        got, first_bad = _affine_paths(model, dt, x0, z)
+        want, want_bad = _euler_columns(model, dt, x0, z.T)
+        assert got.shape == (R, steps + 1)
+        np.testing.assert_array_equal(first_bad, want_bad)
+        for row, bad in enumerate(first_bad):
+            end = steps + 1 if bad < 0 else bad
+            ref = want[:end, row]
+            assert np.max(np.abs(got[row, :end] - ref)) <= 1e-12 * np.max(np.abs(ref)), row
+
+    def test_row_in_block_equals_row_alone(self):
+        model = TrueModel(MeanRevertLinear(m=0.7), 0.5, ConstantScale(), 1.3)
+        z = sample_increments(CASE_II, 0.02, (32, 5000), substream(6, 1))
+        x0 = np.linspace(-1.0, 1.0, 32)
+        block, _ = _affine_paths(model, 0.02, x0, z)
+        for row in (0, 17, 31):
+            alone, _ = _affine_paths(model, 0.02, x0[row], z[row : row + 1])
+            assert np.array_equal(alone[0], block[row]), row
+
+    def test_non_constant_scale_refused(self):
+        model = TrueModel(LinearDecay(), 0.5, RationalSqrt(), 1.0)
+        with pytest.raises(ValueError, match="constant true scale"):
+            simulate_euler(model, CASE_I, PathConfig(n=10, h=0.1))
 
 
 _STATIONARY_CACHE = {}
