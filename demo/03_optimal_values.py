@@ -16,7 +16,7 @@ print(f"{'case':>10} {'alpha* exact':>14} {'gamma* exact':>14} {'alpha* numeric'
 for idx, case in enumerate(CASES):
     alpha, gamma = optimal_values(case)
     inv = sample_invariant(truth, noise_case(case), budget=60000, seed=100 + idx)
-    alpha_n, gamma_n = optimal_values_numeric(benchmark_model(), truth, noise_case(case), inv)
+    alpha_n, gamma_n = optimal_values_numeric(benchmark_model(), truth, inv)
     print(f"{case:>10} {alpha:>14.8f} {gamma:>14.8f} {alpha_n:>15.8f} {gamma_n:>15.8f}")
 
 print("\ngamma* = sqrt(2) for every case: the scale stage sees only the")

@@ -24,7 +24,6 @@ from typing import Callable
 
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
-from scipy.signal import lfilter
 
 from ._util import NumericalError, batch_means_se, substream
 from .gqmle import ModelSpec, _criterion_terms
@@ -39,7 +38,7 @@ from .levy import (
     cumulants,
     sample_increments,
 )
-from .sde import DIVERGENCE_BOUND, DivergenceError, TrueModel, _affine_form, _affine_paths
+from .sde import _BLOCK_CELLS, DIVERGENCE_BOUND, DivergenceError, TrueModel, _affine_form, _affine_paths, _step_map
 
 __all__ = [
     "AsymptoticsResult",
@@ -69,9 +68,11 @@ _CHUNK_STEPS = 500
 # steps per invariant-path chunk, and the most worker threads drawing chunks
 _INVARIANT_CHUNK = 2_000_000
 _MAX_WORKERS = 4
-# states per block of an EPE solve, an invariant-path filter pass or the
-# Gamma integrands: a block of temporaries stays in cache
-_BLOCK_CELLS = 1 << 16
+# Sigma averages over at most this many pi_0 states, thinned evenly, taken
+# this many at a time through jump-quadrature nodes of this relative tolerance
+_SIGMA_STATES = 4000
+_SIGMA_CHUNK = 500
+_SIGMA_REL_TOL = 1e-9
 
 
 class MixingError(NumericalError):
@@ -90,12 +91,12 @@ class CovarianceError(NumericalError):
     """Sigma or V fails the positive-semidefiniteness tolerance."""
 
 
-def _linear_ou_form(model: TrueModel) -> tuple[float, float, float, float]:
-    """(rate, level, stationary mean, scale) of an ergodic affine model."""
+def _linear_ou_form(model: TrueModel) -> tuple[float, float, float]:
+    """(rate, stationary mean, scale) of an ergodic affine model."""
     rate, level, sigma = _affine_form(model)
     if not rate > 0.0:
         raise ValueError(f"need a linear mean-reverting true drift: rate must be positive, got {rate}")
-    return rate, level, level / rate, sigma
+    return rate, level / rate, sigma
 
 
 @dataclass(frozen=True)
@@ -139,16 +140,16 @@ def sample_invariant(
     """Draw ``budget`` states from one long thinned Euler path.
 
     The path starts at the stationary mean, discards ``burn_in`` time units,
-    then keeps one state every ``spacing`` time units.  The recursion is the
-    AR(1) of ``sde._affine_form``, X_{k+1} = rho X_k + u_k, which is affine
+    then keeps one state every ``spacing`` time units.  The Euler step is
+    the AR(1) of ``sde._step_map``, X_{k+1} = rho X_k + u_k, which is affine
     in its start: k steps from x reach Y_k + rho^k x, with Y the path from 0.
     So the path is cut into chunks of ``_INVARIANT_CHUNK`` steps, each drawn
-    from its own substream (seed, 3101, chunk) and filtered from zero by
-    ``lfilter`` on a small thread pool, one worker per core up to 4.  A
-    worker returns only the chunk's kept states and its last state; the
-    chunks are then composed in order through the affine start map.  The
-    result does not depend on the number of workers.  It equals one
-    ``lfilter`` pass over the whole path up to rounding (about 1e-14
+    from its own substream (seed, 3101, chunk) and filtered from zero in
+    place by ``sde._affine_paths`` on a small thread pool, one worker per
+    core up to 4.  A worker returns only the chunk's kept states and its
+    last state; the chunks are then composed in order through the affine
+    start map.  The result does not depend on the number of workers.  It
+    equals one filter pass over the whole path up to rounding (about 1e-14
     relative): the two sum the same terms in a different order.
 
     The sample variance must land within 10% of kappa_2 scale^2 / (2 rate);
@@ -161,15 +162,14 @@ def sample_invariant(
         raise ValueError(f"thinning spacing must be >= 1 time unit, got {spacing}")
     if burn_in < 0.0 or step <= 0.0:
         raise ValueError("burn_in must be >= 0 and step > 0")
-    rate, level, mean, sigma = _linear_ou_form(model)
+    rate, mean, sigma = _linear_ou_form(model)
     if rate * step >= 1.0:
         raise ValueError("step too coarse: rate*step must be < 1")
 
     keep = max(1, int(round(spacing / step)))
     burn_steps = int(round(burn_in / step))
     total = burn_steps + budget * keep
-    rho = 1.0 - rate * step
-    drift = level * step
+    rho = _step_map(model, step)[0]
     # global index of the first kept state; the last one is total - 1
     first = burn_steps + keep - 1
     # (substream index, steps, chunk-local index of the first kept state)
@@ -182,18 +182,10 @@ def sample_invariant(
     def from_zero(plan: tuple[int, int, int]) -> tuple[np.ndarray, float]:
         """Kept states and last state of one chunk, filtered from a zero start."""
         index, size, local = plan
-        u = sample_increments(noise, step, size, substream(seed, _TAG_INVARIANT, index))
-        u *= sigma
-        u += drift
-        picked = np.empty(max(0, -(-(size - local) // keep)))
-        zi = np.zeros(1)
-        got = 0
-        for b0 in range(0, size, _BLOCK_CELLS):
-            y, zi = lfilter([1.0], [1.0, -rho], u[b0 : b0 + _BLOCK_CELLS], zi=zi)
-            block = y[local + keep * got - b0 :: keep]
-            picked[got : got + block.size] = block
-            got += block.size
-        return picked, float(y[-1])
+        path = sample_increments(noise, step, size, substream(seed, _TAG_INVARIANT, index))
+        _affine_paths(model, step, 0.0, path[None])
+        # a copy, so the chunk is freed while its result waits in the pool
+        return path[local::keep].copy(), float(path[-1])
 
     states = np.empty(budget)
     got = 0
@@ -354,12 +346,12 @@ def epe_solve(
     non-centered g makes the time integral diverge linearly.
 
     All grid points share one panel of ``m`` Euler paths (common random
-    numbers).  The Euler recursion is the AR(1) of ``sde._affine_form``,
-    which is affine in its start: X^x_k = rho^k x + Y_k with
-    rho = 1 - rate * step, where Y is the path started at zero.  One
-    ``lfilter`` pass over the increment panel gives Y for every grid
-    point.  Each grid point's states are then formed and
-    evaluated in time blocks of max(1, 2^16 // m) steps, keeping only the
+    numbers).  The Euler recursion is the AR(1) of ``sde._step_map``,
+    which is affine in its start: X^x_k = rho^k x + Y_k, where Y is the
+    path started at zero.  ``sde._affine_paths`` filters the increment
+    panel into Y in place, once for every grid point.  Each grid point's
+    states are then formed and evaluated in time blocks of
+    max(1, 2^16 // m) steps, keeping only the
     running time sum and the first and last rows of g, so no temporary
     larger than a block is built.  The time integral is the trapezoid rule
     on the simulation grid.  A state that is non-finite or beyond
@@ -371,7 +363,7 @@ def epe_solve(
     """
     if t_max <= 0 or m < 30 or step <= 0:
         raise ValueError("need t_max > 0, m >= 30, step > 0")
-    rate, level, _, sigma = _linear_ou_form(model)
+    rate = _linear_ou_form(model)[0]
     if inv is None:
         inv = sample_invariant(model, noise, seed=seed)
     raw = g(inv.states)
@@ -393,13 +385,9 @@ def epe_solve(
         raise ValueError("grid collapsed to fewer than two points")
 
     steps = int(round(t_max / step))
-    rho = 1.0 - rate * step
-    u = _chunked_increments(noise, step, steps, m, seed, _TAG_EPE)
-    u *= sigma
-    u += level * step
-    y = lfilter([1.0], [1.0, -rho], u, axis=0)  # y[k - 1] = Y_k
-    del u
-    decay = rho ** np.arange(1, steps + 1)
+    y = _chunked_increments(noise, step, steps, m, seed, _TAG_EPE)
+    _affine_paths(model, step, 0.0, y.T)  # now y[k - 1] = Y_k
+    decay = _step_map(model, step)[0] ** np.arange(1, steps + 1)
     # fl(a + y) is monotone in y, so each row's extreme states are the
     # shifted extremes of y: the divergence gate costs O(steps) per start
     y_lo, y_hi = y.min(axis=1), y.max(axis=1)
@@ -484,10 +472,13 @@ def martingale_check(
     steps = int(round(horizon / step))
     lag_idx = sorted({max(1, steps // 4), max(1, steps // 2), steps})
     z = _chunked_increments(noise, step, steps, reps, seed, _TAG_MARTINGALE).T
+    values = np.empty((reps, steps + 1))
     means = np.empty((len(starts), len(lag_idx)))
     ses = np.empty_like(means)
     for i, x0 in enumerate(starts):
-        values, first_bad = _affine_paths(model, step, x0, z)
+        values[:, 0] = x0
+        values[:, 1:] = z
+        first_bad = _affine_paths(model, step, x0, values[:, 1:])
         if (first_bad >= 0).any():
             raise DivergenceError(int(first_bad[first_bad >= 0][0]))
         gx = np.asarray(g(values), dtype=float)
@@ -537,6 +528,13 @@ def _check_invertible(g: np.ndarray) -> None:
         raise SingularGammaError(f"Gamma is numerically singular: {g.tolist()}")
 
 
+def _assemble_gamma(terms: tuple[np.ndarray, np.ndarray, np.ndarray]) -> np.ndarray:
+    gg, ga, gag = terms
+    g = np.array([[float(np.mean(gg)), 0.0], [float(np.mean(gag)), float(np.mean(ga))]])
+    _check_invertible(g)
+    return g
+
+
 def gamma_matrix(
     model: ModelSpec,
     true_model: TrueModel,
@@ -548,10 +546,7 @@ def gamma_matrix(
     ``theta_star`` is (alpha, gamma).  The matrix is lower triangular: the
     scale stage does not involve alpha, so the upper-right entry is zero.
     """
-    gg, ga, gag = _gamma_terms(model, true_model, theta_star, inv.states)
-    g = np.array([[float(np.mean(gg)), 0.0], [float(np.mean(gag)), float(np.mean(ga))]])
-    _check_invertible(g)
-    return g
+    return _assemble_gamma(_gamma_terms(model, true_model, theta_star, inv.states))
 
 
 def _sigma_terms(
@@ -563,7 +558,6 @@ def _sigma_terms(
     f2: Callable,
     nodes: np.ndarray,
     weights: np.ndarray,
-    chunk: int = 500,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-state inner jump integrals (S_gamma, S_alpha, S_cross)."""
     alpha_s, gamma_s = theta_star
@@ -572,8 +566,8 @@ def _sigma_terms(
     s_a = np.empty(n)
     s_x = np.empty(n)
     z = nodes[None, :]
-    for i in range(0, n, chunk):
-        x = states[i : i + chunk, None]
+    for i in range(0, n, _SIGMA_CHUNK):
+        x = states[i : i + _SIGMA_CHUNK, None]
         c = model.scale.value(x, gamma_s)
         big_c = true_model.C(x)
         w_g = model.scale.profile(x) * big_c**2 / c**3
@@ -581,9 +575,9 @@ def _sigma_terms(
         xz = x + big_c * z
         v1 = w_g * z**2 + f1(xz) - f1(x)
         v2 = w_a * z + f2(xz) - f2(x)
-        s_g[i : i + chunk] = (v1 * v1) @ weights
-        s_a[i : i + chunk] = (v2 * v2) @ weights
-        s_x[i : i + chunk] = (v1 * v2) @ weights
+        s_g[i : i + _SIGMA_CHUNK] = (v1 * v1) @ weights
+        s_a[i : i + _SIGMA_CHUNK] = (v2 * v2) @ weights
+        s_x[i : i + _SIGMA_CHUNK] = (v1 * v2) @ weights
     return s_g, s_a, s_x
 
 
@@ -601,21 +595,16 @@ def _sigma_full(
     f1: Callable,
     f2: Callable,
     noise: LevyLaw,
-    rel_tol: float = 1e-9,
-    n_states: int = 4000,
-    chunk: int = 500,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(Sigma, entrywise standard errors) with a half-step quadrature gate."""
     states = inv.states
-    if states.size > n_states:
-        stride = states.size // n_states
-        states = states[::stride][:n_states]
-    z, w, qstep = _converged_nodes(noise, rel_tol)
-    coarse = _assemble_sigma(
-        _sigma_terms(model, true_model, theta_star, states, f1, f2, z, w, chunk)
-    )
+    if states.size > _SIGMA_STATES:
+        stride = states.size // _SIGMA_STATES
+        states = states[::stride][:_SIGMA_STATES]
+    z, w, qstep = _converged_nodes(noise, _SIGMA_REL_TOL)
+    coarse = _assemble_sigma(_sigma_terms(model, true_model, theta_star, states, f1, f2, z, w))
     z2, w2 = _nodes_at(noise, qstep / 2.0)
-    fine_terms = _sigma_terms(model, true_model, theta_star, states, f1, f2, z2, w2, chunk)
+    fine_terms = _sigma_terms(model, true_model, theta_star, states, f1, f2, z2, w2)
     sigma = _assemble_sigma(fine_terms)
     drift_err = float(np.max(np.abs(sigma - coarse)))
     if drift_err > 1e-3 * max(1.0, float(np.max(np.abs(sigma)))):
@@ -674,7 +663,6 @@ def run_asymptotics(
     t_max: float = 40.0,
     m: int = 2000,
     grid_points: int = 25,
-    n_states: int = 4000,
     step: float = 0.01,
 ) -> AsymptoticsResult:
     """Full pipeline: pi_0 sample, EPE solves, Gamma, Sigma, V.
@@ -696,15 +684,12 @@ def run_asymptotics(
         _epe_rhs(model, true_model, theta_star), true_model, noise, grid, t_max, m, seed, inv, step
     )
 
-    gg, ga, gag = _gamma_terms(model, true_model, theta_star, inv.states)
-    gamma = np.array([[float(np.mean(gg)), 0.0], [float(np.mean(gag)), float(np.mean(ga))]])
-    _check_invertible(gamma)
+    gg, ga, gag = terms = _gamma_terms(model, true_model, theta_star, inv.states)
+    gamma = _assemble_gamma(terms)
     gamma_se = np.array(
         [[batch_means_se(gg), 0.0], [batch_means_se(gag), batch_means_se(ga)]]
     )
-    sigma, sigma_se = _sigma_full(
-        model, true_model, theta_star, inv, f1, f2, noise, n_states=n_states
-    )
+    sigma, sigma_se = _sigma_full(model, true_model, theta_star, inv, f1, f2, noise)
     v = avar(gamma, sigma)
 
     diagnostics = {

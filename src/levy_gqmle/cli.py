@@ -167,7 +167,7 @@ def _resolve_formats(ns, cfg, allowed=_FORMATS):
 
 
 def _out_dir(ns, cfg, default=None):
-    d = _setting(ns, cfg, "out_dir", default)
+    d = _setting(ns, cfg, "out_dir", default, os.fspath)
     if d is not None:
         os.makedirs(d, exist_ok=True)
     return d
@@ -189,7 +189,7 @@ def _cmd_simulate(ns, cfg) -> int:
 
 
 def _cmd_estimate(ns, cfg) -> int:
-    source = _setting(ns, cfg, "path", None)
+    source = _setting(ns, cfg, "path", None, os.fspath)
     if source is None:
         raise _UsageError("estimate needs --path FILE")
     path = load_path(source)

@@ -128,7 +128,6 @@ def optimal_values(case: str) -> tuple[float, float]:
 def optimal_values_numeric(
     model: ModelSpec,
     true_model: TrueModel,
-    noise: LevyLaw,
     inv,
 ) -> tuple[float, float]:
     """Empirical-criterion maximizer over an invariant sample.
@@ -138,9 +137,8 @@ def optimal_values_numeric(
     maximizers: gamma^2 = E[C^2 / p^2], then, with that gamma in
     c = gamma p, alpha = E[A b / c^2] / E[b^2 / c^2], each kept inside its
     box.  Agreement with ``optimal_values`` is up to Monte Carlo error in
-    the sample.
+    the sample.  The driving law enters only through the invariant sample.
     """
-    del noise  # the invariant sample already carries the law's effect
     x = np.asarray(inv.states, dtype=float)[None, :]
     gamma = _fit_scale(model, x, true_model.C(x) ** 2, 1.0)[0]
     alpha = _fit_drift(model, x, true_model.A(x), 1.0, gamma)[0]
@@ -312,12 +310,13 @@ def run_mc(
 
     Replication k of design d draws increments from the substream
     (seed, tag, d, k), so its result depends only on that address.  The
-    replications are streamed in blocks of 32: a block's increments are
-    drawn into a (32, n) array, filtered into (32, n+1) paths by
-    ``_affine_paths``, its surviving rows are fitted in the closed form,
-    and the block is dropped before the next one is drawn.  Each row
-    reduces along time exactly as a lone path does, so every estimate is
-    bitwise equal to ``estimate_staged`` on that replication's path.
+    replications are streamed in blocks of 32 through one (32, n+1)
+    buffer whose column 0 holds x0: a block's increments are drawn into
+    columns 1..n, filtered there into paths in place by ``_affine_paths``,
+    and its surviving rows are fitted in the closed form before the next
+    block is drawn.  Each row reduces along time exactly as a lone path
+    does, so every estimate is bitwise equal to ``estimate_staged`` on that
+    replication's path.
     Failed replications (divergent paths) are excluded and counted; once a
     design is done, more than ``max_failure_fraction`` of them raises
     ExperimentError.  Defaults reproduce the benchmark study from x0 = 0.
@@ -330,20 +329,22 @@ def run_mc(
     R = design.replications
     per = []
     for d_index, (n, h) in enumerate(design.designs):
-        z = np.empty((_FIT_ROWS, n))
+        values = np.empty((_FIT_ROWS, n + 1))
+        values[:, 0] = x0
         estimates = np.empty((R, 2))
         failures = []
         fitted = boundary = 0
         for k0 in range(0, R, _FIT_ROWS):
             ks = range(k0, min(R, k0 + _FIT_ROWS))
             for j, k in enumerate(ks):
-                z[j] = sample_increments(law, h, n, substream(design.seed, _TAG_MC, d_index, k))
-            values, first_bad = _affine_paths(true_model, h, float(x0), z[: len(ks)])
+                values[j, 1:] = sample_increments(law, h, n, substream(design.seed, _TAG_MC, d_index, k))
+            first_bad = _affine_paths(true_model, h, float(x0), values[: len(ks), 1:])
             failures += [f"replication {k}: path diverged at step {b}" for k, b in zip(ks, first_bad) if b >= 0]
             good = first_bad < 0
             if not good.any():
                 continue
-            alpha, gamma, clamped = _fit_rows(model, values if good.all() else values[good], h)
+            paths = values[: len(ks)]
+            alpha, gamma, clamped = _fit_rows(model, paths if good.all() else paths[good], h)
             estimates[fitted : fitted + alpha.size] = np.column_stack([alpha, gamma])
             fitted += alpha.size
             boundary += int(np.count_nonzero(clamped))

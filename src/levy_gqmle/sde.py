@@ -5,8 +5,9 @@ fitted families, but with fixed numeric parameters; misspecification means
 the fitted family differs from the generating one.  Every catalog drift is
 linear in the state, and the true scale must be constant, so the Euler
 scheme X_{k+1} = X_k + A(X_k) dt + C dZ_k is the AR(1) recursion
-X_{k+1} = rho X_k + u_k.  Every path is filtered by one ``lfilter`` call
-on rows of increments (:func:`_affine_paths`).
+X_{k+1} = rho X_k + scale dZ_k + shift, with coefficients from
+:func:`_step_map` alone.  Every path of the package, here, in ``run_mc`` and
+in ``asymptotics``, is filtered in place by :func:`_affine_paths`.
 """
 
 from __future__ import annotations
@@ -43,6 +44,9 @@ __all__ = [
 ]
 
 DIVERGENCE_BOUND = 1e12
+# cells per block of the filter here and of asymptotics' EPE and Gamma
+# evaluations: a block of temporaries stays in cache
+_BLOCK_CELLS = 1 << 16
 
 
 class DivergenceError(NumericalError):
@@ -157,8 +161,7 @@ class SamplePath:
 def _affine_form(model: TrueModel) -> tuple[float, float, float]:
     """(rate, level, sigma) with A(x) = level - rate x and C = sigma.
 
-    This is the one place that reads the AR(1) form off the catalog: an
-    Euler step of size dt has rho = 1 - rate dt and shift level dt.
+    This is the one place that reads the affine form off the catalog.
     """
     if not isinstance(model.scale_family, ConstantScale):
         raise ValueError("need a constant true scale for an affine (AR(1)) path")
@@ -174,42 +177,51 @@ def _affine_form(model: TrueModel) -> tuple[float, float, float]:
     return rate, level, model.scale_param
 
 
-def _affine_paths(
-    model: TrueModel, dt: float, x0: float | np.ndarray, z: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Euler paths on pre-drawn increments, one path per row.
-
-    ``z`` has shape (R, steps) and ``x0`` is a scalar or shape (R,).  The
-    step X_{k+1} = rho X_k + (sigma dZ_k + level dt) is filtered row-wise by
-    one ``lfilter`` call from zi = rho x0, so a row comes out bitwise the
-    same in any block of rows as alone.  Returns values of shape
-    (R, steps+1) and ``first_bad`` of shape (R,): the index of a row's first
-    state that is non-finite or beyond ``DIVERGENCE_BOUND``, or -1.  States
-    after a row's first bad one are left as the recursion makes them.
-    """
+def _step_map(model: TrueModel, dt: float) -> tuple[float, float, float]:
+    """(rho, scale, shift) of the Euler step X_{k+1} = rho X_k + scale dZ_k + shift."""
     rate, level, sigma = _affine_form(model)
-    rho = 1.0 - rate * dt
-    x0 = np.broadcast_to(np.asarray(x0, dtype=float), z.shape[:1])
-    u = np.multiply(z, sigma, order="C")
-    u += level * dt
-    values = np.empty((z.shape[0], z.shape[1] + 1))
-    values[:, 0] = x0
-    values[:, 1:], _ = lfilter([1.0], [1.0, -rho], u, axis=1, zi=rho * x0[:, None])
+    return 1.0 - rate * dt, sigma, level * dt
+
+
+def _affine_paths(model: TrueModel, dt: float, x0: float | np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Overwrite increments ``z`` with Euler states X_1..X_steps, one path per row.
+
+    ``z`` has shape (R, steps) and any strides (a time-major panel passes
+    ``panel.T``, one path ``path[None]``); ``x0`` is a scalar or shape (R,).
+    ``lfilter`` runs along time in blocks of about ``_BLOCK_CELLS`` cells
+    with its state carried, so a row comes out bitwise as from one call
+    over that row alone.  Returns ``first_bad`` of shape (R,): the index of
+    a row's first state (x0 has index 0) that is non-finite or beyond
+    ``DIVERGENCE_BOUND``, or -1; later states are left as the recursion
+    makes them.
+    """
+    rho, scale, shift = _step_map(model, dt)
+    rows, steps = z.shape
+    x0 = np.broadcast_to(np.asarray(x0, dtype=float), (rows,))
+    zi = (rho * x0)[:, None]
+    width = max(1, _BLOCK_CELLS // rows)
+    for k0 in range(0, steps, width):
+        u = z[:, k0 : k0 + width] * scale
+        u += shift
+        z[:, k0 : k0 + width], zi = lfilter([1.0], [1.0, -rho], u, axis=1, zi=zi)
     # max/min propagate NaN, so a row passes only if every state is finite
     # and inside the bound; only failing rows are searched for the index
-    ok = (values.max(axis=1) <= DIVERGENCE_BOUND) & (values.min(axis=1) >= -DIVERGENCE_BOUND)
-    first_bad = np.full(z.shape[0], -1, dtype=int)
+    start_ok = np.abs(x0) <= DIVERGENCE_BOUND
+    ok = start_ok & (z.max(axis=1) <= DIVERGENCE_BOUND) & (z.min(axis=1) >= -DIVERGENCE_BOUND)
+    first_bad = np.full(rows, -1, dtype=int)
     for row in np.flatnonzero(~ok):
-        first_bad[row] = int(np.argmax(~(np.abs(values[row]) <= DIVERGENCE_BOUND)))
-    return values, first_bad
+        first_bad[row] = 1 + int(np.argmax(~(np.abs(z[row]) <= DIVERGENCE_BOUND))) if start_ok[row] else 0
+    return first_bad
 
 
 def simulate_euler(model: TrueModel, noise: LevyLaw, cfg: PathConfig) -> SamplePath:
     """Simulate one observed path; bitwise deterministic given (seed, refine)."""
     steps = cfg.n * cfg.refine
     dt = cfg.h / cfg.refine
-    z = sample_increments(noise, dt, steps, substream(cfg.seed))
-    values, first_bad = _affine_paths(model, dt, cfg.x0, z[None])
+    values = np.empty((1, steps + 1))
+    values[0, 0] = cfg.x0
+    values[0, 1:] = sample_increments(noise, dt, steps, substream(cfg.seed))
+    first_bad = _affine_paths(model, dt, cfg.x0, values[:, 1:])
     if first_bad[0] >= 0:
         raise DivergenceError(int(first_bad[0]))
     return SamplePath(h=cfg.h, values=values[0, :: cfg.refine])
@@ -311,9 +323,9 @@ def small_time_moment_check(
         for k, x0 in enumerate(grid):
             rng = substream(cfg.seed, i, k)
             z = sample_increments(noise, dt, (cfg.refine, reps), rng)
-            values, first_bad = _affine_paths(model, dt, x0, z.T)
+            first_bad = _affine_paths(model, dt, x0, z.T)
             if (first_bad >= 0).any():
                 raise DivergenceError(int(first_bad[first_bad >= 0][0]))
-            moment = float(np.mean(np.abs(values[:, -1] - x0) ** p))
+            moment = float(np.mean(np.abs(z[-1] - x0) ** p))
             ratios[i, k] = moment / (h * (1.0 + abs(x0) ** K))
     return SmallTimeReport(p=p, K=K, grid=grid, h_values=h_values, ratios=ratios)

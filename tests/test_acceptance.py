@@ -199,10 +199,10 @@ def test_criterion_8_residual_moments_correctly_specified():
     allowance = {2: 0.002, 3: 0.01, 4: 3.5 * h}
     for ci, (case, (k2, k3, k4)) in enumerate(targets.items()):
         law = noise_case(case)
-        rows = np.vstack(
-            [sample_increments(law, h, n, substream(41, 7301, ci, p)) for p in range(paths)]
-        )
-        values, first_bad = _affine_paths(OU, h, 0.0, rows)
+        values = np.zeros((paths, n + 1))
+        for p in range(paths):
+            values[p, 1:] = sample_increments(law, h, n, substream(41, 7301, ci, p))
+        first_bad = _affine_paths(OU, h, 0.0, values[:, 1:])
         assert np.all(first_bad < 0)
         for r, want in ((2, k2), (3, k3), (4, k4)):
             ests = []

@@ -94,6 +94,13 @@ class TestSimulate:
         invoke(capsys, "simulate", "--n", "200", "--seed", "10", "--out-dir", str(b))
         assert (a / "path.csv").read_bytes() != (b / "path.csv").read_bytes()
 
+    def test_non_string_out_dir_in_config_exits_one(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"out_dir": 5}))
+        code, _, err = invoke(capsys, "simulate", "--n", "20", "--config", str(cfg))
+        assert code == 1
+        assert "bad value for out_dir" in err
+
 
 class TestEstimate:
     def test_roundtrip_from_simulate(self, capsys, tmp_path):
@@ -131,6 +138,13 @@ class TestEstimate:
         code, _, err = invoke(capsys, "estimate", "--path", str(tmp_path / "absent.csv"))
         assert code == 1
         assert "error:" in err
+
+    def test_non_string_path_in_config_exits_one(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"path": 5}))
+        code, _, err = invoke(capsys, "estimate", "--config", str(cfg))
+        assert code == 1
+        assert "bad value for path" in err
 
 
 class TestMc:

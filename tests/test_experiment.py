@@ -106,7 +106,7 @@ class TestOptimalValuesNumeric:
         truth = true_ou()
         inv = sample_invariant(truth, noise_case("i"), budget=30000, seed=3, step=0.01)
         model = ModelSpec(MeanRevertLinear(m=0.0), ConstantScale())
-        alpha, gamma = optimal_values_numeric(model, truth, noise_case("i"), inv)
+        alpha, gamma = optimal_values_numeric(model, truth, inv)
         assert alpha == pytest.approx(0.5, abs=1e-8)
         assert gamma == pytest.approx(1.0, abs=1e-8)
 
@@ -114,7 +114,7 @@ class TestOptimalValuesNumeric:
     def test_benchmark_agrees_with_closed_form(self, case, seed):
         truth = true_ou()
         inv = sample_invariant(truth, noise_case(case), budget=150000, seed=seed, step=0.01)
-        alpha, gamma = optimal_values_numeric(benchmark_model(), truth, noise_case(case), inv)
+        alpha, gamma = optimal_values_numeric(benchmark_model(), truth, inv)
         alpha_star, gamma_star = optimal_values(case)
         assert alpha == pytest.approx(alpha_star, abs=0.01)
         assert gamma == pytest.approx(gamma_star, abs=0.01)
@@ -178,7 +178,9 @@ class TestRunMc:
             assert np.array_equal(a.estimates, b.estimates[:100])
             for k in range(100):
                 z = sample_increments(law, h, n, substream(7, _TAG_MC, d_index, k))
-                values, first_bad = _affine_paths(true_ou(), h, 0.0, z[None])
+                values = np.zeros((1, n + 1))
+                values[0, 1:] = z
+                first_bad = _affine_paths(true_ou(), h, 0.0, values[:, 1:])
                 assert first_bad[0] == -1
                 est = estimate_staged(SamplePath(h=h, values=values[0]), model)
                 assert (a.estimates[k, 0], a.estimates[k, 1]) == (est.alpha_hat, est.gamma_hat)

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.signal import lfilter
 
 from levy_gqmle._util import batch_means_se, substream
 from levy_gqmle.coefficients import ConstantDrift, ConstantScale, LinearDecay, MeanRevertLinear, RationalSqrt
@@ -15,6 +16,7 @@ from levy_gqmle.sde import (
     SamplePath,
     TrueModel,
     _affine_paths,
+    _step_map,
     load_path,
     simulate_euler,
     small_time_moment_check,
@@ -81,7 +83,9 @@ class TestAffinePaths:
         R, steps = 6, 2000
         z = sample_increments(CASE_III, dt, (R, steps), substream(5, 1))
         x0 = np.linspace(-2.0, 3.0, R)
-        got, first_bad = _affine_paths(model, dt, x0, z)
+        got = np.empty((R, steps + 1))
+        got[:, 0], got[:, 1:] = x0, z
+        first_bad = _affine_paths(model, dt, x0, got[:, 1:])
         want, want_bad = _euler_columns(model, dt, x0, z.T)
         assert got.shape == (R, steps + 1)
         np.testing.assert_array_equal(first_bad, want_bad)
@@ -94,10 +98,40 @@ class TestAffinePaths:
         model = TrueModel(MeanRevertLinear(m=0.7), 0.5, ConstantScale(), 1.3)
         z = sample_increments(CASE_II, 0.02, (32, 5000), substream(6, 1))
         x0 = np.linspace(-1.0, 1.0, 32)
-        block, _ = _affine_paths(model, 0.02, x0, z)
+        block = z.copy()
+        _affine_paths(model, 0.02, x0, block)
         for row in (0, 17, 31):
-            alone, _ = _affine_paths(model, 0.02, x0[row], z[row : row + 1])
+            alone = z[row : row + 1].copy()
+            _affine_paths(model, 0.02, x0[row], alone)
             assert np.array_equal(alone[0], block[row]), row
+
+    def test_time_major_panel_in_place_equals_one_lfilter(self):
+        # a (steps, m) panel passed as panel.T is filtered along time in
+        # blocks of a few hundred steps, bitwise as one call over the panel
+        model = TrueModel(MeanRevertLinear(m=0.7), 0.5, ConstantScale(), 1.3)
+        panel = sample_increments(CASE_I, 0.01, (1000, 300), substream(7, 1))
+        x0 = np.linspace(-2.0, 2.0, 300)
+        rho, scale, shift = _step_map(model, 0.01)
+        want, _ = lfilter([1.0], [1.0, -rho], panel * scale + shift, axis=0, zi=rho * x0[None])
+        first_bad = _affine_paths(model, 0.01, x0, panel.T)
+        assert np.array_equal(panel, want)
+        assert np.all(first_bad == -1)
+
+    def test_long_row_in_place_equals_one_lfilter(self):
+        # a 1-D path passed as path[None], longer than one filter block
+        model = TrueModel(MeanRevertLinear(m=0.7), 0.5, ConstantScale(), 1.3)
+        path = sample_increments(CASE_III, 0.01, 200_000, substream(7, 2))
+        rho, scale, shift = _step_map(model, 0.01)
+        want, _ = lfilter([1.0], [1.0, -rho], path * scale + shift, zi=[rho * 0.4])
+        first_bad = _affine_paths(model, 0.01, 0.4, path[None])
+        assert np.array_equal(path, want)
+        assert first_bad.tolist() == [-1]
+
+    def test_bad_start_is_index_zero(self):
+        z = sample_increments(CASE_I, 0.05, (5, 100), substream(7, 3))
+        first_bad = _affine_paths(OU, 0.05, np.array([np.nan, 2e12, -np.inf, 0.5, -1e12]), z)
+        assert first_bad.tolist() == [0, 0, 0, -1, -1]
+        assert _affine_paths(OU, 0.05, np.inf, z[:1].copy()).tolist() == [0]
 
     def test_non_constant_scale_refused(self):
         model = TrueModel(LinearDecay(), 0.5, RationalSqrt(), 1.0)
