@@ -1,11 +1,17 @@
-"""Shared helpers: RNG substreams, batch-means errors, atomic file writes."""
+"""Shared helpers: RNG substreams, the core pool, batch-means errors,
+atomic file writes."""
 
 from __future__ import annotations
 
 import os
 import tempfile
+from concurrent.futures import ThreadPoolExecutor
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
+
+# the most worker threads of the core pool
+_MAX_WORKERS = 4
 
 
 class NumericalError(RuntimeError):
@@ -19,6 +25,33 @@ def substream(seed: int, *path: int) -> np.random.Generator:
     other streams were created, so parallel schedules cannot change results.
     """
     return np.random.default_rng(np.random.SeedSequence((int(seed),) + tuple(int(p) for p in path)))
+
+
+def _pool_size(tasks: int) -> int:
+    """Worker threads for ``tasks`` independent tasks: the usable cores, at most 4.
+
+    Platforms without CPU affinity (macOS, Windows) count every core.
+    """
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return max(1, min(tasks, _MAX_WORKERS, cores))
+
+
+def core_map(fn: Callable, items: Iterable) -> Iterator:
+    """``fn`` over ``items`` on ``_pool_size(len(items))`` threads, yielded in input order.
+
+    This is the package's one thread pool: the numpy and scipy kernels the
+    tasks run release the GIL, so independent tasks share the cores.  All
+    tasks are submitted at once, but only as many run, and hold their
+    temporaries, as there are workers; callers size tasks with that in mind.
+    Results come back in the order of ``items`` whatever order the tasks
+    finish in, so an ordered reduction over them does not depend on the
+    worker count.  A task must not call ``core_map`` itself, so pools never
+    nest.  A task's exception is raised when its result is reached, and
+    tasks not yet started are then cancelled.
+    """
+    items = list(items)
+    with ThreadPoolExecutor(_pool_size(len(items))) as pool:
+        yield from pool.map(fn, items)
 
 
 def batch_means_se(samples: np.ndarray, n_batches: int = 30) -> float:

@@ -17,15 +17,13 @@ the tail bounds and the thinning defaults rely on.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
 
-from ._util import NumericalError, batch_means_se, substream
+from ._util import NumericalError, batch_means_se, core_map, substream
 from .gqmle import ModelSpec, _criterion_terms
 from .levy import (
     Brownian,
@@ -65,9 +63,8 @@ _TAG_INVARIANT = 3101
 _TAG_EPE = 7001
 _TAG_MARTINGALE = 7301
 _CHUNK_STEPS = 500
-# steps per invariant-path chunk, and the most worker threads drawing chunks
+# steps per invariant-path chunk
 _INVARIANT_CHUNK = 2_000_000
-_MAX_WORKERS = 4
 # Sigma averages over at most this many pi_0 states, thinned evenly, taken
 # this many at a time through jump-quadrature nodes of this relative tolerance
 _SIGMA_STATES = 4000
@@ -118,16 +115,6 @@ class InvariantSample:
         object.__setattr__(self, "states", states)
 
 
-def _pool_size(tasks: int) -> int:
-    """Worker threads for ``tasks`` invariant chunks: the usable cores, at most 4.
-
-    Each worker holds about 16 MB of live arrays.  Platforms without CPU
-    affinity (macOS, Windows) count every core.
-    """
-    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    return max(1, min(tasks, _MAX_WORKERS, cores))
-
-
 def sample_invariant(
     model: TrueModel,
     noise: LevyLaw,
@@ -145,12 +132,13 @@ def sample_invariant(
     in its start: k steps from x reach Y_k + rho^k x, with Y the path from 0.
     So the path is cut into chunks of ``_INVARIANT_CHUNK`` steps, each drawn
     from its own substream (seed, 3101, chunk) and filtered from zero in
-    place by ``sde._affine_paths`` on a small thread pool, one worker per
-    core up to 4.  A worker returns only the chunk's kept states and its
-    last state; the chunks are then composed in order through the affine
-    start map.  The result does not depend on the number of workers.  It
-    equals one filter pass over the whole path up to rounding (about 1e-14
-    relative): the two sum the same terms in a different order.
+    place by ``sde._affine_paths`` on ``_util.core_map``, one worker per
+    usable core up to 4, each holding about 16 MB of live arrays.  A worker
+    returns only the chunk's kept states and its last state; the chunks are
+    then composed in input order through the affine start map.  The result
+    does not depend on the number of workers.  It equals one filter pass
+    over the whole path up to rounding (about 1e-14 relative): the two sum
+    the same terms in a different order.
 
     The sample variance must land within 10% of kappa_2 scale^2 / (2 rate);
     a larger mismatch means the chain did not mix at this step size and
@@ -190,12 +178,11 @@ def sample_invariant(
     states = np.empty(budget)
     got = 0
     x = mean
-    with ThreadPoolExecutor(_pool_size(len(plans))) as pool:
-        for (_, size, local), (picked, last) in zip(plans, pool.map(from_zero, plans)):
-            lag = local + 1.0 + keep * np.arange(picked.size)
-            states[got : got + picked.size] = picked + rho**lag * x
-            got += picked.size
-            x = last + rho**size * x
+    for (_, size, local), (picked, last) in zip(plans, core_map(from_zero, plans)):
+        lag = local + 1.0 + keep * np.arange(picked.size)
+        states[got : got + picked.size] = picked + rho**lag * x
+        got += picked.size
+        x = last + rho**size * x
 
     var = float(np.var(states))
     theory = sigma**2 * cumulants(noise, 2)[1] / (2.0 * rate)
@@ -340,29 +327,36 @@ def epe_solve(
     tuple of arrays is solved for every right-hand side on the same paths
     and gets a tuple of :class:`EPEApprox` back, in the same order.
 
-    Every right-hand side must average to zero under pi_0; the centering is
-    gated at three batch-means standard errors against ``inv`` (sampled
-    internally when not supplied), before any path is drawn, because a
-    non-centered g makes the time integral diverge linearly.
+    ``g`` is called from several threads at once, so it must not mutate
+    shared state.  Every right-hand side must average to zero under pi_0;
+    the centering is gated at three batch-means standard errors against
+    ``inv`` (sampled internally when not supplied), before any path is
+    drawn, because a non-centered g makes the time integral diverge
+    linearly.  ``t_max`` and ``step`` must be finite.
 
     All grid points share one panel of ``m`` Euler paths (common random
     numbers).  The Euler recursion is the AR(1) of ``sde._step_map``,
     which is affine in its start: X^x_k = rho^k x + Y_k, where Y is the
     path started at zero.  ``sde._affine_paths`` filters the increment
-    panel into Y in place, once for every grid point.  Each grid point's
-    states are then formed and evaluated in time blocks of
-    max(1, 2^16 // m) steps, keeping only the
-    running time sum and the first and last rows of g, so no temporary
-    larger than a block is built.  The time integral is the trapezoid rule
-    on the simulation grid.  A state that is non-finite or beyond
-    ``DIVERGENCE_BOUND`` raises :class:`DivergenceError`.
+    panel into Y in place, once for every grid point.  A state that is
+    non-finite or beyond ``DIVERGENCE_BOUND`` raises
+    :class:`DivergenceError`; every grid point is gated, in grid order,
+    before any is solved, so the error names the first failing point.  The
+    grid points are then solved on ``_util.core_map``, one worker per
+    usable core up to 4, all reading the one Y panel.  Each grid point's
+    states are formed and evaluated in time blocks of max(1, 2^16 // m)
+    steps, keeping only the running time sum and the first and last rows
+    of g, so a worker builds no temporary larger than a block.  The time
+    integral is the trapezoid rule on the simulation grid.  Each point's
+    (f, se, tail bound) column is stacked in grid order, so the result
+    does not depend on the number of workers.
 
     The reported tail bound combines the conditional-mean remainder at
     ``t_max``, discounted at the known mixing rate, with a 3-sigma allowance
     for the Monte Carlo fluctuation of everything beyond the horizon.
     """
-    if t_max <= 0 or m < 30 or step <= 0:
-        raise ValueError("need t_max > 0, m >= 30, step > 0")
+    if not (0 < t_max < math.inf and 0 < step < math.inf) or m < 30:
+        raise ValueError(f"need finite t_max > 0, m >= 30, finite step > 0; got {t_max}, {m}, {step}")
     rate = _linear_ou_form(model)[0]
     if inv is None:
         inv = sample_invariant(model, noise, seed=seed)
@@ -393,14 +387,17 @@ def epe_solve(
     y_lo, y_hi = y.min(axis=1), y.max(axis=1)
     block = max(1, _BLOCK_CELLS // m)
 
-    stats = np.empty((len(centering), 3, grid.size))  # (f, se, tail bound) per g
-    for i, x0 in enumerate(grid):
-        shift = decay * x0
+    for x0 in grid:
         if not abs(x0) <= DIVERGENCE_BOUND:
             raise DivergenceError(0)
+        shift = decay * x0
         bad = ~((shift + y_hi <= DIVERGENCE_BOUND) & (shift + y_lo >= -DIVERGENCE_BOUND))
         if bad.any():
             raise DivergenceError(int(np.argmax(bad)) + 1)
+
+    def solve_at(x0: float) -> np.ndarray:
+        """(f, se, tail bound) of every right-hand side at start x0, shape (len(g), 3)."""
+        shift = decay * x0
         first = [np.asarray(v, dtype=float) for v in _as_tuple(g(np.full(m, x0)))]
         sums = [v.copy() for v in first]
         last = first
@@ -411,14 +408,18 @@ def epe_solve(
                 v = np.asarray(v, dtype=float)
                 acc += v.sum(axis=0)
                 last.append(v[-1])
+        col = np.empty((len(sums), 3))
         for j, (acc, g_start, g_end) in enumerate(zip(sums, first, last)):
             total = step * (acc - 0.5 * (g_start + g_end))
             m_end = float(np.mean(g_end))
             se_end = batch_means_se(g_end)
             fluct = 3.0 * math.sqrt(2.0 * t_max * float(np.var(g_end)) / (rate * m))
             bound = (abs(m_end) + 3.0 * se_end) / rate + fluct
-            stats[j, :, i] = float(np.mean(total)), batch_means_se(total), bound
+            col[j] = float(np.mean(total)), batch_means_se(total), bound
+        return col
 
+    # (f, se, tail bound) per g, each of shape (grid.size,)
+    stats = np.stack(list(core_map(solve_at, grid)), axis=-1)
     out = tuple(
         EPEApprox(grid, f, se, t_max, m, tail, gbar, gse)
         for (f, se, tail), (gbar, gse) in zip(stats, centering)

@@ -28,6 +28,7 @@ import sys
 
 from . import __version__
 from ._util import NumericalError, atomic_write_text
+from .asymptotics import run_asymptotics
 from .experiment import (
     CASES,
     ExperimentDesign,
@@ -228,8 +229,6 @@ def _cmd_mc(ns, cfg) -> int:
 
 
 def _cmd_asymptotics(ns, cfg) -> int:
-    from .asymptotics import run_asymptotics  # deferred: scipy-heavy import
-
     case = _setting(ns, cfg, "case", "i")
     seed = _resolve_seed(ns, cfg)
     formats = _resolve_formats(ns, cfg, allowed=("csv", "json"))

@@ -16,11 +16,12 @@ import math
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 from scipy.stats import norm as _norm
 
-from ._util import NumericalError, atomic_write_text, substream
+from ._util import NumericalError, atomic_write_text, core_map, substream
 from .coefficients import ConstantScale, LinearDecay, MeanRevertLinear, RationalSqrt
 from .gqmle import ModelSpec, _fit_drift, _fit_rows, _fit_scale
 from .levy import (
@@ -56,9 +57,9 @@ CASES = ("i", "ii", "iii", "diffusion")
 TAIL_RADII = (1.0, 2.0, 4.0, 8.0)
 
 _TAG_MC = 5501  # replication increment streams hang off (seed, tag, design, k)
-# replications per streamed block: a block's increments, paths and fit
-# temporaries are the only per-replication arrays alive at a time
-_FIT_ROWS = 32
+# replications per block: the blocks in flight on the core pool hold the only
+# per-replication arrays alive, and two 16-row blocks hold as much as one of 32
+_FIT_ROWS = 16
 
 
 class ExperimentError(NumericalError):
@@ -166,8 +167,8 @@ class ExperimentDesign:
         for n, h in ds:
             if n < 2:
                 raise ValueError(f"n must be >= 2, got {n}")
-            if not (h > 0):
-                raise ValueError(f"h must be positive, got {h}")
+            if not (0 < h < math.inf):
+                raise ValueError(f"h must be positive and finite, got {h}")
         object.__setattr__(self, "designs", ds)
         if self.replications < 100:
             raise ValueError(f"replications must be >= 100, got {self.replications}")
@@ -298,6 +299,34 @@ def summarize_replications(
     )
 
 
+def _mc_block(
+    law: LevyLaw,
+    model: ModelSpec,
+    true_model: TrueModel,
+    n: int,
+    h: float,
+    x0: float,
+    address: tuple[int, int],
+    ks: range,
+) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray]:
+    """Draw, filter and fit replications ``ks`` in their own (len(ks), n+1) buffer.
+
+    Replication k draws from the substream (*address, k), with ``address``
+    = (seed, tag, design).  Returns the failure messages of divergent
+    paths, then alpha, gamma and the clamped mask of the surviving rows.
+    """
+    values = np.empty((len(ks), n + 1))
+    values[:, 0] = x0
+    for j, k in enumerate(ks):
+        values[j, 1:] = sample_increments(law, h, n, substream(*address, k))
+    first_bad = _affine_paths(true_model, h, x0, values[:, 1:])
+    failures = [f"replication {k}: path diverged at step {b}" for k, b in zip(ks, first_bad) if b >= 0]
+    good = first_bad < 0
+    if not good.any():
+        return failures, np.empty(0), np.empty(0), np.empty(0, dtype=bool)
+    return failures, *_fit_rows(model, values if good.all() else values[good], h)
+
+
 def run_mc(
     design: ExperimentDesign,
     model: ModelSpec | None = None,
@@ -310,17 +339,24 @@ def run_mc(
 
     Replication k of design d draws increments from the substream
     (seed, tag, d, k), so its result depends only on that address.  The
-    replications are streamed in blocks of 32 through one (32, n+1)
-    buffer whose column 0 holds x0: a block's increments are drawn into
-    columns 1..n, filtered there into paths in place by ``_affine_paths``,
-    and its surviving rows are fitted in the closed form before the next
-    block is drawn.  Each row reduces along time exactly as a lone path
-    does, so every estimate is bitwise equal to ``estimate_staged`` on that
-    replication's path.
+    replications run in blocks of 16 on ``_util.core_map``, one worker
+    per usable core up to 4.  Each block fills its own (16, n+1) buffer
+    whose column 0 holds x0: its increments are drawn into columns 1..n,
+    filtered there into paths in place by ``_affine_paths``, and its
+    surviving rows are fitted in the closed form.  Blocks have 16 rows so
+    that two workers hold as many temporaries as one 32-row block did.
+    Each row reduces along time exactly as a lone path does, so every
+    estimate is bitwise equal to ``estimate_staged`` on that replication's
+    path, and the blocks' results are joined in replication order, so
+    nothing depends on the number of workers.
     Failed replications (divergent paths) are excluded and counted; once a
     design is done, more than ``max_failure_fraction`` of them raises
-    ExperimentError.  Defaults reproduce the benchmark study from x0 = 0.
+    ExperimentError.  Defaults reproduce the benchmark study from x0 = 0,
+    which must be finite.
     """
+    x0 = float(x0)
+    if not math.isfinite(x0):
+        raise ValueError(f"x0 must be finite, got {x0}")
     model = model or benchmark_model()
     true_model = true_model or true_ou()
     law = noise_case(design.case)
@@ -328,25 +364,15 @@ def run_mc(
         theta_star = optimal_values(design.case)
     R = design.replications
     per = []
+    blocks = [range(k0, min(R, k0 + _FIT_ROWS)) for k0 in range(0, R, _FIT_ROWS)]
     for d_index, (n, h) in enumerate(design.designs):
-        values = np.empty((_FIT_ROWS, n + 1))
-        values[:, 0] = x0
-        estimates = np.empty((R, 2))
-        failures = []
-        fitted = boundary = 0
-        for k0 in range(0, R, _FIT_ROWS):
-            ks = range(k0, min(R, k0 + _FIT_ROWS))
-            for j, k in enumerate(ks):
-                values[j, 1:] = sample_increments(law, h, n, substream(design.seed, _TAG_MC, d_index, k))
-            first_bad = _affine_paths(true_model, h, float(x0), values[: len(ks), 1:])
-            failures += [f"replication {k}: path diverged at step {b}" for k, b in zip(ks, first_bad) if b >= 0]
-            good = first_bad < 0
-            if not good.any():
-                continue
-            paths = values[: len(ks)]
-            alpha, gamma, clamped = _fit_rows(model, paths if good.all() else paths[good], h)
-            estimates[fitted : fitted + alpha.size] = np.column_stack([alpha, gamma])
-            fitted += alpha.size
+        fit_block = partial(_mc_block, law, model, true_model, n, h, x0, (design.seed, _TAG_MC, d_index))
+        failures, alphas, gammas = [], [], []
+        boundary = 0
+        for fails, alpha, gamma, clamped in core_map(fit_block, blocks):
+            failures += fails
+            alphas.append(alpha)
+            gammas.append(gamma)
             boundary += int(np.count_nonzero(clamped))
         if len(failures) > max_failure_fraction * R:
             raise ExperimentError(
@@ -357,7 +383,7 @@ def run_mc(
             summarize_replications(
                 n,
                 h,
-                estimates[:fitted],
+                np.column_stack([np.concatenate(alphas), np.concatenate(gammas)]),
                 theta_star,
                 n_failed=len(failures),
                 failures=tuple(failures[:20]),

@@ -12,6 +12,7 @@ in ``asymptotics``, is filtered in place by :func:`_affine_paths`.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -94,8 +95,9 @@ class TrueModel:
 class PathConfig:
     """Simulation design: n observation steps of size h from x0, seeded.
 
-    ``refine`` simulates on the grid h/refine and subsamples, for
-    discretization-bias studies; the observation grid is unchanged.
+    h and x0 must be finite.  ``refine`` simulates on the grid h/refine
+    and subsamples, for discretization-bias studies; the observation grid
+    is unchanged.
     """
 
     n: int
@@ -107,8 +109,10 @@ class PathConfig:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
-        if not (self.h > 0):
-            raise ValueError(f"h must be positive, got {self.h}")
+        if not (0 < self.h < math.inf):
+            raise ValueError(f"h must be positive and finite, got {self.h}")
+        if not math.isfinite(self.x0):
+            raise ValueError(f"x0 must be finite, got {self.x0}")
         if self.refine < 1:
             raise ValueError(f"refine must be >= 1, got {self.refine}")
 

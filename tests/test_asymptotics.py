@@ -2,13 +2,14 @@
 
 import math
 import os
+import time
 
 import numpy as np
 import pytest
 from scipy.signal import lfilter
 
-from levy_gqmle import asymptotics
-from levy_gqmle._util import batch_means_se, substream
+from levy_gqmle import _util
+from levy_gqmle._util import batch_means_se, core_map, substream
 from levy_gqmle.asymptotics import (
     _BLOCK_CELLS,
     _TAG_EPE,
@@ -81,6 +82,24 @@ def _batched(states, stat, n_batches=30):
     return stat(states), float(np.std(vals, ddof=1)) / math.sqrt(n_batches)
 
 
+class TestCoreMap:
+    def test_input_order_whatever_finishes_first(self, monkeypatch):
+        # the first task sleeps longest, so completion order is the reverse
+        monkeypatch.setattr(_util, "_pool_size", lambda tasks: 3)
+        def task(i):
+            time.sleep(0.05 * (3 - i))
+            return i
+        assert list(core_map(task, range(3))) == [0, 1, 2]
+
+    def test_task_error_reaches_caller(self):
+        def task(i):
+            if i == 2:
+                raise ValueError("task 2")
+            return i
+        with pytest.raises(ValueError, match="task 2"):
+            list(core_map(task, range(5)))
+
+
 class TestSampleInvariant:
     def test_case_i_moments(self, inv_i):
         x = inv_i.states
@@ -131,14 +150,14 @@ class TestSampleInvariant:
 
     def test_independent_of_worker_count(self, inv_long, monkeypatch):
         for workers in (1, 3):
-            monkeypatch.setattr(asymptotics, "_pool_size", lambda tasks, n=workers: n)
+            monkeypatch.setattr(_util, "_pool_size", lambda tasks, n=workers: n)
             again = sample_invariant(OU_SHIFTED, CASE_I, **LONG_PATH)
             assert np.array_equal(again.states, inv_long.states), workers
 
     def test_pool_size_without_cpu_affinity(self, monkeypatch):
-        monkeypatch.delattr(asymptotics.os, "sched_getaffinity", raising=False)
-        assert asymptotics._pool_size(100) == min(4, os.cpu_count() or 1)
-        assert asymptotics._pool_size(1) == 1
+        monkeypatch.delattr(_util.os, "sched_getaffinity", raising=False)
+        assert _util._pool_size(100) == min(4, os.cpu_count() or 1)
+        assert _util._pool_size(1) == 1
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError, match="spacing"):
@@ -258,6 +277,19 @@ class TestEPESolve:
                           seed=seed, inv=inv, step=step)
         assert np.array_equal(alone.f, got[0].f) and np.array_equal(alone.se, got[0].se)
 
+    def test_independent_of_worker_count(self, inv_i, monkeypatch):
+        g = lambda x: (np.asarray(x, float), np.tanh(x))
+        grid = np.linspace(-2.0, 2.0, 7)
+        runs = []
+        for workers in (None, 1, 3):
+            if workers is not None:
+                monkeypatch.setattr(_util, "_pool_size", lambda tasks, n=workers: n)
+            runs.append(epe_solve(g, OU, CASE_I, grid=grid, t_max=5.0, m=100, seed=6, inv=inv_i))
+        for other in runs[1:]:
+            for a, b in zip(runs[0], other):
+                for name in ("x", "f", "se", "tail_bound"):
+                    assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+
     def test_divergent_start_rejected(self, inv_i):
         grid = np.array([0.0, 2.0 * DIVERGENCE_BOUND])
         with pytest.raises(DivergenceError):
@@ -279,6 +311,9 @@ class TestEPESolve:
             EPEApprox(np.array([0.0, 1.0]), np.zeros(3), np.zeros(2), 1.0, 30, np.zeros(2))
         with pytest.raises(ValueError, match="two points"):
             epe_solve(lambda x: np.asarray(x, float) * 0, OU, CASE_I, grid=np.array([1.0]), m=60)
+        for bad in (dict(t_max=math.inf), dict(step=math.inf), dict(step=math.nan)):
+            with pytest.raises(ValueError, match="finite"):
+                epe_solve(lambda x: np.asarray(x, float) * 0, OU, CASE_I, m=60, **bad)
 
 
 class TestMartingaleCheck:

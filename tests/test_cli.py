@@ -94,6 +94,16 @@ class TestSimulate:
         invoke(capsys, "simulate", "--n", "200", "--seed", "10", "--out-dir", str(b))
         assert (a / "path.csv").read_bytes() != (b / "path.csv").read_bytes()
 
+    @pytest.mark.parametrize("flag,value,msg", [
+        ("--h", "inf", "h must be"),
+        ("--x0", "nan", "x0 must be finite"),
+        ("--x0", "inf", "x0 must be finite"),
+    ])
+    def test_non_finite_input_exits_one(self, capsys, tmp_path, flag, value, msg):
+        code, _, err = invoke(capsys, "simulate", "--n", "20", flag, value, "--out-dir", str(tmp_path))
+        assert code == 1
+        assert msg in err
+
     def test_non_string_out_dir_in_config_exits_one(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"out_dir": 5}))
@@ -189,6 +199,13 @@ class TestMc:
         assert code == 1
         assert "bad value for designs" in err
 
+    def test_non_finite_step_exits_one(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"designs": [[1000, "inf"]], "replications": 100}))
+        code, _, err = invoke(capsys, "mc", "--config", str(cfg), "--out-dir", str(tmp_path))
+        assert code == 1
+        assert "h must be" in err
+
     def test_bad_replications_exit_one(self, capsys, tmp_path):
         code, _, err = invoke(capsys, "mc", "--replications", "10", "--out-dir", str(tmp_path))
         assert code == 1
@@ -264,6 +281,11 @@ class TestMoments:
         assert saved == out.splitlines()
         assert saved[1].startswith("2,") and saved[2].startswith("6,")
 
+    def test_non_finite_step_exits_one(self, capsys):
+        code, _, err = invoke(capsys, "moments", "--n", "100", "--h", "inf")
+        assert code == 1
+        assert "h must be" in err
+
     def test_bad_orders(self, capsys):
         code, _, err = invoke(capsys, "moments", "--orders", "2,x")
         assert code == 1
@@ -282,6 +304,12 @@ class TestAsymptotics:
         lines = (tmp_path / "asymptotics.csv").read_text().splitlines()
         assert lines[0] == "x,f1,f2,se"
         assert len(lines) > 20
+
+    def test_non_finite_horizon_exits_one(self, capsys, tmp_path):
+        code, _, err = invoke(capsys, "asymptotics", "--case", "i", "--budget", "1000",
+                              "--m", "50", "--t-max", "inf", "--out-dir", str(tmp_path))
+        assert code == 1
+        assert "finite t_max" in err
 
     def test_svg_not_available(self, capsys, tmp_path):
         code, _, err = invoke(capsys, "asymptotics", "--format", "svg", "--out-dir", str(tmp_path))

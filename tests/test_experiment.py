@@ -9,6 +9,7 @@ import pathlib
 import numpy as np
 import pytest
 
+from levy_gqmle import _util
 from levy_gqmle._util import substream
 from levy_gqmle.asymptotics import sample_invariant
 from levy_gqmle.coefficients import ConstantScale, LinearDecay, MeanRevertLinear
@@ -146,6 +147,7 @@ class TestExperimentDesign:
         (dict(designs=((1, 0.05),)), "n must be"),
         (dict(designs=((100, 0.0),)), "h must be"),
         (dict(designs=((100, -0.5),)), "h must be"),
+        (dict(designs=((100, math.inf),)), "h must be"),
     ])
     def test_validation(self, kwargs, msg):
         with pytest.raises(ValueError, match=msg):
@@ -186,6 +188,23 @@ class TestRunMc:
                 assert (a.estimates[k, 0], a.estimates[k, 1]) == (est.alpha_hat, est.gamma_hat)
                 euler, _ = _euler_columns(true_ou(), h, np.zeros(1), z[:, None])
                 assert np.max(np.abs(values[0] - euler[:, 0])) <= 1e-12 * np.max(np.abs(euler))
+
+    def test_independent_of_worker_count(self, monkeypatch):
+        # 130 replications end in a short block; the blocks' results are
+        # joined in replication order whatever the number of workers
+        design = ExperimentDesign("ii", designs=((250, 0.04), (400, 0.02)), replications=130, seed=7)
+        want = json.dumps(run_mc(design).to_obj())
+        for workers in (1, 3):
+            monkeypatch.setattr(_util, "_pool_size", lambda tasks, n=workers: n)
+            obj = run_mc(design).to_obj()
+            assert all(len(d["estimates"]) == 130 for d in obj["designs"])
+            assert json.dumps(obj) == want, workers
+
+    def test_non_finite_start_rejected(self):
+        design = ExperimentDesign("i", designs=((100, 0.05),), replications=100)
+        for x0 in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="x0 must be finite"):
+                run_mc(design, x0=x0)
 
     def test_zero_scale_truth_every_gamma_at_box_edge(self):
         # a zero true scale keeps every path constant at x0: each replication
