@@ -12,6 +12,8 @@ import numpy as np
 
 # the most worker threads of the core pool
 _MAX_WORKERS = 4
+# contiguous batches of batch_means_se
+_N_BATCHES = 30
 
 
 class NumericalError(RuntimeError):
@@ -54,17 +56,17 @@ def core_map(fn: Callable, items: Iterable) -> Iterator:
         yield from pool.map(fn, items)
 
 
-def batch_means_se(samples: np.ndarray, n_batches: int = 30) -> float:
+def batch_means_se(samples: np.ndarray) -> float:
     """Standard error of the mean of a (possibly serially correlated) series.
 
-    Splits the series into ``n_batches`` contiguous batches and uses the
+    Splits the series into ``_N_BATCHES`` contiguous batches and uses the
     spread of batch means.  Falls back to fewer batches for short series.
     """
     x = np.asarray(samples, dtype=float).ravel()
     n = x.size
     if n < 2:
         return float("inf")
-    b = min(n_batches, n // 2)
+    b = min(_N_BATCHES, n // 2)
     if b < 2:
         return float(np.std(x, ddof=1) / np.sqrt(n))
     m = n // b

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from ._util import NumericalError, batch_means_se, core_map, substream
 from .gqmle import ModelSpec, _criterion_terms
@@ -66,10 +65,16 @@ _CHUNK_STEPS = 500
 # steps per invariant-path chunk
 _INVARIANT_CHUNK = 2_000_000
 # Sigma averages over at most this many pi_0 states, thinned evenly, taken
-# this many at a time through jump-quadrature nodes of this relative tolerance
+# this many at a time through the jump-quadrature nodes
 _SIGMA_STATES = 4000
 _SIGMA_CHUNK = 500
-_SIGMA_REL_TOL = 1e-9
+# trapezoid step of invariant_char's time integral
+_CHAR_STEP = 0.01
+# martingale_check's Euler step, lags in steps (the last is the horizon of 2
+# time units), and starts
+_MARTINGALE_STEP = 0.01
+_MARTINGALE_LAGS = (50, 100, 200)
+_MARTINGALE_STARTS = (-1.5, 0.0, 1.5)
 
 
 class MixingError(NumericalError):
@@ -146,10 +151,12 @@ def sample_invariant(
     """
     if budget < 1000:
         raise ValueError(f"budget must be at least 1000, got {budget}")
-    if spacing < 1.0:
-        raise ValueError(f"thinning spacing must be >= 1 time unit, got {spacing}")
-    if burn_in < 0.0 or step <= 0.0:
-        raise ValueError("burn_in must be >= 0 and step > 0")
+    if not 1.0 <= spacing < math.inf:
+        raise ValueError(f"spacing must be finite and >= 1 time unit, got {spacing}")
+    if not 0.0 <= burn_in < math.inf:
+        raise ValueError(f"burn_in must be finite and >= 0, got {burn_in}")
+    if not 0.0 < step < math.inf:
+        raise ValueError(f"step must be finite and > 0, got {step}")
     rate, mean, sigma = _linear_ou_form(model)
     if rate * step >= 1.0:
         raise ValueError("step too coarse: rate*step must be < 1")
@@ -193,25 +200,19 @@ def sample_invariant(
     return InvariantSample(states, burn_in, spacing, seed, step)
 
 
-def invariant_char(
-    noise: LevyLaw,
-    u: float | np.ndarray,
-    rate: float = 0.5,
-    sigma: float = 1.0,
-    mean: float = 0.0,
-    t_max: float = 80.0,
-    step: float = 0.01,
-) -> np.ndarray:
-    """Characteristic function of pi_0 for the linear catalog model.
+def invariant_char(model: TrueModel, noise: LevyLaw, u: float | np.ndarray) -> np.ndarray:
+    """Characteristic function of pi_0 for an ergodic affine model.
 
     p_hat(u) = exp(i u mean) * exp( int_0^inf psi(sigma e^{-rate s} u) ds ),
-    truncated at ``t_max`` where the damped argument is negligible.
+    truncated at s = 40 / rate, where the damped argument is e^-40 of u,
+    and integrated by the trapezoid rule at step ``_CHAR_STEP``.
     """
+    rate, mean, sigma = _linear_ou_form(model)
     u_arr = np.atleast_1d(np.asarray(u, dtype=float))
-    s = np.arange(0.0, t_max + step, step)
+    s = np.arange(0.0, 40.0 / rate + _CHAR_STEP, _CHAR_STEP)
     damp = sigma * np.exp(-rate * s)
     vals = char_exponent(noise, np.outer(damp, u_arr))
-    integral = np.trapezoid(vals, dx=step, axis=0)
+    integral = np.trapezoid(vals, dx=_CHAR_STEP, axis=0)
     out = np.exp(1j * u_arr * mean + integral)
     return out if np.ndim(u) else complex(out[0])
 
@@ -332,7 +333,8 @@ def epe_solve(
     the centering is gated at three batch-means standard errors against
     ``inv`` (sampled internally when not supplied), before any path is
     drawn, because a non-centered g makes the time integral diverge
-    linearly.  ``t_max`` and ``step`` must be finite.
+    linearly.  ``t_max`` and ``step`` must be finite, and ``t_max`` must
+    round to at least one step.
 
     All grid points share one panel of ``m`` Euler paths (common random
     numbers).  The Euler recursion is the AR(1) of ``sde._step_map``,
@@ -355,8 +357,10 @@ def epe_solve(
     ``t_max``, discounted at the known mixing rate, with a 3-sigma allowance
     for the Monte Carlo fluctuation of everything beyond the horizon.
     """
-    if not (0 < t_max < math.inf and 0 < step < math.inf) or m < 30:
-        raise ValueError(f"need finite t_max > 0, m >= 30, finite step > 0; got {t_max}, {m}, {step}")
+    if not (0 < t_max < math.inf and 0 < step < math.inf) or round(t_max / step) < 1 or m < 30:
+        raise ValueError(
+            f"need finite t_max of at least one finite step > 0 and m >= 30; got {t_max}, {step}, {m}"
+        )
     rate = _linear_ou_form(model)[0]
     if inv is None:
         inv = sample_invariant(model, noise, seed=seed)
@@ -446,52 +450,44 @@ class MartingaleReport:
     def max_abs_z(self) -> float:
         return float(np.max(self.zscores))
 
-    def to_obj(self) -> dict:
-        return {
-            "starts": self.starts.tolist(),
-            "lags": self.lags.tolist(),
-            "means": self.means.tolist(),
-            "ses": self.ses.tolist(),
-            "max_abs_z": self.max_abs_z,
-        }
-
 
 def martingale_check(
     f: EPEApprox | Callable[[np.ndarray], np.ndarray],
     g: Callable[[np.ndarray], np.ndarray],
     model: TrueModel,
     noise: LevyLaw,
-    horizon: float = 2.0,
     reps: int = 4000,
     seed: int = 0,
-    starts: tuple[float, ...] = (-1.5, 0.0, 1.5),
-    step: float = 0.01,
 ) -> MartingaleReport:
-    """Estimate the martingale-increment means over a (start, lag) panel."""
-    if horizon <= 0 or reps < 30:
-        raise ValueError("need horizon > 0 and reps >= 30")
-    steps = int(round(horizon / step))
-    lag_idx = sorted({max(1, steps // 4), max(1, steps // 2), steps})
+    """Estimate the martingale-increment means over a (start, lag) panel.
+
+    The starts are ``_MARTINGALE_STARTS`` and the lags ``_MARTINGALE_LAGS``
+    Euler steps of ``_MARTINGALE_STEP``; the time integral to each lag is
+    the trapezoid rule on the simulation grid, as in :func:`epe_solve`.
+    """
+    if reps < 30:
+        raise ValueError(f"need reps >= 30, got {reps}")
+    step, steps = _MARTINGALE_STEP, _MARTINGALE_LAGS[-1]
     z = _chunked_increments(noise, step, steps, reps, seed, _TAG_MARTINGALE).T
     values = np.empty((reps, steps + 1))
-    means = np.empty((len(starts), len(lag_idx)))
+    means = np.empty((len(_MARTINGALE_STARTS), len(_MARTINGALE_LAGS)))
     ses = np.empty_like(means)
-    for i, x0 in enumerate(starts):
+    for i, x0 in enumerate(_MARTINGALE_STARTS):
         values[:, 0] = x0
         values[:, 1:] = z
         first_bad = _affine_paths(model, step, x0, values[:, 1:])
         if (first_bad >= 0).any():
             raise DivergenceError(int(first_bad[first_bad >= 0][0]))
         gx = np.asarray(g(values), dtype=float)
-        cum = cumulative_trapezoid(gx, dx=step, axis=1, initial=0.0)
         f0 = float(np.asarray(f(np.float64(x0))))
-        for j, k in enumerate(lag_idx):
-            d = np.asarray(f(values[:, k]), dtype=float) + cum[:, k] - f0
+        for j, k in enumerate(_MARTINGALE_LAGS):
+            integral = step * (gx[:, : k + 1].sum(axis=1) - 0.5 * (gx[:, 0] + gx[:, k]))
+            d = np.asarray(f(values[:, k]), dtype=float) + integral - f0
             means[i, j] = float(np.mean(d))
             ses[i, j] = batch_means_se(d)
     return MartingaleReport(
-        np.asarray(starts, dtype=float),
-        step * np.asarray(lag_idx, dtype=float),
+        np.array(_MARTINGALE_STARTS),
+        step * np.array(_MARTINGALE_LAGS, dtype=float),
         means,
         ses,
     )
@@ -602,7 +598,7 @@ def _sigma_full(
     if states.size > _SIGMA_STATES:
         stride = states.size // _SIGMA_STATES
         states = states[::stride][:_SIGMA_STATES]
-    z, w, qstep = _converged_nodes(noise, _SIGMA_REL_TOL)
+    z, w, qstep = _converged_nodes(noise)
     coarse = _assemble_sigma(_sigma_terms(model, true_model, theta_star, states, f1, f2, z, w))
     z2, w2 = _nodes_at(noise, qstep / 2.0)
     fine_terms = _sigma_terms(model, true_model, theta_star, states, f1, f2, z2, w2)

@@ -195,7 +195,7 @@ def _cmd_estimate(ns, cfg) -> int:
         raise _UsageError("estimate needs --path FILE")
     path = load_path(source)
     est = estimate_staged(path, benchmark_model())
-    text = est.to_json()
+    text = json.dumps(est.to_obj())
     print(text)
     out_dir = _out_dir(ns, cfg)
     if out_dir is not None:

@@ -10,7 +10,7 @@ for their closed forms.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,8 +22,6 @@ __all__ = [
     "ConstantScale",
     "DriftFamily",
     "ScaleFamily",
-    "family_to_obj",
-    "family_from_obj",
 ]
 
 
@@ -32,7 +30,6 @@ class MeanRevertLinear:
     """a(x, alpha) = alpha (m - x)."""
 
     m: float = 1.0
-    name = "mean_revert_linear"
 
     def basis(self, x):
         return self.m - np.asarray(x, dtype=float)
@@ -45,8 +42,6 @@ class MeanRevertLinear:
 class ConstantDrift:
     """a(x, alpha) = alpha."""
 
-    name = "constant_drift"
-
     def basis(self, x):
         return np.ones_like(np.asarray(x, dtype=float))
 
@@ -57,8 +52,6 @@ class ConstantDrift:
 @dataclass(frozen=True)
 class LinearDecay:
     """a(x, alpha) = -alpha x."""
-
-    name = "linear_decay"
 
     def basis(self, x):
         return -np.asarray(x, dtype=float)
@@ -71,8 +64,6 @@ class LinearDecay:
 class RationalSqrt:
     """c(x, gamma) = gamma (1 + x^2)^{-1/2}."""
 
-    name = "rational_sqrt"
-
     def profile(self, x):
         return 1.0 / np.sqrt(1.0 + np.asarray(x, dtype=float) ** 2)
 
@@ -84,8 +75,6 @@ class RationalSqrt:
 class ConstantScale:
     """c(x, gamma) = gamma."""
 
-    name = "constant_scale"
-
     def profile(self, x):
         return np.ones_like(np.asarray(x, dtype=float))
 
@@ -95,15 +84,3 @@ class ConstantScale:
 
 DriftFamily = MeanRevertLinear | ConstantDrift | LinearDecay
 ScaleFamily = RationalSqrt | ConstantScale
-
-_BY_NAME = {
-    cls.name: cls for cls in (MeanRevertLinear, ConstantDrift, LinearDecay, RationalSqrt, ConstantScale)
-}
-
-
-def family_to_obj(fam: DriftFamily | ScaleFamily) -> dict:
-    return {"family": fam.name, "params": asdict(fam)}
-
-
-def family_from_obj(obj: dict) -> DriftFamily | ScaleFamily:
-    return _BY_NAME[obj["family"]](**obj.get("params", {}))

@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import partial
 
 import numpy as np
-from scipy.stats import norm as _norm
+from scipy.special import ndtri
 
 from ._util import NumericalError, atomic_write_text, core_map, substream
 from .coefficients import ConstantScale, LinearDecay, MeanRevertLinear, RationalSqrt
@@ -60,6 +60,8 @@ _TAG_MC = 5501  # replication increment streams hang off (seed, tag, design, k)
 # replications per block: the blocks in flight on the core pool hold the only
 # per-replication arrays alive, and two 16-row blocks hold as much as one of 32
 _FIT_ROWS = 16
+# a design with more failed (divergent) replications than this raises
+_MAX_FAILURE_FRACTION = 0.01
 
 
 class ExperimentError(NumericalError):
@@ -172,25 +174,6 @@ class ExperimentDesign:
         object.__setattr__(self, "designs", ds)
         if self.replications < 100:
             raise ValueError(f"replications must be >= 100, got {self.replications}")
-
-    def to_obj(self) -> dict:
-        return {
-            "case": self.case,
-            "designs": [[n, h] for n, h in self.designs],
-            "replications": self.replications,
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_obj(cls, obj: dict) -> "ExperimentDesign":
-        kwargs = {"case": obj["case"]}
-        if "designs" in obj:
-            kwargs["designs"] = tuple((int(n), float(h)) for n, h in obj["designs"])
-        if "replications" in obj:
-            kwargs["replications"] = int(obj["replications"])
-        if "seed" in obj:
-            kwargs["seed"] = int(obj["seed"])
-        return cls(**kwargs)
 
 
 @dataclass(frozen=True, eq=False)
@@ -324,7 +307,8 @@ def _mc_block(
     good = first_bad < 0
     if not good.any():
         return failures, np.empty(0), np.empty(0), np.empty(0, dtype=bool)
-    return failures, *_fit_rows(model, values if good.all() else values[good], h)
+    alpha, gamma, (clamped1, _), (clamped2, _) = _fit_rows(model, values if good.all() else values[good], h)
+    return failures, alpha, gamma, clamped1 | clamped2
 
 
 def run_mc(
@@ -333,7 +317,6 @@ def run_mc(
     true_model: TrueModel | None = None,
     theta_star: tuple[float, float] | None = None,
     x0: float = 0.0,
-    max_failure_fraction: float = 0.01,
 ) -> McSummary:
     """Simulate-and-fit replication study over the design grids.
 
@@ -350,7 +333,7 @@ def run_mc(
     path, and the blocks' results are joined in replication order, so
     nothing depends on the number of workers.
     Failed replications (divergent paths) are excluded and counted; once a
-    design is done, more than ``max_failure_fraction`` of them raises
+    design is done, more than ``_MAX_FAILURE_FRACTION`` (1%) of them raises
     ExperimentError.  Defaults reproduce the benchmark study from x0 = 0,
     which must be finite.
     """
@@ -374,7 +357,7 @@ def run_mc(
             alphas.append(alpha)
             gammas.append(gamma)
             boundary += int(np.count_nonzero(clamped))
-        if len(failures) > max_failure_fraction * R:
+        if len(failures) > _MAX_FAILURE_FRACTION * R:
             raise ExperimentError(
                 f"{len(failures)} of {R} replications failed at design (n={n}, h={h}); "
                 f"first: {failures[0]}"
@@ -423,21 +406,6 @@ class NormalityReport:
     coverage_gamma: float = 0.0
     coverage_alpha: float = 0.0
 
-    def to_obj(self) -> dict:
-        return {
-            "n": self.n,
-            "h": self.h,
-            "n_used": self.n_used,
-            "rel_diff": self.rel_diff.tolist(),
-            "diag_rel": list(self.diag_rel),
-            "levels": list(self.levels),
-            "normal_quantiles": list(self.normal_quantiles),
-            "quantiles_gamma": list(self.quantiles_gamma),
-            "quantiles_alpha": list(self.quantiles_alpha),
-            "coverage_gamma": self.coverage_gamma,
-            "coverage_alpha": self.coverage_alpha,
-        }
-
 
 def normality_check(summary: McSummary, v: np.ndarray, design_index: int = -1) -> NormalityReport:
     """Compare sqrt(T) (theta_hat - theta*) replications against N(0, V).
@@ -455,7 +423,7 @@ def normality_check(summary: McSummary, v: np.ndarray, design_index: int = -1) -
     T = d.T
     zg = math.sqrt(T) * (d.estimates[:, 1] - summary.theta_star[1]) / math.sqrt(v[0, 0])
     za = math.sqrt(T) * (d.estimates[:, 0] - summary.theta_star[0]) / math.sqrt(v[1, 1])
-    zc = float(_norm.ppf(0.975))
+    zc = float(ndtri(0.975))
     return NormalityReport(
         n=d.n,
         h=d.h,
@@ -463,7 +431,7 @@ def normality_check(summary: McSummary, v: np.ndarray, design_index: int = -1) -
         rel_diff=rel,
         diag_rel=(float(abs(rel[0, 0])), float(abs(rel[1, 1]))),
         levels=_QUANTILE_LEVELS,
-        normal_quantiles=tuple(float(q) for q in _norm.ppf(_QUANTILE_LEVELS)),
+        normal_quantiles=tuple(float(q) for q in ndtri(_QUANTILE_LEVELS)),
         quantiles_gamma=tuple(float(q) for q in np.quantile(zg, _QUANTILE_LEVELS)),
         quantiles_alpha=tuple(float(q) for q in np.quantile(za, _QUANTILE_LEVELS)),
         coverage_gamma=float(np.mean(np.abs(zg) <= zc)),

@@ -18,22 +18,18 @@ block, and each row reduces exactly as a lone path would.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .coefficients import DriftFamily, ScaleFamily, family_from_obj, family_to_obj
+from .coefficients import DriftFamily, ScaleFamily
 from .sde import SamplePath
 
 __all__ = [
     "ModelSpec",
-    "StageResult",
     "EstimateResult",
     "g1_eval",
     "g2_eval",
-    "estimate_scale",
-    "estimate_drift",
     "estimate_staged",
 ]
 
@@ -57,62 +53,27 @@ class ModelSpec:
         if not (0.0 < self.gamma_box[0] < self.gamma_box[1]):
             raise ValueError(f"gamma_box must be an interval bounded away from 0, got {self.gamma_box}")
 
-    def to_obj(self) -> dict:
-        return {
-            "drift": family_to_obj(self.drift),
-            "scale": family_to_obj(self.scale),
-            "alpha_box": list(self.alpha_box),
-            "gamma_box": list(self.gamma_box),
-        }
-
-    @classmethod
-    def from_obj(cls, obj: dict) -> "ModelSpec":
-        return cls(
-            drift=family_from_obj(obj["drift"]),
-            scale=family_from_obj(obj["scale"]),
-            alpha_box=tuple(obj.get("alpha_box", (0.0, 10.0))),
-            gamma_box=tuple(obj.get("gamma_box", (0.05, 20.0))),
-        )
-
-
-@dataclass(frozen=True)
-class StageResult:
-    estimate: float
-    objective: float
-    gradient: float
-    method: str  # "closed-form", the only method; kept in the estimate JSON
-    iterations: int = 0
-    converged: bool = True
-    boundary: bool = False
-    degenerate: bool = False
-
 
 @dataclass(frozen=True)
 class EstimateResult:
+    """Both stage estimates, the criteria at them, and each stage's flags.
+
+    A stage is ``boundary`` when its estimate was clamped to the box and
+    ``degenerate`` when the path carries no information for it; a
+    degenerate stage is also a boundary one.
+    """
+
     gamma_hat: float
     alpha_hat: float
     g1_value: float
     g2_value: float
-    stage1: StageResult = field(repr=False)
-    stage2: StageResult = field(repr=False)
+    stage1_boundary: bool
+    stage1_degenerate: bool
+    stage2_boundary: bool
+    stage2_degenerate: bool
 
     def to_obj(self) -> dict:
-        obj = {
-            "gamma_hat": self.gamma_hat,
-            "alpha_hat": self.alpha_hat,
-            "g1_value": self.g1_value,
-            "g2_value": self.g2_value,
-        }
-        for tag, st in (("stage1", self.stage1), ("stage2", self.stage2)):
-            obj[f"{tag}_method"] = st.method
-            obj[f"{tag}_iterations"] = st.iterations
-            obj[f"{tag}_converged"] = st.converged
-            obj[f"{tag}_boundary"] = st.boundary
-            obj[f"{tag}_degenerate"] = st.degenerate
-        return obj
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_obj())
+        return asdict(self)
 
 
 def _check_scale(c: np.ndarray) -> None:
@@ -208,53 +169,27 @@ def _fit_drift(model: ModelSpec, x: np.ndarray, m1: np.ndarray, h: float, gamma:
 def _fit_rows(model: ModelSpec, values: np.ndarray, h: float):
     """Both stages for every row of a (R, n+1) block of paths on step h.
 
-    Returns (alpha, gamma, boundary) of shape (R,); ``boundary`` marks a
-    row where either stage was clamped to its box or degenerate.
+    Returns alpha and gamma of shape (R,), then stage one's and stage two's
+    (boundary, degenerate) masks, each of shape (R,).
     """
     x = values[:, :-1]
     dx = np.diff(values, axis=1)
-    gamma, clamped1, _ = _fit_scale(model, x, dx**2, h)
-    alpha, clamped2, _ = _fit_drift(model, x, dx, h, gamma)
-    return alpha, gamma, clamped1 | clamped2
-
-
-def estimate_scale(path: SamplePath, model: ModelSpec) -> StageResult:
-    """Stage one: the closed-form maximizer of the drift-free quasi-likelihood,
-    gamma^2 = (1/(n h)) sum (D_j X)^2 / profile_{j-1}^2, clamped to the gamma
-    box.  A degenerate path (zero quadratic variation) returns the lower box
-    edge, flagged.
-    """
-    dx = path.increments()[None]
-    gamma, boundary, degenerate = _fit_scale(model, path.values[None, :-1], dx**2, path.h)
-    est = float(gamma[0])
-    v, g, _ = g1_eval(path, model, est)
-    return StageResult(est, v, g, "closed-form", 0, True, bool(boundary[0]), bool(degenerate[0]))
-
-
-def estimate_drift(path: SamplePath, model: ModelSpec, gamma_hat: float) -> StageResult:
-    """Stage two: weighted least squares for alpha with gamma_hat in the weights.
-
-    alpha = sum(D_j X b_{j-1}/c_{j-1}^2) / (h sum b_{j-1}^2/c_{j-1}^2),
-    clamped to the alpha box, where b is the drift basis; a vanishing
-    denominator returns the lower box edge, flagged degenerate.
-    """
-    alpha, boundary, degenerate = _fit_drift(
-        model, path.values[None, :-1], path.increments()[None], path.h, np.array([float(gamma_hat)])
-    )
-    est, boundary, degenerate = float(alpha[0]), bool(boundary[0]), bool(degenerate[0])
-    v, g, _ = g2_eval(path, model, gamma_hat, est)
-    return StageResult(est, v, g, "closed-form", 0, not degenerate, boundary, degenerate)
+    gamma, *stage1 = _fit_scale(model, x, dx**2, h)
+    alpha, *stage2 = _fit_drift(model, x, dx, h, gamma)
+    return alpha, gamma, stage1, stage2
 
 
 def estimate_staged(path: SamplePath, model: ModelSpec) -> EstimateResult:
-    """Run both stages and aggregate diagnostics."""
-    s1 = estimate_scale(path, model)
-    s2 = estimate_drift(path, model, s1.estimate)
+    """Both stages on one path: :func:`_fit_rows` on a one-row block, with
+    both criteria evaluated at the estimates.
+
+    Stage one clamps gamma to its box, and a path with zero quadratic
+    variation is degenerate at the lower edge; stage two clamps alpha, and
+    a vanishing weighted-LS denominator is degenerate at the lower edge.
+    """
+    alpha, gamma, (b1, d1), (b2, d2) = _fit_rows(model, path.values[None], path.h)
+    gamma_hat, alpha_hat = float(gamma[0]), float(alpha[0])
+    stage1, stage2 = _path_criteria(path, model, gamma_hat, alpha_hat)
     return EstimateResult(
-        gamma_hat=s1.estimate,
-        alpha_hat=s2.estimate,
-        g1_value=s1.objective,
-        g2_value=s2.objective,
-        stage1=s1,
-        stage2=s2,
+        gamma_hat, alpha_hat, stage1[0], stage2[0], bool(b1[0]), bool(d1[0]), bool(b2[0]), bool(d2[0])
     )

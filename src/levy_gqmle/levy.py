@@ -245,6 +245,7 @@ def _tail_rates(law: LevyLaw) -> tuple[float, float]:
 
 
 _U_LO = -30.0  # log |z| cutoff near the origin; controlled by the BG index < 2
+_NODES_REL_TOL = 1e-9
 
 
 def _nodes_at(law: LevyLaw, step: float) -> tuple[np.ndarray, np.ndarray]:
@@ -269,8 +270,9 @@ def _nodes_at(law: LevyLaw, step: float) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate(zs), np.concatenate(ws)
 
 
-def _converged_nodes(law: LevyLaw, rel_tol: float = 1e-9) -> tuple[np.ndarray, np.ndarray, float]:
-    """Node/weight grid at a step validated on polynomial probes up to z^4.
+def _converged_nodes(law: LevyLaw) -> tuple[np.ndarray, np.ndarray, float]:
+    """Node/weight grid at a step validated on polynomial probes up to z^4,
+    whose values agree with the previous step's to ``_NODES_REL_TOL``.
 
     Returns ``(z, w, step)``; callers doing many integrals against the same
     law reuse the grid and confirm convergence with one half-step check on
@@ -282,7 +284,7 @@ def _converged_nodes(law: LevyLaw, rel_tol: float = 1e-9) -> tuple[np.ndarray, n
     for _ in range(12):
         z, w = _nodes_at(law, step)
         vals = np.array([np.dot(p(z), w) for p in probes])
-        if prev is not None and np.all(np.abs(vals - prev) <= rel_tol * np.maximum(np.abs(vals), 1.0)):
+        if prev is not None and np.all(np.abs(vals - prev) <= _NODES_REL_TOL * np.maximum(np.abs(vals), 1.0)):
             return z, w, step
         prev = vals
         step /= 2

@@ -27,8 +27,6 @@ from .coefficients import (
     LinearDecay,
     MeanRevertLinear,
     ScaleFamily,
-    family_from_obj,
-    family_to_obj,
 )
 from .levy import LevyLaw, sample_increments
 
@@ -48,6 +46,9 @@ DIVERGENCE_BOUND = 1e12
 # cells per block of the filter here and of asymptotics' EPE and Gamma
 # evaluations: a block of temporaries stays in cache
 _BLOCK_CELLS = 1 << 16
+# growth exponent and start grid of small_time_moment_check
+_SMALL_TIME_K = 2.0
+_SMALL_TIME_GRID = np.linspace(-3.0, 3.0, 13)
 
 
 class DivergenceError(NumericalError):
@@ -72,23 +73,6 @@ class TrueModel:
 
     def C(self, x):
         return self.scale_family.value(x, self.scale_param)
-
-    def to_obj(self) -> dict:
-        return {
-            "drift": family_to_obj(self.drift_family),
-            "drift_param": self.drift_param,
-            "scale": family_to_obj(self.scale_family),
-            "scale_param": self.scale_param,
-        }
-
-    @classmethod
-    def from_obj(cls, obj: dict) -> "TrueModel":
-        return cls(
-            drift_family=family_from_obj(obj["drift"]),
-            drift_param=float(obj["drift_param"]),
-            scale_family=family_from_obj(obj["scale"]),
-            scale_param=float(obj["scale_param"]),
-        )
 
 
 @dataclass(frozen=True)
@@ -119,19 +103,6 @@ class PathConfig:
     @property
     def T(self) -> float:
         return self.n * self.h
-
-    def to_obj(self) -> dict:
-        return {"n": self.n, "h": self.h, "x0": self.x0, "seed": self.seed, "refine": self.refine}
-
-    @classmethod
-    def from_obj(cls, obj: dict) -> "PathConfig":
-        return cls(
-            n=int(obj["n"]),
-            h=float(obj["h"]),
-            x0=float(obj.get("x0", 0.0)),
-            seed=int(obj.get("seed", 0)),
-            refine=int(obj.get("refine", 1)),
-        )
 
 
 @dataclass(frozen=True)
@@ -306,20 +277,17 @@ def small_time_moment_check(
     cfg: PathConfig,
     p: float,
     reps: int,
-    K: float = 2.0,
-    grid: np.ndarray | None = None,
 ) -> SmallTimeReport:
     """Monte Carlo check of the small-time moment bound E^x|X_h - x|^p <~ h (1 + |x|^K).
 
-    Requires p in (max(1, BG-index), 2).  The bound itself carries unknown
+    Requires p in (max(1, BG-index), 2).  K is ``_SMALL_TIME_K`` and the
+    starts x are ``_SMALL_TIME_GRID``.  The bound itself carries unknown
     constants; the usable diagnostic is that the ratio stays bounded as h
     is halved.
     """
     if not (1.0 < p < 2.0) or p <= noise.bg_index:
         raise ValueError(f"p must lie in (max(1, BG-index), 2), got p={p}")
-    if grid is None:
-        grid = np.linspace(-3.0, 3.0, 13)
-    grid = np.asarray(grid, dtype=float)
+    K, grid = _SMALL_TIME_K, _SMALL_TIME_GRID.copy()
     ratios = np.empty((2, grid.size))
     h_values = (cfg.h, cfg.h / 2.0)
     for i, h in enumerate(h_values):

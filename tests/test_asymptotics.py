@@ -165,6 +165,12 @@ class TestSampleInvariant:
         with pytest.raises(ValueError, match="budget"):
             sample_invariant(OU, CASE_I, budget=500)
 
+    @pytest.mark.parametrize("name", ["step", "burn_in", "spacing"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_non_finite_parameter_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            sample_invariant(OU, CASE_I, **{name: value})
+
     def test_catalog_restriction(self):
         bad_scale = TrueModel(LinearDecay(), 0.5, RationalSqrt(), 1.0)
         with pytest.raises(ValueError, match="constant true scale"):
@@ -186,7 +192,7 @@ class TestSampleInvariant:
         # time-integral representation of the invariant CF
         x = inv_i.states
         for u in (0.5, 1.0, 2.0):
-            phat = invariant_char(CASE_I, u)
+            phat = invariant_char(OU, CASE_I, u)
             emp_re, se_re = _batched(x, lambda b, u=u: np.mean(np.cos(u * b)))
             emp_im, se_im = _batched(x, lambda b, u=u: np.mean(np.sin(u * b)))
             err = abs(phat - (emp_re + 1j * emp_im))
@@ -304,6 +310,11 @@ class TestEPESolve:
         lo_slope = (1.0 - 4.0) / 1.0
         assert f(-5.0) == pytest.approx(4.0 + lo_slope * -3.0)
 
+    def test_horizon_below_one_step_rejected(self, inv_i):
+        # 0.004 / 0.01 rounds to zero steps: refused before any path is drawn
+        with pytest.raises(ValueError, match="at least one"):
+            epe_solve(lambda x: np.asarray(x, float) * 0, OU, CASE_I, t_max=0.004, m=60, inv=inv_i)
+
     def test_approx_validation(self):
         with pytest.raises(ValueError, match="increasing"):
             EPEApprox(np.array([0.0, 0.0]), np.zeros(2), np.zeros(2), 1.0, 30, np.zeros(2))
@@ -335,13 +346,6 @@ class TestMartingaleCheck:
         g = _epe_rhs(BENCH, OU, (oracle_i.alpha_star, oracle_i.gamma_star))
         rep = martingale_check(res_i.f1, lambda x: g(x)[0], OU, CASE_I, reps=4000, seed=13)
         assert rep.max_abs_z <= 4.0
-
-    def test_report_serialization(self):
-        grid = np.linspace(-1, 1, 3)
-        f = EPEApprox(grid, np.zeros(3), np.zeros(3), 1.0, 30, np.zeros(3))
-        rep = martingale_check(f, lambda x: np.zeros_like(np.asarray(x, float)), OU, CASE_I, reps=50, seed=1)
-        obj = rep.to_obj()
-        assert set(obj) == {"starts", "lags", "means", "ses", "max_abs_z"}
 
 
 class TestGammaMatrix:

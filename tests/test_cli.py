@@ -124,6 +124,21 @@ class TestEstimate:
         on_disk = json.loads((tmp_path / "estimate.json").read_text())
         assert on_disk == obj
 
+    def test_json_keys(self, capsys, tmp_path):
+        invoke(capsys, "simulate", "--case", "ii", "--n", "500", "--seed", "4", "--out-dir", str(tmp_path))
+        code, out, _ = invoke(capsys, "estimate", "--path", str(tmp_path / "path.csv"))
+        assert code == 0
+        assert list(json.loads(out)) == [
+            "gamma_hat",
+            "alpha_hat",
+            "g1_value",
+            "g2_value",
+            "stage1_boundary",
+            "stage1_degenerate",
+            "stage2_boundary",
+            "stage2_degenerate",
+        ]
+
     def test_non_equispaced_grid_exits_one(self, capsys, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("t,x\n0,0\n0.5,0.1\n0.8,0.2\n")
@@ -310,6 +325,12 @@ class TestAsymptotics:
                               "--m", "50", "--t-max", "inf", "--out-dir", str(tmp_path))
         assert code == 1
         assert "finite t_max" in err
+
+    def test_horizon_below_one_step_exits_one(self, capsys, tmp_path):
+        code, _, err = invoke(capsys, "asymptotics", "--case", "i", "--budget", "1000",
+                              "--m", "50", "--t-max", "0.004", "--out-dir", str(tmp_path))
+        assert code == 1
+        assert "at least one" in err
 
     def test_svg_not_available(self, capsys, tmp_path):
         code, _, err = invoke(capsys, "asymptotics", "--format", "svg", "--out-dir", str(tmp_path))

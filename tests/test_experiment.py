@@ -131,16 +131,6 @@ class TestExperimentDesign:
     def test_case_normalized_on_construction(self):
         assert ExperimentDesign("(II)").case == "ii"
 
-    def test_roundtrip(self):
-        d = ExperimentDesign("iii", designs=((500, 0.1),), replications=250, seed=9)
-        obj = d.to_obj()
-        json.dumps(obj)  # must be serializable as-is
-        assert ExperimentDesign.from_obj(obj) == d
-
-    def test_from_obj_defaults(self):
-        d = ExperimentDesign.from_obj({"case": "i"})
-        assert d == ExperimentDesign("i")
-
     @pytest.mark.parametrize("kwargs,msg", [
         (dict(replications=99), "replications"),
         (dict(designs=()), "at least one"),
@@ -213,7 +203,7 @@ class TestRunMc:
         design = ExperimentDesign("i", designs=((200, 0.05),), replications=100, seed=3)
         d = run_mc(design, true_model=truth).per_design[0]
         est = estimate_staged(SamplePath(h=0.05, values=np.zeros(201)), benchmark_model())
-        assert est.stage1.degenerate and est.stage1.boundary
+        assert est.stage1_degenerate and est.stage1_boundary
         assert d.n_failed == 0
         assert d.boundary_count == design.replications
         assert np.all(d.estimates[:, 1] == benchmark_model().gamma_box[0])
@@ -348,16 +338,6 @@ class TestNormalityCheck:
             normality_check(summary, np.eye(3))
         with pytest.raises(ValueError, match="positive diagonal"):
             normality_check(summary, np.array([[0.0, 0.0], [0.0, 1.0]]))
-
-    def test_report_serializes(self):
-        rng = np.random.default_rng(2)
-        est = np.column_stack([0.35 + 0.1 * rng.standard_normal(200),
-                               1.41 + 0.2 * rng.standard_normal(200)])
-        theta = optimal_values("i")
-        ds = summarize_replications(1000, 0.05, est, theta)
-        summary = McSummary(case="i", theta_star=theta, replications=200, seed=2, per_design=(ds,))
-        rep = normality_check(summary, np.eye(2))
-        json.dumps(rep.to_obj())
 
 
 class TestEmitReport:
