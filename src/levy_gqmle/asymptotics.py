@@ -35,7 +35,16 @@ from .levy import (
     cumulants,
     sample_increments,
 )
-from .sde import _BLOCK_CELLS, DIVERGENCE_BOUND, DivergenceError, TrueModel, _affine_form, _affine_paths, _step_map
+from .sde import (
+    _BLOCK_CELLS,
+    DIVERGENCE_BOUND,
+    DivergenceError,
+    TrueModel,
+    _affine_form,
+    _affine_paths,
+    _first_bad,
+    _step_map,
+)
 
 __all__ = [
     "AsymptoticsResult",
@@ -65,7 +74,8 @@ _CHUNK_STEPS = 500
 # steps per invariant-path chunk
 _INVARIANT_CHUNK = 2_000_000
 # Sigma averages over at most this many pi_0 states, thinned evenly, taken
-# this many at a time through the jump-quadrature nodes
+# this many at a time through the jump-quadrature nodes, one chunk per task
+# of the core pool
 _SIGMA_STATES = 4000
 _SIGMA_CHUNK = 500
 # trapezoid step of invariant_char's time integral
@@ -225,17 +235,37 @@ def _epe_rhs(
     Scale families are multiplicative, c = gamma p(x) with dc/dgamma = p(x),
     and drifts are linear, a = alpha b(x) with da/dalpha = b(x), so
     g_1 = c'(c^2 - C^2)/c^3 = (c^2 - C^2)/(gamma c^2) and
-    g_2 = b(A - a)/c^2 share one evaluation of the fitted scale.
+    g_2 = b(A - a)/c^2.  The true model is affine, A(x) = level - rate x
+    and C = sigma (``sde._affine_form``), and the scale family gives
+    q = 1/p(x)^2 in closed form, so
+
+      g_1 = (gamma^2 - sigma^2 q) / gamma^3,
+      g_2 = b (level - rate x - alpha b) q / gamma^2,
+
+    with no square root and no division by an array; a correct constant
+    scale (q = 1, gamma = sigma) gives g_1 = 0 exactly.  A call allocates
+    q (which becomes g_1), b, g_2 and one scratch array, and works in place
+    otherwise: ``epe_solve`` calls it on about 2e8 states, from the workers
+    of the core pool at once.
     """
     alpha_s, gamma_s = theta_star
+    rate, level, sigma = _affine_form(true_model)
     drift, scale = model.drift, model.scale
+    inv_g2, inv_g3 = 1.0 / gamma_s**2, 1.0 / gamma_s**3
 
     def g(x):
         x = np.asarray(x, dtype=float)
-        c2 = (gamma_s * scale.profile(x)) ** 2
-        g1 = (c2 - true_model.C(x) ** 2) / (gamma_s * c2)
-        g2 = drift.basis(x) * (true_model.A(x) - drift.value(x, alpha_s)) / c2
-        return g1, g2
+        q = scale.inv_profile2(x)
+        b = drift.basis(x)
+        g2 = np.multiply(x, -rate * inv_g2)
+        g2 += level * inv_g2
+        g2 += np.multiply(b, -alpha_s * inv_g2)
+        g2 *= b
+        g2 *= q
+        q *= -(sigma**2)  # q is fresh, so it becomes g_1 in place
+        q += gamma_s**2
+        q *= inv_g3
+        return q, g2
 
     return g
 
@@ -296,18 +326,33 @@ def _chunked_increments(
 
     Chunking makes the first ``k`` chunks identical whenever the horizon is
     extended, so runs at T and 2T share their common time range draw for
-    draw and tail-bound comparisons see only the added stretch.
+    draw and tail-bound comparisons see only the added stretch.  The chunks
+    are drawn on ``_util.core_map``, each task from its own substream
+    (seed, tag, chunk) into its own rows of the one output array, so the
+    result does not depend on the number of workers.
     """
     out = np.empty((steps, cols))
-    for ci in range(0, steps, _CHUNK_STEPS):
+
+    def draw(ci: int) -> None:
         k = min(_CHUNK_STEPS, steps - ci)
         rng = substream(seed, tag, ci // _CHUNK_STEPS)
         out[ci : ci + k] = sample_increments(noise, step, (k, cols), rng)
+
+    for _ in core_map(draw, range(0, steps, _CHUNK_STEPS)):
+        pass
     return out
 
 
 def _as_tuple(values) -> tuple:
     return values if isinstance(values, tuple) else (values,)
+
+
+def _check_epe_args(t_max: float, step: float, m: int) -> None:
+    """Refuse an EPE horizon, step or path count before anything is sampled."""
+    if not (0 < t_max < math.inf and 0 < step < math.inf) or round(t_max / step) < 1 or m < 30:
+        raise ValueError(
+            f"need finite t_max of at least one finite step > 0 and m >= 30; got {t_max}, {step}, {m}"
+        )
 
 
 def epe_solve(
@@ -334,33 +379,33 @@ def epe_solve(
     ``inv`` (sampled internally when not supplied), before any path is
     drawn, because a non-centered g makes the time integral diverge
     linearly.  ``t_max`` and ``step`` must be finite, and ``t_max`` must
-    round to at least one step.
+    round to at least one step (``_check_epe_args``, which
+    ``run_asymptotics`` also calls before it samples pi_0).
 
     All grid points share one panel of ``m`` Euler paths (common random
-    numbers).  The Euler recursion is the AR(1) of ``sde._step_map``,
-    which is affine in its start: X^x_k = rho^k x + Y_k, where Y is the
-    path started at zero.  ``sde._affine_paths`` filters the increment
-    panel into Y in place, once for every grid point.  A state that is
-    non-finite or beyond ``DIVERGENCE_BOUND`` raises
+    numbers), whose increments ``_chunked_increments`` draws on
+    ``_util.core_map``.  The Euler recursion is the AR(1) of
+    ``sde._step_map``, which is affine in its start: X^x_k = rho^k x + Y_k,
+    where Y is the path started at zero.  ``sde._affine_paths`` filters
+    the increment panel into Y in place, once for every grid point.  A
+    state that is non-finite or beyond ``DIVERGENCE_BOUND`` raises
     :class:`DivergenceError`; every grid point is gated, in grid order,
     before any is solved, so the error names the first failing point.  The
     grid points are then solved on ``_util.core_map``, one worker per
     usable core up to 4, all reading the one Y panel.  Each grid point's
     states are formed and evaluated in time blocks of max(1, 2^16 // m)
     steps, keeping only the running time sum and the first and last rows
-    of g, so a worker builds no temporary larger than a block.  The time
-    integral is the trapezoid rule on the simulation grid.  Each point's
-    (f, se, tail bound) column is stacked in grid order, so the result
-    does not depend on the number of workers.
+    of g, so a worker builds no temporary larger than a block; the
+    right-hand side ``run_asymptotics`` passes (``_epe_rhs``) is sqrt-free
+    and mostly in place.  The time integral is the trapezoid rule on the
+    simulation grid.  Each point's (f, se, tail bound) column is stacked
+    in grid order, so the result does not depend on the number of workers.
 
     The reported tail bound combines the conditional-mean remainder at
     ``t_max``, discounted at the known mixing rate, with a 3-sigma allowance
     for the Monte Carlo fluctuation of everything beyond the horizon.
     """
-    if not (0 < t_max < math.inf and 0 < step < math.inf) or round(t_max / step) < 1 or m < 30:
-        raise ValueError(
-            f"need finite t_max of at least one finite step > 0 and m >= 30; got {t_max}, {step}, {m}"
-        )
+    _check_epe_args(t_max, step, m)
     rate = _linear_ou_form(model)[0]
     if inv is None:
         inv = sample_invariant(model, noise, seed=seed)
@@ -475,7 +520,8 @@ def martingale_check(
     for i, x0 in enumerate(_MARTINGALE_STARTS):
         values[:, 0] = x0
         values[:, 1:] = z
-        first_bad = _affine_paths(model, step, x0, values[:, 1:])
+        _affine_paths(model, step, x0, values[:, 1:])
+        first_bad = _first_bad(values[:, 1:], x0)
         if (first_bad >= 0).any():
             raise DivergenceError(int(first_bad[first_bad >= 0][0]))
         gx = np.asarray(g(values), dtype=float)
@@ -556,14 +602,21 @@ def _sigma_terms(
     nodes: np.ndarray,
     weights: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-state inner jump integrals (S_gamma, S_alpha, S_cross)."""
+    """Per-state inner jump integrals (S_gamma, S_alpha, S_cross).
+
+    The states are taken ``_SIGMA_CHUNK`` at a time, each chunk a task on
+    ``_util.core_map`` that builds its (chunk, nodes) arrays and returns
+    its three rows; the rows are joined in state order.  Each state's
+    weighted sum over the nodes is one ``einsum`` row reduction, which
+    sums in the same order whatever the chunk around it.  (A BLAS
+    matrix-vector product does not: its rounding depends on how many rows
+    it gets and on its own threads.)  So the result does not depend on the
+    chunk size or on the number of workers.
+    """
     alpha_s, gamma_s = theta_star
-    n = states.size
-    s_g = np.empty(n)
-    s_a = np.empty(n)
-    s_x = np.empty(n)
     z = nodes[None, :]
-    for i in range(0, n, _SIGMA_CHUNK):
+
+    def chunk(i: int) -> np.ndarray:
         x = states[i : i + _SIGMA_CHUNK, None]
         c = model.scale.value(x, gamma_s)
         big_c = true_model.C(x)
@@ -572,9 +625,9 @@ def _sigma_terms(
         xz = x + big_c * z
         v1 = w_g * z**2 + f1(xz) - f1(x)
         v2 = w_a * z + f2(xz) - f2(x)
-        s_g[i : i + _SIGMA_CHUNK] = (v1 * v1) @ weights
-        s_a[i : i + _SIGMA_CHUNK] = (v2 * v2) @ weights
-        s_x[i : i + _SIGMA_CHUNK] = (v1 * v2) @ weights
+        return np.stack([np.einsum("ij,ij,j->i", a, b, weights) for a, b in ((v1, v1), (v2, v2), (v1, v2))])
+
+    s_g, s_a, s_x = np.concatenate(list(core_map(chunk, range(0, states.size, _SIGMA_CHUNK))), axis=1)
     return s_g, s_a, s_x
 
 
@@ -593,7 +646,12 @@ def _sigma_full(
     f2: Callable,
     noise: LevyLaw,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(Sigma, entrywise standard errors) with a half-step quadrature gate."""
+    """(Sigma, entrywise standard errors) with a half-step quadrature gate.
+
+    Both quadratures, at the converged node step and at half of it, run
+    ``_sigma_terms`` with its state chunks on ``_util.core_map``, so Sigma
+    and its errors do not depend on the number of workers.
+    """
     states = inv.states
     if states.size > _SIGMA_STATES:
         stride = states.size // _SIGMA_STATES
@@ -670,6 +728,7 @@ def run_asymptotics(
     """
     if isinstance(noise, Brownian):
         raise ValueError("asymptotics pipeline needs a pure-jump noise")
+    _check_epe_args(t_max, step, m)
     inv = sample_invariant(true_model, noise, budget=budget, seed=seed, step=step)
     base = np.quantile(inv.states, np.linspace(0.01, 0.99, grid_points))
     reach = 8.0 / min(_tail_rates(noise))

@@ -32,7 +32,7 @@ from .levy import (
     sample_increments,
     standardization_check,
 )
-from .sde import TrueModel, _affine_paths
+from .sde import TrueModel, _affine_paths, _first_bad
 
 __all__ = [
     "CASES",
@@ -302,7 +302,8 @@ def _mc_block(
     values[:, 0] = x0
     for j, k in enumerate(ks):
         values[j, 1:] = sample_increments(law, h, n, substream(*address, k))
-    first_bad = _affine_paths(true_model, h, x0, values[:, 1:])
+    _affine_paths(true_model, h, x0, values[:, 1:])
+    first_bad = _first_bad(values[:, 1:], x0)
     failures = [f"replication {k}: path diverged at step {b}" for k, b in zip(ks, first_bad) if b >= 0]
     good = first_bad < 0
     if not good.any():
@@ -325,9 +326,10 @@ def run_mc(
     replications run in blocks of 16 on ``_util.core_map``, one worker
     per usable core up to 4.  Each block fills its own (16, n+1) buffer
     whose column 0 holds x0: its increments are drawn into columns 1..n,
-    filtered there into paths in place by ``_affine_paths``, and its
-    surviving rows are fitted in the closed form.  Blocks have 16 rows so
-    that two workers hold as many temporaries as one 32-row block did.
+    filtered there into paths in place by ``_affine_paths``, scanned for
+    divergence by ``_first_bad``, and its surviving rows are fitted in the
+    closed form.  Blocks have 16 rows so that two workers hold as many
+    temporaries as one 32-row block did.
     Each row reduces along time exactly as a lone path does, so every
     estimate is bitwise equal to ``estimate_staged`` on that replication's
     path, and the blocks' results are joined in replication order, so

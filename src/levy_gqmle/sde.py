@@ -7,7 +7,8 @@ linear in the state, and the true scale must be constant, so the Euler
 scheme X_{k+1} = X_k + A(X_k) dt + C dZ_k is the AR(1) recursion
 X_{k+1} = rho X_k + scale dZ_k + shift, with coefficients from
 :func:`_step_map` alone.  Every path of the package, here, in ``run_mc`` and
-in ``asymptotics``, is filtered in place by :func:`_affine_paths`.
+in ``asymptotics``, is filtered in place by :func:`_affine_paths`, and
+the callers that act on divergence scan the result with :func:`_first_bad`.
 """
 
 from __future__ import annotations
@@ -158,17 +159,16 @@ def _step_map(model: TrueModel, dt: float) -> tuple[float, float, float]:
     return 1.0 - rate * dt, sigma, level * dt
 
 
-def _affine_paths(model: TrueModel, dt: float, x0: float | np.ndarray, z: np.ndarray) -> np.ndarray:
+def _affine_paths(model: TrueModel, dt: float, x0: float | np.ndarray, z: np.ndarray) -> None:
     """Overwrite increments ``z`` with Euler states X_1..X_steps, one path per row.
 
     ``z`` has shape (R, steps) and any strides (a time-major panel passes
     ``panel.T``, one path ``path[None]``); ``x0`` is a scalar or shape (R,).
     ``lfilter`` runs along time in blocks of about ``_BLOCK_CELLS`` cells
     with its state carried, so a row comes out bitwise as from one call
-    over that row alone.  Returns ``first_bad`` of shape (R,): the index of
-    a row's first state (x0 has index 0) that is non-finite or beyond
-    ``DIVERGENCE_BOUND``, or -1; later states are left as the recursion
-    makes them.
+    over that row alone.  States are left as the recursion makes them, even
+    past a bad one; callers that need the divergence check call
+    :func:`_first_bad` on the result.
     """
     rho, scale, shift = _step_map(model, dt)
     rows, steps = z.shape
@@ -179,6 +179,17 @@ def _affine_paths(model: TrueModel, dt: float, x0: float | np.ndarray, z: np.nda
         u = z[:, k0 : k0 + width] * scale
         u += shift
         z[:, k0 : k0 + width], zi = lfilter([1.0], [1.0, -rho], u, axis=1, zi=zi)
+
+
+def _first_bad(z: np.ndarray, x0: float | np.ndarray) -> np.ndarray:
+    """Each row's first bad state, shape (R,), for paths X_1..X_steps in ``z``.
+
+    A state is bad if it is non-finite or beyond ``DIVERGENCE_BOUND``; the
+    start ``x0`` (a scalar or shape (R,)) has index 0.  A row with no bad
+    state gets -1.
+    """
+    rows = z.shape[0]
+    x0 = np.broadcast_to(np.asarray(x0, dtype=float), (rows,))
     # max/min propagate NaN, so a row passes only if every state is finite
     # and inside the bound; only failing rows are searched for the index
     start_ok = np.abs(x0) <= DIVERGENCE_BOUND
@@ -196,7 +207,8 @@ def simulate_euler(model: TrueModel, noise: LevyLaw, cfg: PathConfig) -> SampleP
     values = np.empty((1, steps + 1))
     values[0, 0] = cfg.x0
     values[0, 1:] = sample_increments(noise, dt, steps, substream(cfg.seed))
-    first_bad = _affine_paths(model, dt, cfg.x0, values[:, 1:])
+    _affine_paths(model, dt, cfg.x0, values[:, 1:])
+    first_bad = _first_bad(values[:, 1:], cfg.x0)
     if first_bad[0] >= 0:
         raise DivergenceError(int(first_bad[0]))
     return SamplePath(h=cfg.h, values=values[0, :: cfg.refine])
@@ -295,7 +307,8 @@ def small_time_moment_check(
         for k, x0 in enumerate(grid):
             rng = substream(cfg.seed, i, k)
             z = sample_increments(noise, dt, (cfg.refine, reps), rng)
-            first_bad = _affine_paths(model, dt, x0, z.T)
+            _affine_paths(model, dt, x0, z.T)
+            first_bad = _first_bad(z.T, x0)
             if (first_bad >= 0).any():
                 raise DivergenceError(int(first_bad[first_bad >= 0][0]))
             moment = float(np.mean(np.abs(z[-1] - x0) ** p))

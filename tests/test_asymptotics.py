@@ -2,13 +2,14 @@
 
 import math
 import os
+import sys
 import time
 
 import numpy as np
 import pytest
 from scipy.signal import lfilter
 
-from levy_gqmle import _util
+from levy_gqmle import _util, asymptotics
 from levy_gqmle._util import batch_means_se, core_map, substream
 from levy_gqmle.asymptotics import (
     _BLOCK_CELLS,
@@ -213,6 +214,47 @@ class TestEPERhs:
         want = (1.0 - x) * (-x / 2.0 - a_s * (1.0 - x)) * (1.0 + x**2) / g_s**2
         np.testing.assert_allclose(g(x)[1], want, atol=1e-14)
 
+    @pytest.mark.parametrize("true_model", [OU, OU_SHIFTED], ids=["linear-decay", "mean-revert"])
+    @pytest.mark.parametrize("scale", [RationalSqrt(), ConstantScale()], ids=lambda s: type(s).__name__)
+    @pytest.mark.parametrize(
+        "drift", [MeanRevertLinear(m=0.7), ConstantDrift(), LinearDecay()], ids=lambda d: type(d).__name__
+    )
+    def test_matches_textbook_forms(self, drift, scale, true_model):
+        # g_1 = (c^2 - C^2)/(gamma c^2) and g_2 = b (A - a)/c^2 with c from
+        # the square-root profile; the tolerance is relative to the size of
+        # the terms, since both forms cancel where g crosses zero
+        alpha, gamma = 0.4, 1.1
+        model = ModelSpec(drift=drift, scale=scale)
+        x = np.linspace(-6.0, 6.0, 241)
+        c2 = model.scale.value(x, gamma) ** 2
+        big_c2 = true_model.C(x) ** 2
+        b, big_a, a = drift.basis(x), true_model.A(x), drift.value(x, alpha)
+        want1 = (c2 - big_c2) / (gamma * c2)
+        want2 = b * (big_a - a) / c2
+        size1 = (c2 + big_c2) / (gamma * c2)
+        level = true_model.A(0.0)
+        size2 = np.abs(b) * (abs(level) + np.abs(big_a - level) + np.abs(a)) / c2
+        got = _epe_rhs(model, true_model, (alpha, gamma))(x)
+        for g, want, size in zip(got, (want1, want2), (size1, size2)):
+            assert np.all(np.abs(g - want) <= 1e-13 * size)
+            clear = np.abs(want) > 0.1 * size
+            np.testing.assert_allclose(g[clear], want[clear], rtol=1e-13)
+
+    @pytest.mark.parametrize("scale", [RationalSqrt(), ConstantScale()], ids=lambda s: type(s).__name__)
+    def test_inv_profile2_is_inverse_square(self, scale):
+        x = np.concatenate([np.linspace(-6.0, 6.0, 241), [0.0, 1e-8, -1e-3, 37.5, -1e3]])
+        prod = scale.inv_profile2(x) * scale.profile(x) ** 2
+        assert np.all(np.abs(prod - 1.0) <= 4.0 * np.finfo(float).eps)
+
+    @pytest.mark.parametrize("value", [0.7, 0.3])
+    def test_correct_constant_scale_gives_exact_zero(self, value):
+        # gamma = sigma, non-dyadic: (gamma^2 - sigma^2 * 1) / gamma^3 is 0
+        # exactly; at 0.3 the folded 1/gamma - sigma^2/gamma^3 is not
+        true_model = TrueModel(LinearDecay(), 0.5, ConstantScale(), value)
+        model = ModelSpec(drift=MeanRevertLinear(m=1.0), scale=ConstantScale())
+        g1, _ = _epe_rhs(model, true_model, (0.25, value))(np.linspace(-6.0, 6.0, 241))
+        assert np.all(g1 == 0.0)
+
     def test_both_centered_under_invariant_law(self, inv_i, oracle_i):
         theta = (oracle_i.alpha_star, oracle_i.gamma_star)
         for vals in _epe_rhs(BENCH, OU, theta)(inv_i.states):
@@ -295,6 +337,25 @@ class TestEPESolve:
             for a, b in zip(runs[0], other):
                 for name in ("x", "f", "se", "tail_bound"):
                     assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+
+    def test_chunked_increments_independent_of_worker_count(self, monkeypatch):
+        # 1234 steps: two full 500-step chunks and a short one, each drawn
+        # from its own substream into its own rows; the tasks write one
+        # shared array, so threads are also switched as often as possible
+        steps, cols, seed = 1234, 7, 12
+        want = np.concatenate([
+            sample_increments(CASE_I, 0.01, (min(500, steps - c0), cols), substream(seed, _TAG_EPE, c0 // 500))
+            for c0 in range(0, steps, 500)
+        ])
+        interval = sys.getswitchinterval()
+        try:
+            sys.setswitchinterval(1e-6)
+            for workers in (1, 3):
+                monkeypatch.setattr(_util, "_pool_size", lambda tasks, n=workers: n)
+                got = _chunked_increments(CASE_I, 0.01, steps, cols, seed, _TAG_EPE)
+                assert got.tobytes() == want.tobytes(), workers
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_divergent_start_rejected(self, inv_i):
         grid = np.array([0.0, 2.0 * DIVERGENCE_BOUND])
@@ -434,6 +495,18 @@ class TestSigmaMatrix:
         sig = _sigma_full(model, OU, theta, inv_i, f1, f2, CASE_I)[0]
         assert sig[0, 0] == pytest.approx(4.0 * oracle_i.kappas[4], rel=1e-6)
 
+    def test_independent_of_worker_count_and_chunk(self, inv_i, oracle_i, monkeypatch):
+        theta = (oracle_i.alpha_star, oracle_i.gamma_star)
+        f1, f2 = (lambda x: 0.3 * x**2 - 0.1 * x), np.tanh
+        runs = []
+        for workers, chunk in ((1, None), (3, None), (1, 125), (1, asymptotics._SIGMA_STATES)):
+            monkeypatch.setattr(_util, "_pool_size", lambda tasks, n=workers: n)
+            if chunk is not None:
+                monkeypatch.setattr(asymptotics, "_SIGMA_CHUNK", chunk)
+            sigma, ses = _sigma_full(BENCH, OU, theta, inv_i, f1, f2, CASE_I)
+            runs.append(sigma.tobytes() + ses.tobytes())
+        assert runs[1:] == runs[:1] * 3
+
     def test_seed_exchangeable(self, oracle_i):
         theta = (oracle_i.alpha_star, oracle_i.gamma_star)
         a = run_asymptotics(BENCH, OU, CASE_I, theta, seed=21, budget=15000, m=600, t_max=30.0)
@@ -479,6 +552,16 @@ class TestRunAsymptotics:
     def test_brownian_rejected(self, oracle_i):
         with pytest.raises(ValueError, match="pure-jump"):
             run_asymptotics(BENCH, OU, Brownian(1.0), (1.0 / 3.0, math.sqrt(2.0)))
+
+    @pytest.mark.parametrize("bad", [dict(t_max=0.004), dict(t_max=math.inf), dict(step=math.nan), dict(m=29)])
+    def test_epe_arguments_checked_before_sampling(self, oracle_i, monkeypatch, bad):
+        def refuse(*args, **kwargs):
+            raise AssertionError("pi_0 was sampled before the arguments were checked")
+
+        monkeypatch.setattr(asymptotics, "sample_invariant", refuse)
+        theta = (oracle_i.alpha_star, oracle_i.gamma_star)
+        with pytest.raises(ValueError, match="m >= 30"):
+            run_asymptotics(BENCH, OU, CASE_I, theta, budget=600000, **bad)
 
     def test_deterministic(self, oracle_i):
         theta = (oracle_i.alpha_star, oracle_i.gamma_star)

@@ -1,0 +1,89 @@
+"""The alternating-pairs record that tools/bench_pairs.py writes."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+_spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "tools" / "bench_pairs.py")
+bench_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_pairs)
+
+
+def _result(wall, cpu, rss, setup, failed=0):
+    values = dict(wall_s=wall, cpu_s=cpu, peak_rss_mb=rss, setup_s=setup)
+    return {"correct": True, "attempted": 10, "failed": failed,
+            "metrics": {k: {"value": v, "unit": "s"} for k, v in values.items()}}
+
+
+def _keys(obj):
+    """Nested key structure of a record, with the pairs reduced to their first."""
+    if isinstance(obj, dict):
+        return {k: _keys(v) for k, v in obj.items()}
+    if isinstance(obj, list) and obj and isinstance(obj[0], dict):
+        return [_keys(obj[0])]
+    return None
+
+
+@pytest.fixture
+def record():
+    walls = [(3.0, 2.0), (2.0, 1.5), (4.0, 1.0), (2.5, 2.6), (3.5, 1.2)]
+    pairs = [
+        {"parent": bench_pairs.pair_entry(_result(p, 2 * p, 100.0, 1.5)),
+         "change": bench_pairs.pair_entry(_result(c, 2 * c, 101.0, 1.4, failed=i == 4))}
+        for i, (p, c) in enumerate(walls)
+    ]
+    sides = {"parent": {"commit": "a" * 40, "src_sha256": "1" * 64},
+             "change": {"commit": "b" * 40, "src_sha256": "2" * 64}}
+    blas_env = dict.fromkeys(["OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS",
+                              "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS"])
+    host = {"nproc": 2, "cpu_model": "cpu", "python": "3.11", "blas_env": blas_env, "workload": "w"}
+    return bench_pairs.build_record("asymptotics_i", sides, host, pairs)
+
+
+def test_record_has_the_committed_schema(record):
+    committed = json.loads((ROOT / "BENCH_mc_table_ii.json").read_text())
+    assert _keys(record) == _keys(committed)
+    assert record["command"] == "python3 perfbench/run.py --workload asymptotics_i --seconds 30 --trace 0"
+    assert set(record["host"]) == {"nproc", "cpu_model", "python", "blas_env"}
+
+
+def test_summary_of_fake_pairs(record):
+    wall = record["summary"]["wall_s"]
+    # parent walls 2.0 2.5 3.0 3.5 4.0, change walls 1.0 1.2 1.5 2.0 2.6
+    assert wall["parent"] == {"median": 3.0, "q1": 2.5, "q3": 3.5, "iqr": 1.0}
+    assert wall["change"]["median"] == 1.5
+    assert wall["change"]["q1"] == pytest.approx(1.2) and wall["change"]["q3"] == pytest.approx(2.0)
+    assert wall["median_change_pct"] == pytest.approx(-50.0)
+    assert wall["change_lower"] == 4
+    assert record["summary"]["peak_rss_mb"]["change_lower"] == 0
+    assert record["summary"]["setup_s"]["change_lower"] == 5
+    assert [p["pair"] for p in record["pairs"]] == list(range(5))
+    assert record["pairs"][4]["change"]["failed"] == 1
+    assert record["pairs"][0]["parent"] == {"wall_s": 3.0, "cpu_s": 6.0, "peak_rss_mb": 100.0, "setup_s": 1.5,
+                                            "correct": True, "attempted": 10, "failed": 0}
+
+
+def test_summary_reproduces_committed_record():
+    committed = json.loads((ROOT / "BENCH_mc_table_ii.json").read_text())
+    assert bench_pairs.summarize(committed["pairs"]) == committed["summary"]
+
+
+def test_main_alternates_which_side_runs_first(tmp_path, monkeypatch):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    change.mkdir()
+    calls = []
+
+    def fake_run_once(checkout, workload):
+        calls.append(checkout)
+        return {"src_sha256": checkout.name}, _result(2.0 if checkout == parent else 1.0, 3.0, 100.0, 1.5)
+
+    monkeypatch.setattr(bench_pairs, "run_once", fake_run_once)
+    monkeypatch.setattr(bench_pairs, "_side", lambda prov, checkout: {"commit": None, "src_sha256": prov["src_sha256"]})
+    assert bench_pairs.main(["--parent", str(parent), "--change", str(change), "--workload", "w", "--pairs", "4"]) == 0
+    assert calls == [parent, change, change, parent, parent, change, change, parent]
+    record = json.loads((change / "BENCH_w.json").read_text())
+    assert record["summary"]["wall_s"]["change_lower"] == 4
+    assert all(list(p) == ["pair", "parent", "change"] for p in record["pairs"])

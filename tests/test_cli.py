@@ -332,6 +332,19 @@ class TestAsymptotics:
         assert code == 1
         assert "at least one" in err
 
+    @pytest.mark.parametrize("flag,value", [("--t-max", "0.004"), ("--m", "29"), ("--step", "inf")])
+    def test_bad_epe_arguments_exit_one_before_sampling(self, capsys, tmp_path, monkeypatch, flag, value):
+        from levy_gqmle import asymptotics
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("pi_0 was sampled before the arguments were checked")
+
+        monkeypatch.setattr(asymptotics, "sample_invariant", refuse)
+        code, _, err = invoke(capsys, "asymptotics", "--case", "i", "--budget", "600000",
+                              flag, value, "--out-dir", str(tmp_path))
+        assert code == 1
+        assert "m >= 30" in err
+
     def test_svg_not_available(self, capsys, tmp_path):
         code, _, err = invoke(capsys, "asymptotics", "--format", "svg", "--out-dir", str(tmp_path))
         assert code == 1

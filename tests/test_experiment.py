@@ -31,7 +31,7 @@ from levy_gqmle.experiment import (
 )
 from levy_gqmle.gqmle import ModelSpec, estimate_staged
 from levy_gqmle.levy import BilateralGamma, Brownian, NormalInverseGaussian, cumulants, sample_increments
-from levy_gqmle.sde import SamplePath, TrueModel, _affine_paths
+from levy_gqmle.sde import SamplePath, TrueModel, _affine_paths, _first_bad
 from _oracles import _euler_columns
 
 EXACT_ALPHA = {
@@ -172,8 +172,8 @@ class TestRunMc:
                 z = sample_increments(law, h, n, substream(7, _TAG_MC, d_index, k))
                 values = np.zeros((1, n + 1))
                 values[0, 1:] = z
-                first_bad = _affine_paths(true_ou(), h, 0.0, values[:, 1:])
-                assert first_bad[0] == -1
+                _affine_paths(true_ou(), h, 0.0, values[:, 1:])
+                assert _first_bad(values[:, 1:], 0.0)[0] == -1
                 est = estimate_staged(SamplePath(h=h, values=values[0]), model)
                 assert (a.estimates[k, 0], a.estimates[k, 1]) == (est.alpha_hat, est.gamma_hat)
                 euler, _ = _euler_columns(true_ou(), h, np.zeros(1), z[:, None])

@@ -16,6 +16,7 @@ from levy_gqmle.sde import (
     SamplePath,
     TrueModel,
     _affine_paths,
+    _first_bad,
     _step_map,
     load_path,
     simulate_euler,
@@ -85,7 +86,8 @@ class TestAffinePaths:
         x0 = np.linspace(-2.0, 3.0, R)
         got = np.empty((R, steps + 1))
         got[:, 0], got[:, 1:] = x0, z
-        first_bad = _affine_paths(model, dt, x0, got[:, 1:])
+        _affine_paths(model, dt, x0, got[:, 1:])
+        first_bad = _first_bad(got[:, 1:], x0)
         want, want_bad = _euler_columns(model, dt, x0, z.T)
         assert got.shape == (R, steps + 1)
         np.testing.assert_array_equal(first_bad, want_bad)
@@ -113,9 +115,9 @@ class TestAffinePaths:
         x0 = np.linspace(-2.0, 2.0, 300)
         rho, scale, shift = _step_map(model, 0.01)
         want, _ = lfilter([1.0], [1.0, -rho], panel * scale + shift, axis=0, zi=rho * x0[None])
-        first_bad = _affine_paths(model, 0.01, x0, panel.T)
+        _affine_paths(model, 0.01, x0, panel.T)
         assert np.array_equal(panel, want)
-        assert np.all(first_bad == -1)
+        assert np.all(_first_bad(panel.T, x0) == -1)
 
     def test_long_row_in_place_equals_one_lfilter(self):
         # a 1-D path passed as path[None], longer than one filter block
@@ -123,15 +125,18 @@ class TestAffinePaths:
         path = sample_increments(CASE_III, 0.01, 200_000, substream(7, 2))
         rho, scale, shift = _step_map(model, 0.01)
         want, _ = lfilter([1.0], [1.0, -rho], path * scale + shift, zi=[rho * 0.4])
-        first_bad = _affine_paths(model, 0.01, 0.4, path[None])
+        _affine_paths(model, 0.01, 0.4, path[None])
         assert np.array_equal(path, want)
-        assert first_bad.tolist() == [-1]
+        assert _first_bad(path[None], 0.4).tolist() == [-1]
 
     def test_bad_start_is_index_zero(self):
         z = sample_increments(CASE_I, 0.05, (5, 100), substream(7, 3))
-        first_bad = _affine_paths(OU, 0.05, np.array([np.nan, 2e12, -np.inf, 0.5, -1e12]), z)
-        assert first_bad.tolist() == [0, 0, 0, -1, -1]
-        assert _affine_paths(OU, 0.05, np.inf, z[:1].copy()).tolist() == [0]
+        x0 = np.array([np.nan, 2e12, -np.inf, 0.5, -1e12])
+        _affine_paths(OU, 0.05, x0, z)
+        assert _first_bad(z, x0).tolist() == [0, 0, 0, -1, -1]
+        one = z[:1].copy()
+        _affine_paths(OU, 0.05, np.inf, one)
+        assert _first_bad(one, np.inf).tolist() == [0]
 
     def test_non_constant_scale_refused(self):
         model = TrueModel(LinearDecay(), 0.5, RationalSqrt(), 1.0)
