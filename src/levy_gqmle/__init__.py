@@ -51,7 +51,6 @@ from .gqmle import (
 from .asymptotics import (
     AsymptoticsResult,
     epe_solve,
-    martingale_check,
     run_asymptotics,
     sample_invariant,
 )
@@ -64,7 +63,6 @@ from .experiment import (
     benchmark_model,
     emit_report,
     noise_case,
-    normality_check,
     optimal_values,
     optimal_values_numeric,
     run_mc,
@@ -99,7 +97,6 @@ __all__ = [
     "estimate_staged",
     "AsymptoticsResult",
     "epe_solve",
-    "martingale_check",
     "run_asymptotics",
     "sample_invariant",
     "residual_moment",
@@ -110,7 +107,6 @@ __all__ = [
     "benchmark_model",
     "emit_report",
     "noise_case",
-    "normality_check",
     "optimal_values",
     "optimal_values_numeric",
     "run_mc",

@@ -31,7 +31,6 @@ from .levy import (
     _converged_nodes,
     _nodes_at,
     _tail_rates,
-    char_exponent,
     cumulants,
     sample_increments,
 )
@@ -42,7 +41,6 @@ from .sde import (
     TrueModel,
     _affine_form,
     _affine_paths,
-    _first_bad,
     _step_map,
 )
 
@@ -51,40 +49,35 @@ __all__ = [
     "CovarianceError",
     "EPEApprox",
     "InvariantSample",
-    "MartingaleReport",
     "MixingError",
     "NotCenteredError",
     "SingularGammaError",
     "avar",
     "epe_solve",
     "gamma_matrix",
-    "invariant_char",
-    "martingale_check",
     "run_asymptotics",
     "sample_invariant",
 ]
 
 _COND_LIMIT = 1e12
-# substream tags so the invariant path, the EPE paths, and the martingale
-# paths never share draws even under one seed
+# substream tags so the invariant path and the EPE paths never share draws
+# even under one seed
 _TAG_INVARIANT = 3101
 _TAG_EPE = 7001
-_TAG_MARTINGALE = 7301
 _CHUNK_STEPS = 500
 # steps per invariant-path chunk
 _INVARIANT_CHUNK = 2_000_000
+# time units the invariant path discards, then between kept states
+_BURN_IN = 50.0
+_SPACING = 1.0
+# pi_0 quantiles of the EPE grid: epe_solve's default grid, and
+# run_asymptotics' before its sideways extension
+_GRID_POINTS = 25
 # Sigma averages over at most this many pi_0 states, thinned evenly, taken
 # this many at a time through the jump-quadrature nodes, one chunk per task
 # of the core pool
 _SIGMA_STATES = 4000
 _SIGMA_CHUNK = 500
-# trapezoid step of invariant_char's time integral
-_CHAR_STEP = 0.01
-# martingale_check's Euler step, lags in steps (the last is the horizon of 2
-# time units), and starts
-_MARTINGALE_STEP = 0.01
-_MARTINGALE_LAGS = (50, 100, 200)
-_MARTINGALE_STARTS = (-1.5, 0.0, 1.5)
 
 
 class MixingError(NumericalError):
@@ -116,8 +109,6 @@ class InvariantSample:
     """States approximately distributed as pi_0, with sampling provenance."""
 
     states: np.ndarray
-    burn_in: float
-    spacing: float
     seed: int
     step: float
 
@@ -135,21 +126,19 @@ def sample_invariant(
     noise: LevyLaw,
     budget: int = 20000,
     seed: int = 0,
-    spacing: float = 1.0,
-    burn_in: float = 50.0,
     step: float = 0.01,
 ) -> InvariantSample:
     """Draw ``budget`` states from one long thinned Euler path.
 
-    The path starts at the stationary mean, discards ``burn_in`` time units,
-    then keeps one state every ``spacing`` time units.  The Euler step is
-    the AR(1) of ``sde._step_map``, X_{k+1} = rho X_k + u_k, which is affine
-    in its start: k steps from x reach Y_k + rho^k x, with Y the path from 0.
-    So the path is cut into chunks of ``_INVARIANT_CHUNK`` steps, each drawn
-    from its own substream (seed, 3101, chunk) and filtered from zero in
-    place by ``sde._affine_paths`` on ``_util.core_map``, one worker per
-    usable core up to 4, each holding about 16 MB of live arrays.  A worker
-    returns only the chunk's kept states and its last state; the chunks are
+    The path starts at the stationary mean, discards ``_BURN_IN`` (50) time
+    units, then keeps one state every ``_SPACING`` (1) time unit.  The Euler
+    step is the AR(1) of ``sde._step_map``, X_{k+1} = rho X_k + u_k, which is
+    affine in its start: k steps from x reach Y_k + rho^k x, with Y the path
+    from 0.  So the path is cut into chunks of ``_INVARIANT_CHUNK`` steps,
+    each drawn from its own substream (seed, 3101, chunk) and filtered from
+    zero in place by ``sde._affine_paths`` on ``_util.core_map``, one worker
+    per usable core up to 4, each holding about 16 MB of live arrays.  A
+    worker returns only the chunk's kept states and its last state; the chunks are
     then composed in input order through the affine start map.  The result
     does not depend on the number of workers.  It equals one filter pass
     over the whole path up to rounding (about 1e-14 relative): the two sum
@@ -161,18 +150,14 @@ def sample_invariant(
     """
     if budget < 1000:
         raise ValueError(f"budget must be at least 1000, got {budget}")
-    if not 1.0 <= spacing < math.inf:
-        raise ValueError(f"spacing must be finite and >= 1 time unit, got {spacing}")
-    if not 0.0 <= burn_in < math.inf:
-        raise ValueError(f"burn_in must be finite and >= 0, got {burn_in}")
     if not 0.0 < step < math.inf:
         raise ValueError(f"step must be finite and > 0, got {step}")
     rate, mean, sigma = _linear_ou_form(model)
     if rate * step >= 1.0:
         raise ValueError("step too coarse: rate*step must be < 1")
 
-    keep = max(1, int(round(spacing / step)))
-    burn_steps = int(round(burn_in / step))
+    keep = max(1, int(round(_SPACING / step)))
+    burn_steps = int(round(_BURN_IN / step))
     total = burn_steps + budget * keep
     rho = _step_map(model, step)[0]
     # global index of the first kept state; the last one is total - 1
@@ -207,24 +192,7 @@ def sample_invariant(
         raise MixingError(
             f"invariant sample variance {var:.4g} vs theory {theory:.4g}: mixing suspect"
         )
-    return InvariantSample(states, burn_in, spacing, seed, step)
-
-
-def invariant_char(model: TrueModel, noise: LevyLaw, u: float | np.ndarray) -> np.ndarray:
-    """Characteristic function of pi_0 for an ergodic affine model.
-
-    p_hat(u) = exp(i u mean) * exp( int_0^inf psi(sigma e^{-rate s} u) ds ),
-    truncated at s = 40 / rate, where the damped argument is e^-40 of u,
-    and integrated by the trapezoid rule at step ``_CHAR_STEP``.
-    """
-    rate, mean, sigma = _linear_ou_form(model)
-    u_arr = np.atleast_1d(np.asarray(u, dtype=float))
-    s = np.arange(0.0, 40.0 / rate + _CHAR_STEP, _CHAR_STEP)
-    damp = sigma * np.exp(-rate * s)
-    vals = char_exponent(noise, np.outer(damp, u_arr))
-    integral = np.trapezoid(vals, dx=_CHAR_STEP, axis=0)
-    out = np.exp(1j * u_arr * mean + integral)
-    return out if np.ndim(u) else complex(out[0])
+    return InvariantSample(states, seed, step)
 
 
 def _epe_rhs(
@@ -359,11 +327,11 @@ def epe_solve(
     g: Callable[[np.ndarray], np.ndarray | tuple[np.ndarray, ...]],
     model: TrueModel,
     noise: LevyLaw,
+    inv: InvariantSample,
     grid: np.ndarray | None = None,
     t_max: float = 40.0,
     m: int = 2000,
     seed: int = 0,
-    inv: InvariantSample | None = None,
     step: float = 0.01,
 ) -> EPEApprox | tuple[EPEApprox, ...]:
     """Monte Carlo solution f(x) = int_0^t_max E^x[g(X_t)] dt on a grid.
@@ -376,8 +344,7 @@ def epe_solve(
     ``g`` is called from several threads at once, so it must not mutate
     shared state.  Every right-hand side must average to zero under pi_0;
     the centering is gated at three batch-means standard errors against
-    ``inv`` (sampled internally when not supplied), before any path is
-    drawn, because a non-centered g makes the time integral diverge
+    the pi_0 sample ``inv``, before any path is drawn, because a non-centered g makes the time integral diverge
     linearly.  ``t_max`` and ``step`` must be finite, and ``t_max`` must
     round to at least one step (``_check_epe_args``, which
     ``run_asymptotics`` also calls before it samples pi_0).
@@ -407,8 +374,6 @@ def epe_solve(
     """
     _check_epe_args(t_max, step, m)
     rate = _linear_ou_form(model)[0]
-    if inv is None:
-        inv = sample_invariant(model, noise, seed=seed)
     raw = g(inv.states)
     centering = []
     for i, gvals in enumerate(_as_tuple(raw)):
@@ -422,7 +387,7 @@ def epe_solve(
             )
         centering.append((gbar, gse))
     if grid is None:
-        grid = np.quantile(inv.states, np.linspace(0.01, 0.99, 25))
+        grid = np.quantile(inv.states, np.linspace(0.01, 0.99, _GRID_POINTS))
     grid = np.unique(np.asarray(grid, dtype=float))
     if grid.size < 2:
         raise ValueError("grid collapsed to fewer than two points")
@@ -474,69 +439,6 @@ def epe_solve(
         for (f, se, tail), (gbar, gse) in zip(stats, centering)
     )
     return out if isinstance(raw, tuple) else out[0]
-
-
-@dataclass(frozen=True)
-class MartingaleReport:
-    """E[M_{s} - M_0] panel for M_t = f(X_t) + int_0^t g(X_u) du."""
-
-    starts: np.ndarray
-    lags: np.ndarray
-    means: np.ndarray
-    ses: np.ndarray
-
-    @property
-    def zscores(self) -> np.ndarray:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            z = np.abs(self.means) / self.ses
-        return np.where(self.ses > 0, z, np.where(self.means == 0.0, 0.0, np.inf))
-
-    @property
-    def max_abs_z(self) -> float:
-        return float(np.max(self.zscores))
-
-
-def martingale_check(
-    f: EPEApprox | Callable[[np.ndarray], np.ndarray],
-    g: Callable[[np.ndarray], np.ndarray],
-    model: TrueModel,
-    noise: LevyLaw,
-    reps: int = 4000,
-    seed: int = 0,
-) -> MartingaleReport:
-    """Estimate the martingale-increment means over a (start, lag) panel.
-
-    The starts are ``_MARTINGALE_STARTS`` and the lags ``_MARTINGALE_LAGS``
-    Euler steps of ``_MARTINGALE_STEP``; the time integral to each lag is
-    the trapezoid rule on the simulation grid, as in :func:`epe_solve`.
-    """
-    if reps < 30:
-        raise ValueError(f"need reps >= 30, got {reps}")
-    step, steps = _MARTINGALE_STEP, _MARTINGALE_LAGS[-1]
-    z = _chunked_increments(noise, step, steps, reps, seed, _TAG_MARTINGALE).T
-    values = np.empty((reps, steps + 1))
-    means = np.empty((len(_MARTINGALE_STARTS), len(_MARTINGALE_LAGS)))
-    ses = np.empty_like(means)
-    for i, x0 in enumerate(_MARTINGALE_STARTS):
-        values[:, 0] = x0
-        values[:, 1:] = z
-        _affine_paths(model, step, x0, values[:, 1:])
-        first_bad = _first_bad(values[:, 1:], x0)
-        if (first_bad >= 0).any():
-            raise DivergenceError(int(first_bad[first_bad >= 0][0]))
-        gx = np.asarray(g(values), dtype=float)
-        f0 = float(np.asarray(f(np.float64(x0))))
-        for j, k in enumerate(_MARTINGALE_LAGS):
-            integral = step * (gx[:, : k + 1].sum(axis=1) - 0.5 * (gx[:, 0] + gx[:, k]))
-            d = np.asarray(f(values[:, k]), dtype=float) + integral - f0
-            means[i, j] = float(np.mean(d))
-            ses[i, j] = batch_means_se(d)
-    return MartingaleReport(
-        np.array(_MARTINGALE_STARTS),
-        step * np.array(_MARTINGALE_LAGS, dtype=float),
-        means,
-        ses,
-    )
 
 
 def _gamma_terms(
@@ -717,27 +619,27 @@ def run_asymptotics(
     budget: int = 20000,
     t_max: float = 40.0,
     m: int = 2000,
-    grid_points: int = 25,
     step: float = 0.01,
 ) -> AsymptoticsResult:
     """Full pipeline: pi_0 sample, EPE solves, Gamma, Sigma, V.
 
-    The EPE grid is the pi_0 quantile grid extended sideways by the jump
-    reach 8 / (slowest nu_0 tail rate), so that x + C(x) z stays on the grid
-    for all jumps the quadrature weights non-negligibly.
+    The EPE grid is the pi_0 quantile grid of ``_GRID_POINTS`` (25) points,
+    extended sideways by four points on each side up to the jump reach
+    8 / (slowest nu_0 tail rate), so that x + C(x) z stays on the grid for
+    all jumps the quadrature weights non-negligibly.
     """
     if isinstance(noise, Brownian):
         raise ValueError("asymptotics pipeline needs a pure-jump noise")
     _check_epe_args(t_max, step, m)
     inv = sample_invariant(true_model, noise, budget=budget, seed=seed, step=step)
-    base = np.quantile(inv.states, np.linspace(0.01, 0.99, grid_points))
+    base = np.quantile(inv.states, np.linspace(0.01, 0.99, _GRID_POINTS))
     reach = 8.0 / min(_tail_rates(noise))
     left = np.linspace(base[0] - reach, base[0], 5)[:-1]
     right = np.linspace(base[-1], base[-1] + reach, 5)[1:]
     grid = np.concatenate([left, base, right])
 
     f1, f2 = epe_solve(
-        _epe_rhs(model, true_model, theta_star), true_model, noise, grid, t_max, m, seed, inv, step
+        _epe_rhs(model, true_model, theta_star), true_model, noise, inv, grid, t_max, m, seed, step
     )
 
     gg, ga, gag = terms = _gamma_terms(model, true_model, theta_star, inv.states)
@@ -754,8 +656,8 @@ def run_asymptotics(
             "size": int(inv.states.size),
             "mean": float(np.mean(inv.states)),
             "var": float(np.var(inv.states)),
-            "burn_in": inv.burn_in,
-            "spacing": inv.spacing,
+            "burn_in": _BURN_IN,
+            "spacing": _SPACING,
             "step": inv.step,
         },
         "centering": {

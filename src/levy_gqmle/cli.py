@@ -13,7 +13,8 @@ Settings resolve as flag > config file > environment > built-in default.
 The config file named by --config is a flat JSON object keyed like the long
 flags ("seed", "out_dir", "format", "case", ...), plus "designs"
 (a list of [n, h] pairs) for mc.  LEVY_GQMLE_SEED supplies the seed when
-neither flag nor config does.
+neither flag nor config does.  Integer settings refuse booleans and
+fractions.  Only mc, asymptotics and optimal take a format.
 
 Exit codes: 0 success, 1 usage or input error, 2 numerical failure.
 """
@@ -64,7 +65,6 @@ def _common_flags() -> _Parser:
     common.add_argument("--config", metavar="FILE", help="JSON settings file; flags override it")
     common.add_argument("--seed", type=int, metavar="N")
     common.add_argument("--out-dir", dest="out_dir", metavar="DIR")
-    common.add_argument("--format", choices=_FORMATS)
     return common
 
 
@@ -90,6 +90,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("mc", parents=common, help="replication study")
     p.add_argument("--case", default=None)
     p.add_argument("--replications", type=int, default=None)
+    p.add_argument("--format", help="csv, json or svg; all three when omitted")
     p.set_defaults(func=_cmd_mc)
 
     p = sub.add_parser("asymptotics", parents=common, help="Gamma / Sigma / V pipeline")
@@ -98,10 +99,12 @@ def build_parser() -> _Parser:
     p.add_argument("--m", type=int, default=None, help="paths per Poisson-equation solve")
     p.add_argument("--t-max", dest="t_max", type=float, default=None)
     p.add_argument("--step", type=float, default=None)
+    p.add_argument("--format", help="csv or json; both when omitted")
     p.set_defaults(func=_cmd_asymptotics)
 
     p = sub.add_parser("optimal", parents=common, help="closed-form pseudo-true values")
     p.add_argument("--case", default=None, help="single case; all four when omitted")
+    p.add_argument("--format", help="json; a text table when omitted")
     p.set_defaults(func=_cmd_optimal)
 
     p = sub.add_parser("moments", parents=common, help="residual moments on a simulated path")
@@ -142,29 +145,32 @@ def _setting(ns, cfg, key, default, cast=None):
         raise _UsageError(f"bad value for {key}: {value!r}")
 
 
+def _integer(value) -> int:
+    """``int(value)``, refusing booleans and non-integral numbers rather than truncating them."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"not an integer: {value!r}")
+    return int(value)
+
+
 def _resolve_seed(ns, cfg) -> int:
-    value = _setting(ns, cfg, "seed", None)
-    if value is None:
-        env = os.environ.get("LEVY_GQMLE_SEED")
-        if env is None:
-            return 0
-        try:
-            return int(env)
-        except ValueError:
-            raise _UsageError(f"LEVY_GQMLE_SEED must be an integer, got {env!r}")
+    value = _setting(ns, cfg, "seed", None, _integer)
+    if value is not None:
+        return value
+    env = os.environ.get("LEVY_GQMLE_SEED")
+    if env is None:
+        return 0
     try:
-        return int(value)
-    except (TypeError, ValueError):
-        raise _UsageError(f"bad value for seed: {value!r}")
+        return int(env)
+    except ValueError:
+        raise _UsageError(f"LEVY_GQMLE_SEED must be an integer, got {env!r}")
 
 
-def _resolve_formats(ns, cfg, allowed=_FORMATS):
+def _resolve_format(ns, cfg, allowed):
+    """The format asked for, one of ``allowed``, or None when none was."""
     fmt = _setting(ns, cfg, "format", None)
-    if fmt is None:
-        return tuple(allowed)
-    if fmt not in allowed:
+    if fmt is not None and fmt not in allowed:
         raise _UsageError(f"format {fmt!r} not available here; choose from {', '.join(allowed)}")
-    return (fmt,)
+    return fmt
 
 
 def _out_dir(ns, cfg, default=None):
@@ -176,10 +182,10 @@ def _out_dir(ns, cfg, default=None):
 
 def _cmd_simulate(ns, cfg) -> int:
     case = _setting(ns, cfg, "case", "i")
-    n = _setting(ns, cfg, "n", 1000, int)
+    n = _setting(ns, cfg, "n", 1000, _integer)
     h = _setting(ns, cfg, "h", 0.05, float)
     x0 = _setting(ns, cfg, "x0", 0.0, float)
-    refine = _setting(ns, cfg, "refine", 1, int)
+    refine = _setting(ns, cfg, "refine", 1, _integer)
     seed = _resolve_seed(ns, cfg)
     path_cfg = PathConfig(n=n, h=h, x0=x0, seed=seed, refine=refine)
     path = simulate_euler(true_ou(), noise_case(case), path_cfg)
@@ -207,13 +213,13 @@ def _cmd_estimate(ns, cfg) -> int:
 
 def _cmd_mc(ns, cfg) -> int:
     case = _setting(ns, cfg, "case", "i")
-    replications = _setting(ns, cfg, "replications", 1000, int)
+    replications = _setting(ns, cfg, "replications", 1000, _integer)
     seed = _resolve_seed(ns, cfg)
-    formats = _resolve_formats(ns, cfg)
+    fmt = _resolve_format(ns, cfg, _FORMATS)
     kwargs = {"replications": replications, "seed": seed}
     if "designs" in cfg:
         try:
-            kwargs["designs"] = tuple((int(n), float(h)) for n, h in cfg["designs"])
+            kwargs["designs"] = tuple((_integer(n), float(h)) for n, h in cfg["designs"])
         except (TypeError, ValueError):
             raise _UsageError(f"bad value for designs: {cfg['designs']!r}; expected a list of [n, h] pairs")
     design = ExperimentDesign(case, **kwargs)
@@ -223,7 +229,7 @@ def _cmd_mc(ns, cfg) -> int:
             f"n={d.n} h={d.h:g}: alpha {d.mean_alpha:.4f} ({d.sd_alpha:.4f}), "
             f"gamma {d.mean_gamma:.4f} ({d.sd_gamma:.4f}), failed {d.n_failed}"
         )
-    for written in emit_report(summary, _out_dir(ns, cfg, "."), formats):
+    for written in emit_report(summary, _out_dir(ns, cfg, "."), (fmt,) if fmt else _FORMATS):
         print(f"wrote {written}")
     return 0
 
@@ -231,9 +237,9 @@ def _cmd_mc(ns, cfg) -> int:
 def _cmd_asymptotics(ns, cfg) -> int:
     case = _setting(ns, cfg, "case", "i")
     seed = _resolve_seed(ns, cfg)
-    formats = _resolve_formats(ns, cfg, allowed=("csv", "json"))
+    fmt = _resolve_format(ns, cfg, ("csv", "json"))
     kwargs = {"seed": seed}
-    for key, cast in (("budget", int), ("m", int), ("t_max", float), ("step", float)):
+    for key, cast in (("budget", _integer), ("m", _integer), ("t_max", float), ("step", float)):
         value = _setting(ns, cfg, key, None, cast)
         if value is not None:
             kwargs[key] = value
@@ -242,9 +248,9 @@ def _cmd_asymptotics(ns, cfg) -> int:
         benchmark_model(), true_ou(), noise_case(case), (alpha_star, gamma_star), **kwargs
     )
     out_dir = pathlib.Path(_out_dir(ns, cfg, "."))
-    for fmt in formats:
-        target = out_dir / f"asymptotics.{fmt}"
-        if fmt == "json":
+    for ext in (fmt,) if fmt else ("csv", "json"):
+        target = out_dir / f"asymptotics.{ext}"
+        if ext == "json":
             atomic_write_text(target, json.dumps(result.to_obj(), indent=2, sort_keys=True) + "\n")
         else:
             lines = ["x,f1,f2,se"]
@@ -258,10 +264,10 @@ def _cmd_asymptotics(ns, cfg) -> int:
 
 def _cmd_optimal(ns, cfg) -> int:
     case = _setting(ns, cfg, "case", None)
-    fmt = _setting(ns, cfg, "format", None)
+    as_json = _resolve_format(ns, cfg, ("json",)) is not None
     cases = CASES if case is None else (case,)
     values = {c: optimal_values(c) for c in cases}
-    if fmt == "json":
+    if as_json:
         obj = {c: {"alpha_star": a, "gamma_star": g} for c, (a, g) in values.items()}
         print(json.dumps(obj, indent=2, sort_keys=True))
     elif case is not None:
@@ -276,7 +282,7 @@ def _cmd_optimal(ns, cfg) -> int:
 
 def _cmd_moments(ns, cfg) -> int:
     case = _setting(ns, cfg, "case", "i")
-    n = _setting(ns, cfg, "n", 10000, int)
+    n = _setting(ns, cfg, "n", 10000, _integer)
     h = _setting(ns, cfg, "h", 0.01, float)
     seed = _resolve_seed(ns, cfg)
     raw = _setting(ns, cfg, "orders", "2,3,4")

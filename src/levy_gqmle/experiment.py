@@ -1,5 +1,5 @@
-"""Replication study end to end: optimal values, Monte Carlo designs, rate and
-normality diagnostics, report emission.
+"""Replication study end to end: optimal values, Monte Carlo designs, report
+emission.
 
 The study fits the benchmark family (drift alpha (1 - x), scale
 gamma / sqrt(1 + x^2)) to paths of dX = -X/2 dt + dZ driven by one of four
@@ -19,7 +19,6 @@ from fractions import Fraction
 from functools import partial
 
 import numpy as np
-from scipy.special import ndtri
 
 from ._util import NumericalError, atomic_write_text, core_map, substream
 from .coefficients import ConstantScale, LinearDecay, MeanRevertLinear, RationalSqrt
@@ -41,7 +40,6 @@ __all__ = [
     "ExperimentDesign",
     "DesignSummary",
     "McSummary",
-    "NormalityReport",
     "noise_case",
     "benchmark_model",
     "true_ou",
@@ -49,7 +47,6 @@ __all__ = [
     "optimal_values_numeric",
     "run_mc",
     "summarize_replications",
-    "normality_check",
     "emit_report",
 ]
 
@@ -163,6 +160,9 @@ class ExperimentDesign:
 
     def __post_init__(self):
         object.__setattr__(self, "case", _case_key(self.case))
+        for n, _ in self.designs:
+            if isinstance(n, bool) or not float(n).is_integer():
+                raise ValueError(f"n must be an integer, got {n!r}")
         ds = tuple((int(n), float(h)) for n, h in self.designs)
         if not ds:
             raise ValueError("need at least one (n, h) design")
@@ -381,63 +381,6 @@ def run_mc(
         replications=R,
         seed=design.seed,
         per_design=tuple(per),
-    )
-
-
-_QUANTILE_LEVELS = (0.01, 0.025, 0.05, 0.10, 0.25, 0.50, 0.75, 0.90, 0.95, 0.975, 0.99)
-
-
-@dataclass(frozen=True, eq=False)
-class NormalityReport:
-    """Scaled-estimator spread against a limit covariance V.
-
-    ``rel_diff`` holds entrywise (empirical - V) / |V| in the (scale, drift)
-    ordering; ``diag_rel`` its absolute diagonal.  Quantiles are of the
-    per-component statistics standardized by the matching diagonal of V.
-    """
-
-    n: int
-    h: float
-    n_used: int
-    rel_diff: np.ndarray = field(repr=False)
-    diag_rel: tuple[float, float] = (0.0, 0.0)
-    levels: tuple[float, ...] = _QUANTILE_LEVELS
-    normal_quantiles: tuple[float, ...] = ()
-    quantiles_gamma: tuple[float, ...] = ()
-    quantiles_alpha: tuple[float, ...] = ()
-    coverage_gamma: float = 0.0
-    coverage_alpha: float = 0.0
-
-
-def normality_check(summary: McSummary, v: np.ndarray, design_index: int = -1) -> NormalityReport:
-    """Compare sqrt(T) (theta_hat - theta*) replications against N(0, V).
-
-    Uses the design at ``design_index`` (largest grid by default).  V must be
-    2x2 in the (scale, drift) ordering with positive diagonal.
-    """
-    d = summary.per_design[design_index]
-    v = np.asarray(v, dtype=float)
-    if v.shape != (2, 2):
-        raise ValueError(f"V must be 2x2, got shape {v.shape}")
-    if v[0, 0] <= 0 or v[1, 1] <= 0:
-        raise ValueError("V must have a positive diagonal")
-    rel = (d.cov_scaled - v) / np.maximum(np.abs(v), 1e-12)
-    T = d.T
-    zg = math.sqrt(T) * (d.estimates[:, 1] - summary.theta_star[1]) / math.sqrt(v[0, 0])
-    za = math.sqrt(T) * (d.estimates[:, 0] - summary.theta_star[0]) / math.sqrt(v[1, 1])
-    zc = float(ndtri(0.975))
-    return NormalityReport(
-        n=d.n,
-        h=d.h,
-        n_used=d.estimates.shape[0],
-        rel_diff=rel,
-        diag_rel=(float(abs(rel[0, 0])), float(abs(rel[1, 1]))),
-        levels=_QUANTILE_LEVELS,
-        normal_quantiles=tuple(float(q) for q in ndtri(_QUANTILE_LEVELS)),
-        quantiles_gamma=tuple(float(q) for q in np.quantile(zg, _QUANTILE_LEVELS)),
-        quantiles_alpha=tuple(float(q) for q in np.quantile(za, _QUANTILE_LEVELS)),
-        coverage_gamma=float(np.mean(np.abs(zg) <= zc)),
-        coverage_alpha=float(np.mean(np.abs(za) <= zc)),
     )
 
 

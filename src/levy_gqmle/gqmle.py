@@ -28,8 +28,6 @@ from .sde import SamplePath
 __all__ = [
     "ModelSpec",
     "EstimateResult",
-    "g1_eval",
-    "g2_eval",
     "estimate_staged",
 ]
 
@@ -115,24 +113,6 @@ def _path_criteria(path: SamplePath, model: ModelSpec, gamma: float, alpha: floa
     dx = path.increments()
     stage1, stage2 = _criterion_terms(model, path.values[:-1], dx, dx * dx, path.h, gamma, alpha)
     return [tuple(float(np.sum(t)) / path.T for t in terms[:3]) for terms in (stage1, stage2)]
-
-
-def g1_eval(path: SamplePath, model: ModelSpec, gamma: float) -> tuple[float, float, float]:
-    """Stage-one objective and its first two gamma-derivatives.
-
-    value = -(1/T) sum_j { h log c_{j-1}^2 + (D_j X)^2 / c_{j-1}^2 }.
-    """
-    return _path_criteria(path, model, gamma, 0.0)[0]
-
-
-def g2_eval(
-    path: SamplePath, model: ModelSpec, gamma_hat: float, alpha: float
-) -> tuple[float, float, float]:
-    """Stage-two objective and its first two alpha-derivatives.
-
-    value = -(1/T) sum_j (D_j X - h a_{j-1})^2 / (h c_{j-1}^2(gamma_hat)).
-    """
-    return _path_criteria(path, model, gamma_hat, alpha)[1]
 
 
 def _fit_scale(model: ModelSpec, x: np.ndarray, m2: np.ndarray, h: float):

@@ -28,7 +28,6 @@ __all__ = [
     "standardization_check",
     "sample_increments",
     "levy_density",
-    "char_exponent",
     "QuadratureError",
 ]
 
@@ -215,24 +214,6 @@ def levy_density(law: LevyLaw, z: float | np.ndarray) -> float | np.ndarray:
     else:
         raise TypeError(f"unknown law {law!r}")
     return out if out.ndim else float(out)
-
-
-def char_exponent(law: LevyLaw, u: float | np.ndarray) -> complex | np.ndarray:
-    """Characteristic exponent ``psi(u) = log E[exp(i u Z_1)]``."""
-    u_arr = np.asarray(u, dtype=float)
-    if isinstance(law, NormalInverseGaussian):
-        g = law._gbar
-        # principal sqrt is safe: Re(alpha^2 - (beta + iu)^2) = gbar^2 + u^2 > 0
-        out = 1j * law.mu * u_arr + law.delta * (g - np.sqrt(law.alpha**2 - (law.beta + 1j * u_arr) ** 2))
-    elif isinstance(law, BilateralGamma):
-        out = law.shape_pos * np.log(law.rate_pos / (law.rate_pos - 1j * u_arr)) + law.shape_neg * np.log(
-            law.rate_neg / (law.rate_neg + 1j * u_arr)
-        )
-    elif isinstance(law, Brownian):
-        out = -0.5 * law.sigma**2 * u_arr**2 + 0j
-    else:
-        raise TypeError(f"unknown law {law!r}")
-    return out if out.ndim else complex(out)
 
 
 def _tail_rates(law: LevyLaw) -> tuple[float, float]:

@@ -39,17 +39,12 @@ __all__ = [
     "simulate_euler",
     "write_path",
     "load_path",
-    "small_time_moment_check",
-    "SmallTimeReport",
 ]
 
 DIVERGENCE_BOUND = 1e12
 # cells per block of the filter here and of asymptotics' EPE and Gamma
 # evaluations: a block of temporaries stays in cache
 _BLOCK_CELLS = 1 << 16
-# growth exponent and start grid of small_time_moment_check
-_SMALL_TIME_K = 2.0
-_SMALL_TIME_GRID = np.linspace(-3.0, 3.0, 13)
 
 
 class DivergenceError(NumericalError):
@@ -266,51 +261,3 @@ def load_path(source) -> SamplePath:
     if np.max(np.abs(dt - h)) > 1e-9 * h:
         raise ValueError("time grid is not equispaced (relative jitter above 1e-9)")
     return SamplePath(h=h, values=np.asarray(x_vals))
-
-
-@dataclass(frozen=True)
-class SmallTimeReport:
-    """Ratios E|X_h - x|^p / (h (1 + |x|^K)) over a start grid, at h and h/2."""
-
-    p: float
-    K: float
-    grid: np.ndarray
-    h_values: tuple[float, float]
-    ratios: np.ndarray  # shape (2, len(grid))
-
-    @property
-    def sup_ratios(self) -> tuple[float, float]:
-        return float(np.max(self.ratios[0])), float(np.max(self.ratios[1]))
-
-
-def small_time_moment_check(
-    model: TrueModel,
-    noise: LevyLaw,
-    cfg: PathConfig,
-    p: float,
-    reps: int,
-) -> SmallTimeReport:
-    """Monte Carlo check of the small-time moment bound E^x|X_h - x|^p <~ h (1 + |x|^K).
-
-    Requires p in (max(1, BG-index), 2).  K is ``_SMALL_TIME_K`` and the
-    starts x are ``_SMALL_TIME_GRID``.  The bound itself carries unknown
-    constants; the usable diagnostic is that the ratio stays bounded as h
-    is halved.
-    """
-    if not (1.0 < p < 2.0) or p <= noise.bg_index:
-        raise ValueError(f"p must lie in (max(1, BG-index), 2), got p={p}")
-    K, grid = _SMALL_TIME_K, _SMALL_TIME_GRID.copy()
-    ratios = np.empty((2, grid.size))
-    h_values = (cfg.h, cfg.h / 2.0)
-    for i, h in enumerate(h_values):
-        dt = h / cfg.refine
-        for k, x0 in enumerate(grid):
-            rng = substream(cfg.seed, i, k)
-            z = sample_increments(noise, dt, (cfg.refine, reps), rng)
-            _affine_paths(model, dt, x0, z.T)
-            first_bad = _first_bad(z.T, x0)
-            if (first_bad >= 0).any():
-                raise DivergenceError(int(first_bad[first_bad >= 0][0]))
-            moment = float(np.mean(np.abs(z[-1] - x0) ** p))
-            ratios[i, k] = moment / (h * (1.0 + abs(x0) ** K))
-    return SmallTimeReport(p=p, K=K, grid=grid, h_values=h_values, ratios=ratios)

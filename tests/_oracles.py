@@ -9,6 +9,9 @@ polynomial algebra in (x, z).  Only the benchmark model (drift -x/2, unit
 scale, fitted drift alpha(1-x), fitted scale gamma/sqrt(1+x^2)) is covered.
 Paths are checked against the Euler recursion stepped one time step at a
 time in Python, and fits against the benchmark closed forms written out.
+The characteristic exponent is the mpmath CGF on the imaginary axis, the
+stage criteria are read off the package's one criterion algebra, and
+Poisson-equation solutions are checked by their martingale increments.
 """
 
 from __future__ import annotations
@@ -21,8 +24,11 @@ import numpy as np
 from numpy.polynomial import polynomial as npp
 from scipy.signal import convolve2d
 
+from levy_gqmle._util import batch_means_se
+from levy_gqmle.asymptotics import _chunked_increments
+from levy_gqmle.gqmle import ModelSpec, _path_criteria
 from levy_gqmle.levy import BilateralGamma, Brownian, LevyLaw, NormalInverseGaussian
-from levy_gqmle.sde import DIVERGENCE_BOUND, SamplePath, TrueModel
+from levy_gqmle.sde import DIVERGENCE_BOUND, SamplePath, TrueModel, _affine_paths, _first_bad
 
 DRIFT_RATE = 0.5  # benchmark true drift is -x/2
 
@@ -70,32 +76,68 @@ def benchmark_closed_form(path: SamplePath) -> tuple[float, float]:
     return alpha_hat, gamma_hat
 
 
+def _cgf(law: LevyLaw):
+    """K(u) = log E[exp(u Z_1)] in mpmath, at the working precision; a complex u
+    takes the principal branches, which hold on the whole imaginary axis."""
+    if isinstance(law, NormalInverseGaussian):
+        a, b, d, u0 = map(mp.mpf, (law.alpha, law.beta, law.delta, law.mu))
+        gbar = mp.sqrt(a**2 - b**2)
+        return lambda u: u0 * u + d * (gbar - mp.sqrt(a**2 - (b + u) ** 2))
+    if isinstance(law, BilateralGamma):
+        sp_, rp, sm, rm = map(mp.mpf, (law.shape_pos, law.rate_pos, law.shape_neg, law.rate_neg))
+        return lambda u: sp_ * mp.log(rp / (rp - u)) + sm * mp.log(rm / (rm + u))
+    if isinstance(law, Brownian):
+        s = mp.mpf(law.sigma)
+        return lambda u: s**2 * u**2 / 2
+    raise TypeError(law)
+
+
 def cgf_cumulants(law: LevyLaw, order: int = 8) -> list[float]:
     """kappa_0..kappa_order of Z_1, from mpmath Taylor coefficients of the CGF."""
     with mp.workdps(60):
-        if isinstance(law, NormalInverseGaussian):
-            a, b, d, u0 = map(mp.mpf, (law.alpha, law.beta, law.delta, law.mu))
-            gbar = mp.sqrt(a**2 - b**2)
-
-            def K(u):
-                return u0 * u + d * (gbar - mp.sqrt(a**2 - (b + u) ** 2))
-
-        elif isinstance(law, BilateralGamma):
-            sp_, rp, sm, rm = map(mp.mpf, (law.shape_pos, law.rate_pos, law.shape_neg, law.rate_neg))
-
-            def K(u):
-                return sp_ * mp.log(rp / (rp - u)) + sm * mp.log(rm / (rm + u))
-
-        elif isinstance(law, Brownian):
-            s = mp.mpf(law.sigma)
-
-            def K(u):
-                return s**2 * u**2 / 2
-
-        else:
-            raise TypeError(law)
-        coef = mp.taylor(K, 0, order)
+        coef = mp.taylor(_cgf(law), 0, order)
         return [float(mp.factorial(j) * coef[j]) for j in range(order + 1)]
+
+
+def char_exponent(law: LevyLaw, u: float) -> complex:
+    """Characteristic exponent psi(u) = log E[exp(i u Z_1)] = K(i u)."""
+    return complex(_cgf(law)(1j * u))
+
+
+def g1_eval(path: SamplePath, model: ModelSpec, gamma: float) -> tuple[float, float, float]:
+    """Stage-one criterion on ``path`` and its first two gamma-derivatives."""
+    return _path_criteria(path, model, gamma, 0.0)[0]
+
+
+def g2_eval(path: SamplePath, model: ModelSpec, gamma: float, alpha: float) -> tuple[float, float, float]:
+    """Stage-two criterion on ``path`` at ``gamma`` and its first two alpha-derivatives."""
+    return _path_criteria(path, model, gamma, alpha)[1]
+
+
+def martingale_check(f, g, model: TrueModel, noise: LevyLaw, reps: int, seed: int) -> np.ndarray:
+    """|mean| / se of M_s - M_0 for M_t = f(X_t) + int_0^t g(X_u) du, shape (3, 3).
+
+    Rows are the starts -1.5, 0, 1.5 and columns the lags of 50, 100 and
+    200 Euler steps of 0.01.  The increments come from the substreams
+    (seed, 7301, chunk) of ``asymptotics._chunked_increments``; the time
+    integral is the trapezoid rule on the simulation grid, as in
+    ``epe_solve``.  A zero mean with a zero standard error scores 0.
+    """
+    step, lags = 0.01, (50, 100, 200)
+    z = _chunked_increments(noise, step, lags[-1], reps, seed, 7301).T
+    panel = np.empty((3, len(lags)))
+    for i, x0 in enumerate((-1.5, 0.0, 1.5)):
+        values = np.empty((reps, lags[-1] + 1))
+        values[:, 0], values[:, 1:] = x0, z
+        _affine_paths(model, step, x0, values[:, 1:])
+        assert (_first_bad(values[:, 1:], x0) < 0).all()
+        gx = np.asarray(g(values), dtype=float)
+        f0 = float(f(np.float64(x0)))
+        for j, k in enumerate(lags):
+            d = f(values[:, k]) + step * (gx[:, : k + 1].sum(axis=1) - 0.5 * (gx[:, 0] + gx[:, k])) - f0
+            mean, se = float(np.mean(d)), batch_means_se(d)
+            panel[i, j] = abs(mean) / se if se > 0 else (0.0 if mean == 0.0 else math.inf)
+    return panel
 
 
 def invariant_cumulants(kappas: list[float], drift_rate: float = DRIFT_RATE) -> list[float]:

@@ -1,14 +1,18 @@
 """Export lists: every name in a module's ``__all__`` exists, so a deleted
-name cannot linger in one."""
+name cannot linger in one, and something other than the tests uses it."""
 
+import ast
 import importlib
+import pathlib
 import pkgutil
+import re
 
 import pytest
 
 import levy_gqmle
 
 MODULES = ["levy_gqmle"] + [f"levy_gqmle.{m.name}" for m in pkgutil.iter_modules(levy_gqmle.__path__)]
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -23,3 +27,34 @@ def test_star_import(name):
     namespace = {}
     exec(f"from {name} import *", namespace)
     assert set(getattr(importlib.import_module(name), "__all__", ())) <= set(namespace)
+
+
+def _src_uses() -> set[str]:
+    """Names read anywhere in src/ as a name or an attribute.
+
+    Import statements, ``__all__`` strings, docstrings and a name's own
+    top-level definition do not count: a re-export or a recursive call is
+    not a use.
+    """
+    used = set()
+    for path in (ROOT / "src").rglob("*.py"):
+        for stmt in ast.parse(path.read_text()).body:
+            used |= {
+                node.id if isinstance(node, ast.Name) else node.attr
+                for node in ast.walk(stmt)
+                if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+            } - {getattr(stmt, "name", None)}
+    return used
+
+
+def test_every_export_has_a_caller_outside_tests():
+    # a helper only the tests call belongs in tests/, not in the package
+    src = _src_uses()
+    other = "\n".join(p.read_text() for d in ("demo", "perfbench", "tools") for p in (ROOT / d).rglob("*.py"))
+    dead = [
+        f"{module}.{n}"
+        for module in MODULES
+        for n in getattr(importlib.import_module(module), "__all__", ())
+        if n not in src and not re.search(rf"\b{re.escape(n)}\b", other)
+    ]
+    assert dead == []

@@ -29,8 +29,6 @@ from levy_gqmle.asymptotics import (
     avar,
     epe_solve,
     gamma_matrix,
-    invariant_char,
-    martingale_check,
     run_asymptotics,
     sample_invariant,
 )
@@ -41,10 +39,10 @@ from levy_gqmle.coefficients import (
     MeanRevertLinear,
     RationalSqrt,
 )
-from levy_gqmle.gqmle import ModelSpec, _criterion_terms, g1_eval, g2_eval
+from levy_gqmle.gqmle import ModelSpec, _criterion_terms
 from levy_gqmle.levy import Brownian, sample_increments
 from levy_gqmle.sde import DIVERGENCE_BOUND, DivergenceError, SamplePath, TrueModel
-from _oracles import _euler_columns, benchmark_oracle
+from _oracles import _euler_columns, benchmark_oracle, g1_eval, g2_eval, martingale_check
 from test_levy import CASE_I, CASE_III, DIFFUSION
 
 OU = TrueModel(LinearDecay(), 0.5, ConstantScale(), 1.0)
@@ -67,9 +65,9 @@ def res_i(oracle_i):
     return run_asymptotics(BENCH, OU, CASE_I, theta, seed=5, budget=40000, m=1500)
 
 
-# three invariant-path chunks: 300 burn-in steps end inside the first, and
-# the third is short (5,000,300 steps in all)
-LONG_PATH = dict(budget=5000, seed=8, burn_in=0.3, step=0.001)
+# three invariant-path chunks: the 50,000 burn-in steps end inside the
+# first, and the third is short (5,050,000 steps in all)
+LONG_PATH = dict(budget=5000, seed=8, step=0.001)
 OU_SHIFTED = TrueModel(MeanRevertLinear(m=0.7), 0.5, ConstantScale(), 1.0)
 
 
@@ -126,8 +124,8 @@ class TestSampleInvariant:
             assert abs(m - target) <= 5 * se + 0.02
 
     def test_deterministic(self):
-        a = sample_invariant(OU, CASE_I, budget=1000, seed=3, burn_in=5.0)
-        b = sample_invariant(OU, CASE_I, budget=1000, seed=3, burn_in=5.0)
+        a = sample_invariant(OU, CASE_I, budget=1000, seed=3)
+        b = sample_invariant(OU, CASE_I, budget=1000, seed=3)
         assert np.array_equal(a.states, b.states)
 
     def test_matches_serial_reference(self, inv_long):
@@ -135,9 +133,12 @@ class TestSampleInvariant:
         # one lfilter pass over the whole path, started at the mean
         rate, mean, step = 0.5, 0.7, LONG_PATH["step"]
         rho = 1.0 - rate * step
-        keep, burn = 1000, 300
+        keep = round(asymptotics._SPACING / step)
+        burn = round(asymptotics._BURN_IN / step)
         total = burn + LONG_PATH["budget"] * keep
         chunk = 2_000_000
+        # the burn-in ends inside the first chunk, and the third chunk is short
+        assert burn == 50_000 < chunk and total == 5_050_000 and 0 < total - 2 * chunk < chunk
         dz = np.concatenate([
             sample_increments(CASE_I, step, min(chunk, total - start),
                               substream(LONG_PATH["seed"], _TAG_INVARIANT, start // chunk))
@@ -161,12 +162,10 @@ class TestSampleInvariant:
         assert _util._pool_size(1) == 1
 
     def test_parameter_validation(self):
-        with pytest.raises(ValueError, match="spacing"):
-            sample_invariant(OU, CASE_I, spacing=0.5)
         with pytest.raises(ValueError, match="budget"):
             sample_invariant(OU, CASE_I, budget=500)
 
-    @pytest.mark.parametrize("name", ["step", "burn_in", "spacing"])
+    @pytest.mark.parametrize("name", ["step"])
     @pytest.mark.parametrize("value", [math.inf, math.nan])
     def test_non_finite_parameter_rejected(self, name, value):
         with pytest.raises(ValueError, match=f"{name} must be finite"):
@@ -187,17 +186,7 @@ class TestSampleInvariant:
 
     def test_sample_size_gate(self):
         with pytest.raises(ValueError, match="1000"):
-            InvariantSample(np.zeros(100), 50.0, 1.0, 0, 0.01)
-
-    def test_characteristic_function(self, inv_i):
-        # time-integral representation of the invariant CF
-        x = inv_i.states
-        for u in (0.5, 1.0, 2.0):
-            phat = invariant_char(OU, CASE_I, u)
-            emp_re, se_re = _batched(x, lambda b, u=u: np.mean(np.cos(u * b)))
-            emp_im, se_im = _batched(x, lambda b, u=u: np.mean(np.sin(u * b)))
-            err = abs(phat - (emp_re + 1j * emp_im))
-            assert err <= 5 * math.hypot(se_re, se_im) + 0.01
+            InvariantSample(np.zeros(100), 0, 0.01)
 
 
 class TestEPERhs:
@@ -376,37 +365,36 @@ class TestEPESolve:
         with pytest.raises(ValueError, match="at least one"):
             epe_solve(lambda x: np.asarray(x, float) * 0, OU, CASE_I, t_max=0.004, m=60, inv=inv_i)
 
-    def test_approx_validation(self):
+    def test_approx_validation(self, inv_i):
         with pytest.raises(ValueError, match="increasing"):
             EPEApprox(np.array([0.0, 0.0]), np.zeros(2), np.zeros(2), 1.0, 30, np.zeros(2))
         with pytest.raises(ValueError, match="shapes"):
             EPEApprox(np.array([0.0, 1.0]), np.zeros(3), np.zeros(2), 1.0, 30, np.zeros(2))
         with pytest.raises(ValueError, match="two points"):
-            epe_solve(lambda x: np.asarray(x, float) * 0, OU, CASE_I, grid=np.array([1.0]), m=60)
+            epe_solve(lambda x: np.asarray(x, float) * 0, OU, CASE_I, grid=np.array([1.0]), m=60, inv=inv_i)
         for bad in (dict(t_max=math.inf), dict(step=math.inf), dict(step=math.nan)):
             with pytest.raises(ValueError, match="finite"):
-                epe_solve(lambda x: np.asarray(x, float) * 0, OU, CASE_I, m=60, **bad)
+                epe_solve(lambda x: np.asarray(x, float) * 0, OU, CASE_I, m=60, inv=inv_i, **bad)
 
 
 class TestMartingaleCheck:
     def test_pure_ou_analytic_martingale(self):
         grid = np.linspace(-4, 4, 41)
         f = EPEApprox(grid, 2 * grid, np.zeros(41), 40.0, 100, np.zeros(41))
-        rep = martingale_check(f, lambda x: np.asarray(x, float), OU, CASE_I, reps=4000, seed=3)
-        assert rep.means.shape == (3, 3)
-        assert rep.max_abs_z <= 3.0
+        z = martingale_check(f, lambda x: np.asarray(x, float), OU, CASE_I, reps=4000, seed=3)
+        assert z.shape == (3, 3)
+        assert z.max() <= 3.0
 
     def test_zero_case_identically_zero(self):
         grid = np.linspace(-4, 4, 9)
         f = EPEApprox(grid, np.zeros(9), np.zeros(9), 40.0, 100, np.zeros(9))
-        rep = martingale_check(f, lambda x: np.zeros_like(np.asarray(x, float)), OU, CASE_I, reps=100, seed=1)
-        assert np.all(rep.means == 0.0)
-        assert rep.max_abs_z == 0.0
+        z = martingale_check(f, lambda x: np.zeros_like(np.asarray(x, float)), OU, CASE_I, reps=100, seed=1)
+        assert np.all(z == 0.0)
 
     def test_benchmark_f1_panel(self, res_i, oracle_i):
         g = _epe_rhs(BENCH, OU, (oracle_i.alpha_star, oracle_i.gamma_star))
-        rep = martingale_check(res_i.f1, lambda x: g(x)[0], OU, CASE_I, reps=4000, seed=13)
-        assert rep.max_abs_z <= 4.0
+        z = martingale_check(res_i.f1, lambda x: g(x)[0], OU, CASE_I, reps=4000, seed=13)
+        assert z.max() <= 4.0
 
 
 class TestGammaMatrix:
@@ -544,7 +532,12 @@ class TestRunAsymptotics:
         assert isinstance(res_i, AsymptoticsResult)
         obj = res_i.to_obj()
         assert set(obj) == {"Gamma", "Sigma", "V", "diagnostics"}
-        assert set(obj["diagnostics"]) >= {"invariant", "centering", "epe", "gamma_condition"}
+        diag = obj["diagnostics"]
+        assert set(diag) >= {"invariant", "centering", "epe", "gamma_condition"}
+        # the fixed burn-in and spacing of pi_0, and 25 quantiles plus four
+        # jump-reach points on each side of the EPE grid
+        assert (diag["invariant"]["burn_in"], diag["invariant"]["spacing"]) == (50.0, 1.0)
+        assert diag["epe"]["grid_points"] == 33
 
     def test_v_consistent_with_parts(self, res_i):
         np.testing.assert_allclose(res_i.v, avar(res_i.gamma, res_i.sigma), atol=1e-14)
@@ -565,7 +558,7 @@ class TestRunAsymptotics:
 
     def test_deterministic(self, oracle_i):
         theta = (oracle_i.alpha_star, oracle_i.gamma_star)
-        kw = dict(seed=8, budget=2000, m=60, t_max=10.0, grid_points=5)
+        kw = dict(seed=8, budget=2000, m=60, t_max=10.0)
         a = run_asymptotics(BENCH, OU, CASE_I, theta, **kw)
         b = run_asymptotics(BENCH, OU, CASE_I, theta, **kw)
         assert np.array_equal(a.sigma, b.sigma) and np.array_equal(a.gamma, b.gamma)

@@ -63,6 +63,19 @@ class TestOptimal:
         assert lines[0].startswith("case=i ")
         assert all("gamma_star=1.414213562373" in ln for ln in lines)
 
+    @pytest.mark.parametrize("fmt", ["svg", "csv"])
+    def test_only_json_format(self, capsys, fmt):
+        code, out, err = invoke(capsys, "optimal", "--format", fmt)
+        assert code == 1 and out == ""
+        assert "not available" in err
+
+    def test_format_from_config_checked(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"format": "xml"}))
+        code, out, err = invoke(capsys, "optimal", "--config", str(cfg))
+        assert code == 1 and out == ""
+        assert "not available" in err
+
     def test_json_format(self, capsys):
         code, out, _ = invoke(capsys, "optimal", "--format", "json")
         obj = json.loads(out)
@@ -225,6 +238,39 @@ class TestMc:
         code, _, err = invoke(capsys, "mc", "--replications", "10", "--out-dir", str(tmp_path))
         assert code == 1
         assert "replications" in err
+
+
+class TestSettings:
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--n", "50", "--format", "json"],
+        ["estimate", "--path", "path.csv", "--format", "svg"],
+        ["moments", "--n", "200", "--format", "svg"],
+    ], ids=lambda argv: argv[0])
+    def test_format_refused_where_nothing_is_formatted(self, capsys, tmp_path, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        invoke(capsys, "simulate", "--n", "50")
+        code, _, err = invoke(capsys, *argv, "--out-dir", "out")
+        assert code == 1
+        assert "--format" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command,key,value", [
+        ("simulate", "n", 20.7),
+        ("simulate", "seed", True),
+        ("simulate", "refine", 1.5),
+        ("moments", "n", 200.5),
+        ("mc", "replications", 150.5),
+        ("mc", "designs", [[200.9, 0.05]]),
+        ("asymptotics", "budget", 2000.5),
+        ("asymptotics", "m", 60.5),
+    ])
+    def test_non_integer_setting_exits_one(self, capsys, tmp_path, command, key, value):
+        settings = {"n": 200, "designs": [[200, 0.05]], "replications": 100, "budget": 2000, "m": 60, "t_max": 5}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**settings, key: value}))
+        code, _, err = invoke(capsys, command, "--config", str(cfg), "--out-dir", str(tmp_path / "out"))
+        assert code == 1
+        assert f"bad value for {key}" in err
 
 
 class TestConfigPrecedence:

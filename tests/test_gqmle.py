@@ -17,11 +17,9 @@ from levy_gqmle.gqmle import (
     _fit_drift,
     _fit_scale,
     estimate_staged,
-    g1_eval,
-    g2_eval,
 )
 from levy_gqmle.sde import PathConfig, SamplePath, TrueModel, simulate_euler
-from _oracles import benchmark_closed_form
+from _oracles import benchmark_closed_form, g1_eval, g2_eval
 from test_levy import CASE_I
 
 BENCH = ModelSpec(drift=MeanRevertLinear(m=1.0), scale=RationalSqrt())

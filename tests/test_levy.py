@@ -8,13 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import cgf_cumulants
+from _oracles import cgf_cumulants, char_exponent
 from levy_gqmle.levy import (
     BilateralGamma,
     Brownian,
     NormalInverseGaussian,
     _converged_nodes,
-    char_exponent,
     cumulants,
     levy_density,
     sample_increments,
