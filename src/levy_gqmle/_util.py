@@ -25,8 +25,19 @@ def substream(seed: int, *path: int) -> np.random.Generator:
 
     The same address always yields the same stream, regardless of how many
     other streams were created, so parallel schedules cannot change results.
+    A part that is boolean or not integral is refused with ``ValueError``,
+    so a seed of 1.5 cannot silently run as seed 1.
     """
-    return np.random.default_rng(np.random.SeedSequence((int(seed),) + tuple(int(p) for p in path)))
+    address = tuple(_integer(p, "substream address part") for p in (seed, *path))
+    return np.random.default_rng(np.random.SeedSequence(address))
+
+
+def _integer(value, name: str = "value") -> int:
+    """``int(value)``, refusing booleans and non-integral floats with
+    ``ValueError`` rather than truncating them."""
+    if isinstance(value, bool) or (isinstance(value, (float, np.floating)) and not value.is_integer()):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _pool_size(tasks: int) -> int:

@@ -23,6 +23,7 @@ from typing import Callable
 import numpy as np
 
 from ._util import NumericalError, batch_means_se, core_map, substream
+from .coefficients import ConstantDrift, ConstantScale, LinearDecay, MeanRevertLinear, RationalSqrt
 from .gqmle import ModelSpec, _criterion_terms
 from .levy import (
     Brownian,
@@ -195,47 +196,91 @@ def sample_invariant(
     return InvariantSample(states, seed, step)
 
 
-def _epe_rhs(
-    model: ModelSpec, true_model: TrueModel, theta_star: tuple[float, float]
-) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
-    """Both score integrands (g_1, g_2) at the optimal parameter, in one pass.
+def _poly_form(model: ModelSpec) -> tuple[float, np.ndarray, np.ndarray]:
+    """(x_c, b, q): the drift ``basis`` b and q = 1/p(x)^2, with p the scale
+    ``profile``, as coefficients in powers of t = x - x_c, constant first.
+
+    This is the one place that reads the fitted families as polynomials:
+    every catalog basis has degree <= 1 and every q degree <= 2 (q is
+    1 + x^2 for ``RationalSqrt``).  x_c is the basis's root (0 if it has
+    none), so b has no constant term.
+    """
+    drift, scale = model.drift, model.scale
+    if isinstance(drift, MeanRevertLinear):
+        center, b = drift.m, [0.0, -1.0]
+    elif isinstance(drift, LinearDecay):
+        center, b = 0.0, [0.0, -1.0]
+    elif isinstance(drift, ConstantDrift):
+        center, b = 0.0, [1.0]
+    else:
+        raise ValueError(f"need a catalog drift family, got {drift!r}")
+    if isinstance(scale, RationalSqrt):
+        q = [1.0 + center**2, 2.0 * center, 1.0]
+    elif isinstance(scale, ConstantScale):
+        q = [1.0]
+    else:
+        raise ValueError(f"need a catalog scale family, got {scale!r}")
+    return center, np.array(b), np.array(q)
+
+
+@dataclass(frozen=True, eq=False)
+class _PolyRHS:
+    """Right-hand sides that are polynomials in the state: row i of ``coef``
+    holds g_i's coefficients in powers of t = x - ``center``, constant
+    first, zero-padded to one common degree d = coef.shape[1] - 1.
+
+    Calling it evaluates each row by Horner's rule from its highest
+    nonzero coefficient, in place on one fresh array per row, so ``g(x)``
+    works wherever a callable right-hand side does; ``epe_solve``
+    recognizes the type and solves at d + 1 nodes.
+    """
+
+    coef: np.ndarray
+    center: float
+
+    def __call__(self, x) -> tuple[np.ndarray, ...]:
+        t = np.asarray(x, dtype=float) - self.center
+        out = []
+        for row in self.coef:
+            top = np.flatnonzero(row)[-1] if row.any() else 0
+            acc = np.full(t.shape, row[top])
+            for c in row[:top][::-1]:
+                acc *= t
+                acc += c
+            out.append(acc)
+        return tuple(out)
+
+
+def _epe_rhs(model: ModelSpec, true_model: TrueModel, theta_star: tuple[float, float]) -> _PolyRHS:
+    """Both score integrands (g_1, g_2) at the optimal parameter, as polynomials.
 
     Scale families are multiplicative, c = gamma p(x) with dc/dgamma = p(x),
     and drifts are linear, a = alpha b(x) with da/dalpha = b(x), so
     g_1 = c'(c^2 - C^2)/c^3 = (c^2 - C^2)/(gamma c^2) and
     g_2 = b(A - a)/c^2.  The true model is affine, A(x) = level - rate x
-    and C = sigma (``sde._affine_form``), and the scale family gives
-    q = 1/p(x)^2 in closed form, so
+    and C = sigma (``sde._affine_form``), and q = 1/p(x)^2 and b are
+    polynomials (``_poly_form``), so
 
-      g_1 = (gamma^2 - sigma^2 q) / gamma^3,
-      g_2 = b (level - rate x - alpha b) q / gamma^2,
+      g_1 = (gamma^2 - sigma^2 q) / gamma^3              (degree <= 2),
+      g_2 = b (level - rate x - alpha b) q / gamma^2     (degree <= 4)
 
-    with no square root and no division by an array; a correct constant
-    scale (q = 1, gamma = sigma) gives g_1 = 0 exactly.  A call allocates
-    q (which becomes g_1), b, g_2 and one scratch array, and works in place
-    otherwise: ``epe_solve`` calls it on about 2e8 states, from the workers
-    of the core pool at once.
+    are polynomials too, returned as one ``_PolyRHS`` with a (2, d + 1)
+    coefficient array.  Both are expanded about the root x_c of b, so g_2
+    has no constant term and keeps b's relative accuracy next to x_c.
+    g_1's constant term is (gamma^2 - sigma^2 q_0) / gamma^3, so a correct
+    constant scale (q = 1, gamma = sigma) gives g_1 = 0 exactly.
     """
     alpha_s, gamma_s = theta_star
     rate, level, sigma = _affine_form(true_model)
-    drift, scale = model.drift, model.scale
-    inv_g2, inv_g3 = 1.0 / gamma_s**2, 1.0 / gamma_s**3
-
-    def g(x):
-        x = np.asarray(x, dtype=float)
-        q = scale.inv_profile2(x)
-        b = drift.basis(x)
-        g2 = np.multiply(x, -rate * inv_g2)
-        g2 += level * inv_g2
-        g2 += np.multiply(b, -alpha_s * inv_g2)
-        g2 *= b
-        g2 *= q
-        q *= -(sigma**2)  # q is fresh, so it becomes g_1 in place
-        q += gamma_s**2
-        q *= inv_g3
-        return q, g2
-
-    return g
+    center, b, q = _poly_form(model)
+    poly = np.polynomial.polynomial
+    g1 = -(sigma**2) * q / gamma_s**3
+    g1[0] = (gamma_s**2 - sigma**2 * q[0]) / gamma_s**3
+    residual = poly.polysub([level - rate * center, -rate], alpha_s * b)
+    g2 = poly.polymul(poly.polymul(b, residual), q) / gamma_s**2
+    coef = np.zeros((2, max(g1.size, g2.size)))
+    coef[0, : g1.size], coef[1, : g2.size] = g1, g2
+    return _PolyRHS(coef, center)
 
 
 @dataclass(frozen=True)
@@ -311,6 +356,25 @@ def _chunked_increments(
     return out
 
 
+def _lagrange_matrix(nodes: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """(x.size, nodes.size) weights L with p(x) = L @ p(nodes) for every
+    polynomial p of degree < nodes.size."""
+    out = np.ones((x.size, nodes.size))
+    for j, u in enumerate(nodes):
+        for v in np.delete(nodes, j):
+            out[:, j] *= (x - v) / (u - v)
+    return out
+
+
+def _weighted_sum(weights: np.ndarray, arrays: tuple[np.ndarray, ...]) -> np.ndarray:
+    """sum_j weights[j] arrays[j], elementwise in j order: no BLAS, so the
+    bits do not depend on threads or array sizes."""
+    acc = weights[0] * arrays[0]
+    for w, a in zip(weights[1:], arrays[1:]):
+        acc += w * a
+    return acc
+
+
 def _as_tuple(values) -> tuple:
     return values if isinstance(values, tuple) else (values,)
 
@@ -354,19 +418,38 @@ def epe_solve(
     ``_util.core_map``.  The Euler recursion is the AR(1) of
     ``sde._step_map``, which is affine in its start: X^x_k = rho^k x + Y_k,
     where Y is the path started at zero.  ``sde._affine_paths`` filters
-    the increment panel into Y in place, once for every grid point.  A
-    state that is non-finite or beyond ``DIVERGENCE_BOUND`` raises
+    the increment panel into Y in place, once for every start.  A state
+    that is non-finite or beyond ``DIVERGENCE_BOUND`` raises
     :class:`DivergenceError`; every grid point is gated, in grid order,
-    before any is solved, so the error names the first failing point.  The
-    grid points are then solved on ``_util.core_map``, one worker per
-    usable core up to 4, all reading the one Y panel.  Each grid point's
-    states are formed and evaluated in time blocks of max(1, 2^16 // m)
-    steps, keeping only the running time sum and the first and last rows
-    of g, so a worker builds no temporary larger than a block; the
-    right-hand side ``run_asymptotics`` passes (``_epe_rhs``) is sqrt-free
-    and mostly in place.  The time integral is the trapezoid rule on the
-    simulation grid.  Each point's (f, se, tail bound) column is stacked
-    in grid order, so the result does not depend on the number of workers.
+    before any is solved, so the error names the first failing point.
+
+    Each start is solved on ``_util.core_map``, one worker per usable core
+    up to 4, all reading the one Y panel.  A start's states are formed and
+    evaluated in time blocks of max(1, 2^16 // m) steps, keeping only each
+    path's running sum of g and g at the path's first and last state, so a
+    worker builds no temporary larger than a block.  The time integral is
+    the trapezoid rule on the simulation grid.
+
+    Which starts are solved depends on ``g``:
+
+    - Any callable is solved at every grid point.
+    - The polynomial right-hand sides of ``_epe_rhs`` (a ``_PolyRHS`` of
+      degree d) are solved at d + 1 nodes whenever the grid has more
+      points.  If g is a polynomial of degree <= d, so is each path's sum
+      sum_k g(rho^k x + Y_k) as a function of the start x, so its values
+      at d + 1 distinct nodes fix it everywhere (polynomial-preserving
+      generators; Cuchiero, Keller-Ressel & Teichmann 2012, Finance
+      Stoch.).  The nodes are the Chebyshev points of the first kind on the
+      grid's span, where the Lagrange weights stay small, so the carried
+      sums match a per-point solve up to rounding (about 1e-15 relative).
+      They lie inside the span, so the divergence gate covers them.  Each
+      grid point's path sums are the Lagrange-weighted node sums, added
+      per path in node order with no BLAS, and g at the path's ends is
+      evaluated at the grid point itself.  On the ``run_asymptotics``
+      grid this evaluates g on 5 starts instead of 33.
+
+    Each point's (f, se, tail bound) column is stacked in grid order, so
+    the result does not depend on the number of workers.
 
     The reported tail bound combines the conditional-mean remainder at
     ``t_max``, discounted at the known mixing rate, with a 3-sigma allowance
@@ -409,8 +492,8 @@ def epe_solve(
         if bad.any():
             raise DivergenceError(int(np.argmax(bad)) + 1)
 
-    def solve_at(x0: float) -> np.ndarray:
-        """(f, se, tail bound) of every right-hand side at start x0, shape (len(g), 3)."""
+    def path_sums(x0: float) -> tuple[list, list, list]:
+        """Each g's per-path sum over the states X_0..X_steps from x0, with g at X_0 and at X_steps."""
         shift = decay * x0
         first = [np.asarray(v, dtype=float) for v in _as_tuple(g(np.full(m, x0)))]
         sums = [v.copy() for v in first]
@@ -422,18 +505,34 @@ def epe_solve(
                 v = np.asarray(v, dtype=float)
                 acc += v.sum(axis=0)
                 last.append(v[-1])
-        col = np.empty((len(sums), 3))
-        for j, (acc, g_start, g_end) in enumerate(zip(sums, first, last)):
-            total = step * (acc - 0.5 * (g_start + g_end))
-            m_end = float(np.mean(g_end))
-            se_end = batch_means_se(g_end)
-            fluct = 3.0 * math.sqrt(2.0 * t_max * float(np.var(g_end)) / (rate * m))
-            bound = (abs(m_end) + 3.0 * se_end) / rate + fluct
-            col[j] = float(np.mean(total)), batch_means_se(total), bound
-        return col
+        return sums, first, last
 
+    def column(acc: np.ndarray, g_start: np.ndarray, g_end: np.ndarray) -> tuple[float, float, float]:
+        """(f, se, tail bound) at one start from a path sum and g at the path's ends."""
+        total = step * (acc - 0.5 * (g_start + g_end))
+        m_end = float(np.mean(g_end))
+        se_end = batch_means_se(g_end)
+        fluct = 3.0 * math.sqrt(2.0 * t_max * float(np.var(g_end)) / (rate * m))
+        bound = (abs(m_end) + 3.0 * se_end) / rate + fluct
+        return float(np.mean(total)), batch_means_se(total), bound
+
+    nodes = grid
+    if isinstance(g, _PolyRHS) and grid.size > g.coef.shape[1]:
+        # Chebyshev points of the first kind, strictly inside the grid's span
+        k = g.coef.shape[1]
+        mid, half = 0.5 * (grid[0] + grid[-1]), 0.5 * (grid[-1] - grid[0])
+        nodes = mid - half * np.cos(np.pi * (np.arange(k) + 0.5) / k)
+    runs = list(core_map(path_sums, nodes))
+    if nodes is not grid:
+        # each path's sum is a polynomial of degree < k in its start: carry
+        # the node sums to the grid; g at each point's ends is evaluated there
+        node_sums = [sums for sums, _, _ in runs]
+        runs = []
+        for w, x0 in zip(_lagrange_matrix(nodes, grid), grid):
+            sums = [_weighted_sum(w, per_node) for per_node in zip(*node_sums)]
+            runs.append((sums, g(np.full(m, x0)), g(decay[-1] * x0 + y[-1])))
     # (f, se, tail bound) per g, each of shape (grid.size,)
-    stats = np.stack(list(core_map(solve_at, grid)), axis=-1)
+    stats = np.moveaxis(np.array([[column(*ends) for ends in zip(*run)] for run in runs]), 0, -1)
     out = tuple(
         EPEApprox(grid, f, se, t_max, m, tail, gbar, gse)
         for (f, se, tail), (gbar, gse) in zip(stats, centering)

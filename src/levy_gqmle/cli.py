@@ -28,7 +28,7 @@ import pathlib
 import sys
 
 from . import __version__
-from ._util import NumericalError, atomic_write_text
+from ._util import NumericalError, _integer, atomic_write_text
 from .asymptotics import run_asymptotics
 from .experiment import (
     CASES,
@@ -143,13 +143,6 @@ def _setting(ns, cfg, key, default, cast=None):
         return cast(value)
     except (TypeError, ValueError):
         raise _UsageError(f"bad value for {key}: {value!r}")
-
-
-def _integer(value) -> int:
-    """``int(value)``, refusing booleans and non-integral numbers rather than truncating them."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-        raise ValueError(f"not an integer: {value!r}")
-    return int(value)
 
 
 def _resolve_seed(ns, cfg) -> int:

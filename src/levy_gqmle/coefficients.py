@@ -5,10 +5,7 @@ the state.  Drift families are linear in their parameter,
 ``a(x, theta) = theta * basis(x)``; scale families are multiplicative,
 ``c(x, theta) = theta * profile(x)``.  Every parameter derivative follows
 from ``basis``/``profile``, and the estimation stages use both structures
-for their closed forms.  Scale families also give ``inv_profile2(x)`` =
-1 / profile(x)^2 in closed form, as a fresh array the caller may
-overwrite, so a weight 1/c^2 needs no square root and no division by an
-array.
+for their closed forms.
 """
 
 from __future__ import annotations
@@ -70,11 +67,6 @@ class RationalSqrt:
     def profile(self, x):
         return 1.0 / np.sqrt(1.0 + np.asarray(x, dtype=float) ** 2)
 
-    def inv_profile2(self, x):
-        q = np.square(x, dtype=float)
-        q += 1.0
-        return q
-
     def value(self, x, gamma):
         return gamma * self.profile(x)
 
@@ -85,9 +77,6 @@ class ConstantScale:
 
     def profile(self, x):
         return np.ones_like(np.asarray(x, dtype=float))
-
-    def inv_profile2(self, x):
-        return self.profile(x)
 
     def value(self, x, gamma):
         return gamma * self.profile(x)

@@ -20,7 +20,7 @@ from functools import partial
 
 import numpy as np
 
-from ._util import NumericalError, atomic_write_text, core_map, substream
+from ._util import NumericalError, _integer, atomic_write_text, core_map, substream
 from .coefficients import ConstantScale, LinearDecay, MeanRevertLinear, RationalSqrt
 from .gqmle import ModelSpec, _fit_drift, _fit_rows, _fit_scale
 from .levy import (
@@ -160,10 +160,7 @@ class ExperimentDesign:
 
     def __post_init__(self):
         object.__setattr__(self, "case", _case_key(self.case))
-        for n, _ in self.designs:
-            if isinstance(n, bool) or not float(n).is_integer():
-                raise ValueError(f"n must be an integer, got {n!r}")
-        ds = tuple((int(n), float(h)) for n, h in self.designs)
+        ds = tuple((_integer(n, "n"), float(h)) for n, h in self.designs)
         if not ds:
             raise ValueError("need at least one (n, h) design")
         for n, h in ds:
@@ -172,6 +169,10 @@ class ExperimentDesign:
             if not (0 < h < math.inf):
                 raise ValueError(f"h must be positive and finite, got {h}")
         object.__setattr__(self, "designs", ds)
+        for name in ("replications", "seed"):
+            object.__setattr__(self, name, _integer(getattr(self, name), name))
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.replications < 100:
             raise ValueError(f"replications must be >= 100, got {self.replications}")
 

@@ -164,6 +164,8 @@ class TestSampleInvariant:
     def test_parameter_validation(self):
         with pytest.raises(ValueError, match="budget"):
             sample_invariant(OU, CASE_I, budget=500)
+        with pytest.raises(ValueError, match="must be an integer"):
+            sample_invariant(OU, CASE_I, budget=1000, seed=1.5)
 
     @pytest.mark.parametrize("name", ["step"])
     @pytest.mark.parametrize("value", [math.inf, math.nan])
@@ -229,11 +231,35 @@ class TestEPERhs:
             clear = np.abs(want) > 0.1 * size
             np.testing.assert_allclose(g[clear], want[clear], rtol=1e-13)
 
+    @pytest.mark.parametrize("true_model", [OU, OU_SHIFTED], ids=["linear-decay", "mean-revert"])
     @pytest.mark.parametrize("scale", [RationalSqrt(), ConstantScale()], ids=lambda s: type(s).__name__)
-    def test_inv_profile2_is_inverse_square(self, scale):
-        x = np.concatenate([np.linspace(-6.0, 6.0, 241), [0.0, 1e-8, -1e-3, 37.5, -1e3]])
-        prod = scale.inv_profile2(x) * scale.profile(x) ** 2
-        assert np.all(np.abs(prod - 1.0) <= 4.0 * np.finfo(float).eps)
+    @pytest.mark.parametrize(
+        "drift", [MeanRevertLinear(m=0.7), ConstantDrift(), LinearDecay()], ids=lambda d: type(d).__name__
+    )
+    def test_coefficients_match_score_forms(self, drift, scale, true_model):
+        # the coefficient array itself, evaluated by numpy's polyval, against
+        # g_1 = c'(c^2 - C^2)/c^3 and g_2 = b(A - a)/c^2 from the families
+        alpha, gamma = 0.4, 1.1
+        model = ModelSpec(drift=drift, scale=scale)
+        x = np.linspace(-6.0, 6.0, 241)
+        c = scale.value(x, gamma)
+        want1 = scale.profile(x) * (c**2 - true_model.C(x) ** 2) / c**3
+        want2 = drift.basis(x) * (true_model.A(x) - drift.value(x, alpha)) / c**2
+        g = _epe_rhs(model, true_model, (alpha, gamma))
+        # degree of g_2: deg b + max(deg b, 1) + deg(1/p^2)
+        degree = (1 if isinstance(drift, ConstantDrift) else 2) + (2 if isinstance(scale, RationalSqrt) else 0)
+        assert g.coef.shape == (2, degree + 1)
+        for coef, want in zip(g.coef, (want1, want2)):
+            got = np.polynomial.polynomial.polyval(x - g.center, coef)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_unknown_family_refused(self):
+        class Cubic:
+            def basis(self, x):
+                return np.asarray(x, float) ** 3
+
+        with pytest.raises(ValueError, match="catalog drift"):
+            _epe_rhs(ModelSpec(drift=Cubic(), scale=ConstantScale()), OU, (0.4, 1.1))
 
     @pytest.mark.parametrize("value", [0.7, 0.3])
     def test_correct_constant_scale_gives_exact_zero(self, value):
@@ -314,18 +340,54 @@ class TestEPESolve:
                           seed=seed, inv=inv, step=step)
         assert np.array_equal(alone.f, got[0].f) and np.array_equal(alone.se, got[0].se)
 
-    def test_independent_of_worker_count(self, inv_i, monkeypatch):
-        g = lambda x: (np.asarray(x, float), np.tanh(x))
+    def test_independent_of_worker_count(self, inv_i, oracle_i, monkeypatch):
+        # a callable is solved at all 7 grid points, _epe_rhs's polynomials
+        # at 5 nodes and carried to the grid
+        poly = _epe_rhs(BENCH, OU, (oracle_i.alpha_star, oracle_i.gamma_star))
+        default = _util._pool_size
         grid = np.linspace(-2.0, 2.0, 7)
-        runs = []
-        for workers in (None, 1, 3):
-            if workers is not None:
-                monkeypatch.setattr(_util, "_pool_size", lambda tasks, n=workers: n)
-            runs.append(epe_solve(g, OU, CASE_I, grid=grid, t_max=5.0, m=100, seed=6, inv=inv_i))
-        for other in runs[1:]:
-            for a, b in zip(runs[0], other):
-                for name in ("x", "f", "se", "tail_bound"):
-                    assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+        for g in (lambda x: (np.asarray(x, float), np.tanh(x)), poly):
+            runs = []
+            for workers in (None, 1, 3):
+                monkeypatch.setattr(_util, "_pool_size", lambda tasks, n=workers: n or default(tasks))
+                runs.append(epe_solve(g, OU, CASE_I, grid=grid, t_max=5.0, m=100, seed=6, inv=inv_i))
+            for other in runs[1:]:
+                for a, b in zip(runs[0], other):
+                    for name in ("x", "f", "se", "tail_bound"):
+                        assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+
+    def test_polynomial_nodes_match_every_grid_point(self, inv_i, oracle_i, res_i, monkeypatch):
+        # the same polynomial solved at its d + 1 = 5 nodes and carried to the
+        # run_asymptotics grid (33 points with the sideways extension), and
+        # as a plain callable at every grid point
+        g = _epe_rhs(BENCH, OU, (oracle_i.alpha_star, oracle_i.gamma_star))
+        tasks = []
+
+        def spy(fn, items, core_map=asymptotics.core_map):
+            # the last pool call of a solve runs the starts
+            tasks.append(np.array(list(items)))
+            return core_map(fn, tasks[-1])
+
+        monkeypatch.setattr(asymptotics, "core_map", spy)
+        kw = dict(t_max=10.0, m=200, seed=3, inv=inv_i)
+        for grid in (res_i.f1.x, np.linspace(-1.0, 2.0, 5)):
+            nodes = epe_solve(g, OU, CASE_I, grid=grid, **kw)
+            starts = tasks[-1]
+            if grid.size > 5:
+                assert starts.size == 5 and grid[0] < starts.min() and starts.max() < grid[-1]
+            else:
+                assert np.array_equal(starts, grid)
+            every = epe_solve(lambda x: g(x), OU, CASE_I, grid=grid, **kw)
+            assert np.array_equal(tasks[-1], grid)
+            for a, b in zip(nodes, every):
+                assert np.array_equal(a.x, grid)
+                for name in ("f", "se", "tail_bound"):
+                    ref = getattr(b, name)
+                    err = np.max(np.abs(getattr(a, name) - ref))
+                    assert err <= 1e-12 * np.max(np.abs(ref)), (grid.size, name, err)
+                    if grid.size <= 5:  # the nodes are the grid: no transfer
+                        assert getattr(a, name).tobytes() == ref.tobytes(), name
+                assert (a.g_mean, a.g_se) == (b.g_mean, b.g_se)
 
     def test_chunked_increments_independent_of_worker_count(self, monkeypatch):
         # 1234 steps: two full 500-step chunks and a short one, each drawn

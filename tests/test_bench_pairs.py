@@ -71,9 +71,16 @@ def test_summary_reproduces_committed_record():
     assert bench_pairs.summarize(committed["pairs"]) == committed["summary"]
 
 
+def _benchmark_checkout(path):
+    (path / "perfbench").mkdir(parents=True)
+    (path / "BENCHMARK.json").write_bytes(b'{"paths": ["perfbench"]}\n')
+    (path / "perfbench" / "run.py").write_bytes(b"print(1)\n")
+    return path
+
+
 def test_main_alternates_which_side_runs_first(tmp_path, monkeypatch):
-    parent, change = tmp_path / "parent", tmp_path / "change"
-    change.mkdir()
+    parent = _benchmark_checkout(tmp_path / "parent")
+    change = _benchmark_checkout(tmp_path / "change")
     calls = []
 
     def fake_run_once(checkout, workload):
@@ -87,3 +94,29 @@ def test_main_alternates_which_side_runs_first(tmp_path, monkeypatch):
     record = json.loads((change / "BENCH_w.json").read_text())
     assert record["summary"]["wall_s"]["change_lower"] == 4
     assert all(list(p) == ["pair", "parent", "change"] for p in record["pairs"])
+
+
+@pytest.mark.parametrize("edit", ["perfbench", "extra_file", "benchmark_json", "no_benchmark_json"])
+def test_main_refuses_differing_benchmarks(tmp_path, monkeypatch, edit):
+    parent = _benchmark_checkout(tmp_path / "parent")
+    change = _benchmark_checkout(tmp_path / "change")
+    # byte caches and hidden run leftovers are not part of the benchmark
+    for checkout, data in ((parent, b"a"), (change, b"b")):
+        (checkout / "perfbench" / "__pycache__").mkdir()
+        (checkout / "perfbench" / "__pycache__" / "run.cpython-311.pyc").write_bytes(data)
+        (checkout / "perfbench" / ".perfbench-1").mkdir()
+        (checkout / "perfbench" / ".perfbench-1" / "out.json").write_bytes(data)
+    bench_pairs.check_same_benchmark(parent, change)
+
+    if edit == "perfbench":
+        (change / "perfbench" / "run.py").write_bytes(b"print(2)\n")
+    elif edit == "extra_file":
+        (parent / "perfbench" / "spans.py").write_bytes(b"")
+    elif edit == "benchmark_json":
+        (change / "BENCHMARK.json").write_bytes(b'{"paths": ["perfbench"]} \n')
+    else:
+        (parent / "BENCHMARK.json").unlink()
+    monkeypatch.setattr(bench_pairs, "run_once", lambda *a: pytest.fail("ran a benchmark"))
+    with pytest.raises(SystemExit, match="differ|no BENCHMARK.json"):
+        bench_pairs.main(["--parent", str(parent), "--change", str(change), "--workload", "w", "--pairs", "2"])
+    assert not (change / "BENCH_w.json").exists()

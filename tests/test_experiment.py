@@ -140,10 +140,20 @@ class TestExperimentDesign:
         (dict(designs=((100, math.inf),)), "h must be"),
         (dict(designs=((200.9, 0.05),)), "n must be an integer"),
         (dict(designs=((True, 0.05),)), "n must be an integer"),
+        (dict(replications=150.5), "replications must be an integer"),
+        (dict(replications=True), "replications must be an integer"),
+        (dict(seed=1.5), "seed must be an integer"),
+        (dict(seed=math.nan), "seed must be an integer"),
+        (dict(seed=-1), "seed must be >= 0"),
     ])
     def test_validation(self, kwargs, msg):
         with pytest.raises(ValueError, match=msg):
             ExperimentDesign("i", **kwargs)
+
+    def test_integral_values_become_ints(self):
+        d = ExperimentDesign("i", replications=150.0, seed=np.int64(3))
+        assert (d.replications, d.seed) == (150, 3)
+        assert type(d.replications) is int and type(d.seed) is int
 
 
 class TestRunMc:

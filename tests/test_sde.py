@@ -222,6 +222,23 @@ class TestPathIO:
         assert lines[1] == "0,0" and lines[2] == "0.5,1"
 
 
+class TestSubstream:
+    def test_integer_addresses_keep_their_streams(self):
+        want = np.random.default_rng(np.random.SeedSequence((3, 7001, 2))).random(4)
+        for address in ((3, 7001, 2), (np.int64(3), np.uint32(7001), 2), (3.0, 7001, np.int8(2))):
+            assert substream(*address).random(4).tobytes() == want.tobytes()
+        # integers beyond float range pass through unchanged
+        huge = np.random.default_rng(np.random.SeedSequence((10**400, 1))).random(4)
+        assert substream(10**400, 1).random(4).tobytes() == huge.tobytes()
+
+    @pytest.mark.parametrize("part", [1.5, np.float32(2.5), math.nan, math.inf, True])
+    def test_non_integral_part_refused(self, part):
+        with pytest.raises(ValueError, match="must be an integer"):
+            substream(part)
+        with pytest.raises(ValueError, match="must be an integer"):
+            substream(3, 7001, part)
+
+
 class TestConfigAndPathTypes:
     def test_path_config_validation(self):
         with pytest.raises(ValueError):
@@ -230,6 +247,13 @@ class TestConfigAndPathTypes:
             PathConfig(n=10, h=0.0)
         with pytest.raises(ValueError):
             PathConfig(n=10, h=0.1, refine=0)
+
+    def test_non_integral_seed_refused(self):
+        # a seed of 1.5 used to run as seed 1
+        with pytest.raises(ValueError, match="must be an integer"):
+            simulate_euler(OU, CASE_I, PathConfig(n=10, h=0.1, seed=1.5))
+        whole = simulate_euler(OU, CASE_I, PathConfig(n=10, h=0.1, seed=2.0))
+        assert whole.values.tobytes() == simulate_euler(OU, CASE_I, PathConfig(n=10, h=0.1, seed=2)).values.tobytes()
 
     def test_sample_path_validation(self):
         with pytest.raises(ValueError, match="finite"):

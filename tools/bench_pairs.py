@@ -1,7 +1,8 @@
 """Alternating parent/change pairs of ``perfbench/run.py``, recorded as ``BENCH_<workload>.json``.
 
 Run from anywhere, with two checkouts of the repository whose
-``perfbench/`` and ``BENCHMARK.json`` are identical:
+``perfbench/`` and ``BENCHMARK.json`` are byte-identical, byte caches
+and hidden run leftovers aside; the script refuses to run otherwise:
 
   python3 tools/bench_pairs.py --parent ../parent --change . \\
       --workload asymptotics_i --pairs 10
@@ -31,6 +32,32 @@ METRICS = ("wall_s", "cpu_s", "peak_rss_mb", "setup_s")
 HOST_KEYS = ("nproc", "cpu_model", "python", "blas_env")
 # perfbench's own default run length, spelled out so the record states it
 SECONDS = 30
+
+
+def benchmark_files(checkout: Path) -> dict[str, bytes]:
+    """``BENCHMARK.json`` and the files under ``perfbench/``, by relative path.
+
+    Byte caches and hidden run leftovers (``__pycache__``, ``.perfbench-*``)
+    are not part of the benchmark and are skipped.
+    """
+    files = [checkout / "BENCHMARK.json", *(checkout / "perfbench").rglob("*")]
+    out = {}
+    for path in files:
+        name = path.relative_to(checkout)
+        if path.is_file() and not any(part == "__pycache__" or part.startswith(".") for part in name.parts):
+            out[name.as_posix()] = path.read_bytes()
+    return out
+
+
+def check_same_benchmark(parent: Path, change: Path) -> None:
+    """Refuse two checkouts whose benchmark definitions differ, or that have none."""
+    a, b = benchmark_files(parent), benchmark_files(change)
+    for checkout, found in ((parent, a), (change, b)):
+        if "BENCHMARK.json" not in found:
+            raise SystemExit(f"no BENCHMARK.json in {checkout}")
+    differ = sorted(name for name in a.keys() | b.keys() if a.get(name) != b.get(name))
+    if differ:
+        raise SystemExit(f"perfbench/ and BENCHMARK.json differ between {parent} and {change}: {', '.join(differ)}")
 
 
 def command(workload: str) -> list[str]:
@@ -114,6 +141,7 @@ def main(argv: list[str] | None = None) -> int:
     ns = parser.parse_args(argv)
     if ns.pairs < 2:
         parser.error("--pairs must be at least 2")
+    check_same_benchmark(ns.parent, ns.change)
     checkouts = {"parent": ns.parent, "change": ns.change}
     pairs, provenance = [], {}
     for i in range(ns.pairs):
