@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._util import NumericalError, batch_means_se, core_map, substream
+from ._util import NumericalError, _integer, batch_means_se, core_map, substream
 from .coefficients import ConstantDrift, ConstantScale, LinearDecay, MeanRevertLinear, RationalSqrt
 from .gqmle import ModelSpec, _criterion_terms
 from .levy import (
@@ -72,7 +72,8 @@ _INVARIANT_CHUNK = 2_000_000
 _BURN_IN = 50.0
 _SPACING = 1.0
 # pi_0 quantiles of the EPE grid: epe_solve's default grid, and
-# run_asymptotics' before its sideways extension
+# run_asymptotics' before its sideways extension.  The grid only says where
+# f is reported: the paths run from d + 1 nodes whatever its size
 _GRID_POINTS = 25
 # Sigma averages over at most this many pi_0 states, thinned evenly, taken
 # this many at a time through the jump-quadrature nodes, one chunk per task
@@ -147,8 +148,10 @@ def sample_invariant(
 
     The sample variance must land within 10% of kappa_2 scale^2 / (2 rate);
     a larger mismatch means the chain did not mix at this step size and
-    raises :class:`MixingError`.
+    raises :class:`MixingError`.  ``budget`` must be integral; a float
+    such as 2000.0 runs as its integer.
     """
+    budget = _integer(budget, "budget")
     if budget < 1000:
         raise ValueError(f"budget must be at least 1000, got {budget}")
     if not 0.0 < step < math.inf:
@@ -229,10 +232,11 @@ class _PolyRHS:
     holds g_i's coefficients in powers of t = x - ``center``, constant
     first, zero-padded to one common degree d = coef.shape[1] - 1.
 
-    Calling it evaluates each row by Horner's rule from its highest
-    nonzero coefficient, in place on one fresh array per row, so ``g(x)``
-    works wherever a callable right-hand side does; ``epe_solve``
-    recognizes the type and solves at d + 1 nodes.
+    This is the one input type of ``epe_solve``, which solves it at
+    d + 1 nodes.  Calling it evaluates each row by Horner's rule from its
+    highest nonzero coefficient, in place on one fresh array per row, and
+    returns the rows' values as a tuple; the centering gate and the time
+    blocks of the solve evaluate it this way.
     """
 
     coef: np.ndarray
@@ -375,20 +379,19 @@ def _weighted_sum(weights: np.ndarray, arrays: tuple[np.ndarray, ...]) -> np.nda
     return acc
 
 
-def _as_tuple(values) -> tuple:
-    return values if isinstance(values, tuple) else (values,)
-
-
-def _check_epe_args(t_max: float, step: float, m: int) -> None:
-    """Refuse an EPE horizon, step or path count before anything is sampled."""
+def _check_epe_args(t_max: float, step: float, m: int) -> int:
+    """Refuse an EPE horizon, step or path count before anything is sampled;
+    return the path count as an ``int`` (2000.0 runs as 2000)."""
+    m = _integer(m, "m")
     if not (0 < t_max < math.inf and 0 < step < math.inf) or round(t_max / step) < 1 or m < 30:
         raise ValueError(
             f"need finite t_max of at least one finite step > 0 and m >= 30; got {t_max}, {step}, {m}"
         )
+    return m
 
 
 def epe_solve(
-    g: Callable[[np.ndarray], np.ndarray | tuple[np.ndarray, ...]],
+    g: _PolyRHS,
     model: TrueModel,
     noise: LevyLaw,
     inv: InvariantSample,
@@ -397,23 +400,24 @@ def epe_solve(
     m: int = 2000,
     seed: int = 0,
     step: float = 0.01,
-) -> EPEApprox | tuple[EPEApprox, ...]:
+) -> tuple[EPEApprox, ...]:
     """Monte Carlo solution f(x) = int_0^t_max E^x[g(X_t)] dt on a grid.
 
     This is the Poisson-equation representation of Glynn & Meyn (1996,
-    Ann. Probab.).  ``g`` maps states to values; a ``g`` that returns a
-    tuple of arrays is solved for every right-hand side on the same paths
-    and gets a tuple of :class:`EPEApprox` back, in the same order.
+    Ann. Probab.).  ``g`` is a ``_PolyRHS`` of degree d, as built by
+    ``_epe_rhs``; any other ``g`` is refused with ``TypeError`` before
+    anything is drawn.  Every row of ``g.coef`` is solved on the same paths
+    and gets its own :class:`EPEApprox`, returned as a tuple in row order.
 
-    ``g`` is called from several threads at once, so it must not mutate
-    shared state.  Every right-hand side must average to zero under pi_0;
-    the centering is gated at three batch-means standard errors against
-    the pi_0 sample ``inv``, before any path is drawn, because a non-centered g makes the time integral diverge
-    linearly.  ``t_max`` and ``step`` must be finite, and ``t_max`` must
-    round to at least one step (``_check_epe_args``, which
-    ``run_asymptotics`` also calls before it samples pi_0).
+    Every row must average to zero under pi_0; the centering is gated at
+    three batch-means standard errors against the pi_0 sample ``inv``,
+    before any path is drawn, because a non-centered g makes the time
+    integral diverge linearly.  ``t_max`` and ``step`` must be finite,
+    ``t_max`` must round to at least one step, and ``m`` must be an
+    integer of at least 30 (``_check_epe_args``, which ``run_asymptotics``
+    also calls before it samples pi_0).
 
-    All grid points share one panel of ``m`` Euler paths (common random
+    All starts share one panel of ``m`` Euler paths (common random
     numbers), whose increments ``_chunked_increments`` draws on
     ``_util.core_map``.  The Euler recursion is the AR(1) of
     ``sde._step_map``, which is affine in its start: X^x_k = rho^k x + Y_k,
@@ -423,30 +427,24 @@ def epe_solve(
     :class:`DivergenceError`; every grid point is gated, in grid order,
     before any is solved, so the error names the first failing point.
 
-    Each start is solved on ``_util.core_map``, one worker per usable core
-    up to 4, all reading the one Y panel.  A start's states are formed and
-    evaluated in time blocks of max(1, 2^16 // m) steps, keeping only each
-    path's running sum of g and g at the path's first and last state, so a
-    worker builds no temporary larger than a block.  The time integral is
-    the trapezoid rule on the simulation grid.
-
-    Which starts are solved depends on ``g``:
-
-    - Any callable is solved at every grid point.
-    - The polynomial right-hand sides of ``_epe_rhs`` (a ``_PolyRHS`` of
-      degree d) are solved at d + 1 nodes whenever the grid has more
-      points.  If g is a polynomial of degree <= d, so is each path's sum
-      sum_k g(rho^k x + Y_k) as a function of the start x, so its values
-      at d + 1 distinct nodes fix it everywhere (polynomial-preserving
-      generators; Cuchiero, Keller-Ressel & Teichmann 2012, Finance
-      Stoch.).  The nodes are the Chebyshev points of the first kind on the
-      grid's span, where the Lagrange weights stay small, so the carried
-      sums match a per-point solve up to rounding (about 1e-15 relative).
-      They lie inside the span, so the divergence gate covers them.  Each
-      grid point's path sums are the Lagrange-weighted node sums, added
-      per path in node order with no BLAS, and g at the path's ends is
-      evaluated at the grid point itself.  On the ``run_asymptotics``
-      grid this evaluates g on 5 starts instead of 33.
+    Since g is a polynomial of degree <= d, so is each path's sum
+    sum_k g(rho^k x + Y_k) as a function of the start x, and its values at
+    d + 1 distinct nodes fix it everywhere (polynomial-preserving
+    generators; Cuchiero, Keller-Ressel & Teichmann 2012, Finance Stoch.).
+    The nodes are the d + 1 Chebyshev points of the first kind on the
+    grid's span, whatever the grid's size: the Lagrange weights stay small
+    there, and the nodes lie inside the span, so the divergence gate covers
+    them.  Each node is solved on ``_util.core_map``, one worker per usable
+    core up to 4, all reading the one Y panel.  A node's states are formed
+    and evaluated in time blocks of max(1, 2^16 // m) steps, keeping only
+    each path's running sum of g, so a worker builds no temporary larger
+    than a block.  Each grid point's path sums are the Lagrange-weighted
+    node sums, added per path in node order with no BLAS; g at the path's
+    first and last state is evaluated at the grid point itself.  The time
+    integral is the trapezoid rule on the simulation grid, and the carried
+    sums match an Euler run from each grid point up to rounding (about
+    1e-15 relative).  On the ``run_asymptotics`` grid this evaluates g on
+    5 starts instead of 33.
 
     Each point's (f, se, tail bound) column is stacked in grid order, so
     the result does not depend on the number of workers.
@@ -455,19 +453,16 @@ def epe_solve(
     ``t_max``, discounted at the known mixing rate, with a 3-sigma allowance
     for the Monte Carlo fluctuation of everything beyond the horizon.
     """
-    _check_epe_args(t_max, step, m)
+    if not isinstance(g, _PolyRHS):
+        raise TypeError(f"g must be a _PolyRHS, as built by _epe_rhs; got {type(g).__name__}")
+    m = _check_epe_args(t_max, step, m)
     rate = _linear_ou_form(model)[0]
-    raw = g(inv.states)
     centering = []
-    for i, gvals in enumerate(_as_tuple(raw)):
-        gvals = np.asarray(gvals, dtype=float)
+    for i, gvals in enumerate(g(inv.states)):
         gbar = float(np.mean(gvals))
         gse = batch_means_se(gvals)
         if abs(gbar) > 3.0 * gse:
-            name = "g" if not isinstance(raw, tuple) else f"g[{i}]"
-            raise NotCenteredError(
-                f"mean of {name} under pi_0 is {gbar:.4g} ({gse:.4g} se): not centered"
-            )
+            raise NotCenteredError(f"mean of g[{i}] under pi_0 is {gbar:.4g} ({gse:.4g} se): not centered")
         centering.append((gbar, gse))
     if grid is None:
         grid = np.quantile(inv.states, np.linspace(0.01, 0.99, _GRID_POINTS))
@@ -492,20 +487,14 @@ def epe_solve(
         if bad.any():
             raise DivergenceError(int(np.argmax(bad)) + 1)
 
-    def path_sums(x0: float) -> tuple[list, list, list]:
-        """Each g's per-path sum over the states X_0..X_steps from x0, with g at X_0 and at X_steps."""
+    def path_sums(x0: float) -> tuple[np.ndarray, ...]:
+        """Each g's per-path sum over the states X_0..X_steps from x0."""
         shift = decay * x0
-        first = [np.asarray(v, dtype=float) for v in _as_tuple(g(np.full(m, x0)))]
-        sums = [v.copy() for v in first]
-        last = first
+        sums = g(np.full(m, x0))
         for k0 in range(0, steps, block):
-            gx = _as_tuple(g(shift[k0 : k0 + block, None] + y[k0 : k0 + block]))
-            last = []
-            for acc, v in zip(sums, gx):
-                v = np.asarray(v, dtype=float)
+            for acc, v in zip(sums, g(shift[k0 : k0 + block, None] + y[k0 : k0 + block])):
                 acc += v.sum(axis=0)
-                last.append(v[-1])
-        return sums, first, last
+        return sums
 
     def column(acc: np.ndarray, g_start: np.ndarray, g_end: np.ndarray) -> tuple[float, float, float]:
         """(f, se, tail bound) at one start from a path sum and g at the path's ends."""
@@ -516,28 +505,23 @@ def epe_solve(
         bound = (abs(m_end) + 3.0 * se_end) / rate + fluct
         return float(np.mean(total)), batch_means_se(total), bound
 
-    nodes = grid
-    if isinstance(g, _PolyRHS) and grid.size > g.coef.shape[1]:
-        # Chebyshev points of the first kind, strictly inside the grid's span
-        k = g.coef.shape[1]
-        mid, half = 0.5 * (grid[0] + grid[-1]), 0.5 * (grid[-1] - grid[0])
-        nodes = mid - half * np.cos(np.pi * (np.arange(k) + 0.5) / k)
-    runs = list(core_map(path_sums, nodes))
-    if nodes is not grid:
-        # each path's sum is a polynomial of degree < k in its start: carry
-        # the node sums to the grid; g at each point's ends is evaluated there
-        node_sums = [sums for sums, _, _ in runs]
-        runs = []
-        for w, x0 in zip(_lagrange_matrix(nodes, grid), grid):
-            sums = [_weighted_sum(w, per_node) for per_node in zip(*node_sums)]
-            runs.append((sums, g(np.full(m, x0)), g(decay[-1] * x0 + y[-1])))
+    # Chebyshev points of the first kind, strictly inside the grid's span
+    k = g.coef.shape[1]
+    mid, half = 0.5 * (grid[0] + grid[-1]), 0.5 * (grid[-1] - grid[0])
+    nodes = mid - half * np.cos(np.pi * (np.arange(k) + 0.5) / k)
+    node_sums = list(core_map(path_sums, nodes))
+    # each path's sum is a polynomial of degree < k in its start: carry the
+    # node sums to the grid; g at each point's ends is evaluated there
+    columns = []
+    for w, x0 in zip(_lagrange_matrix(nodes, grid), grid):
+        sums = [_weighted_sum(w, per_node) for per_node in zip(*node_sums)]
+        columns.append([column(*ends) for ends in zip(sums, g(np.full(m, x0)), g(decay[-1] * x0 + y[-1]))])
     # (f, se, tail bound) per g, each of shape (grid.size,)
-    stats = np.moveaxis(np.array([[column(*ends) for ends in zip(*run)] for run in runs]), 0, -1)
-    out = tuple(
+    stats = np.moveaxis(np.array(columns), 0, -1)
+    return tuple(
         EPEApprox(grid, f, se, t_max, m, tail, gbar, gse)
         for (f, se, tail), (gbar, gse) in zip(stats, centering)
     )
-    return out if isinstance(raw, tuple) else out[0]
 
 
 def _gamma_terms(
@@ -729,7 +713,7 @@ def run_asymptotics(
     """
     if isinstance(noise, Brownian):
         raise ValueError("asymptotics pipeline needs a pure-jump noise")
-    _check_epe_args(t_max, step, m)
+    m = _check_epe_args(t_max, step, m)
     inv = sample_invariant(true_model, noise, budget=budget, seed=seed, step=step)
     base = np.quantile(inv.states, np.linspace(0.01, 0.99, _GRID_POINTS))
     reach = 8.0 / min(_tail_rates(noise))

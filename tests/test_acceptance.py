@@ -18,6 +18,7 @@ import pytest
 
 from levy_gqmle._util import substream
 from levy_gqmle.asymptotics import (
+    _PolyRHS,
     epe_solve,
     gamma_matrix,
     run_asymptotics,
@@ -156,7 +157,7 @@ def test_criterion_6_poisson_equation_analytic_oracle():
     passes the martingale residual check."""
     ident = lambda x: np.asarray(x, dtype=float)
     inv = sample_invariant(OU, noise_case("i"), budget=60000, seed=11)
-    f = epe_solve(ident, OU, noise_case("i"), m=1000, seed=7, inv=inv)
+    (f,) = epe_solve(_PolyRHS(np.array([[0.0, 1.0]]), 0.0), OU, noise_case("i"), m=1000, seed=7, inv=inv)
     assert f.x.size == 25
     assert np.all(np.abs(f.f - 2.0 * f.x) <= 3.0 * f.se)
     z = martingale_check(f, ident, OU, noise_case("i"), reps=4000, seed=3)

@@ -23,6 +23,7 @@ from levy_gqmle.asymptotics import (
     NotCenteredError,
     SingularGammaError,
     _chunked_increments,
+    _PolyRHS,
     _epe_rhs,
     _gamma_terms,
     _sigma_full,
@@ -47,6 +48,9 @@ from test_levy import CASE_I, CASE_III, DIFFUSION
 
 OU = TrueModel(LinearDecay(), 0.5, ConstantScale(), 1.0)
 BENCH = ModelSpec(drift=MeanRevertLinear(m=1.0), scale=RationalSqrt())
+# epe_solve's right-hand sides: the identity g(x) = x and g = 0
+IDENTITY = _PolyRHS(np.array([[0.0, 1.0]]), 0.0)
+ZERO = _PolyRHS(np.zeros((1, 1)), 0.0)
 
 
 @pytest.fixture(scope="module")
@@ -166,6 +170,13 @@ class TestSampleInvariant:
             sample_invariant(OU, CASE_I, budget=500)
         with pytest.raises(ValueError, match="must be an integer"):
             sample_invariant(OU, CASE_I, budget=1000, seed=1.5)
+        for budget in (1500.5, True):
+            with pytest.raises(ValueError, match="budget must be an integer"):
+                sample_invariant(OU, CASE_I, budget=budget)
+        # an integral float runs as its integer
+        a = sample_invariant(OU, CASE_I, budget=1000.0, seed=3)
+        b = sample_invariant(OU, CASE_I, budget=1000, seed=3)
+        assert a.states.tobytes() == b.states.tobytes()
 
     @pytest.mark.parametrize("name", ["step"])
     @pytest.mark.parametrize("value", [math.inf, math.nan])
@@ -280,86 +291,111 @@ class TestEPERhs:
 class TestEPESolve:
     def test_pure_ou_analytic(self, inv_i):
         # E^x[X_t] = x e^{-t/2}, so f(x) = 2x
-        f = epe_solve(lambda x: np.asarray(x, float), OU, CASE_I, m=1000, seed=7, inv=inv_i)
+        (f,) = epe_solve(IDENTITY, OU, CASE_I, m=1000, seed=7, inv=inv_i)
         assert f.x.size == 25
         assert np.all(np.abs(f.f - 2.0 * f.x) <= 3.0 * f.se)
         assert np.all(f.se > 0) and np.all(f.tail_bound > 0)
 
     def test_zero_rhs(self, inv_i):
-        f = epe_solve(lambda x: np.zeros_like(np.asarray(x, float)), OU, CASE_I, m=60, seed=1, inv=inv_i)
+        (f,) = epe_solve(ZERO, OU, CASE_I, m=60, seed=1, inv=inv_i)
         assert np.all(f.f == 0.0) and np.all(f.se == 0.0)
 
     def test_deterministic(self, inv_i):
-        g = lambda x: np.asarray(x, float)
-        a = epe_solve(g, OU, CASE_I, grid=np.linspace(-1, 1, 5), m=200, seed=2, inv=inv_i)
-        b = epe_solve(g, OU, CASE_I, grid=np.linspace(-1, 1, 5), m=200, seed=2, inv=inv_i)
+        g = IDENTITY
+        (a,) = epe_solve(g, OU, CASE_I, grid=np.linspace(-1, 1, 5), m=200, seed=2, inv=inv_i)
+        (b,) = epe_solve(g, OU, CASE_I, grid=np.linspace(-1, 1, 5), m=200, seed=2, inv=inv_i)
         assert np.array_equal(a.f, b.f) and np.array_equal(a.se, b.se)
 
     def test_not_centered_rejected(self, inv_i):
         with pytest.raises(NotCenteredError):
-            epe_solve(lambda x: np.asarray(x, float) + 1.0, OU, CASE_I, m=60, seed=2, inv=inv_i)
+            epe_solve(_PolyRHS(np.array([[1.0, 1.0]]), 0.0), OU, CASE_I, m=60, seed=2, inv=inv_i)
+
+    def test_plain_callable_refused(self, inv_i, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("paths were drawn before g was checked")
+
+        monkeypatch.setattr(asymptotics, "_chunked_increments", refuse)
+        with pytest.raises(TypeError, match="_PolyRHS"):
+            epe_solve(lambda x: np.asarray(x, float), OU, CASE_I, m=60, seed=2, inv=inv_i)
+
+    def test_zero_padding_keeps_the_solution(self, inv_i):
+        # g_1's row is zero-padded to g_2's degree in every run: solving the
+        # identity at 4 nodes instead of 2 must not change the answer
+        kw = dict(grid=np.linspace(-2.0, 2.0, 9), t_max=10.0, m=200, seed=5, inv=inv_i)
+        (plain,) = epe_solve(IDENTITY, OU, CASE_I, **kw)
+        (padded,) = epe_solve(_PolyRHS(np.array([[0.0, 1.0, 0.0, 0.0]]), 0.0), OU, CASE_I, **kw)
+        for name in ("f", "se", "tail_bound"):
+            ref = getattr(plain, name)
+            err = np.max(np.abs(getattr(padded, name) - ref))
+            assert err <= 1e-13 * np.max(np.abs(ref)), (name, err)
 
     def test_doubling_horizon_within_tail_bound(self, inv_i):
-        g = lambda x: np.asarray(x, float)
+        g = IDENTITY
         grid = np.linspace(-2, 2, 9)
-        f20 = epe_solve(g, OU, CASE_I, grid=grid, t_max=20.0, m=500, seed=9, inv=inv_i)
-        f40 = epe_solve(g, OU, CASE_I, grid=grid, t_max=40.0, m=500, seed=9, inv=inv_i)
+        (f20,) = epe_solve(g, OU, CASE_I, grid=grid, t_max=20.0, m=500, seed=9, inv=inv_i)
+        (f40,) = epe_solve(g, OU, CASE_I, grid=grid, t_max=40.0, m=500, seed=9, inv=inv_i)
         assert np.all(np.abs(f40.f - f20.f) <= f20.tail_bound)
 
-    def test_matches_euler_reference(self):
-        # the affine, time-blocked solve against the Euler recursion run from
-        # every grid point on the same increment panel; m != 0 exercises the
-        # mean term of the affine form, and the horizon ends mid-block
-        model = TrueModel(MeanRevertLinear(m=0.7), 0.5, ConstantScale(), 1.0)
-        inv = sample_invariant(model, CASE_I, budget=20000, seed=31)
-        g = lambda x: (np.asarray(x, float) - 0.7, (np.asarray(x, float) - 0.7) ** 3)
-        grid, t_max, m, step, seed = np.linspace(-5.0, 5.0, 7), 10.0, 100, 0.01, 4
+    def test_matches_euler_reference(self, inv_i, oracle_i, res_i):
+        # the affine, time-blocked node solve against the Euler recursion run
+        # from every grid point on the same increment panel, for two inputs:
+        # a cubic about m = 0.7 != 0, which exercises the mean term of the
+        # affine form, on 7 points, and _epe_rhs's benchmark polynomials on
+        # the 33-point run_asymptotics grid; the horizon ends mid-block
+        shifted = TrueModel(MeanRevertLinear(m=0.7), 0.5, ConstantScale(), 1.0)
+        cubic = _PolyRHS(np.array([[0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0]]), 0.7)
+        bench = _epe_rhs(BENCH, OU, (oracle_i.alpha_star, oracle_i.gamma_star))
+        inputs = (
+            (shifted, sample_invariant(shifted, CASE_I, budget=20000, seed=31), cubic, np.linspace(-5.0, 5.0, 7)),
+            (OU, inv_i, bench, res_i.f1.x),
+        )
+        t_max, m, step, seed = 10.0, 100, 0.01, 4
         steps = int(round(t_max / step))
         assert steps % max(1, _BLOCK_CELLS // m) != 0
-        got = epe_solve(g, model, CASE_I, grid=grid, t_max=t_max, m=m, seed=seed, inv=inv, step=step)
-
         z = _chunked_increments(CASE_I, step, steps, m, seed, _TAG_EPE)
-        want = np.empty((2, 3, grid.size))
-        for i, x0 in enumerate(grid):
-            values, first_bad = _euler_columns(model, step, np.full(m, x0), z)
-            assert (first_bad < 0).all()
-            for j, gx in enumerate(g(values)):
-                total = step * (gx.sum(axis=0) - 0.5 * (gx[0] + gx[-1]))
-                g_end = gx[-1]
-                tail = (abs(np.mean(g_end)) + 3.0 * batch_means_se(g_end)) / 0.5 + 3.0 * math.sqrt(
-                    2.0 * t_max * np.var(g_end) / (0.5 * m)
-                )
-                want[j, :, i] = np.mean(total), batch_means_se(total), tail
-        for j, (approx, gv) in enumerate(zip(got, g(inv.states))):
-            for name, ref in zip(("f", "se", "tail_bound"), want[j]):
-                err = np.max(np.abs(getattr(approx, name) - ref))
-                assert err <= 1e-12 * np.max(np.abs(ref)), (j, name, err)
-            assert approx.g_mean == float(np.mean(gv)) and approx.g_se == batch_means_se(gv)
-        # a single right-hand side gives the same numbers as its slot in the tuple
-        alone = epe_solve(lambda x: g(x)[0], model, CASE_I, grid=grid, t_max=t_max, m=m,
-                          seed=seed, inv=inv, step=step)
-        assert np.array_equal(alone.f, got[0].f) and np.array_equal(alone.se, got[0].se)
+        for model, inv, g, grid in inputs:
+            got = epe_solve(g, model, CASE_I, grid=grid, t_max=t_max, m=m, seed=seed, inv=inv, step=step)
+            want = np.empty((2, 3, grid.size))
+            for i, x0 in enumerate(grid):
+                values, first_bad = _euler_columns(model, step, np.full(m, x0), z)
+                assert (first_bad < 0).all()
+                for j, gx in enumerate(g(values)):
+                    total = step * (gx.sum(axis=0) - 0.5 * (gx[0] + gx[-1]))
+                    g_end = gx[-1]
+                    tail = (abs(np.mean(g_end)) + 3.0 * batch_means_se(g_end)) / 0.5 + 3.0 * math.sqrt(
+                        2.0 * t_max * np.var(g_end) / (0.5 * m)
+                    )
+                    want[j, :, i] = np.mean(total), batch_means_se(total), tail
+            for j, (approx, gv) in enumerate(zip(got, g(inv.states))):
+                for name, ref in zip(("f", "se", "tail_bound"), want[j]):
+                    err = np.max(np.abs(getattr(approx, name) - ref))
+                    assert err <= 1e-12 * np.max(np.abs(ref)), (grid.size, j, name, err)
+                assert approx.g_mean == float(np.mean(gv)) and approx.g_se == batch_means_se(gv)
+            # a single right-hand side gives the same numbers as its slot in the tuple
+            (alone,) = epe_solve(_PolyRHS(g.coef[:1], g.center), model, CASE_I, grid=grid, t_max=t_max, m=m,
+                                 seed=seed, inv=inv, step=step)
+            assert np.array_equal(alone.f, got[0].f) and np.array_equal(alone.se, got[0].se)
 
     def test_independent_of_worker_count(self, inv_i, oracle_i, monkeypatch):
-        # a callable is solved at all 7 grid points, _epe_rhs's polynomials
-        # at 5 nodes and carried to the grid
-        poly = _epe_rhs(BENCH, OU, (oracle_i.alpha_star, oracle_i.gamma_star))
+        # _epe_rhs's polynomials are solved at 5 nodes and carried to the 7
+        # grid points
+        g = _epe_rhs(BENCH, OU, (oracle_i.alpha_star, oracle_i.gamma_star))
         default = _util._pool_size
         grid = np.linspace(-2.0, 2.0, 7)
-        for g in (lambda x: (np.asarray(x, float), np.tanh(x)), poly):
-            runs = []
-            for workers in (None, 1, 3):
-                monkeypatch.setattr(_util, "_pool_size", lambda tasks, n=workers: n or default(tasks))
-                runs.append(epe_solve(g, OU, CASE_I, grid=grid, t_max=5.0, m=100, seed=6, inv=inv_i))
-            for other in runs[1:]:
-                for a, b in zip(runs[0], other):
-                    for name in ("x", "f", "se", "tail_bound"):
-                        assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+        runs = []
+        for workers in (None, 1, 3):
+            monkeypatch.setattr(_util, "_pool_size", lambda tasks, n=workers: n or default(tasks))
+            runs.append(epe_solve(g, OU, CASE_I, grid=grid, t_max=5.0, m=100, seed=6, inv=inv_i))
+        for other in runs[1:]:
+            for a, b in zip(runs[0], other):
+                for name in ("x", "f", "se", "tail_bound"):
+                    assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
 
-    def test_polynomial_nodes_match_every_grid_point(self, inv_i, oracle_i, res_i, monkeypatch):
-        # the same polynomial solved at its d + 1 = 5 nodes and carried to the
-        # run_asymptotics grid (33 points with the sideways extension), and
-        # as a plain callable at every grid point
+    def test_polynomial_nodes_inside_grid_span(self, inv_i, oracle_i, res_i, monkeypatch):
+        # the degree-4 polynomials of _epe_rhs run from their d + 1 = 5 nodes,
+        # strictly inside the grid's span, on the run_asymptotics grid (33
+        # points with the sideways extension) and on a grid of 5 points
+        # alike, and are reported on the grid
         g = _epe_rhs(BENCH, OU, (oracle_i.alpha_star, oracle_i.gamma_star))
         tasks = []
 
@@ -371,23 +407,10 @@ class TestEPESolve:
         monkeypatch.setattr(asymptotics, "core_map", spy)
         kw = dict(t_max=10.0, m=200, seed=3, inv=inv_i)
         for grid in (res_i.f1.x, np.linspace(-1.0, 2.0, 5)):
-            nodes = epe_solve(g, OU, CASE_I, grid=grid, **kw)
+            out = epe_solve(g, OU, CASE_I, grid=grid, **kw)
             starts = tasks[-1]
-            if grid.size > 5:
-                assert starts.size == 5 and grid[0] < starts.min() and starts.max() < grid[-1]
-            else:
-                assert np.array_equal(starts, grid)
-            every = epe_solve(lambda x: g(x), OU, CASE_I, grid=grid, **kw)
-            assert np.array_equal(tasks[-1], grid)
-            for a, b in zip(nodes, every):
-                assert np.array_equal(a.x, grid)
-                for name in ("f", "se", "tail_bound"):
-                    ref = getattr(b, name)
-                    err = np.max(np.abs(getattr(a, name) - ref))
-                    assert err <= 1e-12 * np.max(np.abs(ref)), (grid.size, name, err)
-                    if grid.size <= 5:  # the nodes are the grid: no transfer
-                        assert getattr(a, name).tobytes() == ref.tobytes(), name
-                assert (a.g_mean, a.g_se) == (b.g_mean, b.g_se)
+            assert starts.size == 5 and grid[0] < starts.min() and starts.max() < grid[-1]
+            assert len(out) == 2 and all(np.array_equal(a.x, grid) for a in out)
 
     def test_chunked_increments_independent_of_worker_count(self, monkeypatch):
         # 1234 steps: two full 500-step chunks and a short one, each drawn
@@ -411,7 +434,7 @@ class TestEPESolve:
     def test_divergent_start_rejected(self, inv_i):
         grid = np.array([0.0, 2.0 * DIVERGENCE_BOUND])
         with pytest.raises(DivergenceError):
-            epe_solve(lambda x: np.asarray(x, float), OU, CASE_I, grid=grid, m=60, seed=2, inv=inv_i)
+            epe_solve(IDENTITY, OU, CASE_I, grid=grid, m=60, seed=2, inv=inv_i)
 
     def test_linear_tail_extrapolation(self):
         grid = np.linspace(-2.0, 2.0, 5)
@@ -425,7 +448,7 @@ class TestEPESolve:
     def test_horizon_below_one_step_rejected(self, inv_i):
         # 0.004 / 0.01 rounds to zero steps: refused before any path is drawn
         with pytest.raises(ValueError, match="at least one"):
-            epe_solve(lambda x: np.asarray(x, float) * 0, OU, CASE_I, t_max=0.004, m=60, inv=inv_i)
+            epe_solve(ZERO, OU, CASE_I, t_max=0.004, m=60, inv=inv_i)
 
     def test_approx_validation(self, inv_i):
         with pytest.raises(ValueError, match="increasing"):
@@ -433,10 +456,16 @@ class TestEPESolve:
         with pytest.raises(ValueError, match="shapes"):
             EPEApprox(np.array([0.0, 1.0]), np.zeros(3), np.zeros(2), 1.0, 30, np.zeros(2))
         with pytest.raises(ValueError, match="two points"):
-            epe_solve(lambda x: np.asarray(x, float) * 0, OU, CASE_I, grid=np.array([1.0]), m=60, inv=inv_i)
+            epe_solve(ZERO, OU, CASE_I, grid=np.array([1.0]), m=60, inv=inv_i)
         for bad in (dict(t_max=math.inf), dict(step=math.inf), dict(step=math.nan)):
             with pytest.raises(ValueError, match="finite"):
-                epe_solve(lambda x: np.asarray(x, float) * 0, OU, CASE_I, m=60, inv=inv_i, **bad)
+                epe_solve(ZERO, OU, CASE_I, m=60, inv=inv_i, **bad)
+        for m in (60.5, True):
+            with pytest.raises(ValueError, match="m must be an integer"):
+                epe_solve(ZERO, OU, CASE_I, m=m, inv=inv_i)
+        # an integral float runs as its integer
+        (f,) = epe_solve(ZERO, OU, CASE_I, t_max=1.0, m=60.0, inv=inv_i)
+        assert type(f.m) is int and f.m == 60
 
 
 class TestMartingaleCheck:
@@ -539,9 +568,9 @@ class TestSigmaMatrix:
         model = ModelSpec(drift=MeanRevertLinear(m=1.0), scale=ConstantScale())
         theta = (0.25, 1.0)
         g = _epe_rhs(model, OU, theta)
-        f1 = epe_solve(lambda x: g(x)[0], OU, CASE_I, m=60, seed=15, inv=inv_i)
+        (f1,) = epe_solve(_PolyRHS(g.coef[:1], g.center), OU, CASE_I, m=60, seed=15, inv=inv_i)
         assert np.all(f1.f == 0.0)
-        f2 = epe_solve(lambda x: g(x)[1], OU, CASE_I, m=800, seed=15, inv=inv_i)
+        (f2,) = epe_solve(_PolyRHS(g.coef[1:], g.center), OU, CASE_I, m=800, seed=15, inv=inv_i)
         sig = _sigma_full(model, OU, theta, inv_i, f1, f2, CASE_I)[0]
         assert sig[0, 0] == pytest.approx(4.0 * oracle_i.kappas[4], rel=1e-6)
 
@@ -608,14 +637,19 @@ class TestRunAsymptotics:
         with pytest.raises(ValueError, match="pure-jump"):
             run_asymptotics(BENCH, OU, Brownian(1.0), (1.0 / 3.0, math.sqrt(2.0)))
 
-    @pytest.mark.parametrize("bad", [dict(t_max=0.004), dict(t_max=math.inf), dict(step=math.nan), dict(m=29)])
+    @pytest.mark.parametrize(
+        "bad",
+        [dict(t_max=0.004), dict(t_max=math.inf), dict(step=math.nan), dict(m=29), dict(m=60.5), dict(m=True)],
+    )
     def test_epe_arguments_checked_before_sampling(self, oracle_i, monkeypatch, bad):
         def refuse(*args, **kwargs):
             raise AssertionError("pi_0 was sampled before the arguments were checked")
 
         monkeypatch.setattr(asymptotics, "sample_invariant", refuse)
         theta = (oracle_i.alpha_star, oracle_i.gamma_star)
-        with pytest.raises(ValueError, match="m >= 30"):
+        # a boolean or non-integral m is refused as such, the rest by range
+        match = "m must be an integer" if isinstance(bad.get("m"), (bool, float)) else "m >= 30"
+        with pytest.raises(ValueError, match=match):
             run_asymptotics(BENCH, OU, CASE_I, theta, budget=600000, **bad)
 
     def test_deterministic(self, oracle_i):
