@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -75,11 +74,8 @@ _SPACING = 1.0
 # run_asymptotics' before its sideways extension.  The grid only says where
 # f is reported: the paths run from d + 1 nodes whatever its size
 _GRID_POINTS = 25
-# Sigma averages over at most this many pi_0 states, thinned evenly, taken
-# this many at a time through the jump-quadrature nodes, one chunk per task
-# of the core pool
+# Sigma averages over at most this many pi_0 states, thinned evenly
 _SIGMA_STATES = 4000
-_SIGMA_CHUNK = 500
 
 
 class MixingError(NumericalError):
@@ -233,10 +229,10 @@ class _PolyRHS:
     first, zero-padded to one common degree d = coef.shape[1] - 1.
 
     This is the one input type of ``epe_solve``, which solves it at
-    d + 1 nodes.  Calling it evaluates each row by Horner's rule from its
-    highest nonzero coefficient, in place on one fresh array per row, and
-    returns the rows' values as a tuple; the centering gate and the time
-    blocks of the solve evaluate it this way.
+    d + 1 nodes from each path's power sums of t.  Calling it evaluates
+    each row by Horner's rule from its highest nonzero coefficient, in place
+    on one fresh array per row, and returns the rows' values as a tuple;
+    the centering gate and the paths' two end states evaluate it this way.
     """
 
     coef: np.ndarray
@@ -322,17 +318,19 @@ class EPEApprox:
         for name, arr in (("x", x), ("f", f), ("se", se), ("tail_bound", tb)):
             object.__setattr__(self, name, arr)
 
+    def _segments(self, q: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(intercepts, slopes, index) of the grid.size - 1 linear pieces:
+        piece j is intercepts[j] + slopes[j] y on [x[j], x[j + 1]), the two
+        outer pieces extended to -inf and +inf, and q[i] lies on piece
+        index[i]."""
+        slopes = np.diff(self.f) / np.diff(self.x)
+        index = np.clip(np.searchsorted(self.x, q, side="right") - 1, 0, self.x.size - 2)
+        return self.f[:-1] - slopes * self.x[:-1], slopes, index
+
     def __call__(self, xq) -> np.ndarray | float:
         q = np.asarray(xq, dtype=float)
-        out = np.interp(q, self.x, self.f)
-        lo = q < self.x[0]
-        hi = q > self.x[-1]
-        if lo.any():
-            slope = (self.f[1] - self.f[0]) / (self.x[1] - self.x[0])
-            out = np.where(lo, self.f[0] + slope * (q - self.x[0]), out)
-        if hi.any():
-            slope = (self.f[-1] - self.f[-2]) / (self.x[-1] - self.x[-2])
-            out = np.where(hi, self.f[-1] + slope * (q - self.x[-1]), out)
+        intercepts, slopes, j = self._segments(q)
+        out = intercepts[j] + slopes[j] * q
         return float(out) if q.ndim == 0 else out
 
 
@@ -415,7 +413,8 @@ def epe_solve(
     integral diverge linearly.  ``t_max`` and ``step`` must be finite,
     ``t_max`` must round to at least one step, and ``m`` must be an
     integer of at least 30 (``_check_epe_args``, which ``run_asymptotics``
-    also calls before it samples pi_0).
+    also calls before it samples pi_0), and every grid point must be
+    finite; each is refused with ``ValueError`` before any path is drawn.
 
     All starts share one panel of ``m`` Euler paths (common random
     numbers), whose increments ``_chunked_increments`` draws on
@@ -435,15 +434,17 @@ def epe_solve(
     grid's span, whatever the grid's size: the Lagrange weights stay small
     there, and the nodes lie inside the span, so the divergence gate covers
     them.  Each node is solved on ``_util.core_map``, one worker per usable
-    core up to 4, all reading the one Y panel.  A node's states are formed
-    and evaluated in time blocks of max(1, 2^16 // m) steps, keeping only
-    each path's running sum of g, so a worker builds no temporary larger
-    than a block.  Each grid point's path sums are the Lagrange-weighted
-    node sums, added per path in node order with no BLAS; g at the path's
-    first and last state is evaluated at the grid point itself.  The time
-    integral is the trapezoid rule on the simulation grid, and the carried
-    sums match an Euler run from each grid point up to rounding (about
-    1e-15 relative).  On the ``run_asymptotics`` grid this evaluates g on
+    core up to 4, all reading the one Y panel.  A node's states, as
+    t = (rho^k x - center) + Y_k, are formed in time blocks of
+    max(1, 2^16 // m) steps, keeping only each path's power sums
+    sum_k t^p, p <= d, so a worker builds no temporary larger than a block;
+    each row's path sum is then its coefficients times the power sums,
+    added in power order with no BLAS.  Each grid point's path sums are the
+    Lagrange-weighted node sums, added per path in node order with no BLAS;
+    g at the path's first and last state is evaluated at the grid point
+    itself.  The time integral is the trapezoid rule on the simulation
+    grid, and the carried sums match an Euler run from each grid point up
+    to rounding (about 1e-15 relative).  On the ``run_asymptotics`` grid this evaluates g on
     5 starts instead of 33.
 
     Each point's (f, se, tail bound) column is stacked in grid order, so
@@ -467,6 +468,8 @@ def epe_solve(
     if grid is None:
         grid = np.quantile(inv.states, np.linspace(0.01, 0.99, _GRID_POINTS))
     grid = np.unique(np.asarray(grid, dtype=float))
+    if not np.isfinite(grid).all():
+        raise ValueError(f"grid points must be finite; got {grid.tolist()}")
     if grid.size < 2:
         raise ValueError("grid collapsed to fewer than two points")
 
@@ -488,13 +491,17 @@ def epe_solve(
             raise DivergenceError(int(np.argmax(bad)) + 1)
 
     def path_sums(x0: float) -> tuple[np.ndarray, ...]:
-        """Each g's per-path sum over the states X_0..X_steps from x0."""
-        shift = decay * x0
-        sums = g(np.full(m, x0))
+        """Each g's per-path sum over the states X_0..X_steps from x0, from
+        the paths' power sums of t = X - center."""
+        shift = decay * x0 - g.center
+        powers = [np.full(m, steps + 1.0)] + [np.full(m, (x0 - g.center) ** p) for p in range(1, k)]
         for k0 in range(0, steps, block):
-            for acc, v in zip(sums, g(shift[k0 : k0 + block, None] + y[k0 : k0 + block])):
-                acc += v.sum(axis=0)
-        return sums
+            t = shift[k0 : k0 + block, None] + y[k0 : k0 + block]
+            tp = np.ones_like(t)
+            for acc in powers[1:]:
+                tp *= t
+                acc += tp.sum(axis=0)
+        return tuple(_weighted_sum(row, powers) for row in g.coef)
 
     def column(acc: np.ndarray, g_start: np.ndarray, g_end: np.ndarray) -> tuple[float, float, float]:
         """(f, se, tail bound) at one start from a path sum and g at the path's ends."""
@@ -582,38 +589,67 @@ def _sigma_terms(
     true_model: TrueModel,
     theta_star: tuple[float, float],
     states: np.ndarray,
-    f1: Callable,
-    f2: Callable,
+    f1: EPEApprox,
+    f2: EPEApprox,
     nodes: np.ndarray,
     weights: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-state inner jump integrals (S_gamma, S_alpha, S_cross).
+    """Per-state inner jump integrals (S_gamma, S_alpha, S_cross): the
+    weighted sums over the nodes z of v1^2, v2^2 and v1 v2, where
+    v1 = w_g z^2 + f1(x + C z) - f1(x) and v2 = w_a z + f2(x + C z) - f2(x).
 
-    The states are taken ``_SIGMA_CHUNK`` at a time, each chunk a task on
-    ``_util.core_map`` that builds its (chunk, nodes) arrays and returns
-    its three rows; the rows are joined in state order.  Each state's
-    weighted sum over the nodes is one ``einsum`` row reduction, which
-    sums in the same order whatever the chunk around it.  (A BLAS
-    matrix-vector product does not: its rounding depends on how many rows
-    it gets and on its own threads.)  So the result does not depend on the
-    chunk size or on the number of workers.
+    f1 and f2 must be :class:`EPEApprox` on one grid (``TypeError`` or
+    ``ValueError`` otherwise, before any work).  Both are linear on each
+    grid piece j, so there v1 = a1 + b1 z + w_g z^2 and v2 = a2 + b2 z, and
+    each sum is exact in the moments M_p = sum w z^p, p <= 3, of the nodes
+    that x + C z puts on the piece, plus w_g^2 M_4 over all nodes.  The
+    piece that holds x itself gets a1 = a2 = 0 exactly.  The moments are
+    prefix sums taken on each side of z = 0 from its far end inwards, and a
+    piece's moment is its negative-side difference plus its positive-side
+    difference, so the large weights next to z = 0 never enter a
+    difference that cancels.  Each state costs one ``searchsorted`` of the
+    grid's cut points into the sorted nodes and a few operations per piece.
     """
+    if not (isinstance(f1, EPEApprox) and isinstance(f2, EPEApprox)):
+        raise TypeError(f"f1 and f2 must be EPEApprox; got {type(f1).__name__}, {type(f2).__name__}")
+    if not np.array_equal(f1.x, f2.x):
+        raise ValueError("f1 and f2 must share one grid")
     alpha_s, gamma_s = theta_star
-    z = nodes[None, :]
+    x = states[:, None]
+    c = model.scale.value(x, gamma_s)
+    big_c = true_model.C(x)
+    w_g = model.scale.profile(x) * big_c**2 / c**3
+    w_a = model.drift.basis(x) * big_c / c**2
+    (i1, s1, j0), (i2, s2, _) = f1._segments(states), f2._segments(states)
+    # a = f(x + C z) - f(x) at z = 0 on each piece, zero on x's own piece
+    a1 = (i1 - i1[j0, None]) + (s1 - s1[j0, None]) * x
+    a2 = (i2 - i2[j0, None]) + (s2 - s2[j0, None]) * x
+    b1, b2 = s1 * big_c, s2 * big_c + w_a
 
-    def chunk(i: int) -> np.ndarray:
-        x = states[i : i + _SIGMA_CHUNK, None]
-        c = model.scale.value(x, gamma_s)
-        big_c = true_model.C(x)
-        w_g = model.scale.profile(x) * big_c**2 / c**3
-        w_a = model.drift.basis(x) * big_c / c**2
-        xz = x + big_c * z
-        v1 = w_g * z**2 + f1(xz) - f1(x)
-        v2 = w_a * z + f2(xz) - f2(x)
-        return np.stack([np.einsum("ij,ij,j->i", a, b, weights) for a, b in ((v1, v1), (v2, v2), (v1, v2))])
+    order = np.argsort(nodes)
+    z, w = nodes[order], weights[order]
+    neg = int(np.searchsorted(z, 0.0))
+    zw = w[:, None] * z[:, None] ** np.arange(5)
+    # sums[e]: the moments p < 4 of the nodes below zero among z[:e], and of
+    # those above zero among z[e:], each side summed from its far end inwards
+    sums = np.zeros((z.size + 1, 2, 4))
+    sums[1 : neg + 1, 0] = np.cumsum(zw[:neg, :4], axis=0)
+    sums[neg + 1 :, 0] = sums[neg, 0]
+    sums[neg:-1, 1] = np.cumsum(zw[neg:, :4][::-1], axis=0)[::-1]
+    sums[:neg, 1] = sums[neg, 1]
+    # piece j holds the nodes between (x_j - x) / C and (x_{j+1} - x) / C,
+    # which run backwards if C < 0
+    cuts = np.concatenate([[-np.inf], f1.x[1:-1], [np.inf]]) - x
+    d = np.diff(sums[np.searchsorted(z, cuts / big_c)], axis=1)
+    m0, m1, m2, m3 = np.moveaxis(d[..., 0, :] - d[..., 1, :], -1, 0)
 
-    s_g, s_a, s_x = np.concatenate(list(core_map(chunk, range(0, states.size, _SIGMA_CHUNK))), axis=1)
-    return s_g, s_a, s_x
+    u0, u1, u2 = a2 * m0 + b2 * m1, a2 * m1 + b2 * m2, a2 * m2 + b2 * m3
+    s_g = a1 * (a1 * m0 + 2.0 * (b1 * m1 + w_g * m2)) + b1 * (b1 * m2 + 2.0 * w_g * m3)
+    s_a = a2 * u0 + b2 * u1
+    s_x = a1 * u0 + b1 * u1 + w_g * u2
+    sign = np.sign(big_c[:, 0])
+    s_g = sign * s_g.sum(axis=1) + w_g[:, 0] ** 2 * zw[:, 4].sum()
+    return s_g, sign * s_a.sum(axis=1), sign * s_x.sum(axis=1)
 
 
 def _assemble_sigma(terms: tuple[np.ndarray, np.ndarray, np.ndarray]) -> np.ndarray:
@@ -627,15 +663,15 @@ def _sigma_full(
     true_model: TrueModel,
     theta_star: tuple[float, float],
     inv: InvariantSample,
-    f1: Callable,
-    f2: Callable,
+    f1: EPEApprox,
+    f2: EPEApprox,
     noise: LevyLaw,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(Sigma, entrywise standard errors) with a half-step quadrature gate.
 
     Both quadratures, at the converged node step and at half of it, run
-    ``_sigma_terms`` with its state chunks on ``_util.core_map``, so Sigma
-    and its errors do not depend on the number of workers.
+    ``_sigma_terms`` on the same thinned pi_0 states, in the calling thread;
+    its cost grows with the states and the grid pieces, not the nodes.
     """
     states = inv.states
     if states.size > _SIGMA_STATES:

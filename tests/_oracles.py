@@ -12,6 +12,8 @@ time in Python, and fits against the benchmark closed forms written out.
 The characteristic exponent is the mpmath CGF on the imaginary axis, the
 stage criteria are read off the package's one criterion algebra, and
 Poisson-equation solutions are checked by their martingale increments.
+The limit covariance's per-state jump integrals are summed node by node,
+with the Poisson-equation solutions interpolated by ``np.interp``.
 """
 
 from __future__ import annotations
@@ -280,3 +282,31 @@ def benchmark_oracle(law: LevyLaw) -> BenchmarkOracle:
         sigma=sigma,
         avar=avar,
     )
+
+
+def _interp_extended(f, q: np.ndarray) -> np.ndarray:
+    """An ``EPEApprox``'s piecewise-linear function at q: ``np.interp`` on
+    its grid, extended beyond it with the two outermost slopes."""
+    out = np.interp(q, f.x, f.f)
+    lo_slope = (f.f[1] - f.f[0]) / (f.x[1] - f.x[0])
+    hi_slope = (f.f[-1] - f.f[-2]) / (f.x[-1] - f.x[-2])
+    out = np.where(q < f.x[0], f.f[0] + lo_slope * (q - f.x[0]), out)
+    return np.where(q > f.x[-1], f.f[-1] + hi_slope * (q - f.x[-1]), out)
+
+
+def sigma_terms_by_node(
+    model: ModelSpec, true_model: TrueModel, theta_star, states, f1, f2, nodes, weights
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-state (S_gamma, S_alpha, S_cross) summed over every (state, node)
+    cell: v1 = w_g z^2 + f1(x + C z) - f1(x), v2 = w_a z + f2(x + C z) - f2(x),
+    and each state's weighted node sum is one ``einsum`` row reduction."""
+    alpha_s, gamma_s = theta_star
+    x, z = states[:, None], nodes[None, :]
+    c = model.scale.value(x, gamma_s)
+    big_c = true_model.C(x)
+    w_g = model.scale.profile(x) * big_c**2 / c**3
+    w_a = model.drift.basis(x) * big_c / c**2
+    xz = x + big_c * z
+    v1 = w_g * z**2 + _interp_extended(f1, xz) - _interp_extended(f1, x)
+    v2 = w_a * z + _interp_extended(f2, xz) - _interp_extended(f2, x)
+    return tuple(np.einsum("ij,ij,j->i", a, b, weights) for a, b in ((v1, v1), (v2, v2), (v1, v2)))

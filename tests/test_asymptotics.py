@@ -1,5 +1,6 @@
 """Invariant sampling, EPE solutions, and the limit matrices vs oracles."""
 
+import itertools
 import math
 import os
 import sys
@@ -27,6 +28,7 @@ from levy_gqmle.asymptotics import (
     _epe_rhs,
     _gamma_terms,
     _sigma_full,
+    _sigma_terms,
     avar,
     epe_solve,
     gamma_matrix,
@@ -41,10 +43,10 @@ from levy_gqmle.coefficients import (
     RationalSqrt,
 )
 from levy_gqmle.gqmle import ModelSpec, _criterion_terms
-from levy_gqmle.levy import Brownian, sample_increments
+from levy_gqmle.levy import Brownian, _converged_nodes, _nodes_at, sample_increments
 from levy_gqmle.sde import DIVERGENCE_BOUND, DivergenceError, SamplePath, TrueModel
-from _oracles import _euler_columns, benchmark_oracle, g1_eval, g2_eval, martingale_check
-from test_levy import CASE_I, CASE_III, DIFFUSION
+from _oracles import _euler_columns, benchmark_oracle, g1_eval, g2_eval, martingale_check, sigma_terms_by_node
+from test_levy import CASE_I, CASE_II, CASE_III, DIFFUSION
 
 OU = TrueModel(LinearDecay(), 0.5, ConstantScale(), 1.0)
 BENCH = ModelSpec(drift=MeanRevertLinear(m=1.0), scale=RationalSqrt())
@@ -431,6 +433,15 @@ class TestEPESolve:
         finally:
             sys.setswitchinterval(interval)
 
+    def test_non_finite_grid_refused_before_drawing(self, inv_i, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("paths were drawn before the grid was checked")
+
+        monkeypatch.setattr(asymptotics, "_chunked_increments", refuse)
+        for grid in ([0.0, math.nan], [0.0, 1.0, math.inf]):
+            with pytest.raises(ValueError, match="finite"):
+                epe_solve(IDENTITY, OU, CASE_I, grid=grid, m=60, seed=2, inv=inv_i)
+
     def test_divergent_start_rejected(self, inv_i):
         grid = np.array([0.0, 2.0 * DIVERGENCE_BOUND])
         with pytest.raises(DivergenceError):
@@ -574,17 +585,40 @@ class TestSigmaMatrix:
         sig = _sigma_full(model, OU, theta, inv_i, f1, f2, CASE_I)[0]
         assert sig[0, 0] == pytest.approx(4.0 * oracle_i.kappas[4], rel=1e-6)
 
-    def test_independent_of_worker_count_and_chunk(self, inv_i, oracle_i, monkeypatch):
+    def test_matches_per_node_oracle(self, oracle_i):
+        # the per-piece moment sums against every (state, node) cell, at the
+        # coarse and half-step nodes of cases i, ii and iii, for a positive
+        # and a negative true scale; the states lie on the knots, within
+        # 1e-13 of them, outside the grid and in between
         theta = (oracle_i.alpha_star, oracle_i.gamma_star)
-        f1, f2 = (lambda x: 0.3 * x**2 - 0.1 * x), np.tanh
-        runs = []
-        for workers, chunk in ((1, None), (3, None), (1, 125), (1, asymptotics._SIGMA_STATES)):
-            monkeypatch.setattr(_util, "_pool_size", lambda tasks, n=workers: n)
-            if chunk is not None:
-                monkeypatch.setattr(asymptotics, "_SIGMA_CHUNK", chunk)
-            sigma, ses = _sigma_full(BENCH, OU, theta, inv_i, f1, f2, CASE_I)
-            runs.append(sigma.tobytes() + ses.tobytes())
-        assert runs[1:] == runs[:1] * 3
+        grid, ones = np.linspace(-2.0, 2.0, 9), np.ones(9)
+        f1 = EPEApprox(grid, 0.3 * grid**2 - 0.1 * grid, ones, 40.0, 100, ones)
+        f2 = EPEApprox(grid, np.tanh(grid), ones, 40.0, 100, ones)
+        near = [grid, grid + 1e-13, grid - 1e-13, np.nextafter(grid, np.inf), np.nextafter(grid, -np.inf)]
+        outside = [-9.0, -3.5, -2.0 - 1e-9, 2.5, 7.0]
+        states = np.concatenate(near + [outside, np.random.default_rng(2).normal(0.0, 1.5, 200)])
+        flipped = TrueModel(LinearDecay(), 0.5, ConstantScale(), -1.0)
+        for law in (CASE_I, CASE_II, CASE_III):
+            z, w, qstep = _converged_nodes(law)
+            node_sets = ((z, w), _nodes_at(law, qstep / 2.0))
+            for (nodes, weights), true_model in itertools.product(node_sets, (OU, flipped)):
+                got = _sigma_terms(BENCH, true_model, theta, states, f1, f2, nodes, weights)
+                want = sigma_terms_by_node(BENCH, true_model, theta, states, f1, f2, nodes, weights)
+                # S_cross is measured against its Cauchy-Schwarz bound
+                for name, a, b, scale in zip("gax", got, want, (want[0], want[1], np.sqrt(want[0] * want[1]))):
+                    err = np.max(np.abs(a - b) / scale)
+                    assert err <= 1e-12, (law, nodes.size, true_model.scale_param, name, err)
+
+    def test_refuses_other_f_before_any_work(self, oracle_i):
+        # no model, states or nodes: any work would fail on them first
+        theta = (oracle_i.alpha_star, oracle_i.gamma_star)
+        grid = np.linspace(-2.0, 2.0, 9)
+        f = EPEApprox(grid, np.tanh(grid), np.ones(9), 40.0, 100, np.ones(9))
+        with pytest.raises(TypeError, match="EPEApprox"):
+            _sigma_terms(None, None, theta, None, f, np.tanh, None, None)
+        coarse = EPEApprox(grid[::2], np.tanh(grid[::2]), np.ones(5), 40.0, 100, np.ones(5))
+        with pytest.raises(ValueError, match="one grid"):
+            _sigma_terms(None, None, theta, None, f, coarse, None, None)
 
     def test_seed_exchangeable(self, oracle_i):
         theta = (oracle_i.alpha_star, oracle_i.gamma_star)
