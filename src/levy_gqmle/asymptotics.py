@@ -72,7 +72,7 @@ _BURN_IN = 50.0
 _SPACING = 1.0
 # pi_0 quantiles of the EPE grid: epe_solve's default grid, and
 # run_asymptotics' before its sideways extension.  The grid only says where
-# f is reported: the paths run from d + 1 nodes whatever its size
+# f is reported: one pass over the paths serves every point
 _GRID_POINTS = 25
 # Sigma averages over at most this many pi_0 states, thinned evenly
 _SIGMA_STATES = 4000
@@ -228,8 +228,8 @@ class _PolyRHS:
     holds g_i's coefficients in powers of t = x - ``center``, constant
     first, zero-padded to one common degree d = coef.shape[1] - 1.
 
-    This is the one input type of ``epe_solve``, which solves it at
-    d + 1 nodes from each path's power sums of t.  Calling it evaluates
+    This is the one input type of ``epe_solve``, which sums it along each
+    path from the path's mixed power sums.  Calling it evaluates
     each row by Horner's rule from its highest nonzero coefficient, in place
     on one fresh array per row, and returns the rows' values as a tuple;
     the centering gate and the paths' two end states evaluate it this way.
@@ -358,16 +358,6 @@ def _chunked_increments(
     return out
 
 
-def _lagrange_matrix(nodes: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """(x.size, nodes.size) weights L with p(x) = L @ p(nodes) for every
-    polynomial p of degree < nodes.size."""
-    out = np.ones((x.size, nodes.size))
-    for j, u in enumerate(nodes):
-        for v in np.delete(nodes, j):
-            out[:, j] *= (x - v) / (u - v)
-    return out
-
-
 def _weighted_sum(weights: np.ndarray, arrays: tuple[np.ndarray, ...]) -> np.ndarray:
     """sum_j weights[j] arrays[j], elementwise in j order: no BLAS, so the
     bits do not depend on threads or array sizes."""
@@ -427,28 +417,24 @@ def epe_solve(
     before any is solved, so the error names the first failing point.
 
     Since g is a polynomial of degree <= d, so is each path's sum
-    sum_k g(rho^k x + Y_k) as a function of the start x, and its values at
-    d + 1 distinct nodes fix it everywhere (polynomial-preserving
-    generators; Cuchiero, Keller-Ressel & Teichmann 2012, Finance Stoch.).
-    The nodes are the d + 1 Chebyshev points of the first kind on the
-    grid's span, whatever the grid's size: the Lagrange weights stay small
-    there, and the nodes lie inside the span, so the divergence gate covers
-    them.  Each node is solved on ``_util.core_map``, one worker per usable
-    core up to 4, all reading the one Y panel.  A node's states, as
-    t = (rho^k x - center) + Y_k, are formed in time blocks of
-    max(1, 2^16 // m) steps, keeping only each path's power sums
-    sum_k t^p, p <= d, so a worker builds no temporary larger than a block;
-    each row's path sum is then its coefficients times the power sums,
-    added in power order with no BLAS.  Each grid point's path sums are the
-    Lagrange-weighted node sums, added per path in node order with no BLAS;
-    g at the path's first and last state is evaluated at the grid point
-    itself.  The time integral is the trapezoid rule on the simulation
-    grid, and the carried sums match an Euler run from each grid point up
-    to rounding (about 1e-15 relative).  On the ``run_asymptotics`` grid this evaluates g on
-    5 starts instead of 33.
-
-    Each point's (f, se, tail bound) column is stacked in grid order, so
-    the result does not depend on the number of workers.
+    sum_k g(X^x_k) in the start x (polynomial-preserving generators;
+    Cuchiero, Keller-Ressel & Teichmann 2012, Finance Stoch.).  With
+    t = X - center, s = x - center and u_k = Y_k + center (rho^k - 1), so
+    that t_k = rho^k s + u_k and u_0 = 0, the binomial theorem gives
+    sum_{k=0..N} t_k^p = sum_i C(p, i) s^i S[i, p - i] with the per-path
+    mixed sums S[i, j] = sum_k rho^{ik} u_k^j; S[i, 0] = 1 + sum_{k>=1}
+    rho^{ik} is a scalar, the 1 counting X_0.  One pass keeps the S[i, j]
+    with j >= 1 and i + j <= d, on ``_util.core_map`` over the 500-step
+    chunks of the panel: each task forms u in time blocks of
+    max(1, 2^16 // m) steps, so no temporary outgrows a block, and takes
+    each sum elementwise with no BLAS; the chunk partials are added in
+    chunk order.  A grid point's row sums are the S[i, j] weighted by
+    coef[i + j] C(i + j, i) s^i, added in a fixed order with no BLAS, and g
+    at the path's two ends is evaluated at the point itself.  The time
+    integral is the trapezoid rule on the simulation grid, and the sums
+    match an Euler run from each grid point up to rounding (about 1e-15
+    relative).  No sum depends on which worker ran a chunk, so the result
+    does not depend on the number of workers.
 
     The reported tail bound combines the conditional-mean remainder at
     ``t_max``, discounted at the known mixing rate, with a 3-sigma allowance
@@ -490,19 +476,6 @@ def epe_solve(
         if bad.any():
             raise DivergenceError(int(np.argmax(bad)) + 1)
 
-    def path_sums(x0: float) -> tuple[np.ndarray, ...]:
-        """Each g's per-path sum over the states X_0..X_steps from x0, from
-        the paths' power sums of t = X - center."""
-        shift = decay * x0 - g.center
-        powers = [np.full(m, steps + 1.0)] + [np.full(m, (x0 - g.center) ** p) for p in range(1, k)]
-        for k0 in range(0, steps, block):
-            t = shift[k0 : k0 + block, None] + y[k0 : k0 + block]
-            tp = np.ones_like(t)
-            for acc in powers[1:]:
-                tp *= t
-                acc += tp.sum(axis=0)
-        return tuple(_weighted_sum(row, powers) for row in g.coef)
-
     def column(acc: np.ndarray, g_start: np.ndarray, g_end: np.ndarray) -> tuple[float, float, float]:
         """(f, se, tail bound) at one start from a path sum and g at the path's ends."""
         total = step * (acc - 0.5 * (g_start + g_end))
@@ -512,17 +485,37 @@ def epe_solve(
         bound = (abs(m_end) + 3.0 * se_end) / rate + fluct
         return float(np.mean(total)), batch_means_se(total), bound
 
-    # Chebyshev points of the first kind, strictly inside the grid's span
     k = g.coef.shape[1]
-    mid, half = 0.5 * (grid[0] + grid[-1]), 0.5 * (grid[-1] - grid[0])
-    nodes = mid - half * np.cos(np.pi * (np.arange(k) + 0.5) / k)
-    node_sums = list(core_map(path_sums, nodes))
-    # each path's sum is a polynomial of degree < k in its start: carry the
-    # node sums to the grid; g at each point's ends is evaluated there
+    # row i holds rho^{ik}, k = 1..steps
+    powers = decay ** np.arange(k)[:, None]
+
+    def chunk_sums(c0: int) -> np.ndarray:
+        """Per-path S[i, j] = sum_k rho^{ik} u_k^j, j >= 1, over one chunk's steps."""
+        out = np.zeros((k, k, m))
+        end = min(c0 + _CHUNK_STEPS, steps)
+        for k0 in range(c0, end, block):
+            k1 = min(k0 + block, end)
+            u = y[k0:k1] + g.center * (decay[k0:k1, None] - 1.0)
+            uj = np.ones_like(u)
+            for j in range(1, k):
+                uj *= u
+                out[0, j] += uj.sum(axis=0)
+                for i in range(1, k - j):
+                    out[i, j] += (powers[i, k0:k1, None] * uj).sum(axis=0)
+        return out
+
+    sums = sum(core_map(chunk_sums, range(0, steps, _CHUNK_STEPS)))
+    # S[i, 0] = 1 + sum_k rho^{ik}: the 1 counts X_0, where u_0 = 0
+    sums[:, 0] = 1.0 + powers.sum(axis=1)[:, None]
+    pairs = [(i, j) for i in range(k) for j in range(k - i)]
+    terms = tuple(sums[i, j] for i, j in pairs)
     columns = []
-    for w, x0 in zip(_lagrange_matrix(nodes, grid), grid):
-        sums = [_weighted_sum(w, per_node) for per_node in zip(*node_sums)]
-        columns.append([column(*ends) for ends in zip(sums, g(np.full(m, x0)), g(decay[-1] * x0 + y[-1]))])
+    for x0 in grid:
+        s = x0 - g.center
+        scale = np.array([math.comb(i + j, i) * s**i for i, j in pairs])
+        weights = g.coef[:, [i + j for i, j in pairs]] * scale
+        rows = [_weighted_sum(w, terms) for w in weights]
+        columns.append([column(*ends) for ends in zip(rows, g(np.full(m, x0)), g(decay[-1] * x0 + y[-1]))])
     # (f, se, tail bound) per g, each of shape (grid.size,)
     stats = np.moveaxis(np.array(columns), 0, -1)
     return tuple(

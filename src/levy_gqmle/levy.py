@@ -59,10 +59,6 @@ class NormalInverseGaussian:
             raise ValueError(f"need |beta| < alpha, got beta={self.beta}, alpha={self.alpha}")
 
     @property
-    def bg_index(self) -> float:
-        return 1.0
-
-    @property
     def _gbar(self) -> float:
         return math.sqrt(self.alpha**2 - self.beta**2)
 
@@ -86,10 +82,6 @@ class BilateralGamma:
             if not (v > 0):
                 raise ValueError(f"{name} must be positive, got {v}")
 
-    @property
-    def bg_index(self) -> float:
-        return 0.0
-
 
 @dataclass(frozen=True)
 class Brownian:
@@ -103,10 +95,6 @@ class Brownian:
     def __post_init__(self):
         if not (self.sigma > 0):
             raise ValueError(f"sigma must be positive, got {self.sigma}")
-
-    @property
-    def bg_index(self) -> float:
-        return 0.0
 
 
 LevyLaw = NormalInverseGaussian | BilateralGamma | Brownian
@@ -138,10 +126,10 @@ def cumulants(law: LevyLaw, order: int = 4) -> tuple[float, ...]:
     return full[:order]
 
 
-def standardization_check(law: LevyLaw, tol: float = 1e-12) -> None:
-    """Raise ``ValueError`` unless ``E[Z_1] = 0`` and ``Var[Z_1] = 1`` within ``tol``."""
+def standardization_check(law: LevyLaw) -> None:
+    """Raise ``ValueError`` unless ``E[Z_1] = 0`` and ``Var[Z_1] = 1`` within 1e-12."""
     k1, k2 = cumulants(law, 2)
-    if abs(k1) > tol or abs(k2 - 1.0) > tol:
+    if abs(k1) > 1e-12 or abs(k2 - 1.0) > 1e-12:
         raise ValueError(f"law is not standardized: mean={k1!r}, variance={k2!r}")
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.signal import lfilter
 
-from ._util import NumericalError, atomic_write_text, substream
+from ._util import NumericalError, _integer, atomic_write_text, substream
 from .coefficients import (
     ConstantDrift,
     ConstantScale,
@@ -77,7 +77,8 @@ class PathConfig:
 
     h and x0 must be finite.  ``refine`` simulates on the grid h/refine
     and subsamples, for discretization-bias studies; the observation grid
-    is unchanged.
+    is unchanged.  n, seed and refine must be integral (10.0 runs as 10);
+    a boolean or non-integral value is refused with ``ValueError``.
     """
 
     n: int
@@ -87,6 +88,8 @@ class PathConfig:
     refine: int = 1
 
     def __post_init__(self):
+        for name in ("n", "seed", "refine"):
+            object.__setattr__(self, name, _integer(getattr(self, name), name))
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
         if not (0 < self.h < math.inf):

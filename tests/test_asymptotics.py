@@ -321,8 +321,9 @@ class TestEPESolve:
             epe_solve(lambda x: np.asarray(x, float), OU, CASE_I, m=60, seed=2, inv=inv_i)
 
     def test_zero_padding_keeps_the_solution(self, inv_i):
-        # g_1's row is zero-padded to g_2's degree in every run: solving the
-        # identity at 4 nodes instead of 2 must not change the answer
+        # g_1's row is zero-padded to g_2's degree in every run: summing the
+        # identity from the power sums of degree 3 instead of 1 must not
+        # change the answer
         kw = dict(grid=np.linspace(-2.0, 2.0, 9), t_max=10.0, m=200, seed=5, inv=inv_i)
         (plain,) = epe_solve(IDENTITY, OU, CASE_I, **kw)
         (padded,) = epe_solve(_PolyRHS(np.array([[0.0, 1.0, 0.0, 0.0]]), 0.0), OU, CASE_I, **kw)
@@ -339,21 +340,25 @@ class TestEPESolve:
         assert np.all(np.abs(f40.f - f20.f) <= f20.tail_bound)
 
     def test_matches_euler_reference(self, inv_i, oracle_i, res_i):
-        # the affine, time-blocked node solve against the Euler recursion run
-        # from every grid point on the same increment panel, for two inputs:
-        # a cubic about m = 0.7 != 0, which exercises the mean term of the
-        # affine form, on 7 points, and _epe_rhs's benchmark polynomials on
-        # the 33-point run_asymptotics grid; the horizon ends mid-block
+        # the one-pass power-sum solve against the Euler recursion run from
+        # every grid point on the same increment panel, for three inputs: a
+        # cubic about m = 0.7 != 0, which exercises the mean term of the
+        # affine form, on 7 points; _epe_rhs's benchmark polynomials on the
+        # 33-point run_asymptotics grid; and the same polynomials out to
+        # |x - x_c| = 9, case ii's jump reach.  The 1234-step horizon ends
+        # in a short third chunk, and the 218-step blocks end short inside
+        # every chunk
         shifted = TrueModel(MeanRevertLinear(m=0.7), 0.5, ConstantScale(), 1.0)
         cubic = _PolyRHS(np.array([[0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0]]), 0.7)
         bench = _epe_rhs(BENCH, OU, (oracle_i.alpha_star, oracle_i.gamma_star))
         inputs = (
             (shifted, sample_invariant(shifted, CASE_I, budget=20000, seed=31), cubic, np.linspace(-5.0, 5.0, 7)),
             (OU, inv_i, bench, res_i.f1.x),
+            (OU, inv_i, bench, bench.center + np.linspace(-9.0, 9.0, 13)),
         )
-        t_max, m, step, seed = 10.0, 100, 0.01, 4
-        steps = int(round(t_max / step))
-        assert steps % max(1, _BLOCK_CELLS // m) != 0
+        t_max, m, step, seed = 12.34, 300, 0.01, 4
+        steps, block = int(round(t_max / step)), max(1, _BLOCK_CELLS // m)
+        assert steps % 500 != 0 and 500 % block != 0
         z = _chunked_increments(CASE_I, step, steps, m, seed, _TAG_EPE)
         for model, inv, g, grid in inputs:
             got = epe_solve(g, model, CASE_I, grid=grid, t_max=t_max, m=m, seed=seed, inv=inv, step=step)
@@ -379,39 +384,37 @@ class TestEPESolve:
             assert np.array_equal(alone.f, got[0].f) and np.array_equal(alone.se, got[0].se)
 
     def test_independent_of_worker_count(self, inv_i, oracle_i, monkeypatch):
-        # _epe_rhs's polynomials are solved at 5 nodes and carried to the 7
-        # grid points
+        # _epe_rhs's polynomials over three chunks, the last one short
+        # (1234 steps), whose partial sums are added in chunk order
         g = _epe_rhs(BENCH, OU, (oracle_i.alpha_star, oracle_i.gamma_star))
         default = _util._pool_size
         grid = np.linspace(-2.0, 2.0, 7)
         runs = []
         for workers in (None, 1, 3):
             monkeypatch.setattr(_util, "_pool_size", lambda tasks, n=workers: n or default(tasks))
-            runs.append(epe_solve(g, OU, CASE_I, grid=grid, t_max=5.0, m=100, seed=6, inv=inv_i))
+            runs.append(epe_solve(g, OU, CASE_I, grid=grid, t_max=12.34, m=100, seed=6, inv=inv_i))
         for other in runs[1:]:
             for a, b in zip(runs[0], other):
                 for name in ("x", "f", "se", "tail_bound"):
                     assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
 
-    def test_polynomial_nodes_inside_grid_span(self, inv_i, oracle_i, res_i, monkeypatch):
-        # the degree-4 polynomials of _epe_rhs run from their d + 1 = 5 nodes,
-        # strictly inside the grid's span, on the run_asymptotics grid (33
-        # points with the sideways extension) and on a grid of 5 points
-        # alike, and are reported on the grid
+    def test_power_sums_map_the_draw_chunks(self, inv_i, oracle_i, res_i, monkeypatch):
+        # the last pool call of a solve is the power-sum pass: one task per
+        # 500-step chunk of the increment draw, the short last chunk
+        # included, whatever the grid's size (33 run_asymptotics points or 5)
         g = _epe_rhs(BENCH, OU, (oracle_i.alpha_star, oracle_i.gamma_star))
         tasks = []
 
         def spy(fn, items, core_map=asymptotics.core_map):
-            # the last pool call of a solve runs the starts
-            tasks.append(np.array(list(items)))
+            tasks.append(list(items))
             return core_map(fn, tasks[-1])
 
         monkeypatch.setattr(asymptotics, "core_map", spy)
-        kw = dict(t_max=10.0, m=200, seed=3, inv=inv_i)
+        kw = dict(t_max=12.34, m=200, seed=3, inv=inv_i)
         for grid in (res_i.f1.x, np.linspace(-1.0, 2.0, 5)):
             out = epe_solve(g, OU, CASE_I, grid=grid, **kw)
-            starts = tasks[-1]
-            assert starts.size == 5 and grid[0] < starts.min() and starts.max() < grid[-1]
+            draw, sums = tasks[-2:]
+            assert sums == draw == [0, 500, 1000]
             assert len(out) == 2 and all(np.array_equal(a.x, grid) for a in out)
 
     def test_chunked_increments_independent_of_worker_count(self, monkeypatch):

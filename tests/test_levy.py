@@ -100,11 +100,6 @@ class TestValidation:
         with pytest.raises(ValueError, match="not standardized"):
             standardization_check(BilateralGamma(1, 1, 1, 1))  # variance 2
 
-    def test_bg_index_metadata(self):
-        assert CASE_I.bg_index == 1.0
-        assert CASE_II.bg_index == 0.0
-        assert DIFFUSION.bg_index == 0.0
-
 
 class TestDensity:
     def test_bgamma_reference_point(self):

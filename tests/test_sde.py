@@ -9,7 +9,7 @@ from scipy.signal import lfilter
 
 from levy_gqmle._util import batch_means_se, substream
 from levy_gqmle.coefficients import ConstantDrift, ConstantScale, LinearDecay, MeanRevertLinear, RationalSqrt
-from levy_gqmle.levy import NormalInverseGaussian, cumulants, sample_increments
+from levy_gqmle.levy import BilateralGamma, Brownian, NormalInverseGaussian, cumulants, sample_increments
 from levy_gqmle.sde import (
     DivergenceError,
     PathConfig,
@@ -255,11 +255,26 @@ class TestConfigAndPathTypes:
         whole = simulate_euler(OU, CASE_I, PathConfig(n=10, h=0.1, seed=2.0))
         assert whole.values.tobytes() == simulate_euler(OU, CASE_I, PathConfig(n=10, h=0.1, seed=2)).values.tobytes()
 
+    def test_counts_cast_before_drawing(self):
+        # n = 10.5 and refine = 1.5 used to fail with TypeError inside
+        # simulate_euler, and True ran as 1; each is refused at construction
+        for bad in (dict(n=10.5), dict(n=True), dict(refine=1.5), dict(refine=True), dict(seed=False)):
+            with pytest.raises(ValueError, match="must be an integer"):
+                PathConfig(**{"n": 10, "h": 0.1, **bad})
+        cfg = PathConfig(n=10.0, h=0.1, seed=3.0, refine=2.0)
+        assert (type(cfg.n), type(cfg.seed), type(cfg.refine)) == (int, int, int)
+        want = simulate_euler(OU, CASE_I, PathConfig(n=10, h=0.1, seed=3, refine=2)).values
+        assert simulate_euler(OU, CASE_I, cfg).values.tobytes() == want.tobytes()
+
     def test_sample_path_validation(self):
         with pytest.raises(ValueError, match="finite"):
             SamplePath(h=0.1, values=np.array([0.0, np.inf]))
         with pytest.raises(ValueError):
             SamplePath(h=0.1, values=np.array([1.0]))
+
+
+# Blumenthal-Getoor index of each law type
+_BG_INDEX = {NormalInverseGaussian: 1.0, BilateralGamma: 0.0, Brownian: 0.0}
 
 
 def small_time_moment_check(model, noise, cfg, p, reps):
@@ -271,7 +286,7 @@ def small_time_moment_check(model, noise, cfg, p, reps):
     unknown constants, so the usable diagnostic is that the ratio stays
     bounded as h is halved.  p must lie in (max(1, BG-index), 2).
     """
-    if not (1.0 < p < 2.0) or p <= noise.bg_index:
+    if not (1.0 < p < 2.0) or p <= _BG_INDEX[type(noise)]:
         raise ValueError(f"p must lie in (max(1, BG-index), 2), got p={p}")
     grid = np.linspace(-3.0, 3.0, 13)
     ratios = np.empty((2, grid.size))
