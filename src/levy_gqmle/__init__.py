@@ -2,7 +2,7 @@
 
 Simulation of one-dimensional SDEs driven by standardized pure-jump Levy
 noise, staged quasi-likelihood fitting of possibly misspecified coefficient
-models, and the asymptotic machinery around the fit: pseudo-true values,
+models, and the asymptotic machinery around the fit: exact pseudo-true values,
 Gamma / Sigma / V matrices via extended Poisson equations, replication
 studies, and residual-moment diagnostics.
 
@@ -10,7 +10,8 @@ The usual entry points:
 
 - ``simulate_euler`` / ``PathConfig`` to draw paths,
 - ``estimate_staged`` / ``ModelSpec`` to fit them,
-- ``optimal_values`` and ``run_asymptotics`` for the limit theory,
+- ``pseudo_true`` (``optimal_values`` for the benchmark fit) and
+  ``run_asymptotics`` for the limit theory,
 - ``run_mc`` / ``emit_report`` for replication studies,
 - ``levy_gqmle.cli`` behind the ``levy-gqmle`` console script.
 """
@@ -51,6 +52,7 @@ from .gqmle import (
 from .asymptotics import (
     AsymptoticsResult,
     epe_solve,
+    pseudo_true,
     run_asymptotics,
     sample_invariant,
 )
@@ -64,7 +66,6 @@ from .experiment import (
     emit_report,
     noise_case,
     optimal_values,
-    optimal_values_numeric,
     run_mc,
     true_ou,
 )
@@ -108,7 +109,7 @@ __all__ = [
     "emit_report",
     "noise_case",
     "optimal_values",
-    "optimal_values_numeric",
+    "pseudo_true",
     "run_mc",
     "true_ou",
 ]

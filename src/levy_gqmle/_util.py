@@ -26,9 +26,12 @@ def substream(seed: int, *path: int) -> np.random.Generator:
     The same address always yields the same stream, regardless of how many
     other streams were created, so parallel schedules cannot change results.
     A part that is boolean or not integral is refused with ``ValueError``,
-    so a seed of 1.5 cannot silently run as seed 1.
+    so a seed of 1.5 cannot silently run as seed 1; a negative seed is
+    refused by name.
     """
     address = tuple(_integer(p, "substream address part") for p in (seed, *path))
+    if address[0] < 0:
+        raise ValueError(f"seed must be >= 0, got {address[0]}")
     return np.random.default_rng(np.random.SeedSequence(address))
 
 

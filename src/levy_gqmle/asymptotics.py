@@ -1,10 +1,10 @@
-"""Invariant sampling, Poisson-equation solutions, and the limit matrices.
+"""Invariant sampling, pseudo-true values, Poisson solutions, limit matrices.
 
 The staged estimator is asymptotically normal with covariance
 V = Gamma^{-1} Sigma Gamma^{-T}.  Gamma collects curvature of the limiting
 criteria at the optimal parameter; Sigma is the jump-driven variance of the
 scores and involves the solutions f_1, f_2 of extended Poisson equations.
-None of this is closed-form for a general model, so each piece is realized
+The optimal parameter is exact (``pseudo_true``); the rest is realized
 numerically: the invariant law pi_0 by one long thinned path, f_1/f_2 by
 Monte Carlo time integrals of the conditional expectation, the jump measure
 nu_0 by deterministic quadrature.
@@ -22,7 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._util import NumericalError, _integer, batch_means_se, core_map, substream
-from .coefficients import ConstantDrift, ConstantScale, LinearDecay, MeanRevertLinear, RationalSqrt
 from .gqmle import ModelSpec, _criterion_terms
 from .levy import (
     Brownian,
@@ -55,6 +54,7 @@ __all__ = [
     "avar",
     "epe_solve",
     "gamma_matrix",
+    "pseudo_true",
     "run_asymptotics",
     "sample_invariant",
 ]
@@ -102,6 +102,15 @@ def _linear_ou_form(model: TrueModel) -> tuple[float, float, float]:
     return rate, level / rate, sigma
 
 
+def _invariant_cumulants(true_model: TrueModel, noise: LevyLaw) -> tuple[float, float, float, float]:
+    """pi_0's first four cumulants: the mean + sigma kappa_1 / rate, then
+    sigma^j kappa_j / (j rate) for j = 2, 3, 4 (Barndorff-Nielsen & Shephard
+    2001, JRSS B 63(2)), with kappa_j those of the driving law."""
+    rate, mean, sigma = _linear_ou_form(true_model)
+    k = cumulants(noise, 4)
+    return (mean + sigma * k[0] / rate, *(sigma**j * k[j - 1] / (j * rate) for j in (2, 3, 4)))
+
+
 @dataclass(frozen=True)
 class InvariantSample:
     """States approximately distributed as pi_0, with sampling provenance."""
@@ -142,7 +151,7 @@ def sample_invariant(
     over the whole path up to rounding (about 1e-14 relative): the two sum
     the same terms in a different order.
 
-    The sample variance must land within 10% of kappa_2 scale^2 / (2 rate);
+    The sample variance must land within 10% of pi_0's (``_invariant_cumulants``);
     a larger mismatch means the chain did not mix at this step size and
     raises :class:`MixingError`.  ``budget`` must be integral; a float
     such as 2000.0 runs as its integer.
@@ -187,7 +196,7 @@ def sample_invariant(
         x = last + rho**size * x
 
     var = float(np.var(states))
-    theory = sigma**2 * cumulants(noise, 2)[1] / (2.0 * rate)
+    theory = _invariant_cumulants(model, noise)[1]
     if abs(var / theory - 1.0) > 0.10:
         raise MixingError(
             f"invariant sample variance {var:.4g} vs theory {theory:.4g}: mixing suspect"
@@ -199,27 +208,47 @@ def _poly_form(model: ModelSpec) -> tuple[float, np.ndarray, np.ndarray]:
     """(x_c, b, q): the drift ``basis`` b and q = 1/p(x)^2, with p the scale
     ``profile``, as coefficients in powers of t = x - x_c, constant first.
 
-    This is the one place that reads the fitted families as polynomials:
-    every catalog basis has degree <= 1 and every q degree <= 2 (q is
-    1 + x^2 for ``RationalSqrt``).  x_c is the basis's root (0 if it has
-    none), so b has no constant term.
+    This is the one place that reads the fitted families as polynomials,
+    from their ``basis_coef`` (degree <= 1) and ``q_coef``.  x_c is the
+    basis's root (0 if it has none), so b(x_c) = 0 is b's constant term.
+    Both are re-expanded about x_c by the binomial theorem.
     """
-    drift, scale = model.drift, model.scale
-    if isinstance(drift, MeanRevertLinear):
-        center, b = drift.m, [0.0, -1.0]
-    elif isinstance(drift, LinearDecay):
-        center, b = 0.0, [0.0, -1.0]
-    elif isinstance(drift, ConstantDrift):
-        center, b = 0.0, [1.0]
-    else:
-        raise ValueError(f"need a catalog drift family, got {drift!r}")
-    if isinstance(scale, RationalSqrt):
-        q = [1.0 + center**2, 2.0 * center, 1.0]
-    elif isinstance(scale, ConstantScale):
-        q = [1.0]
-    else:
-        raise ValueError(f"need a catalog scale family, got {scale!r}")
-    return center, np.array(b), np.array(q)
+    b, q = getattr(model.drift, "basis_coef", ()), getattr(model.scale, "q_coef", ())
+    if not 1 <= len(b) <= 2:
+        raise ValueError(f"need a catalog drift family, got {model.drift!r}")
+    if not q:
+        raise ValueError(f"need a catalog scale family, got {model.scale!r}")
+    center = -b[0] / b[1] if len(b) == 2 and b[1] != 0.0 else 0.0
+    shifted = ([sum(math.comb(k, i) * c[k] * center ** (k - i) for k in range(i, len(c))) for i in range(len(c))]
+               for c in (b, q))
+    return center, *map(np.array, shifted)
+
+
+def pseudo_true(model: ModelSpec, true_model: TrueModel, noise: LevyLaw) -> tuple[float, float]:
+    """The optimal values (alpha*, gamma*) that maximize the limit stage
+    criteria, exactly for every catalog pair, each clipped to its box.
+
+    Under pi_0 the criteria take increment moments (A, C^2) on a unit step,
+    so gamma*^2 = sigma^2 E[q] and alpha* = E[A b q] / E[b^2 q]: polynomials
+    in t = X - x_c (``_poly_form``) whose means need the moments E[t^j],
+    j <= 4, of ``_invariant_cumulants``.  A true drift that does not revert
+    or a true scale that is not constant is refused with ``ValueError``.
+    """
+    kappa = _invariant_cumulants(true_model, noise)
+    rate, level, sigma = _affine_form(true_model)
+    center, b, q = _poly_form(model)
+    kappa = (kappa[0] - center, *kappa[1:])
+    moments = [1.0]
+    for n in range(1, 5):
+        moments.append(sum(math.comb(n - 1, j - 1) * kappa[j - 1] * moments[n - j] for j in range(1, n + 1)))
+    poly = np.polynomial.polynomial
+    bq = poly.polymul(b, q)
+    num, den, mean_q = (
+        sum(c * moments[i] for i, c in enumerate(coef))
+        for coef in (poly.polymul([level - rate * center, -rate], bq), poly.polymul(b, bq), q)
+    )
+    gamma = math.sqrt(sigma**2 * mean_q)
+    return float(np.clip(num / den, *model.alpha_box)), float(np.clip(gamma, *model.gamma_box))
 
 
 @dataclass(frozen=True, eq=False)

@@ -5,7 +5,9 @@ the state.  Drift families are linear in their parameter,
 ``a(x, theta) = theta * basis(x)``; scale families are multiplicative,
 ``c(x, theta) = theta * profile(x)``.  Every parameter derivative follows
 from ``basis``/``profile``, and the estimation stages use both structures
-for their closed forms.
+for their closed forms.  Each family also carries its polynomial form,
+constant first: ``basis_coef`` for b and ``q_coef`` for q = 1/p(x)^2;
+other modules read the families as polynomials through these alone.
 """
 
 from __future__ import annotations
@@ -31,6 +33,10 @@ class MeanRevertLinear:
 
     m: float = 1.0
 
+    @property
+    def basis_coef(self) -> tuple[float, ...]:
+        return (float(self.m), -1.0)
+
     def basis(self, x):
         return self.m - np.asarray(x, dtype=float)
 
@@ -41,6 +47,8 @@ class MeanRevertLinear:
 @dataclass(frozen=True)
 class ConstantDrift:
     """a(x, alpha) = alpha."""
+
+    basis_coef = (1.0,)
 
     def basis(self, x):
         return np.ones_like(np.asarray(x, dtype=float))
@@ -53,6 +61,8 @@ class ConstantDrift:
 class LinearDecay:
     """a(x, alpha) = -alpha x."""
 
+    basis_coef = (0.0, -1.0)
+
     def basis(self, x):
         return -np.asarray(x, dtype=float)
 
@@ -64,6 +74,8 @@ class LinearDecay:
 class RationalSqrt:
     """c(x, gamma) = gamma (1 + x^2)^{-1/2}."""
 
+    q_coef = (1.0, 0.0, 1.0)
+
     def profile(self, x):
         return 1.0 / np.sqrt(1.0 + np.asarray(x, dtype=float) ** 2)
 
@@ -74,6 +86,8 @@ class RationalSqrt:
 @dataclass(frozen=True)
 class ConstantScale:
     """c(x, gamma) = gamma."""
+
+    q_coef = (1.0,)
 
     def profile(self, x):
         return np.ones_like(np.asarray(x, dtype=float))

@@ -5,8 +5,8 @@ The study fits the benchmark family (drift alpha (1 - x), scale
 gamma / sqrt(1 + x^2)) to paths of dX = -X/2 dt + dZ driven by one of four
 catalog noises, labeled "i", "ii", "iii" (pure jump) and "diffusion"
 (Brownian).  Both fitted coefficients are wrong for every case, so the
-estimators converge to the computable pseudo-true values rather than to
-generating parameters.
+estimators converge to the pseudo-true values of ``asymptotics.pseudo_true``
+rather than to generating parameters.
 """
 
 from __future__ import annotations
@@ -15,14 +15,14 @@ import json
 import math
 import os
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import partial
 
 import numpy as np
 
 from ._util import NumericalError, _integer, atomic_write_text, core_map, substream
+from .asymptotics import pseudo_true
 from .coefficients import ConstantScale, LinearDecay, MeanRevertLinear, RationalSqrt
-from .gqmle import ModelSpec, _fit_drift, _fit_rows, _fit_scale
+from .gqmle import ModelSpec, _fit_rows
 from .levy import (
     BilateralGamma,
     Brownian,
@@ -44,7 +44,6 @@ __all__ = [
     "benchmark_model",
     "true_ou",
     "optimal_values",
-    "optimal_values_numeric",
     "run_mc",
     "summarize_replications",
     "emit_report",
@@ -99,50 +98,10 @@ def true_ou() -> TrueModel:
     return TrueModel(LinearDecay(), 0.5, ConstantScale(), 1.0)
 
 
-# Exact third and fourth cumulants of the standardized catalog laws; the
-# test suite cross-checks these rationals against cumulants().
-_CASE_CUMULANTS = {
-    "i": (Fraction(0), Fraction(3, 100)),
-    "ii": (Fraction(0), Fraction(3)),
-    "iii": (Fraction(4, 5), Fraction(89, 75)),
-    "diffusion": (Fraction(0), Fraction(0)),
-}
-
-
 def optimal_values(case: str) -> tuple[float, float]:
-    """Pseudo-true (alpha*, gamma*) for the benchmark fit, in closed form.
-
-    gamma* = sqrt(1 + m2) and alpha* = (1 - m3 + m4) / (2 (3 - 2 m3 + m4)),
-    with m_j the invariant moments obtained from the rescaled driving
-    cumulants 2 kappa_j / j and the cumulant-to-moment conversion.  All
-    arithmetic is exact until the final float.
-    """
-    k3, k4 = _CASE_CUMULANTS[_case_key(case)]
-    kt2 = Fraction(1)  # 2 kappa_2 / 2, kappa_2 = 1
-    m3 = 2 * k3 / 3
-    m4 = 2 * k4 / 4 + 3 * kt2 * kt2
-    alpha = (1 - m3 + m4) / (2 * (3 - 2 * m3 + m4))
-    return float(alpha), math.sqrt(1.0 + float(kt2))
-
-
-def optimal_values_numeric(
-    model: ModelSpec,
-    true_model: TrueModel,
-    inv,
-) -> tuple[float, float]:
-    """Empirical-criterion maximizer over an invariant sample.
-
-    The stage criteria under pi_0 are the path criteria with increment
-    moments (A, C^2) on a unit step, so the path closed forms give their
-    maximizers: gamma^2 = E[C^2 / p^2], then, with that gamma in
-    c = gamma p, alpha = E[A b / c^2] / E[b^2 / c^2], each kept inside its
-    box.  Agreement with ``optimal_values`` is up to Monte Carlo error in
-    the sample.  The driving law enters only through the invariant sample.
-    """
-    x = np.asarray(inv.states, dtype=float)[None, :]
-    gamma = _fit_scale(model, x, true_model.C(x) ** 2, 1.0)[0]
-    alpha = _fit_drift(model, x, true_model.A(x), 1.0, gamma)[0]
-    return float(alpha[0]), float(gamma[0])
+    """Pseudo-true (alpha*, gamma*) of the benchmark fit to ``true_ou`` under
+    a case's noise: ``asymptotics.pseudo_true``, exact up to rounding."""
+    return pseudo_true(benchmark_model(), true_ou(), noise_case(case))
 
 
 @dataclass(frozen=True)

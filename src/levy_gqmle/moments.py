@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ._util import _integer
 from .gqmle import EstimateResult, ModelSpec, _check_scale
 from .sde import SamplePath
 
@@ -26,8 +27,7 @@ def residual_moment(path: SamplePath, est: EstimateResult, model: ModelSpec, r: 
     Estimates int z^r nu0(dz) for r >= 2; the lower moments are absorbed by
     the drift and the scaling rather than the jump measure.
     """
-    if isinstance(r, bool) or not isinstance(r, (int, np.integer)):
-        raise ValueError(f"r must be an integer, got {r!r}")
+    r = _integer(r, "r")
     if r < 2:
         raise ValueError(f"r must be >= 2, got {r}")
     if not (np.isfinite(est.alpha_hat) and np.isfinite(est.gamma_hat)):

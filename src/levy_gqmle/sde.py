@@ -21,14 +21,7 @@ import numpy as np
 from scipy.signal import lfilter
 
 from ._util import NumericalError, _integer, atomic_write_text, substream
-from .coefficients import (
-    ConstantDrift,
-    ConstantScale,
-    DriftFamily,
-    LinearDecay,
-    MeanRevertLinear,
-    ScaleFamily,
-)
+from .coefficients import DriftFamily, ScaleFamily
 from .levy import LevyLaw, sample_increments
 
 __all__ = [
@@ -77,8 +70,8 @@ class PathConfig:
 
     h and x0 must be finite.  ``refine`` simulates on the grid h/refine
     and subsamples, for discretization-bias studies; the observation grid
-    is unchanged.  n, seed and refine must be integral (10.0 runs as 10);
-    a boolean or non-integral value is refused with ``ValueError``.
+    is unchanged.  n, seed and refine must be integral (10.0 runs as 10),
+    and seed >= 0; anything else is refused with ``ValueError``.
     """
 
     n: int
@@ -92,6 +85,8 @@ class PathConfig:
             object.__setattr__(self, name, _integer(getattr(self, name), name))
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not (0 < self.h < math.inf):
             raise ValueError(f"h must be positive and finite, got {self.h}")
         if not math.isfinite(self.x0):
@@ -135,20 +130,17 @@ class SamplePath:
 def _affine_form(model: TrueModel) -> tuple[float, float, float]:
     """(rate, level, sigma) with A(x) = level - rate x and C = sigma.
 
-    This is the one place that reads the affine form off the catalog.
+    This is the one place that reads the affine form off the catalog, from
+    the families' polynomial forms.
     """
-    if not isinstance(model.scale_family, ConstantScale):
+    if getattr(model.scale_family, "q_coef", None) != (1.0,):
         raise ValueError("need a constant true scale for an affine (AR(1)) path")
-    fam, p = model.drift_family, model.drift_param
-    if isinstance(fam, LinearDecay):
-        rate, level = p, 0.0
-    elif isinstance(fam, MeanRevertLinear):
-        rate, level = p, p * fam.m
-    elif isinstance(fam, ConstantDrift):
-        rate, level = 0.0, p
-    else:
-        raise ValueError(f"need a catalog drift family, got {fam!r}")
-    return rate, level, model.scale_param
+    coef, p = getattr(model.drift_family, "basis_coef", ()), model.drift_param
+    if not 1 <= len(coef) <= 2:
+        raise ValueError(f"need a catalog drift family, got {model.drift_family!r}")
+    b0, b1 = (*coef, 0.0)[:2]
+    # 0.0 - keeps the zero rate of a constant drift positive
+    return 0.0 - p * b1, p * b0, model.scale_param
 
 
 def _step_map(model: TrueModel, dt: float) -> tuple[float, float, float]:

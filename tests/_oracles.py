@@ -6,7 +6,8 @@ generating functions, stationary-law moments via the cumulant scaling of the
 linear-drift invariant law, Poisson-equation solutions via a triangular
 polynomial solve against the generator, and score covariances via exact
 polynomial algebra in (x, z).  Only the benchmark model (drift -x/2, unit
-scale, fitted drift alpha(1-x), fitted scale gamma/sqrt(1+x^2)) is covered.
+scale, fitted drift alpha(1-x), fitted scale gamma/sqrt(1+x^2)) is covered,
+except for pseudo-true values, which take raw moments for any catalog pair.
 Paths are checked against the Euler recursion stepped one time step at a
 time in Python, and fits against the benchmark closed forms written out.
 The characteristic exponent is the mpmath CGF on the imaginary axis, the
@@ -142,9 +143,13 @@ def martingale_check(f, g, model: TrueModel, noise: LevyLaw, reps: int, seed: in
     return panel
 
 
-def invariant_cumulants(kappas: list[float], drift_rate: float = DRIFT_RATE) -> list[float]:
-    """Cumulants of the stationary law of dX = -drift_rate*X dt + dZ."""
-    return [0.0] + [kappas[j] / (j * drift_rate) for j in range(1, len(kappas))]
+def invariant_cumulants(
+    kappas: list[float], drift_rate: float = DRIFT_RATE, sigma: float = 1.0, level: float = 0.0
+) -> list[float]:
+    """Cumulants 0..K of the stationary law of dX = (level - drift_rate*X) dt + sigma dZ."""
+    return [0.0, (level + sigma * kappas[1]) / drift_rate] + [
+        sigma**j * kappas[j] / (j * drift_rate) for j in range(2, len(kappas))
+    ]
 
 
 def cumulants_to_moments(cums: list[float]) -> list[float]:
@@ -154,6 +159,25 @@ def cumulants_to_moments(cums: list[float]) -> list[float]:
     for k in range(1, K + 1):
         m[k] = sum(math.comb(k - 1, j - 1) * cums[j] * m[k - j] for j in range(1, k + 1))
     return m
+
+
+def pseudo_true_oracle(model: ModelSpec, true_model: TrueModel, law: LevyLaw) -> tuple[float, float]:
+    """(alpha*, gamma*) = (E[A b q] / E[b^2 q], sqrt(E[C^2 q])), each clipped
+    to its box, with q = 1/p^2, from pi_0's raw moments E[x^j].
+
+    The families and the true model are read through their callables: the
+    three integrands, each of degree <= 4 in x, are interpolated at five
+    integer points, and the moments come from ``cgf_cumulants``.
+    """
+    x = np.arange(-2.0, 3.0)
+    b, q, big_a = model.drift.basis(x), 1.0 / model.scale.profile(x) ** 2, true_model.A(x)
+    num, den, q = (npp.polyfit(x, y, 4) for y in (big_a * b * q, b * b * q, q))
+    rate, level = big_a[2] - big_a[3], big_a[2]
+    sigma = float(true_model.C(0.0))
+    m = cumulants_to_moments(invariant_cumulants(cgf_cumulants(law, 4), rate, sigma, level))
+    alpha = npp.polyval(1.0, num * m) / npp.polyval(1.0, den * m)
+    gamma = math.sqrt(sigma**2 * npp.polyval(1.0, q * m))
+    return float(np.clip(alpha, *model.alpha_box)), float(np.clip(gamma, *model.gamma_box))
 
 
 def ou_poly_epe(

@@ -1,5 +1,7 @@
 """Export lists: every name in a module's ``__all__`` exists, so a deleted
-name cannot linger in one, and something other than the tests uses it."""
+name cannot linger in one, and something other than the tests uses it.
+Coefficient families are read through their polynomial forms, not by
+class."""
 
 import ast
 import importlib
@@ -58,3 +60,31 @@ def test_every_export_has_a_caller_outside_tests():
         if n not in src and not re.search(rf"\b{re.escape(n)}\b", other)
     ]
     assert dead == []
+
+
+def _names(path: pathlib.Path) -> set[str]:
+    """Every name a module imports, reads or writes, as a name or an attribute."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.alias):
+            names.add(node.name)
+        elif isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+def test_families_read_through_their_polynomial_forms():
+    # a module that names a concrete family class can branch on it; only
+    # coefficients.py, experiment.py (which builds the benchmark models) and
+    # the package namespace, which re-exports them, may
+    tree = ast.parse((ROOT / "src" / "levy_gqmle" / "coefficients.py").read_text())
+    families = {node.name for node in tree.body if isinstance(node, ast.ClassDef)}
+    allowed = {"coefficients.py", "experiment.py", "__init__.py"}
+    named = {
+        path.name: sorted(families & _names(path))
+        for path in (ROOT / "src").rglob("*.py")
+        if path.name not in allowed
+    }
+    assert families and {name: found for name, found in named.items() if found} == {}

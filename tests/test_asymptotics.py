@@ -27,11 +27,14 @@ from levy_gqmle.asymptotics import (
     _PolyRHS,
     _epe_rhs,
     _gamma_terms,
+    _invariant_cumulants,
+    _poly_form,
     _sigma_full,
     _sigma_terms,
     avar,
     epe_solve,
     gamma_matrix,
+    pseudo_true,
     run_asymptotics,
     sample_invariant,
 )
@@ -42,10 +45,20 @@ from levy_gqmle.coefficients import (
     MeanRevertLinear,
     RationalSqrt,
 )
-from levy_gqmle.gqmle import ModelSpec, _criterion_terms
+from levy_gqmle.gqmle import ModelSpec, _criterion_terms, _fit_drift, _fit_scale
 from levy_gqmle.levy import Brownian, _converged_nodes, _nodes_at, sample_increments
 from levy_gqmle.sde import DIVERGENCE_BOUND, DivergenceError, SamplePath, TrueModel
-from _oracles import _euler_columns, benchmark_oracle, g1_eval, g2_eval, martingale_check, sigma_terms_by_node
+from _oracles import (
+    _euler_columns,
+    benchmark_oracle,
+    cgf_cumulants,
+    g1_eval,
+    g2_eval,
+    invariant_cumulants,
+    martingale_check,
+    pseudo_true_oracle,
+    sigma_terms_by_node,
+)
 from test_levy import CASE_I, CASE_II, CASE_III, DIFFUSION
 
 OU = TrueModel(LinearDecay(), 0.5, ConstantScale(), 1.0)
@@ -75,6 +88,14 @@ def res_i(oracle_i):
 # first, and the third is short (5,050,000 steps in all)
 LONG_PATH = dict(budget=5000, seed=8, step=0.001)
 OU_SHIFTED = TrueModel(MeanRevertLinear(m=0.7), 0.5, ConstantScale(), 1.0)
+# every catalog family, with a mean-reverting drift on each side of zero
+DRIFTS = [MeanRevertLinear(m=1.0), MeanRevertLinear(m=-0.3), LinearDecay(), ConstantDrift()]
+SCALES = [RationalSqrt(), ConstantScale()]
+
+
+class Cubic:
+    def basis(self, x):
+        return np.asarray(x, float) ** 3
 
 
 @pytest.fixture(scope="module")
@@ -175,6 +196,8 @@ class TestSampleInvariant:
         for budget in (1500.5, True):
             with pytest.raises(ValueError, match="budget must be an integer"):
                 sample_invariant(OU, CASE_I, budget=budget)
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            sample_invariant(OU, CASE_I, budget=1000, seed=-1)
         # an integral float runs as its integer
         a = sample_invariant(OU, CASE_I, budget=1000.0, seed=3)
         b = sample_invariant(OU, CASE_I, budget=1000, seed=3)
@@ -267,10 +290,6 @@ class TestEPERhs:
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_unknown_family_refused(self):
-        class Cubic:
-            def basis(self, x):
-                return np.asarray(x, float) ** 3
-
         with pytest.raises(ValueError, match="catalog drift"):
             _epe_rhs(ModelSpec(drift=Cubic(), scale=ConstantScale()), OU, (0.4, 1.1))
 
@@ -288,6 +307,92 @@ class TestEPERhs:
         for vals in _epe_rhs(BENCH, OU, theta)(inv_i.states):
             mean, se = _batched(vals, np.mean)
             assert abs(mean) <= 3 * se
+
+
+class TestPolyForm:
+    @pytest.mark.parametrize("scale", SCALES, ids=lambda s: type(s).__name__)
+    @pytest.mark.parametrize("drift", DRIFTS + [MeanRevertLinear(m=0.7)], ids=repr)
+    def test_expanded_about_the_basis_root(self, drift, scale):
+        # x_c is b's root where b has one, so b has no constant term, and both
+        # polynomials in t = x - x_c reproduce the family callables
+        center, b, q = _poly_form(ModelSpec(drift, scale))
+        if not isinstance(drift, ConstantDrift):
+            assert drift.basis(center) == 0.0 and b[0] == 0.0
+        x = np.linspace(-4.0, 4.0, 81)
+        np.testing.assert_allclose(np.polynomial.polynomial.polyval(x - center, b), drift.basis(x), atol=1e-14)
+        want = 1.0 / scale.profile(x) ** 2
+        np.testing.assert_allclose(np.polynomial.polynomial.polyval(x - center, q), want, rtol=1e-14)
+
+    def test_unknown_scale_refused(self):
+        class Wavy:
+            def profile(self, x):
+                return 2.0 + np.sin(x)
+
+        with pytest.raises(ValueError, match="catalog scale family"):
+            _poly_form(ModelSpec(LinearDecay(), Wavy()))
+
+
+class TestPseudoTrue:
+    @pytest.mark.parametrize("true_model", [OU, TrueModel(MeanRevertLinear(m=0.7), 0.8, ConstantScale(), 1.3)],
+                             ids=["ou", "shifted-scaled"])
+    @pytest.mark.parametrize("law", [CASE_I, CASE_II, CASE_III], ids=["i", "ii", "iii"])
+    def test_invariant_cumulants_match_oracle(self, law, true_model):
+        rate, level, sigma = 0.5, 0.0, 1.0
+        if true_model is not OU:
+            rate, level, sigma = 0.8, 0.8 * 0.7, 1.3
+        want = invariant_cumulants(cgf_cumulants(law, 4), rate, sigma, level)[1:]
+        np.testing.assert_allclose(_invariant_cumulants(true_model, law), want, rtol=1e-12, atol=1e-15)
+
+    @pytest.mark.parametrize("true_model", [OU, OU_SHIFTED], ids=["linear-decay", "mean-revert"])
+    @pytest.mark.parametrize("law", [CASE_I, CASE_II, CASE_III], ids=["i", "ii", "iii"])
+    @pytest.mark.parametrize("scale", SCALES, ids=lambda s: type(s).__name__)
+    @pytest.mark.parametrize("drift", DRIFTS, ids=repr)
+    def test_matches_raw_moment_oracle(self, drift, scale, law, true_model):
+        # a box wide enough that no value is clipped, so each value is pinned
+        model = ModelSpec(drift, scale, alpha_box=(-10.0, 10.0))
+        got, want = pseudo_true(model, true_model, law), pseudo_true_oracle(model, true_model, law)
+        for g, w in zip(got, want):
+            assert abs(g - w) <= 1e-12 * max(1.0, abs(w))
+
+    @pytest.mark.parametrize("law", [CASE_I, CASE_II, CASE_III, DIFFUSION], ids=["i", "ii", "iii", "diffusion"])
+    @pytest.mark.parametrize("drift", [MeanRevertLinear(m=0.0), LinearDecay()], ids=repr)
+    def test_correctly_specified_is_exact(self, drift, law):
+        # the fitted families contain the truth dX = -X/2 dt + dZ
+        alpha, gamma = pseudo_true(ModelSpec(drift, ConstantScale()), OU, law)
+        assert abs(alpha - 0.5) <= 1e-15 and abs(gamma - 1.0) <= 1e-15
+
+    def test_agrees_with_invariant_sample_maximizer(self):
+        # the closed-form stage maximizers over one pi_0 sample, for a pair
+        # outside the benchmark; the tolerance is four batch-means standard
+        # errors of each estimate, from the delta method.  The Euler chain's
+        # stationary moments sit (j - 1) rate step / 2 above pi_0's, a
+        # quarter of a standard error here
+        model = ModelSpec(MeanRevertLinear(m=-0.3), RationalSqrt())
+        alpha_s, gamma_s = pseudo_true(model, OU_SHIFTED, CASE_III)
+        x = sample_invariant(OU_SHIFTED, CASE_III, budget=100000, seed=21).states[None, :]
+        gamma = _fit_scale(model, x, OU_SHIFTED.C(x) ** 2, 1.0)[0]
+        alpha = _fit_drift(model, x, OU_SHIFTED.A(x), 1.0, gamma)[0]
+        b, q = model.drift.basis(x[0]), 1.0 / model.scale.profile(x[0]) ** 2
+        influence = (OU_SHIFTED.A(x[0]) - alpha[0] * b) * b * q / np.mean(b * b * q)
+        assert abs(alpha[0] - alpha_s) <= 4.0 * batch_means_se(influence)
+        assert abs(gamma[0] - gamma_s) <= 4.0 * batch_means_se(q) / (2.0 * gamma[0])
+
+    def test_clipped_to_the_box(self):
+        # under case iii's skew, a constant drift's alpha* is -m3 / 4 < 0
+        wide = pseudo_true(ModelSpec(ConstantDrift(), RationalSqrt(), alpha_box=(-10.0, 10.0)), OU, CASE_III)
+        assert wide[0] == pytest.approx(-(8.0 / 15.0) / 4.0, rel=1e-12) and wide[1] == pytest.approx(math.sqrt(2.0))
+        boxed = ModelSpec(ConstantDrift(), RationalSqrt(), alpha_box=(0.0, 10.0), gamma_box=(0.05, 1.2))
+        assert pseudo_true(boxed, OU, CASE_III) == (0.0, 1.2)
+
+    def test_refusals(self):
+        with pytest.raises(ValueError, match="catalog drift family"):
+            pseudo_true(ModelSpec(Cubic(), ConstantScale()), OU, CASE_I)
+        for truth in (TrueModel(ConstantDrift(), 0.5, ConstantScale(), 1.0),
+                      TrueModel(LinearDecay(), -0.5, ConstantScale(), 1.0)):
+            with pytest.raises(ValueError, match="mean-reverting"):
+                pseudo_true(BENCH, truth, CASE_I)
+        with pytest.raises(ValueError, match="constant true scale"):
+            pseudo_true(BENCH, TrueModel(LinearDecay(), 0.5, RationalSqrt(), 1.0), CASE_I)
 
 
 class TestEPESolve:
@@ -311,6 +416,10 @@ class TestEPESolve:
     def test_not_centered_rejected(self, inv_i):
         with pytest.raises(NotCenteredError):
             epe_solve(_PolyRHS(np.array([[1.0, 1.0]]), 0.0), OU, CASE_I, m=60, seed=2, inv=inv_i)
+
+    def test_negative_seed_refused(self, inv_i):
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            epe_solve(ZERO, OU, CASE_I, m=60, seed=-1, inv=inv_i)
 
     def test_plain_callable_refused(self, inv_i, monkeypatch):
         def refuse(*args, **kwargs):

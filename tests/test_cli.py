@@ -117,6 +117,13 @@ class TestSimulate:
         assert code == 1
         assert msg in err
 
+    def test_negative_seed_exits_one(self, capsys, tmp_path):
+        code, _, err = invoke(capsys, "simulate", "--seed", "-1", "--n", "10", "--h", "0.1",
+                              "--out-dir", str(tmp_path))
+        assert code == 1
+        assert "seed must be >= 0, got -1" in err
+        assert not (tmp_path / "path.csv").exists()
+
     def test_non_string_out_dir_in_config_exits_one(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"out_dir": 5}))

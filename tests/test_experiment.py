@@ -12,7 +12,6 @@ from scipy.special import ndtri
 
 from levy_gqmle import _util
 from levy_gqmle._util import substream
-from levy_gqmle.asymptotics import sample_invariant
 from levy_gqmle.coefficients import ConstantScale, LinearDecay, MeanRevertLinear
 from levy_gqmle.experiment import (
     _TAG_MC,
@@ -24,7 +23,6 @@ from levy_gqmle.experiment import (
     emit_report,
     noise_case,
     optimal_values,
-    optimal_values_numeric,
     run_mc,
     summarize_replications,
     true_ou,
@@ -98,27 +96,6 @@ class TestOptimalValues:
     def test_unknown_case(self):
         with pytest.raises(ValueError, match="unknown case"):
             optimal_values("brownian-squared")
-
-
-class TestOptimalValuesNumeric:
-    def test_correctly_specified_is_exact(self):
-        # fitted families contain the truth, so the empirical maximizer
-        # sits at (1/2, 1) for any invariant sample
-        truth = true_ou()
-        inv = sample_invariant(truth, noise_case("i"), budget=30000, seed=3, step=0.01)
-        model = ModelSpec(MeanRevertLinear(m=0.0), ConstantScale())
-        alpha, gamma = optimal_values_numeric(model, truth, inv)
-        assert alpha == pytest.approx(0.5, abs=1e-8)
-        assert gamma == pytest.approx(1.0, abs=1e-8)
-
-    @pytest.mark.parametrize("case,seed", [("i", 11), ("iii", 12)])
-    def test_benchmark_agrees_with_closed_form(self, case, seed):
-        truth = true_ou()
-        inv = sample_invariant(truth, noise_case(case), budget=150000, seed=seed, step=0.01)
-        alpha, gamma = optimal_values_numeric(benchmark_model(), truth, inv)
-        alpha_star, gamma_star = optimal_values(case)
-        assert alpha == pytest.approx(alpha_star, abs=0.01)
-        assert gamma == pytest.approx(gamma_star, abs=0.01)
 
 
 class TestExperimentDesign:

@@ -101,6 +101,8 @@ class TestResidualMoment:
         path = _const_path(CASE_I, n=500, h=0.01)
         est = estimate_staged(path, CONST)
         assert residual_moment(path, est, CONST, np.int64(2)) == residual_moment(path, est, CONST, 2)
+        # an integral float runs as its integer, as every other integer setting does
+        assert residual_moment(path, est, CONST, 4.0) == residual_moment(path, est, CONST, 4)
 
 
 @pytest.fixture(scope="module")

@@ -266,6 +266,13 @@ class TestConfigAndPathTypes:
         want = simulate_euler(OU, CASE_I, PathConfig(n=10, h=0.1, seed=3, refine=2)).values
         assert simulate_euler(OU, CASE_I, cfg).values.tobytes() == want.tobytes()
 
+    def test_negative_seed_refused(self):
+        # numpy used to refuse it only when drawing, without naming the seed
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            PathConfig(n=10, h=0.1, seed=-1)
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            substream(-1, 7001)
+
     def test_sample_path_validation(self):
         with pytest.raises(ValueError, match="finite"):
             SamplePath(h=0.1, values=np.array([0.0, np.inf]))
