@@ -36,9 +36,13 @@ def substream(seed: int, *path: int) -> np.random.Generator:
 
 
 def _integer(value, name: str = "value") -> int:
-    """``int(value)``, refusing booleans and non-integral floats with
-    ``ValueError`` rather than truncating them."""
-    if isinstance(value, bool) or (isinstance(value, (float, np.floating)) and not value.is_integer()):
+    """``value`` as an ``int``: integers and integral floats, numpy's too.
+
+    Anything else, booleans, fractions and strings included, is refused
+    with ``ValueError`` naming ``name`` rather than truncated or parsed.
+    """
+    integral = isinstance(value, (float, np.floating)) and value.is_integer()
+    if not (integral or isinstance(value, (int, np.integer))) or isinstance(value, bool):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(value)
 

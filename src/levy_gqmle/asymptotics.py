@@ -258,10 +258,9 @@ class _PolyRHS:
     first, zero-padded to one common degree d = coef.shape[1] - 1.
 
     This is the one input type of ``epe_solve``, which sums it along each
-    path from the path's mixed power sums.  Calling it evaluates
-    each row by Horner's rule from its highest nonzero coefficient, in place
-    on one fresh array per row, and returns the rows' values as a tuple;
-    the centering gate and the paths' two end states evaluate it this way.
+    path from the path's mixed power sums.  Calling it evaluates each row
+    with numpy's ``polyval`` and returns the rows' values as a tuple; the
+    centering gate and the paths' two end states evaluate it this way.
     """
 
     coef: np.ndarray
@@ -269,15 +268,7 @@ class _PolyRHS:
 
     def __call__(self, x) -> tuple[np.ndarray, ...]:
         t = np.asarray(x, dtype=float) - self.center
-        out = []
-        for row in self.coef:
-            top = np.flatnonzero(row)[-1] if row.any() else 0
-            acc = np.full(t.shape, row[top])
-            for c in row[:top][::-1]:
-                acc *= t
-                acc += c
-            out.append(acc)
-        return tuple(out)
+        return tuple(np.polynomial.polynomial.polyval(t, row) for row in self.coef)
 
 
 def _epe_rhs(model: ModelSpec, true_model: TrueModel, theta_star: tuple[float, float]) -> _PolyRHS:
@@ -316,8 +307,8 @@ def _epe_rhs(model: ModelSpec, true_model: TrueModel, theta_star: tuple[float, f
 class EPEApprox:
     """Grid approximation of a Poisson-equation solution.
 
-    Calling the object interpolates linearly on the grid and extrapolates
-    linearly beyond it using the outermost grid slopes.  ``g_mean`` and
+    ``_segments`` gives its linear pieces: linear interpolation on the grid,
+    extended beyond it with the outermost grid slopes.  ``g_mean`` and
     ``g_se`` are the pi_0 mean of the right-hand side and its batch-means
     standard error, as gated by :func:`epe_solve`.
     """
@@ -355,12 +346,6 @@ class EPEApprox:
         slopes = np.diff(self.f) / np.diff(self.x)
         index = np.clip(np.searchsorted(self.x, q, side="right") - 1, 0, self.x.size - 2)
         return self.f[:-1] - slopes * self.x[:-1], slopes, index
-
-    def __call__(self, xq) -> np.ndarray | float:
-        q = np.asarray(xq, dtype=float)
-        intercepts, slopes, j = self._segments(q)
-        out = intercepts[j] + slopes[j] * q
-        return float(out) if q.ndim == 0 else out
 
 
 def _chunked_increments(
@@ -458,11 +443,11 @@ def epe_solve(
     max(1, 2^16 // m) steps, so no temporary outgrows a block, and takes
     each sum elementwise with no BLAS; the chunk partials are added in
     chunk order.  A grid point's row sums are the S[i, j] weighted by
-    coef[i + j] C(i + j, i) s^i, added in a fixed order with no BLAS, and g
-    at the path's two ends is evaluated at the point itself.  The time
-    integral is the trapezoid rule on the simulation grid, and the sums
-    match an Euler run from each grid point up to rounding (about 1e-15
-    relative).  No sum depends on which worker ran a chunk, so the result
+    coef[i + j] C(i + j, i) s^i, added in a fixed order with no BLAS; g is
+    evaluated once at the point itself, the paths' common start, and at
+    each path's end state.  The time integral is the trapezoid rule on
+    the simulation grid, and the sums match an Euler run from each grid
+    point up to rounding (about 1e-15 relative).  No sum depends on which worker ran a chunk, so the result
     does not depend on the number of workers.
 
     The reported tail bound combines the conditional-mean remainder at
@@ -505,7 +490,7 @@ def epe_solve(
         if bad.any():
             raise DivergenceError(int(np.argmax(bad)) + 1)
 
-    def column(acc: np.ndarray, g_start: np.ndarray, g_end: np.ndarray) -> tuple[float, float, float]:
+    def column(acc: np.ndarray, g_start: float, g_end: np.ndarray) -> tuple[float, float, float]:
         """(f, se, tail bound) at one start from a path sum and g at the path's ends."""
         total = step * (acc - 0.5 * (g_start + g_end))
         m_end = float(np.mean(g_end))
@@ -544,7 +529,7 @@ def epe_solve(
         scale = np.array([math.comb(i + j, i) * s**i for i, j in pairs])
         weights = g.coef[:, [i + j for i, j in pairs]] * scale
         rows = [_weighted_sum(w, terms) for w in weights]
-        columns.append([column(*ends) for ends in zip(rows, g(np.full(m, x0)), g(decay[-1] * x0 + y[-1]))])
+        columns.append([column(*ends) for ends in zip(rows, g(x0), g(decay[-1] * x0 + y[-1]))])
     # (f, se, tail bound) per g, each of shape (grid.size,)
     stats = np.moveaxis(np.array(columns), 0, -1)
     return tuple(

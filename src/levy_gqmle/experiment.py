@@ -28,10 +28,9 @@ from .levy import (
     Brownian,
     LevyLaw,
     NormalInverseGaussian,
-    sample_increments,
     standardization_check,
 )
-from .sde import TrueModel, _affine_paths, _first_bad
+from .sde import TrueModel, _euler_panel
 
 __all__ = [
     "CASES",
@@ -258,12 +257,7 @@ def _mc_block(
     = (seed, tag, design).  Returns the failure messages of divergent
     paths, then alpha, gamma and the clamped mask of the surviving rows.
     """
-    values = np.empty((len(ks), n + 1))
-    values[:, 0] = x0
-    for j, k in enumerate(ks):
-        values[j, 1:] = sample_increments(law, h, n, substream(*address, k))
-    _affine_paths(true_model, h, x0, values[:, 1:])
-    first_bad = _first_bad(values[:, 1:], x0)
+    values, first_bad = _euler_panel(true_model, law, h, n, x0, [substream(*address, k) for k in ks])
     failures = [f"replication {k}: path diverged at step {b}" for k, b in zip(ks, first_bad) if b >= 0]
     good = first_bad < 0
     if not good.any():
@@ -284,12 +278,11 @@ def run_mc(
     Replication k of design d draws increments from the substream
     (seed, tag, d, k), so its result depends only on that address.  The
     replications run in blocks of 16 on ``_util.core_map``, one worker
-    per usable core up to 4.  Each block fills its own (16, n+1) buffer
-    whose column 0 holds x0: its increments are drawn into columns 1..n,
-    filtered there into paths in place by ``_affine_paths``, scanned for
-    divergence by ``_first_bad``, and its surviving rows are fitted in the
-    closed form.  Blocks have 16 rows so that two workers hold as many
-    temporaries as one 32-row block did.
+    per usable core up to 4.  Each block draws its own (16, n+1) panel of
+    paths from x0 with ``sde._euler_panel``, which also scans it for
+    divergence, and its surviving rows are fitted in the closed form.
+    Blocks have 16 rows so that two workers hold as many temporaries as
+    one 32-row block did.
     Each row reduces along time exactly as a lone path does, so every
     estimate is bitwise equal to ``estimate_staged`` on that replication's
     path, and the blocks' results are joined in replication order, so

@@ -8,7 +8,9 @@ scheme X_{k+1} = X_k + A(X_k) dt + C dZ_k is the AR(1) recursion
 X_{k+1} = rho X_k + scale dZ_k + shift, with coefficients from
 :func:`_step_map` alone.  Every path of the package, here, in ``run_mc`` and
 in ``asymptotics``, is filtered in place by :func:`_affine_paths`, and
-the callers that act on divergence scan the result with :func:`_first_bad`.
+the callers that act on divergence scan the result with :func:`_first_bad`;
+a panel of independently seeded paths, one or many, comes from
+:func:`_euler_panel`.
 """
 
 from __future__ import annotations
@@ -190,15 +192,27 @@ def _first_bad(z: np.ndarray, x0: float | np.ndarray) -> np.ndarray:
     return first_bad
 
 
+def _euler_panel(
+    model: TrueModel, noise: LevyLaw, dt: float, steps: int, x0: float, rngs: list[np.random.Generator]
+) -> tuple[np.ndarray, np.ndarray]:
+    """(values, first_bad) of one Euler path X_0..X_steps from x0 per generator.
+
+    ``values`` has shape (len(rngs), steps + 1) and row j holds the path
+    driven by ``rngs[j]``'s increments, filtered in place by
+    :func:`_affine_paths`; ``first_bad`` is :func:`_first_bad` of it.
+    """
+    values = np.empty((len(rngs), steps + 1))
+    values[:, 0] = x0
+    for row, rng in zip(values, rngs):
+        row[1:] = sample_increments(noise, dt, steps, rng)
+    _affine_paths(model, dt, x0, values[:, 1:])
+    return values, _first_bad(values[:, 1:], x0)
+
+
 def simulate_euler(model: TrueModel, noise: LevyLaw, cfg: PathConfig) -> SamplePath:
     """Simulate one observed path; bitwise deterministic given (seed, refine)."""
-    steps = cfg.n * cfg.refine
     dt = cfg.h / cfg.refine
-    values = np.empty((1, steps + 1))
-    values[0, 0] = cfg.x0
-    values[0, 1:] = sample_increments(noise, dt, steps, substream(cfg.seed))
-    _affine_paths(model, dt, cfg.x0, values[:, 1:])
-    first_bad = _first_bad(values[:, 1:], cfg.x0)
+    values, first_bad = _euler_panel(model, noise, dt, cfg.n * cfg.refine, cfg.x0, [substream(cfg.seed)])
     if first_bad[0] >= 0:
         raise DivergenceError(int(first_bad[0]))
     return SamplePath(h=cfg.h, values=values[0, :: cfg.refine])

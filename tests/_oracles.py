@@ -117,8 +117,15 @@ def g2_eval(path: SamplePath, model: ModelSpec, gamma: float, alpha: float) -> t
     return _path_criteria(path, model, gamma, alpha)[1]
 
 
+def _piecewise(f, q):
+    """An ``EPEApprox``'s value at q, read off its linear pieces."""
+    intercepts, slopes, j = f._segments(q)
+    return intercepts[j] + slopes[j] * q
+
+
 def martingale_check(f, g, model: TrueModel, noise: LevyLaw, reps: int, seed: int) -> np.ndarray:
-    """|mean| / se of M_s - M_0 for M_t = f(X_t) + int_0^t g(X_u) du, shape (3, 3).
+    """|mean| / se of M_s - M_0 for M_t = f(X_t) + int_0^t g(X_u) du, shape (3, 3),
+    for an ``EPEApprox`` f.
 
     Rows are the starts -1.5, 0, 1.5 and columns the lags of 50, 100 and
     200 Euler steps of 0.01.  The increments come from the substreams
@@ -135,9 +142,9 @@ def martingale_check(f, g, model: TrueModel, noise: LevyLaw, reps: int, seed: in
         _affine_paths(model, step, x0, values[:, 1:])
         assert (_first_bad(values[:, 1:], x0) < 0).all()
         gx = np.asarray(g(values), dtype=float)
-        f0 = float(f(np.float64(x0)))
+        f0 = float(_piecewise(f, np.float64(x0)))
         for j, k in enumerate(lags):
-            d = f(values[:, k]) + step * (gx[:, : k + 1].sum(axis=1) - 0.5 * (gx[:, 0] + gx[:, k])) - f0
+            d = _piecewise(f, values[:, k]) + step * (gx[:, : k + 1].sum(axis=1) - 0.5 * (gx[:, 0] + gx[:, k])) - f0
             mean, se = float(np.mean(d)), batch_means_se(d)
             panel[i, j] = abs(mean) / se if se > 0 else (0.0 if mean == 0.0 else math.inf)
     return panel

@@ -88,3 +88,21 @@ def test_families_read_through_their_polynomial_forms():
         if path.name not in allowed
     }
     assert families and {name: found for name, found in named.items() if found} == {}
+
+
+def test_commands_resolve_no_setting_themselves():
+    # every CLI setting is one row of cli._COMMANDS, which declares its flag,
+    # config key, cast and default; a command function only reads the values
+    tree = ast.parse((ROOT / "src" / "levy_gqmle" / "cli.py").read_text())
+    commands = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name.startswith("_cmd_")]
+    resolving = {
+        command.name: sorted(
+            name
+            for node in ast.walk(command)
+            if isinstance(node, ast.Call)
+            for name in [getattr(node.func, "id", None) or getattr(node.func, "attr", None)]
+            if name in ("_setting", "add_argument")
+        )
+        for command in commands
+    }
+    assert commands and {name: calls for name, calls in resolving.items() if calls} == {}

@@ -560,13 +560,18 @@ class TestEPESolve:
             epe_solve(IDENTITY, OU, CASE_I, grid=grid, m=60, seed=2, inv=inv_i)
 
     def test_linear_tail_extrapolation(self):
+        # the two outer pieces extend the outermost grid slopes
         grid = np.linspace(-2.0, 2.0, 5)
         f = EPEApprox(grid, grid**2, np.ones(5), 40.0, 100, np.ones(5))
-        assert f(1.5) == pytest.approx(np.interp(1.5, grid, grid**2))
+        q = np.array([1.5, 4.0, -5.0])
+        intercepts, slopes, j = f._segments(q)
+        assert j.tolist() == [3, 3, 0]
+        inside, high, low = intercepts[j] + slopes[j] * q
+        assert inside == pytest.approx(np.interp(1.5, grid, grid**2))
         hi_slope = (4.0 - 1.0) / 1.0
-        assert f(4.0) == pytest.approx(4.0 + hi_slope * 2.0)
+        assert high == pytest.approx(4.0 + hi_slope * 2.0)
         lo_slope = (1.0 - 4.0) / 1.0
-        assert f(-5.0) == pytest.approx(4.0 + lo_slope * -3.0)
+        assert low == pytest.approx(4.0 + lo_slope * -3.0)
 
     def test_horizon_below_one_step_rejected(self, inv_i):
         # 0.004 / 0.01 rounds to zero steps: refused before any path is drawn

@@ -7,6 +7,7 @@ import pathlib
 
 import pytest
 
+from levy_gqmle import cli
 from levy_gqmle.cli import run
 from levy_gqmle.sde import load_path
 
@@ -262,6 +263,8 @@ class TestSettings:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command,key,value", [
+        ("simulate", "n", "200"),
+        ("simulate", "seed", "3"),
         ("simulate", "n", 20.7),
         ("simulate", "seed", True),
         ("simulate", "refine", 1.5),
@@ -278,6 +281,49 @@ class TestSettings:
         code, _, err = invoke(capsys, command, "--config", str(cfg), "--out-dir", str(tmp_path / "out"))
         assert code == 1
         assert f"bad value for {key}" in err
+
+
+# a value for each setting key, unlike every default, valid in every command
+SAMPLE = {
+    "seed": 7, "case": "ii", "n": 300, "h": 0.02, "x0": 0.5, "refine": 2, "path": "p.csv",
+    "out_dir": "out", "replications": 200, "format": "json", "budget": 3000, "m": 60,
+    "t_max": 5.0, "step": 0.02, "orders": "2,5",
+}
+ROWS = [(command, row) for command, (_, _, rows) in cli._COMMANDS.items() for row in rows]
+
+
+def _row_id(param):
+    return param if isinstance(param, str) else param[0]
+
+
+class TestSettingsTable:
+    @pytest.mark.parametrize("command,row", ROWS, ids=_row_id)
+    def test_help_shows_flag_and_default(self, capsys, command, row):
+        key, _, default, text = row
+        code, out, _ = invoke(capsys, command, "--help")
+        # argparse wraps help text, at spaces or after hyphens
+        flat = "".join(out.split())
+        assert code == 0
+        assert f"--{key.replace('_', '-')}" in flat and "".join(text.split()) in flat
+        if default is not None:
+            shown = ",".join(map(str, default)) if isinstance(default, tuple) else default
+            assert f"(default:{shown})" in flat
+
+    @pytest.mark.parametrize("command,row", ROWS, ids=_row_id)
+    def test_flag_and_config_resolve_alike(self, capsys, tmp_path, monkeypatch, command, row):
+        key = row[0]
+        _, summary, rows = cli._COMMANDS[command]
+        seen = []
+        monkeypatch.setitem(cli._COMMANDS, command, (lambda s, cfg: seen.append(vars(s)) or 0, summary, rows))
+        monkeypatch.delenv("LEVY_GQMLE_SEED", raising=False)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: SAMPLE[key]}))
+        assert invoke(capsys, command, f"--{key.replace('_', '-')}", str(SAMPLE[key]))[0] == 0
+        assert invoke(capsys, command, "--config", str(cfg))[0] == 0
+        assert invoke(capsys, command)[0] == 0
+        flag, config, default = seen
+        assert flag == config
+        assert flag[key] != default[key]
 
 
 class TestConfigPrecedence:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.signal import lfilter
 
-from levy_gqmle._util import batch_means_se, substream
+from levy_gqmle._util import _integer, batch_means_se, substream
 from levy_gqmle.coefficients import ConstantDrift, ConstantScale, LinearDecay, MeanRevertLinear, RationalSqrt
 from levy_gqmle.levy import BilateralGamma, Brownian, NormalInverseGaussian, cumulants, sample_increments
 from levy_gqmle.sde import (
@@ -16,6 +16,7 @@ from levy_gqmle.sde import (
     SamplePath,
     TrueModel,
     _affine_paths,
+    _euler_panel,
     _first_bad,
     _step_map,
     load_path,
@@ -128,6 +129,15 @@ class TestAffinePaths:
         assert np.array_equal(path, want)
         assert _first_bad(path[None], 0.4).tolist() == [-1]
 
+    def test_panel_rows_are_lone_paths(self):
+        # a panel row is bitwise the path simulate_euler draws from its generator
+        model = TrueModel(MeanRevertLinear(m=0.7), 0.5, ConstantScale(), 1.3)
+        values, first_bad = _euler_panel(model, CASE_II, 0.02, 400, 0.3, [substream(s) for s in (3, 4, 5)])
+        assert values.shape == (3, 401) and first_bad.tolist() == [-1, -1, -1]
+        for row, seed in zip(values, (3, 4, 5)):
+            alone = simulate_euler(model, CASE_II, PathConfig(n=400, h=0.02, x0=0.3, seed=seed))
+            assert alone.values.tobytes() == row.tobytes()
+
     def test_bad_start_is_index_zero(self):
         z = sample_increments(CASE_I, 0.05, (5, 100), substream(7, 3))
         x0 = np.array([np.nan, 2e12, -np.inf, 0.5, -1e12])
@@ -237,6 +247,24 @@ class TestSubstream:
             substream(part)
         with pytest.raises(ValueError, match="must be an integer"):
             substream(3, 7001, part)
+
+
+class TestInteger:
+    @pytest.mark.parametrize("value,name", [("4", "r"), (b"7", "r"), ("x", "r"), (None, "n"), (4.5, "r"), (True, "r")])
+    def test_refused_by_name(self, value, name):
+        # strings used to be parsed ("4" ran as 4), and None raised a bare TypeError
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+            _integer(value, name)
+
+    @pytest.mark.parametrize("value", [np.int64(5), np.float32(4.0), 4.0, 3])
+    def test_integral_values_accepted(self, value):
+        assert type(_integer(value)) is int and _integer(value) == value
+
+    def test_path_config_refuses_strings(self):
+        with pytest.raises(ValueError, match="n must be an integer"):
+            PathConfig(n="10", h=0.1, seed="3")
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            PathConfig(n=10, h=0.1, seed="3")
 
 
 class TestConfigAndPathTypes:
