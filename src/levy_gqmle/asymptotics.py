@@ -9,9 +9,9 @@ numerically: the invariant law pi_0 by one long thinned path, f_1/f_2 by
 Monte Carlo time integrals of the conditional expectation, the jump measure
 nu_0 by deterministic quadrature.
 
-Everything here assumes the ergodic catalog: linear mean-reverting true
-drift with constant true scale.  That keeps the mixing rate explicit, which
-the tail bounds and the thinning defaults rely on.
+Everything here assumes an ergodic true model, the Levy OU of
+``sde.TrueModel`` with rate > 0.  That keeps the mixing rate explicit,
+which the tail bounds and the thinning defaults rely on.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from .sde import (
     DIVERGENCE_BOUND,
     DivergenceError,
     TrueModel,
-    _affine_form,
     _affine_paths,
     _step_map,
 )
@@ -95,11 +94,10 @@ class CovarianceError(NumericalError):
 
 
 def _linear_ou_form(model: TrueModel) -> tuple[float, float, float]:
-    """(rate, stationary mean, scale) of an ergodic affine model."""
-    rate, level, sigma = _affine_form(model)
-    if not rate > 0.0:
-        raise ValueError(f"need a linear mean-reverting true drift: rate must be positive, got {rate}")
-    return rate, level / rate, sigma
+    """(rate, stationary mean, sigma) of an ergodic true model."""
+    if not model.rate > 0.0:
+        raise ValueError(f"need a linear mean-reverting true drift: rate must be positive, got {model.rate}")
+    return model.rate, model.level / model.rate, model.sigma
 
 
 def _invariant_cumulants(true_model: TrueModel, noise: LevyLaw) -> tuple[float, float, float, float]:
@@ -228,14 +226,15 @@ def pseudo_true(model: ModelSpec, true_model: TrueModel, noise: LevyLaw) -> tupl
     """The optimal values (alpha*, gamma*) that maximize the limit stage
     criteria, exactly for every catalog pair, each clipped to its box.
 
-    Under pi_0 the criteria take increment moments (A, C^2) on a unit step,
-    so gamma*^2 = sigma^2 E[q] and alpha* = E[A b q] / E[b^2 q]: polynomials
-    in t = X - x_c (``_poly_form``) whose means need the moments E[t^j],
-    j <= 4, of ``_invariant_cumulants``.  A true drift that does not revert
-    or a true scale that is not constant is refused with ``ValueError``.
+    Under pi_0 the criteria take increment moments (level - rate x, sigma^2)
+    on a unit step, so gamma*^2 = sigma^2 E[q] and
+    alpha* = E[(level - rate X) b q] / E[b^2 q]: polynomials in t = X - x_c
+    (``_poly_form``) whose means need the moments E[t^j], j <= 4, of
+    ``_invariant_cumulants``.  A true drift that does not revert (rate <= 0)
+    is refused with ``ValueError``.
     """
     kappa = _invariant_cumulants(true_model, noise)
-    rate, level, sigma = _affine_form(true_model)
+    rate, level, sigma = true_model.rate, true_model.level, true_model.sigma
     center, b, q = _poly_form(model)
     kappa = (kappa[0] - center, *kappa[1:])
     moments = [1.0]
@@ -277,8 +276,8 @@ def _epe_rhs(model: ModelSpec, true_model: TrueModel, theta_star: tuple[float, f
     Scale families are multiplicative, c = gamma p(x) with dc/dgamma = p(x),
     and drifts are linear, a = alpha b(x) with da/dalpha = b(x), so
     g_1 = c'(c^2 - C^2)/c^3 = (c^2 - C^2)/(gamma c^2) and
-    g_2 = b(A - a)/c^2.  The true model is affine, A(x) = level - rate x
-    and C = sigma (``sde._affine_form``), and q = 1/p(x)^2 and b are
+    g_2 = b(A - a)/c^2, with the true drift A(x) = level - rate x and the
+    true scale C = sigma of ``sde.TrueModel``.  q = 1/p(x)^2 and b are
     polynomials (``_poly_form``), so
 
       g_1 = (gamma^2 - sigma^2 q) / gamma^3              (degree <= 2),
@@ -291,7 +290,7 @@ def _epe_rhs(model: ModelSpec, true_model: TrueModel, theta_star: tuple[float, f
     constant scale (q = 1, gamma = sigma) gives g_1 = 0 exactly.
     """
     alpha_s, gamma_s = theta_star
-    rate, level, sigma = _affine_form(true_model)
+    rate, level, sigma = true_model.rate, true_model.level, true_model.sigma
     center, b, q = _poly_form(model)
     poly = np.polynomial.polynomial
     g1 = -(sigma**2) * q / gamma_s**3
@@ -547,9 +546,9 @@ def _gamma_terms(
     """Per-state integrands of (Gamma_gamma, Gamma_alpha, Gamma_alphagamma).
 
     These are the stage-criterion curvatures under pi_0, whose states enter
-    with increment moments (A, C^2) on a unit step: Gamma_gamma is the
-    stage-one curvature, Gamma_alpha and Gamma_alphagamma are the negated
-    stage-two ones.  They are evaluated on blocks of ``_BLOCK_CELLS`` states,
+    with increment moments (level - rate x, sigma^2) on a unit step:
+    Gamma_gamma is the stage-one curvature, Gamma_alpha and Gamma_alphagamma
+    are the negated stage-two ones.  They are evaluated on blocks of ``_BLOCK_CELLS`` states,
     elementwise and so bitwise equal to one call on all states, and returned
     as the rows of one (3, n) array.
     """
@@ -558,7 +557,7 @@ def _gamma_terms(
     for b0 in range(0, states.size, _BLOCK_CELLS):
         x = states[b0 : b0 + _BLOCK_CELLS]
         (_, _, gg), (_, _, ga, gag) = _criterion_terms(
-            model, x, true_model.A(x), true_model.C(x) ** 2, 1.0, gamma_s, alpha_s
+            model, x, true_model.level - true_model.rate * x, true_model.sigma**2, 1.0, gamma_s, alpha_s
         )
         block = out[:, b0 : b0 + x.size]
         block[0], block[1], block[2] = gg, -ga, -gag
@@ -603,13 +602,14 @@ def _sigma_terms(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-state inner jump integrals (S_gamma, S_alpha, S_cross): the
     weighted sums over the nodes z of v1^2, v2^2 and v1 v2, where
-    v1 = w_g z^2 + f1(x + C z) - f1(x) and v2 = w_a z + f2(x + C z) - f2(x).
+    v1 = w_g z^2 + f1(x + sigma z) - f1(x) and
+    v2 = w_a z + f2(x + sigma z) - f2(x).
 
     f1 and f2 must be :class:`EPEApprox` on one grid (``TypeError`` or
     ``ValueError`` otherwise, before any work).  Both are linear on each
     grid piece j, so there v1 = a1 + b1 z + w_g z^2 and v2 = a2 + b2 z, and
     each sum is exact in the moments M_p = sum w z^p, p <= 3, of the nodes
-    that x + C z puts on the piece, plus w_g^2 M_4 over all nodes.  The
+    that x + sigma z puts on the piece, plus w_g^2 M_4 over all nodes.  The
     piece that holds x itself gets a1 = a2 = 0 exactly.  The moments are
     prefix sums taken on each side of z = 0 from its far end inwards, and a
     piece's moment is its negative-side difference plus its positive-side
@@ -623,15 +623,15 @@ def _sigma_terms(
         raise ValueError("f1 and f2 must share one grid")
     alpha_s, gamma_s = theta_star
     x = states[:, None]
-    c = model.scale.value(x, gamma_s)
-    big_c = true_model.C(x)
-    w_g = model.scale.profile(x) * big_c**2 / c**3
-    w_a = model.drift.basis(x) * big_c / c**2
+    profile, sigma = model.scale.profile(x), true_model.sigma
+    c = gamma_s * profile
+    w_g = profile * sigma**2 / c**3
+    w_a = model.drift.basis(x) * sigma / c**2
     (i1, s1, j0), (i2, s2, _) = f1._segments(states), f2._segments(states)
-    # a = f(x + C z) - f(x) at z = 0 on each piece, zero on x's own piece
+    # a = f(x + sigma z) - f(x) at z = 0 on each piece, zero on x's own piece
     a1 = (i1 - i1[j0, None]) + (s1 - s1[j0, None]) * x
     a2 = (i2 - i2[j0, None]) + (s2 - s2[j0, None]) * x
-    b1, b2 = s1 * big_c, s2 * big_c + w_a
+    b1, b2 = s1 * sigma, s2 * sigma + w_a
 
     order = np.argsort(nodes)
     z, w = nodes[order], weights[order]
@@ -644,17 +644,17 @@ def _sigma_terms(
     sums[neg + 1 :, 0] = sums[neg, 0]
     sums[neg:-1, 1] = np.cumsum(zw[neg:, :4][::-1], axis=0)[::-1]
     sums[:neg, 1] = sums[neg, 1]
-    # piece j holds the nodes between (x_j - x) / C and (x_{j+1} - x) / C,
-    # which run backwards if C < 0
+    # piece j holds the nodes between (x_j - x) / sigma and
+    # (x_{j+1} - x) / sigma, which run backwards if sigma < 0
     cuts = np.concatenate([[-np.inf], f1.x[1:-1], [np.inf]]) - x
-    d = np.diff(sums[np.searchsorted(z, cuts / big_c)], axis=1)
+    d = np.diff(sums[np.searchsorted(z, cuts / sigma)], axis=1)
     m0, m1, m2, m3 = np.moveaxis(d[..., 0, :] - d[..., 1, :], -1, 0)
 
     u0, u1, u2 = a2 * m0 + b2 * m1, a2 * m1 + b2 * m2, a2 * m2 + b2 * m3
     s_g = a1 * (a1 * m0 + 2.0 * (b1 * m1 + w_g * m2)) + b1 * (b1 * m2 + 2.0 * w_g * m3)
     s_a = a2 * u0 + b2 * u1
     s_x = a1 * u0 + b1 * u1 + w_g * u2
-    sign = np.sign(big_c[:, 0])
+    sign = np.sign(sigma)
     s_g = sign * s_g.sum(axis=1) + w_g[:, 0] ** 2 * zw[:, 4].sum()
     return s_g, sign * s_a.sum(axis=1), sign * s_x.sum(axis=1)
 
@@ -751,7 +751,7 @@ def run_asymptotics(
 
     The EPE grid is the pi_0 quantile grid of ``_GRID_POINTS`` (25) points,
     extended sideways by four points on each side up to the jump reach
-    8 / (slowest nu_0 tail rate), so that x + C(x) z stays on the grid for
+    8 / (slowest nu_0 tail rate), so that x + sigma z stays on the grid for
     all jumps the quadrature weights non-negligibly.
     """
     if isinstance(noise, Brownian):

@@ -5,9 +5,9 @@ its flag, config key, cast, default and help; ``levy-gqmle COMMAND --help``
 prints them.  Settings resolve as flag > config file > environment >
 built-in default.  The config file named by --config is a flat JSON object
 keyed like the long flags ("seed", "out_dir", "format", "case", ...), plus
-"designs" (a list of [n, h] pairs) for mc.  LEVY_GQMLE_SEED supplies the
-seed when neither flag nor config does.  Integer settings refuse strings,
-booleans and fractions.
+"designs" (a list of [n, h] pairs) for mc; any other key is refused.
+LEVY_GQMLE_SEED supplies the seed when neither flag nor config does.  All
+number settings refuse strings and booleans, integer ones also fractions.
 
 Exit codes: 0 success, 1 usage or input error, 2 numerical failure.
 """
@@ -60,6 +60,13 @@ def _one_of(*allowed):
     return cast
 
 
+def _real(value) -> float:
+    """Cast of a float setting: a number, not a boolean or a string."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"expected a number, got {value!r}")
+    return float(value)
+
+
 def _orders(text) -> tuple[int, ...]:
     orders = tuple(int(s) for s in str(text).split(",") if s.strip())
     if not orders:
@@ -107,7 +114,7 @@ def _cmd_mc(s, cfg) -> int:
     kwargs = _given(s, "replications")
     if "designs" in cfg:
         try:
-            kwargs["designs"] = tuple((_integer(n), float(h)) for n, h in cfg["designs"])
+            kwargs["designs"] = tuple((_integer(n), _real(h)) for n, h in cfg["designs"])
         except (TypeError, ValueError):
             raise _UsageError(f"bad value for designs: {cfg['designs']!r}; expected a list of [n, h] pairs")
     summary = run_mc(ExperimentDesign(s.case, seed=s.seed, **kwargs))
@@ -164,7 +171,7 @@ def _cmd_moments(s, cfg) -> int:
 # A row (key, cast, default, help) is one setting: the key names its flag
 # (t_max is --t-max) and its config key.  The cast applies to a flag or
 # config value; a flag is first parsed as an int or a float where the cast
-# is _integer or float.  A default is used as written; None leaves the value
+# is _integer or _real.  A default is used as written; None leaves the value
 # to the called function.
 _SEED = ("seed", _integer, 0, "random seed; LEVY_GQMLE_SEED when neither flag nor config gives one")
 _CASE = ("case", None, "i", f"noise case, one of {', '.join(CASES)}")
@@ -172,13 +179,12 @@ _COMMANDS = {
     "simulate": (_cmd_simulate, "simulate one benchmark path", (
         _SEED, _CASE,
         ("n", _integer, 1000, "observation steps"),
-        ("h", float, 0.05, "observation step size"),
-        ("x0", float, 0.0, "start state"),
+        ("h", _real, 0.05, "observation step size"),
+        ("x0", _real, 0.0, "start state"),
         ("refine", _integer, 1, "Euler substeps per observation step"),
         ("out_dir", os.fspath, ".", "directory for path.csv"),
     )),
     "estimate": (_cmd_estimate, "fit the benchmark model to a path CSV", (
-        _SEED,
         ("path", os.fspath, None, "t,x CSV on an equispaced grid (required)"),
         ("out_dir", os.fspath, None, "directory for estimate.json; none is written when omitted"),
     )),
@@ -192,21 +198,19 @@ _COMMANDS = {
         _SEED, _CASE,
         ("budget", _integer, None, "invariant-sample state budget; run_asymptotics' default when omitted"),
         ("m", _integer, None, "paths per Poisson-equation solve; run_asymptotics' default when omitted"),
-        ("t_max", float, None, "Poisson-equation horizon; run_asymptotics' default when omitted"),
-        ("step", float, None, "Euler step; run_asymptotics' default when omitted"),
+        ("t_max", _real, None, "Poisson-equation horizon; run_asymptotics' default when omitted"),
+        ("step", _real, None, "Euler step; run_asymptotics' default when omitted"),
         ("format", _one_of("csv", "json"), ("csv", "json"), "write only this format"),
         ("out_dir", os.fspath, ".", "directory for the outputs"),
     )),
     "optimal": (_cmd_optimal, "closed-form pseudo-true values", (
-        _SEED,
         ("case", None, None, "single case; all four when omitted"),
         ("format", _one_of("json"), None, "json; a text table when omitted"),
-        ("out_dir", os.fspath, None, "unused: optimal writes no file"),
     )),
     "moments": (_cmd_moments, "residual moments on a simulated path", (
         _SEED, _CASE,
         ("n", _integer, 10000, "observation steps"),
-        ("h", float, 0.01, "observation step size"),
+        ("h", _real, 0.01, "observation step size"),
         ("orders", _orders, (2, 3, 4), "comma-separated moment orders"),
         ("out_dir", os.fspath, None, "directory for moments.csv; none is written when omitted"),
     )),
@@ -225,12 +229,13 @@ def build_parser() -> _Parser:
             if default is not None:
                 shown = ",".join(map(str, default)) if isinstance(default, tuple) else default
                 text += f" (default: {shown})"
-            flag_type = {_integer: int, float: float}.get(cast)
+            flag_type = {_integer: int, _real: float}.get(cast)
             p.add_argument("--" + key.replace("_", "-"), dest=key, type=flag_type, help=text)
     return parser
 
 
-def _load_config(path):
+def _load_config(path, keys):
+    """The JSON object in ``path`` ({} for None); a key outside ``keys`` is refused."""
     if path is None:
         return {}
     try:
@@ -243,6 +248,9 @@ def _load_config(path):
         raise _UsageError(f"config is not valid JSON: {exc}")
     if not isinstance(obj, dict):
         raise _UsageError("config must be a JSON object")
+    unknown = sorted(set(obj) - set(keys))
+    if unknown:
+        raise _UsageError(f"unknown config keys: {', '.join(unknown)}; this command takes {', '.join(keys)}")
     return obj
 
 
@@ -279,7 +287,8 @@ def run(argv=None) -> int:
     try:
         ns = build_parser().parse_args(argv)
         func, _, rows = _COMMANDS[ns.command]
-        cfg = _load_config(ns.config)
+        keys = [row[0] for row in rows] + (["designs"] if ns.command == "mc" else [])
+        cfg = _load_config(ns.config, keys)
         return func(_resolve(rows, ns, cfg), cfg)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

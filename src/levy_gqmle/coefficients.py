@@ -1,13 +1,14 @@
 """Parametric drift and scale families.
 
-Every family is scalar-parametric and exposes ``value``, vectorized over
-the state.  Drift families are linear in their parameter,
-``a(x, theta) = theta * basis(x)``; scale families are multiplicative,
-``c(x, theta) = theta * profile(x)``.  Every parameter derivative follows
-from ``basis``/``profile``, and the estimation stages use both structures
-for their closed forms.  Each family also carries its polynomial form,
-constant first: ``basis_coef`` for b and ``q_coef`` for q = 1/p(x)^2;
-other modules read the families as polynomials through these alone.
+Every family is scalar-parametric.  Drift families are linear in their
+parameter, ``a(x, theta) = theta * basis(x)``; scale families are
+multiplicative, ``c(x, theta) = theta * profile(x)``.  ``basis`` and
+``profile`` are vectorized over the state, and callers write the product
+themselves.  Every parameter derivative follows from them, and the
+estimation stages use both structures for their closed forms.  Each
+family also carries its polynomial form, constant first: ``basis_coef``
+for b and ``q_coef`` for q = 1/p(x)^2; other modules read the families as
+polynomials through these alone.
 """
 
 from __future__ import annotations
@@ -40,9 +41,6 @@ class MeanRevertLinear:
     def basis(self, x):
         return self.m - np.asarray(x, dtype=float)
 
-    def value(self, x, alpha):
-        return alpha * self.basis(x)
-
 
 @dataclass(frozen=True)
 class ConstantDrift:
@@ -52,9 +50,6 @@ class ConstantDrift:
 
     def basis(self, x):
         return np.ones_like(np.asarray(x, dtype=float))
-
-    def value(self, x, alpha):
-        return alpha * self.basis(x)
 
 
 @dataclass(frozen=True)
@@ -66,9 +61,6 @@ class LinearDecay:
     def basis(self, x):
         return -np.asarray(x, dtype=float)
 
-    def value(self, x, alpha):
-        return alpha * self.basis(x)
-
 
 @dataclass(frozen=True)
 class RationalSqrt:
@@ -79,9 +71,6 @@ class RationalSqrt:
     def profile(self, x):
         return 1.0 / np.sqrt(1.0 + np.asarray(x, dtype=float) ** 2)
 
-    def value(self, x, gamma):
-        return gamma * self.profile(x)
-
 
 @dataclass(frozen=True)
 class ConstantScale:
@@ -91,9 +80,6 @@ class ConstantScale:
 
     def profile(self, x):
         return np.ones_like(np.asarray(x, dtype=float))
-
-    def value(self, x, gamma):
-        return gamma * self.profile(x)
 
 
 DriftFamily = MeanRevertLinear | ConstantDrift | LinearDecay

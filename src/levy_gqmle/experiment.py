@@ -21,7 +21,7 @@ import numpy as np
 
 from ._util import NumericalError, _integer, atomic_write_text, core_map, substream
 from .asymptotics import pseudo_true
-from .coefficients import ConstantScale, LinearDecay, MeanRevertLinear, RationalSqrt
+from .coefficients import MeanRevertLinear, RationalSqrt
 from .gqmle import ModelSpec, _fit_rows
 from .levy import (
     BilateralGamma,
@@ -94,7 +94,7 @@ def benchmark_model() -> ModelSpec:
 
 def true_ou() -> TrueModel:
     """Generating model dX = -X/2 dt + dZ."""
-    return TrueModel(LinearDecay(), 0.5, ConstantScale(), 1.0)
+    return TrueModel(rate=0.5, level=0.0, sigma=1.0)
 
 
 def optimal_values(case: str) -> tuple[float, float]:

@@ -11,9 +11,10 @@ c = gamma p(x), so each stage is a weighted least-squares problem with a
 closed form and no optimizer is needed.  Both criteria are written once,
 in ``_criterion_terms``, as functions of the state and of the increment
 moments (m1, m2): a path enters with (D_j X, (D_j X)^2), the invariant law
-pi_0 with (h A(x), h C(x)^2).  The closed forms fit a block of rows at a
-time, shape (R, n+1) with time contiguous; a single path is a one-row
-block, and each row reduces exactly as a lone path would.
+pi_0 with the true model's (h (level - rate x), h sigma^2).  The closed
+forms fit a block of rows at a time, shape (R, n+1) with time contiguous;
+a single path is a one-row block, and each row reduces exactly as a lone
+path would.
 """
 
 from __future__ import annotations

@@ -33,8 +33,8 @@ def residual_moment(path: SamplePath, est: EstimateResult, model: ModelSpec, r: 
     if not (np.isfinite(est.alpha_hat) and np.isfinite(est.gamma_hat)):
         raise ValueError("estimates must be finite")
     x = path.values[:-1]
-    a = model.drift.value(x, est.alpha_hat)
-    c = model.scale.value(x, est.gamma_hat)
+    a = est.alpha_hat * model.drift.basis(x)
+    c = est.gamma_hat * model.scale.profile(x)
     _check_scale(c)
     z = (path.increments() - path.h * a) / c
     return float(np.sum(z**r)) / path.T

@@ -1,16 +1,13 @@
-"""Simulation of dX = A(X)dt + C(X-)dZ on a time grid, and path I/O.
+"""Simulation of the true model on a time grid, and path I/O.
 
-The generating coefficients come from the same parametric catalog as the
-fitted families, but with fixed numeric parameters; misspecification means
-the fitted family differs from the generating one.  Every catalog drift is
-linear in the state, and the true scale must be constant, so the Euler
-scheme X_{k+1} = X_k + A(X_k) dt + C dZ_k is the AR(1) recursion
-X_{k+1} = rho X_k + scale dZ_k + shift, with coefficients from
-:func:`_step_map` alone.  Every path of the package, here, in ``run_mc`` and
-in ``asymptotics``, is filtered in place by :func:`_affine_paths`, and
-the callers that act on divergence scan the result with :func:`_first_bad`;
-a panel of independently seeded paths, one or many, comes from
-:func:`_euler_panel`.
+The true model is the Levy-driven OU dX = (level - rate X) dt + sigma dZ;
+misspecification means the fitted catalog family differs from it.  Its
+Euler step is the AR(1) recursion X_{k+1} = rho X_k + scale dZ_k + shift,
+with coefficients from :func:`_step_map` alone.  Every path of the
+package, here, in ``run_mc`` and in ``asymptotics``, is filtered in place
+by :func:`_affine_paths`, and the callers that act on divergence scan the
+result with :func:`_first_bad`; a panel of independently seeded paths,
+one or many, comes from :func:`_euler_panel`.
 """
 
 from __future__ import annotations
@@ -23,7 +20,6 @@ import numpy as np
 from scipy.signal import lfilter
 
 from ._util import NumericalError, _integer, atomic_write_text, substream
-from .coefficients import DriftFamily, ScaleFamily
 from .levy import LevyLaw, sample_increments
 
 __all__ = [
@@ -52,18 +48,21 @@ class DivergenceError(NumericalError):
 
 @dataclass(frozen=True)
 class TrueModel:
-    """Data-generating coefficients A(x), C(x): catalog families at fixed parameters."""
+    """Data-generating Levy OU dX = (level - rate X) dt + sigma dZ.
 
-    drift_family: DriftFamily
-    drift_param: float
-    scale_family: ScaleFamily
-    scale_param: float
+    All three must be finite (``ValueError`` naming the field otherwise).
+    Any sign simulates (rate <= 0 gives a random walk or an explosive
+    path); only the invariant-law code needs rate > 0.
+    """
 
-    def A(self, x):
-        return self.drift_family.value(x, self.drift_param)
+    rate: float
+    level: float
+    sigma: float
 
-    def C(self, x):
-        return self.scale_family.value(x, self.scale_param)
+    def __post_init__(self):
+        for name in ("rate", "level", "sigma"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -129,26 +128,9 @@ class SamplePath:
         return np.diff(self.values)
 
 
-def _affine_form(model: TrueModel) -> tuple[float, float, float]:
-    """(rate, level, sigma) with A(x) = level - rate x and C = sigma.
-
-    This is the one place that reads the affine form off the catalog, from
-    the families' polynomial forms.
-    """
-    if getattr(model.scale_family, "q_coef", None) != (1.0,):
-        raise ValueError("need a constant true scale for an affine (AR(1)) path")
-    coef, p = getattr(model.drift_family, "basis_coef", ()), model.drift_param
-    if not 1 <= len(coef) <= 2:
-        raise ValueError(f"need a catalog drift family, got {model.drift_family!r}")
-    b0, b1 = (*coef, 0.0)[:2]
-    # 0.0 - keeps the zero rate of a constant drift positive
-    return 0.0 - p * b1, p * b0, model.scale_param
-
-
 def _step_map(model: TrueModel, dt: float) -> tuple[float, float, float]:
     """(rho, scale, shift) of the Euler step X_{k+1} = rho X_k + scale dZ_k + shift."""
-    rate, level, sigma = _affine_form(model)
-    return 1.0 - rate * dt, sigma, level * dt
+    return 1.0 - model.rate * dt, model.sigma, model.level * dt
 
 
 def _affine_paths(model: TrueModel, dt: float, x0: float | np.ndarray, z: np.ndarray) -> None:

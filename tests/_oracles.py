@@ -52,7 +52,7 @@ def _euler_columns(
     values[0] = x
     first_bad = np.full(R, -1, dtype=int)
     for j in range(steps):
-        x = x + model.A(x) * dt + model.C(x) * z[j]
+        x = x + (model.level - model.rate * x) * dt + model.sigma * z[j]
         bad = ~np.isfinite(x) | (np.abs(x) > DIVERGENCE_BOUND)
         if bad.any():
             newly = bad & (first_bad < 0)
@@ -172,15 +172,14 @@ def pseudo_true_oracle(model: ModelSpec, true_model: TrueModel, law: LevyLaw) ->
     """(alpha*, gamma*) = (E[A b q] / E[b^2 q], sqrt(E[C^2 q])), each clipped
     to its box, with q = 1/p^2, from pi_0's raw moments E[x^j].
 
-    The families and the true model are read through their callables: the
-    three integrands, each of degree <= 4 in x, are interpolated at five
+    The families are read through their callables and the true model
+    through its fields: the three integrands, each of degree <= 4 in x, are interpolated at five
     integer points, and the moments come from ``cgf_cumulants``.
     """
     x = np.arange(-2.0, 3.0)
-    b, q, big_a = model.drift.basis(x), 1.0 / model.scale.profile(x) ** 2, true_model.A(x)
+    rate, level, sigma = true_model.rate, true_model.level, true_model.sigma
+    b, q, big_a = model.drift.basis(x), 1.0 / model.scale.profile(x) ** 2, level - rate * x
     num, den, q = (npp.polyfit(x, y, 4) for y in (big_a * b * q, b * b * q, q))
-    rate, level = big_a[2] - big_a[3], big_a[2]
-    sigma = float(true_model.C(0.0))
     m = cumulants_to_moments(invariant_cumulants(cgf_cumulants(law, 4), rate, sigma, level))
     alpha = npp.polyval(1.0, num * m) / npp.polyval(1.0, den * m)
     gamma = math.sqrt(sigma**2 * npp.polyval(1.0, q * m))
@@ -333,8 +332,8 @@ def sigma_terms_by_node(
     and each state's weighted node sum is one ``einsum`` row reduction."""
     alpha_s, gamma_s = theta_star
     x, z = states[:, None], nodes[None, :]
-    c = model.scale.value(x, gamma_s)
-    big_c = true_model.C(x)
+    c = gamma_s * model.scale.profile(x)
+    big_c = true_model.sigma
     w_g = model.scale.profile(x) * big_c**2 / c**3
     w_a = model.drift.basis(x) * big_c / c**2
     xz = x + big_c * z

@@ -106,3 +106,26 @@ def test_commands_resolve_no_setting_themselves():
         for command in commands
     }
     assert commands and {name: calls for name, calls in resolving.items() if calls} == {}
+
+
+def test_every_setting_is_read_by_its_command():
+    # a row its command never reads is a flag and a config key that do
+    # nothing; a command reads a setting as s.<key> or names it to _given
+    from levy_gqmle import cli
+
+    tree = ast.parse((ROOT / "src" / "levy_gqmle" / "cli.py").read_text())
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    unread = {}
+    for command, (func, _, rows) in cli._COMMANDS.items():
+        node = functions[func.__name__]
+        settings = node.args.args[0].arg
+        read = set()
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Attribute) and getattr(sub.value, "id", None) == settings:
+                read.add(sub.attr)
+            elif isinstance(sub, ast.Call) and getattr(sub.func, "id", None) == "_given":
+                read |= {arg.value for arg in sub.args[1:] if isinstance(arg, ast.Constant)}
+        missing = [row[0] for row in rows if row[0] not in read]
+        if missing:
+            unread[command] = missing
+    assert cli._COMMANDS and unread == {}

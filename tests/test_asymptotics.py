@@ -61,7 +61,7 @@ from _oracles import (
 )
 from test_levy import CASE_I, CASE_II, CASE_III, DIFFUSION
 
-OU = TrueModel(LinearDecay(), 0.5, ConstantScale(), 1.0)
+OU = TrueModel(rate=0.5, level=0.0, sigma=1.0)
 BENCH = ModelSpec(drift=MeanRevertLinear(m=1.0), scale=RationalSqrt())
 # epe_solve's right-hand sides: the identity g(x) = x and g = 0
 IDENTITY = _PolyRHS(np.array([[0.0, 1.0]]), 0.0)
@@ -87,7 +87,7 @@ def res_i(oracle_i):
 # three invariant-path chunks: the 50,000 burn-in steps end inside the
 # first, and the third is short (5,050,000 steps in all)
 LONG_PATH = dict(budget=5000, seed=8, step=0.001)
-OU_SHIFTED = TrueModel(MeanRevertLinear(m=0.7), 0.5, ConstantScale(), 1.0)
+OU_SHIFTED = TrueModel(rate=0.5, level=0.5 * 0.7, sigma=1.0)
 # every catalog family, with a mean-reverting drift on each side of zero
 DRIFTS = [MeanRevertLinear(m=1.0), MeanRevertLinear(m=-0.3), LinearDecay(), ConstantDrift()]
 SCALES = [RationalSqrt(), ConstantScale()]
@@ -210,10 +210,7 @@ class TestSampleInvariant:
             sample_invariant(OU, CASE_I, **{name: value})
 
     def test_catalog_restriction(self):
-        bad_scale = TrueModel(LinearDecay(), 0.5, RationalSqrt(), 1.0)
-        with pytest.raises(ValueError, match="constant true scale"):
-            sample_invariant(bad_scale, CASE_I)
-        not_reverting = TrueModel(ConstantDrift(), 0.5, ConstantScale(), 1.0)
+        not_reverting = TrueModel(rate=0.0, level=0.5, sigma=1.0)
         with pytest.raises(ValueError, match="mean-reverting"):
             sample_invariant(not_reverting, CASE_I)
 
@@ -253,13 +250,13 @@ class TestEPERhs:
         alpha, gamma = 0.4, 1.1
         model = ModelSpec(drift=drift, scale=scale)
         x = np.linspace(-6.0, 6.0, 241)
-        c2 = model.scale.value(x, gamma) ** 2
-        big_c2 = true_model.C(x) ** 2
-        b, big_a, a = drift.basis(x), true_model.A(x), drift.value(x, alpha)
+        c2 = (gamma * model.scale.profile(x)) ** 2
+        big_c2 = true_model.sigma**2
+        b, big_a, a = drift.basis(x), true_model.level - true_model.rate * x, alpha * drift.basis(x)
         want1 = (c2 - big_c2) / (gamma * c2)
         want2 = b * (big_a - a) / c2
         size1 = (c2 + big_c2) / (gamma * c2)
-        level = true_model.A(0.0)
+        level = true_model.level
         size2 = np.abs(b) * (abs(level) + np.abs(big_a - level) + np.abs(a)) / c2
         got = _epe_rhs(model, true_model, (alpha, gamma))(x)
         for g, want, size in zip(got, (want1, want2), (size1, size2)):
@@ -278,9 +275,9 @@ class TestEPERhs:
         alpha, gamma = 0.4, 1.1
         model = ModelSpec(drift=drift, scale=scale)
         x = np.linspace(-6.0, 6.0, 241)
-        c = scale.value(x, gamma)
-        want1 = scale.profile(x) * (c**2 - true_model.C(x) ** 2) / c**3
-        want2 = drift.basis(x) * (true_model.A(x) - drift.value(x, alpha)) / c**2
+        c = gamma * scale.profile(x)
+        want1 = scale.profile(x) * (c**2 - true_model.sigma**2) / c**3
+        want2 = drift.basis(x) * (true_model.level - true_model.rate * x - alpha * drift.basis(x)) / c**2
         g = _epe_rhs(model, true_model, (alpha, gamma))
         # degree of g_2: deg b + max(deg b, 1) + deg(1/p^2)
         degree = (1 if isinstance(drift, ConstantDrift) else 2) + (2 if isinstance(scale, RationalSqrt) else 0)
@@ -297,7 +294,7 @@ class TestEPERhs:
     def test_correct_constant_scale_gives_exact_zero(self, value):
         # gamma = sigma, non-dyadic: (gamma^2 - sigma^2 * 1) / gamma^3 is 0
         # exactly; at 0.3 the folded 1/gamma - sigma^2/gamma^3 is not
-        true_model = TrueModel(LinearDecay(), 0.5, ConstantScale(), value)
+        true_model = TrueModel(rate=0.5, level=0.0, sigma=value)
         model = ModelSpec(drift=MeanRevertLinear(m=1.0), scale=ConstantScale())
         g1, _ = _epe_rhs(model, true_model, (0.25, value))(np.linspace(-6.0, 6.0, 241))
         assert np.all(g1 == 0.0)
@@ -333,7 +330,7 @@ class TestPolyForm:
 
 
 class TestPseudoTrue:
-    @pytest.mark.parametrize("true_model", [OU, TrueModel(MeanRevertLinear(m=0.7), 0.8, ConstantScale(), 1.3)],
+    @pytest.mark.parametrize("true_model", [OU, TrueModel(rate=0.8, level=0.8 * 0.7, sigma=1.3)],
                              ids=["ou", "shifted-scaled"])
     @pytest.mark.parametrize("law", [CASE_I, CASE_II, CASE_III], ids=["i", "ii", "iii"])
     def test_invariant_cumulants_match_oracle(self, law, true_model):
@@ -370,10 +367,11 @@ class TestPseudoTrue:
         model = ModelSpec(MeanRevertLinear(m=-0.3), RationalSqrt())
         alpha_s, gamma_s = pseudo_true(model, OU_SHIFTED, CASE_III)
         x = sample_invariant(OU_SHIFTED, CASE_III, budget=100000, seed=21).states[None, :]
-        gamma = _fit_scale(model, x, OU_SHIFTED.C(x) ** 2, 1.0)[0]
-        alpha = _fit_drift(model, x, OU_SHIFTED.A(x), 1.0, gamma)[0]
+        big_a = OU_SHIFTED.level - OU_SHIFTED.rate * x
+        gamma = _fit_scale(model, x, OU_SHIFTED.sigma**2, 1.0)[0]
+        alpha = _fit_drift(model, x, big_a, 1.0, gamma)[0]
         b, q = model.drift.basis(x[0]), 1.0 / model.scale.profile(x[0]) ** 2
-        influence = (OU_SHIFTED.A(x[0]) - alpha[0] * b) * b * q / np.mean(b * b * q)
+        influence = (big_a[0] - alpha[0] * b) * b * q / np.mean(b * b * q)
         assert abs(alpha[0] - alpha_s) <= 4.0 * batch_means_se(influence)
         assert abs(gamma[0] - gamma_s) <= 4.0 * batch_means_se(q) / (2.0 * gamma[0])
 
@@ -387,12 +385,10 @@ class TestPseudoTrue:
     def test_refusals(self):
         with pytest.raises(ValueError, match="catalog drift family"):
             pseudo_true(ModelSpec(Cubic(), ConstantScale()), OU, CASE_I)
-        for truth in (TrueModel(ConstantDrift(), 0.5, ConstantScale(), 1.0),
-                      TrueModel(LinearDecay(), -0.5, ConstantScale(), 1.0)):
+        for truth in (TrueModel(rate=0.0, level=0.5, sigma=1.0),
+                      TrueModel(rate=-0.5, level=0.0, sigma=1.0)):
             with pytest.raises(ValueError, match="mean-reverting"):
                 pseudo_true(BENCH, truth, CASE_I)
-        with pytest.raises(ValueError, match="constant true scale"):
-            pseudo_true(BENCH, TrueModel(LinearDecay(), 0.5, RationalSqrt(), 1.0), CASE_I)
 
 
 class TestEPESolve:
@@ -457,7 +453,7 @@ class TestEPESolve:
         # |x - x_c| = 9, case ii's jump reach.  The 1234-step horizon ends
         # in a short third chunk, and the 218-step blocks end short inside
         # every chunk
-        shifted = TrueModel(MeanRevertLinear(m=0.7), 0.5, ConstantScale(), 1.0)
+        shifted = TrueModel(rate=0.5, level=0.5 * 0.7, sigma=1.0)
         cubic = _PolyRHS(np.array([[0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0]]), 0.7)
         bench = _epe_rhs(BENCH, OU, (oracle_i.alpha_star, oracle_i.gamma_star))
         inputs = (
@@ -627,7 +623,8 @@ class TestGammaMatrix:
     def test_blocked_terms_match_one_call_bitwise(self, oracle_i):
         alpha_s, gamma_s = oracle_i.alpha_star, oracle_i.gamma_star
         x = np.random.default_rng(3).standard_normal(2 * _BLOCK_CELLS + 5)
-        (_, _, gg), (_, _, ga, gag) = _criterion_terms(BENCH, x, OU.A(x), OU.C(x) ** 2, 1.0, gamma_s, alpha_s)
+        moments = (OU.level - OU.rate * x, OU.sigma**2)
+        (_, _, gg), (_, _, ga, gag) = _criterion_terms(BENCH, x, *moments, 1.0, gamma_s, alpha_s)
         got = _gamma_terms(BENCH, OU, (alpha_s, gamma_s), x)
         for a, b in zip(got, (gg, -ga, -gag)):
             assert np.array_equal(a, b)
@@ -714,7 +711,7 @@ class TestSigmaMatrix:
         near = [grid, grid + 1e-13, grid - 1e-13, np.nextafter(grid, np.inf), np.nextafter(grid, -np.inf)]
         outside = [-9.0, -3.5, -2.0 - 1e-9, 2.5, 7.0]
         states = np.concatenate(near + [outside, np.random.default_rng(2).normal(0.0, 1.5, 200)])
-        flipped = TrueModel(LinearDecay(), 0.5, ConstantScale(), -1.0)
+        flipped = TrueModel(rate=0.5, level=0.0, sigma=-1.0)
         for law in (CASE_I, CASE_II, CASE_III):
             z, w, qstep = _converged_nodes(law)
             node_sets = ((z, w), _nodes_at(law, qstep / 2.0))
@@ -724,7 +721,7 @@ class TestSigmaMatrix:
                 # S_cross is measured against its Cauchy-Schwarz bound
                 for name, a, b, scale in zip("gax", got, want, (want[0], want[1], np.sqrt(want[0] * want[1]))):
                     err = np.max(np.abs(a - b) / scale)
-                    assert err <= 1e-12, (law, nodes.size, true_model.scale_param, name, err)
+                    assert err <= 1e-12, (law, nodes.size, true_model.sigma, name, err)
 
     def test_refuses_other_f_before_any_work(self, oracle_i):
         # no model, states or nodes: any work would fail on them first

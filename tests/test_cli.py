@@ -237,10 +237,21 @@ class TestMc:
 
     def test_non_finite_step_exits_one(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"designs": [[1000, "inf"]], "replications": 100}))
+        cfg.write_text(json.dumps({"designs": [[1000, math.inf]], "replications": 100}))
         code, _, err = invoke(capsys, "mc", "--config", str(cfg), "--out-dir", str(tmp_path))
         assert code == 1
         assert "h must be" in err
+
+    def test_misspelt_config_keys_run_nothing(self, capsys, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("run_mc ran on a misspelt config")
+
+        monkeypatch.setattr(cli, "run_mc", refuse)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"replicatons": 100, "sed": 3, "designs": [[200, 0.05]]}))
+        code, out, err = invoke(capsys, "mc", "--config", str(cfg), "--out-dir", str(tmp_path))
+        assert code == 1 and out == ""
+        assert "unknown config keys: replicatons, sed" in err
 
     def test_bad_replications_exit_one(self, capsys, tmp_path):
         code, _, err = invoke(capsys, "mc", "--replications", "10", "--out-dir", str(tmp_path))
@@ -276,11 +287,55 @@ class TestSettings:
     ])
     def test_non_integer_setting_exits_one(self, capsys, tmp_path, command, key, value):
         settings = {"n": 200, "designs": [[200, 0.05]], "replications": 100, "budget": 2000, "m": 60, "t_max": 5}
+        known = {row[0] for row in cli._COMMANDS[command][2]} | ({"designs"} if command == "mc" else set())
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({**settings, key: value}))
+        cfg.write_text(json.dumps({**{k: v for k, v in settings.items() if k in known}, key: value}))
         code, _, err = invoke(capsys, command, "--config", str(cfg), "--out-dir", str(tmp_path / "out"))
         assert code == 1
         assert f"bad value for {key}" in err
+
+    @pytest.mark.parametrize("command,key,value", [
+        ("simulate", "h", True),
+        ("simulate", "h", "0.1"),
+        ("simulate", "x0", False),
+        ("simulate", "x0", "1"),
+        ("moments", "h", "0.02"),
+        ("asymptotics", "t_max", True),
+        ("asymptotics", "step", "0.01"),
+        ("mc", "designs", [[200, True]]),
+        ("mc", "designs", [[200, "0.05"]]),
+    ])
+    def test_non_number_float_setting_exits_one(self, capsys, tmp_path, monkeypatch, command, key, value):
+        def refuse(*args, **kwargs):
+            raise AssertionError(f"{command} ran on a bad {key}")
+
+        # mc reads designs itself, so only its run is stubbed
+        if command == "mc":
+            monkeypatch.setattr(cli, "run_mc", refuse)
+        else:
+            monkeypatch.setitem(cli._COMMANDS, command, (refuse, *cli._COMMANDS[command][1:]))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        code, _, err = invoke(capsys, command, "--config", str(cfg), "--out-dir", str(tmp_path / "out"))
+        assert code == 1
+        assert f"bad value for {key}" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["optimal", "--case", "i", "--seed", "5"],
+        ["optimal", "--case", "i", "--out-dir", "d"],
+        ["estimate", "--path", "path.csv", "--seed", "5"],
+    ], ids=lambda argv: " ".join(argv[::3]))
+    def test_unread_settings_are_gone(self, capsys, tmp_path, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = invoke(capsys, *argv)
+        assert code == 1 and out == ""
+        assert "unrecognized arguments" in err
+        key = argv[-2].lstrip("-").replace("-", "_")
+        (tmp_path / "cfg.json").write_text(json.dumps({key: argv[-1]}))
+        code, out, err = invoke(capsys, argv[0], "--config", "cfg.json")
+        assert code == 1 and out == ""
+        assert f"unknown config keys: {key}" in err
+        assert not (tmp_path / "d").exists()
 
 
 # a value for each setting key, unlike every default, valid in every command

@@ -12,7 +12,7 @@ from scipy.special import ndtri
 
 from levy_gqmle import _util
 from levy_gqmle._util import substream
-from levy_gqmle.coefficients import ConstantScale, LinearDecay, MeanRevertLinear
+from levy_gqmle.coefficients import ConstantScale, MeanRevertLinear
 from levy_gqmle.experiment import (
     _TAG_MC,
     CASES,
@@ -188,7 +188,7 @@ class TestRunMc:
     def test_zero_scale_truth_every_gamma_at_box_edge(self):
         # a zero true scale keeps every path constant at x0: each replication
         # is degenerate in stage one, exactly as estimate_staged flags it
-        truth = TrueModel(LinearDecay(), 0.5, ConstantScale(), 0.0)
+        truth = TrueModel(rate=0.5, level=0.0, sigma=0.0)
         design = ExperimentDesign("i", designs=((200, 0.05),), replications=100, seed=3)
         d = run_mc(design, true_model=truth).per_design[0]
         est = estimate_staged(SamplePath(h=0.05, values=np.zeros(201)), benchmark_model())

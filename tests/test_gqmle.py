@@ -25,7 +25,7 @@ from test_levy import CASE_I
 BENCH = ModelSpec(drift=MeanRevertLinear(m=1.0), scale=RationalSqrt())
 BENCH_WIDE = ModelSpec(drift=MeanRevertLinear(m=1.0), scale=RationalSqrt(), alpha_box=(-50.0, 50.0))
 CONST = ModelSpec(drift=ConstantDrift(), scale=ConstantScale())
-OU = TrueModel(LinearDecay(), 0.5, ConstantScale(), 1.0)
+OU = TrueModel(rate=0.5, level=0.0, sigma=1.0)
 
 
 def _sim(n=400, h=0.05, seed=0, noise=CASE_I):

@@ -36,7 +36,8 @@ def _ou_path(noise, n, h, seed=0):
 def _moment_and_se(path, est, model, r):
     m = residual_moment(path, est, model, r)
     x = path.values[:-1]
-    z = (path.increments() - path.h * model.drift.value(x, est.alpha_hat)) / model.scale.value(x, est.gamma_hat)
+    a, c = est.alpha_hat * model.drift.basis(x), est.gamma_hat * model.scale.profile(x)
+    z = (path.increments() - path.h * a) / c
     se = float(np.std(z**r, ddof=1)) / (math.sqrt(path.n) * path.h)
     return m, se
 

@@ -1,5 +1,6 @@
 """Simulation and path I/O tests."""
 
+import dataclasses
 import io
 import math
 
@@ -8,7 +9,7 @@ import pytest
 from scipy.signal import lfilter
 
 from levy_gqmle._util import _integer, batch_means_se, substream
-from levy_gqmle.coefficients import ConstantDrift, ConstantScale, LinearDecay, MeanRevertLinear, RationalSqrt
+from levy_gqmle.experiment import true_ou
 from levy_gqmle.levy import BilateralGamma, Brownian, NormalInverseGaussian, cumulants, sample_increments
 from levy_gqmle.sde import (
     DivergenceError,
@@ -26,8 +27,34 @@ from levy_gqmle.sde import (
 from _oracles import _euler_columns
 from test_levy import CASE_I, CASE_II, CASE_III
 
-OU = TrueModel(LinearDecay(), 0.5, ConstantScale(), 1.0)
-DRIFT_ONLY = TrueModel(LinearDecay(), 0.5, ConstantScale(), 0.0)
+OU = TrueModel(rate=0.5, level=0.0, sigma=1.0)
+DRIFT_ONLY = TrueModel(rate=0.5, level=0.0, sigma=0.0)
+
+
+class TestTrueModel:
+    def test_fields(self):
+        assert [f.name for f in dataclasses.fields(TrueModel)] == ["rate", "level", "sigma"]
+        assert dataclasses.astuple(true_ou()) == (0.5, 0.0, 1.0)
+
+    @pytest.mark.parametrize("name", ["rate", "level", "sigma"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_field_refused(self, name, value):
+        fields = {"rate": 0.5, "level": 0.1, "sigma": 1.0, name: value}
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            TrueModel(**fields)
+
+    @pytest.mark.parametrize("rate,level,sigma,dt", [
+        (0.5, 0.0, 1.0, 0.05),
+        (0.8, 0.8 * 0.7, 1.3, 0.01),
+        (0.0, 0.4, 0.8, 0.05),  # random walk with drift
+        (-5.0, 0.3, 0.0, 1.0),  # explosive, drift-only
+        (0.3, -0.1, -1.0, 0.1),  # negative scale
+    ])
+    def test_step_map_is_the_euler_step(self, rate, level, sigma, dt):
+        got = _step_map(TrueModel(rate, level, sigma), dt)
+        want = (1.0 - rate * dt, sigma, level * dt)
+        assert all(type(g) is float for g in got)
+        assert [g.hex() for g in got] == [w.hex() for w in want]
 
 
 class TestSimulate:
@@ -48,7 +75,7 @@ class TestSimulate:
         assert not np.array_equal(a.values, b.values)
 
     def test_divergence_reports_step(self):
-        exploding = TrueModel(LinearDecay(), -5.0, ConstantScale(), 0.0)
+        exploding = TrueModel(rate=-5.0, level=0.0, sigma=0.0)
         with pytest.raises(DivergenceError) as exc:
             simulate_euler(exploding, CASE_I, PathConfig(n=60, h=1.0, x0=1.0, seed=0))
         assert exc.value.step > 0
@@ -73,10 +100,10 @@ class TestSimulate:
 class TestAffinePaths:
     @pytest.mark.parametrize("model,dt", [
         (OU, 0.05),
-        (TrueModel(MeanRevertLinear(m=0.7), 0.5, ConstantScale(), 1.3), 0.05),
-        (TrueModel(ConstantDrift(), 0.4, ConstantScale(), 0.8), 0.05),  # rho = 1
-        (TrueModel(LinearDecay(), -5.0, ConstantScale(), 1.0), 1.0),  # rho = 6
-        (TrueModel(LinearDecay(), 4.0, ConstantScale(), 1.0), 1.0),  # rho = -3
+        (TrueModel(rate=0.5, level=0.5 * 0.7, sigma=1.3), 0.05),
+        (TrueModel(rate=0.0, level=0.4, sigma=0.8), 0.05),  # rho = 1
+        (TrueModel(rate=-5.0, level=0.0, sigma=1.0), 1.0),  # rho = 6
+        (TrueModel(rate=4.0, level=0.0, sigma=1.0), 1.0),  # rho = -3
     ], ids=["linear-decay", "mean-revert", "constant-drift", "exploding", "oscillating"])
     def test_matches_euler_oracle(self, model, dt):
         # every row against the Euler loop on the same increments, up to the
@@ -97,7 +124,7 @@ class TestAffinePaths:
             assert np.max(np.abs(got[row, :end] - ref)) <= 1e-12 * np.max(np.abs(ref)), row
 
     def test_row_in_block_equals_row_alone(self):
-        model = TrueModel(MeanRevertLinear(m=0.7), 0.5, ConstantScale(), 1.3)
+        model = TrueModel(rate=0.5, level=0.5 * 0.7, sigma=1.3)
         z = sample_increments(CASE_II, 0.02, (32, 5000), substream(6, 1))
         x0 = np.linspace(-1.0, 1.0, 32)
         block = z.copy()
@@ -110,7 +137,7 @@ class TestAffinePaths:
     def test_time_major_panel_in_place_equals_one_lfilter(self):
         # a (steps, m) panel passed as panel.T is filtered along time in
         # blocks of a few hundred steps, bitwise as one call over the panel
-        model = TrueModel(MeanRevertLinear(m=0.7), 0.5, ConstantScale(), 1.3)
+        model = TrueModel(rate=0.5, level=0.5 * 0.7, sigma=1.3)
         panel = sample_increments(CASE_I, 0.01, (1000, 300), substream(7, 1))
         x0 = np.linspace(-2.0, 2.0, 300)
         rho, scale, shift = _step_map(model, 0.01)
@@ -121,7 +148,7 @@ class TestAffinePaths:
 
     def test_long_row_in_place_equals_one_lfilter(self):
         # a 1-D path passed as path[None], longer than one filter block
-        model = TrueModel(MeanRevertLinear(m=0.7), 0.5, ConstantScale(), 1.3)
+        model = TrueModel(rate=0.5, level=0.5 * 0.7, sigma=1.3)
         path = sample_increments(CASE_III, 0.01, 200_000, substream(7, 2))
         rho, scale, shift = _step_map(model, 0.01)
         want, _ = lfilter([1.0], [1.0, -rho], path * scale + shift, zi=[rho * 0.4])
@@ -131,7 +158,7 @@ class TestAffinePaths:
 
     def test_panel_rows_are_lone_paths(self):
         # a panel row is bitwise the path simulate_euler draws from its generator
-        model = TrueModel(MeanRevertLinear(m=0.7), 0.5, ConstantScale(), 1.3)
+        model = TrueModel(rate=0.5, level=0.5 * 0.7, sigma=1.3)
         values, first_bad = _euler_panel(model, CASE_II, 0.02, 400, 0.3, [substream(s) for s in (3, 4, 5)])
         assert values.shape == (3, 401) and first_bad.tolist() == [-1, -1, -1]
         for row, seed in zip(values, (3, 4, 5)):
@@ -146,11 +173,6 @@ class TestAffinePaths:
         one = z[:1].copy()
         _affine_paths(OU, 0.05, np.inf, one)
         assert _first_bad(one, np.inf).tolist() == [0]
-
-    def test_non_constant_scale_refused(self):
-        model = TrueModel(LinearDecay(), 0.5, RationalSqrt(), 1.0)
-        with pytest.raises(ValueError, match="constant true scale"):
-            simulate_euler(model, CASE_I, PathConfig(n=10, h=0.1))
 
 
 _STATIONARY_CACHE = {}
