@@ -66,8 +66,11 @@ def core_map(fn: Callable, items: Iterable) -> Iterator:
     Results come back in the order of ``items`` whatever order the tasks
     finish in, so an ordered reduction over them does not depend on the
     worker count.  A task must not call ``core_map`` itself, so pools never
-    nest.  A task's exception is raised when its result is reached, and
-    tasks not yet started are then cancelled.
+    nest.  A generator that yields from it (``sde._chunked_paths``) holds
+    the pool open while its consumer works on each result in the calling
+    thread; results not yet reached wait in the pool.  A task's exception
+    is raised when its result is reached, and tasks not yet started are
+    then cancelled.
     """
     items = list(items)
     with ThreadPoolExecutor(_pool_size(len(items))) as pool:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import NumericalError, _integer, batch_means_se, core_map, substream
+from ._util import NumericalError, _integer, batch_means_se
 from .gqmle import ModelSpec, _criterion_terms
 from .levy import (
     Brownian,
@@ -31,14 +31,13 @@ from .levy import (
     _nodes_at,
     _tail_rates,
     cumulants,
-    sample_increments,
 )
 from .sde import (
     _BLOCK_CELLS,
     DIVERGENCE_BOUND,
     DivergenceError,
     TrueModel,
-    _affine_paths,
+    _chunked_paths,
     _step_map,
 )
 
@@ -136,23 +135,18 @@ def sample_invariant(
     """Draw ``budget`` states from one long thinned Euler path.
 
     The path starts at the stationary mean, discards ``_BURN_IN`` (50) time
-    units, then keeps one state every ``_SPACING`` (1) time unit.  The Euler
-    step is the AR(1) of ``sde._step_map``, X_{k+1} = rho X_k + u_k, which is
-    affine in its start: k steps from x reach Y_k + rho^k x, with Y the path
-    from 0.  So the path is cut into chunks of ``_INVARIANT_CHUNK`` steps,
-    each drawn from its own substream (seed, 3101, chunk) and filtered from
-    zero in place by ``sde._affine_paths`` on ``_util.core_map``, one worker
-    per usable core up to 4, each holding about 16 MB of live arrays.  A
-    worker returns only the chunk's kept states and its last state; the chunks are
-    then composed in input order through the affine start map.  The result
-    does not depend on the number of workers.  It equals one filter pass
-    over the whole path up to rounding (about 1e-14 relative): the two sum
-    the same terms in a different order.
+    units, then keeps one state every ``_SPACING`` (1) time unit.
+    ``sde._chunked_paths`` draws it in chunks of ``_INVARIANT_CHUNK`` steps
+    from the substreams (seed, 3101, chunk), a worker holding about 16 MB
+    of live arrays, and its kept states fill the preallocated sample.  The
+    result does not depend on the number of workers.
 
-    The sample variance must land within 10% of pi_0's (``_invariant_cumulants``);
-    a larger mismatch means the chain did not mix at this step size and
-    raises :class:`MixingError`.  ``budget`` must be integral; a float
-    such as 2000.0 runs as its integer.
+    pi_0's variance (``_invariant_cumulants``) must be positive, which a
+    zero or underflowing sigma is not (``ValueError`` before anything is
+    drawn).  The sample variance must land within 10% of it; a larger
+    mismatch means the chain did not mix at this step size and raises
+    :class:`MixingError`.  ``budget`` must be integral; a float such as
+    2000.0 runs as its integer.
     """
     budget = _integer(budget, "budget")
     if budget < 1000:
@@ -162,39 +156,20 @@ def sample_invariant(
     rate, mean, sigma = _linear_ou_form(model)
     if rate * step >= 1.0:
         raise ValueError("step too coarse: rate*step must be < 1")
+    theory = _invariant_cumulants(model, noise)[1]
+    if not theory > 0.0:
+        raise ValueError(f"sigma must give pi_0 a positive variance; got sigma={sigma}, variance {theory}")
 
     keep = max(1, int(round(_SPACING / step)))
     burn_steps = int(round(_BURN_IN / step))
-    total = burn_steps + budget * keep
-    rho = _step_map(model, step)[0]
-    # global index of the first kept state; the last one is total - 1
-    first = burn_steps + keep - 1
-    # (substream index, steps, chunk-local index of the first kept state)
-    plans = [
-        (start // _INVARIANT_CHUNK, min(_INVARIANT_CHUNK, total - start),
-         first - start if start <= first else (first - start) % keep)
-        for start in range(0, total, _INVARIANT_CHUNK)
-    ]
-
-    def from_zero(plan: tuple[int, int, int]) -> tuple[np.ndarray, float]:
-        """Kept states and last state of one chunk, filtered from a zero start."""
-        index, size, local = plan
-        path = sample_increments(noise, step, size, substream(seed, _TAG_INVARIANT, index))
-        _affine_paths(model, step, 0.0, path[None])
-        # a copy, so the chunk is freed while its result waits in the pool
-        return path[local::keep].copy(), float(path[-1])
-
     states = np.empty(budget)
     got = 0
-    x = mean
-    for (_, size, local), (picked, last) in zip(plans, core_map(from_zero, plans)):
-        lag = local + 1.0 + keep * np.arange(picked.size)
-        states[got : got + picked.size] = picked + rho**lag * x
-        got += picked.size
-        x = last + rho**size * x
+    for block in _chunked_paths(model, noise, step, burn_steps + budget * keep, 1, mean, _INVARIANT_CHUNK, seed,
+                                _TAG_INVARIANT, first=burn_steps + keep, keep=keep):
+        states[got : got + block.shape[0]] = block[:, 0]
+        got += block.shape[0]
 
     var = float(np.var(states))
-    theory = _invariant_cumulants(model, noise)[1]
     if abs(var / theory - 1.0) > 0.10:
         raise MixingError(
             f"invariant sample variance {var:.4g} vs theory {theory:.4g}: mixing suspect"
@@ -315,8 +290,6 @@ class EPEApprox:
     x: np.ndarray
     f: np.ndarray
     se: np.ndarray
-    t_max: float
-    m: int
     tail_bound: np.ndarray
     g_mean: float = math.nan
     g_se: float = math.nan
@@ -345,30 +318,6 @@ class EPEApprox:
         slopes = np.diff(self.f) / np.diff(self.x)
         index = np.clip(np.searchsorted(self.x, q, side="right") - 1, 0, self.x.size - 2)
         return self.f[:-1] - slopes * self.x[:-1], slopes, index
-
-
-def _chunked_increments(
-    noise: LevyLaw, step: float, steps: int, cols: int, seed: int, tag: int
-) -> np.ndarray:
-    """(steps, cols) increments generated in fixed 500-step substream chunks.
-
-    Chunking makes the first ``k`` chunks identical whenever the horizon is
-    extended, so runs at T and 2T share their common time range draw for
-    draw and tail-bound comparisons see only the added stretch.  The chunks
-    are drawn on ``_util.core_map``, each task from its own substream
-    (seed, tag, chunk) into its own rows of the one output array, so the
-    result does not depend on the number of workers.
-    """
-    out = np.empty((steps, cols))
-
-    def draw(ci: int) -> None:
-        k = min(_CHUNK_STEPS, steps - ci)
-        rng = substream(seed, tag, ci // _CHUNK_STEPS)
-        out[ci : ci + k] = sample_increments(noise, step, (k, cols), rng)
-
-    for _ in core_map(draw, range(0, steps, _CHUNK_STEPS)):
-        pass
-    return out
 
 
 def _weighted_sum(weights: np.ndarray, arrays: tuple[np.ndarray, ...]) -> np.ndarray:
@@ -420,14 +369,16 @@ def epe_solve(
     finite; each is refused with ``ValueError`` before any path is drawn.
 
     All starts share one panel of ``m`` Euler paths (common random
-    numbers), whose increments ``_chunked_increments`` draws on
-    ``_util.core_map``.  The Euler recursion is the AR(1) of
-    ``sde._step_map``, which is affine in its start: X^x_k = rho^k x + Y_k,
-    where Y is the path started at zero.  ``sde._affine_paths`` filters
-    the increment panel into Y in place, once for every start.  A state
+    numbers).  The Euler recursion is the AR(1) of ``sde._step_map``, which
+    is affine in its start: X^x_k = rho^k x + Y_k, where Y is the path
+    started at zero.  ``sde._chunked_paths`` yields Y in chunks of
+    ``_CHUNK_STEPS`` (500) steps from the substreams (seed, 7001, chunk),
+    so runs at t_max and 2 t_max share their common time range draw for
+    draw.  Each chunk is consumed as it arrives: its per-step extremes, its
+    power sums (below) and, from the last, the paths' end states.  A state
     that is non-finite or beyond ``DIVERGENCE_BOUND`` raises
-    :class:`DivergenceError`; every grid point is gated, in grid order,
-    before any is solved, so the error names the first failing point.
+    :class:`DivergenceError`; after the last chunk every grid point is
+    gated, in grid order, before any is solved.
 
     Since g is a polynomial of degree <= d, so is each path's sum
     sum_k g(X^x_k) in the start x (polynomial-preserving generators;
@@ -436,18 +387,17 @@ def epe_solve(
     that t_k = rho^k s + u_k and u_0 = 0, the binomial theorem gives
     sum_{k=0..N} t_k^p = sum_i C(p, i) s^i S[i, p - i] with the per-path
     mixed sums S[i, j] = sum_k rho^{ik} u_k^j; S[i, 0] = 1 + sum_{k>=1}
-    rho^{ik} is a scalar, the 1 counting X_0.  One pass keeps the S[i, j]
-    with j >= 1 and i + j <= d, on ``_util.core_map`` over the 500-step
-    chunks of the panel: each task forms u in time blocks of
-    max(1, 2^16 // m) steps, so no temporary outgrows a block, and takes
-    each sum elementwise with no BLAS; the chunk partials are added in
-    chunk order.  A grid point's row sums are the S[i, j] weighted by
-    coef[i + j] C(i + j, i) s^i, added in a fixed order with no BLAS; g is
-    evaluated once at the point itself, the paths' common start, and at
-    each path's end state.  The time integral is the trapezoid rule on
-    the simulation grid, and the sums match an Euler run from each grid
-    point up to rounding (about 1e-15 relative).  No sum depends on which worker ran a chunk, so the result
-    does not depend on the number of workers.
+    rho^{ik} is a scalar, the 1 counting X_0.  The calling thread adds
+    each chunk's partial S[i, j], j >= 1 and i + j <= d, in chunk order
+    while the workers draw later chunks; u is formed in time blocks of
+    max(1, 2^16 // m) steps, so no temporary outgrows a block, and each sum
+    is taken elementwise with no BLAS.  A grid point's row sums are the
+    S[i, j] weighted by coef[i + j] C(i + j, i) s^i, added in a fixed order
+    with no BLAS; g is evaluated once at the point itself, the paths'
+    common start, and at each path's end state.  The time integral is the
+    trapezoid rule on the simulation grid, and the sums match an Euler run
+    from each grid point up to rounding (about 1e-15 relative).  The
+    result does not depend on the number of workers.
 
     The reported tail bound combines the conditional-mean remainder at
     ``t_max``, discounted at the known mixing rate, with a 3-sigma allowance
@@ -473,14 +423,33 @@ def epe_solve(
         raise ValueError("grid collapsed to fewer than two points")
 
     steps = int(round(t_max / step))
-    y = _chunked_increments(noise, step, steps, m, seed, _TAG_EPE)
-    _affine_paths(model, step, 0.0, y.T)  # now y[k - 1] = Y_k
     decay = _step_map(model, step)[0] ** np.arange(1, steps + 1)
+    k = g.coef.shape[1]
+    # row i holds rho^{ik}, k = 1..steps
+    powers = decay ** np.arange(k)[:, None]
+    block = max(1, _BLOCK_CELLS // m)
+    y_lo, y_hi = np.empty(steps), np.empty(steps)
+    sums = np.zeros((k, k, m))
+    end = 0
+    # y[k - c0 - 1] = Y_k, the paths from zero, for the chunk's steps k
+    for y in _chunked_paths(model, noise, step, steps, m, 0.0, _CHUNK_STEPS, seed, _TAG_EPE):
+        c0, end = end, end + y.shape[0]
+        y_lo[c0:end], y_hi[c0:end] = y.min(axis=1), y.max(axis=1)
+        # this chunk's S[i, j] = sum_k rho^{ik} u_k^j, j >= 1, per path
+        part = np.zeros((k, k, m))
+        for k0 in range(c0, end, block):
+            k1 = min(k0 + block, end)
+            u = y[k0 - c0 : k1 - c0] + g.center * (decay[k0:k1, None] - 1.0)
+            uj = np.ones_like(u)
+            for j in range(1, k):
+                uj *= u
+                part[0, j] += uj.sum(axis=0)
+                for i in range(1, k - j):
+                    part[i, j] += (powers[i, k0:k1, None] * uj).sum(axis=0)
+        sums += part
+
     # fl(a + y) is monotone in y, so each row's extreme states are the
     # shifted extremes of y: the divergence gate costs O(steps) per start
-    y_lo, y_hi = y.min(axis=1), y.max(axis=1)
-    block = max(1, _BLOCK_CELLS // m)
-
     for x0 in grid:
         if not abs(x0) <= DIVERGENCE_BOUND:
             raise DivergenceError(0)
@@ -498,26 +467,6 @@ def epe_solve(
         bound = (abs(m_end) + 3.0 * se_end) / rate + fluct
         return float(np.mean(total)), batch_means_se(total), bound
 
-    k = g.coef.shape[1]
-    # row i holds rho^{ik}, k = 1..steps
-    powers = decay ** np.arange(k)[:, None]
-
-    def chunk_sums(c0: int) -> np.ndarray:
-        """Per-path S[i, j] = sum_k rho^{ik} u_k^j, j >= 1, over one chunk's steps."""
-        out = np.zeros((k, k, m))
-        end = min(c0 + _CHUNK_STEPS, steps)
-        for k0 in range(c0, end, block):
-            k1 = min(k0 + block, end)
-            u = y[k0:k1] + g.center * (decay[k0:k1, None] - 1.0)
-            uj = np.ones_like(u)
-            for j in range(1, k):
-                uj *= u
-                out[0, j] += uj.sum(axis=0)
-                for i in range(1, k - j):
-                    out[i, j] += (powers[i, k0:k1, None] * uj).sum(axis=0)
-        return out
-
-    sums = sum(core_map(chunk_sums, range(0, steps, _CHUNK_STEPS)))
     # S[i, 0] = 1 + sum_k rho^{ik}: the 1 counts X_0, where u_0 = 0
     sums[:, 0] = 1.0 + powers.sum(axis=1)[:, None]
     pairs = [(i, j) for i in range(k) for j in range(k - i)]
@@ -532,7 +481,7 @@ def epe_solve(
     # (f, se, tail bound) per g, each of shape (grid.size,)
     stats = np.moveaxis(np.array(columns), 0, -1)
     return tuple(
-        EPEApprox(grid, f, se, t_max, m, tail, gbar, gse)
+        EPEApprox(grid, f, se, tail, gbar, gse)
         for (f, se, tail), (gbar, gse) in zip(stats, centering)
     )
 

@@ -4,10 +4,12 @@ The true model is the Levy-driven OU dX = (level - rate X) dt + sigma dZ;
 misspecification means the fitted catalog family differs from it.  Its
 Euler step is the AR(1) recursion X_{k+1} = rho X_k + scale dZ_k + shift,
 with coefficients from :func:`_step_map` alone.  Every path of the
-package, here, in ``run_mc`` and in ``asymptotics``, is filtered in place
-by :func:`_affine_paths`, and the callers that act on divergence scan the
-result with :func:`_first_bad`; a panel of independently seeded paths,
-one or many, comes from :func:`_euler_panel`.
+package is drawn and filtered here, in place by :func:`_affine_paths`,
+in one of two ways: :func:`_euler_panel` gives each path its own
+substream (``simulate_euler`` and ``run_mc``), and :func:`_chunked_paths`
+gives each time chunk of a panel one (``asymptotics``' pi_0 path and EPE
+panel).  Callers that act on divergence scan the result with
+:func:`_first_bad` or the chunks' extremes.
 """
 
 from __future__ import annotations
@@ -15,11 +17,12 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field
+from typing import Iterator
 
 import numpy as np
 from scipy.signal import lfilter
 
-from ._util import NumericalError, _integer, atomic_write_text, substream
+from ._util import NumericalError, _integer, atomic_write_text, core_map, substream
 from .levy import LevyLaw, sample_increments
 
 __all__ = [
@@ -189,6 +192,50 @@ def _euler_panel(
         row[1:] = sample_increments(noise, dt, steps, rng)
     _affine_paths(model, dt, x0, values[:, 1:])
     return values, _first_bad(values[:, 1:], x0)
+
+
+def _chunked_paths(
+    model: TrueModel, noise: LevyLaw, dt: float, steps: int, cols: int, x0: float, chunk: int, seed: int, tag: int,
+    first: int = 1, keep: int = 1,
+) -> Iterator[np.ndarray]:
+    """Kept Euler states X_first, X_first+keep, ... <= X_steps of ``cols``
+    paths from ``x0``, yielded in time order as one (kept, cols) block per
+    chunk of ``chunk`` steps (the last one short; a block may be empty).
+
+    Chunk c draws its increments from the substream (seed, tag, c), so the
+    first chunks are the same whatever ``steps`` is, and a worker of
+    ``_util.core_map`` filters it from zero in place by
+    :func:`_affine_paths`.  The AR(1) is affine in its start: k steps from
+    x reach Y_k + rho^k x, with Y the path from 0, so each chunk's kept
+    states are composed with the previous chunk's end states as the chunks
+    arrive.  The result does not depend on the number of workers, and
+    equals one filter pass over the whole path up to rounding (about 1e-14
+    relative).
+    """
+    rho = _step_map(model, dt)[0]
+    # (substream index, steps, chunk-local index of the first kept state)
+    plans = [
+        (start // chunk, min(chunk, steps - start),
+         first - 1 - start if start < first else (first - 1 - start) % keep)
+        for start in range(0, steps, chunk)
+    ]
+
+    def from_zero(plan: tuple[int, int, int]) -> tuple[np.ndarray, np.ndarray]:
+        """Kept states and end states of one chunk, filtered from a zero start."""
+        index, size, local = plan
+        path = sample_increments(noise, dt, (size, cols), substream(seed, tag, index))
+        _affine_paths(model, dt, 0.0, path.T)
+        # a thinned block is copied, so the chunk is freed while its result
+        # waits in the pool; the end states are copied before the block is
+        # composed in place, which with keep = 1 is the chunk itself
+        return np.ascontiguousarray(path[local::keep]), path[-1].copy()
+
+    x = np.full(cols, float(x0))
+    for (block, last), (_, size, local) in zip(core_map(from_zero, plans), plans):
+        lag = local + 1.0 + keep * np.arange(block.shape[0])
+        block += rho**lag[:, None] * x
+        x = last + rho**size * x
+        yield block
 
 
 def simulate_euler(model: TrueModel, noise: LevyLaw, cfg: PathConfig) -> SamplePath:

@@ -27,13 +27,22 @@ import numpy as np
 from numpy.polynomial import polynomial as npp
 from scipy.signal import convolve2d
 
-from levy_gqmle._util import batch_means_se
-from levy_gqmle.asymptotics import _chunked_increments
+from levy_gqmle._util import batch_means_se, substream
 from levy_gqmle.gqmle import ModelSpec, _path_criteria
-from levy_gqmle.levy import BilateralGamma, Brownian, LevyLaw, NormalInverseGaussian
+from levy_gqmle.levy import BilateralGamma, Brownian, LevyLaw, NormalInverseGaussian, sample_increments
 from levy_gqmle.sde import DIVERGENCE_BOUND, SamplePath, TrueModel, _affine_paths, _first_bad
 
 DRIFT_RATE = 0.5  # benchmark true drift is -x/2
+
+
+def chunk_draws(noise: LevyLaw, step: float, steps: int, cols: int, seed: int, tag: int, chunk: int = 500) -> np.ndarray:
+    """(steps, cols) increments drawn chunk by chunk, serially: chunk c
+    holds ``chunk`` steps (the last one short) from the substream
+    (seed, tag, c), the layout of ``sde._chunked_paths``."""
+    return np.concatenate([
+        sample_increments(noise, step, (min(chunk, steps - c0), cols), substream(seed, tag, c0 // chunk))
+        for c0 in range(0, steps, chunk)
+    ])
 
 
 def _euler_columns(
@@ -129,12 +138,12 @@ def martingale_check(f, g, model: TrueModel, noise: LevyLaw, reps: int, seed: in
 
     Rows are the starts -1.5, 0, 1.5 and columns the lags of 50, 100 and
     200 Euler steps of 0.01.  The increments come from the substreams
-    (seed, 7301, chunk) of ``asymptotics._chunked_increments``; the time
+    (seed, 7301, chunk) of :func:`chunk_draws`; the time
     integral is the trapezoid rule on the simulation grid, as in
     ``epe_solve``.  A zero mean with a zero standard error scores 0.
     """
     step, lags = 0.01, (50, 100, 200)
-    z = _chunked_increments(noise, step, lags[-1], reps, seed, 7301).T
+    z = chunk_draws(noise, step, lags[-1], reps, seed, 7301).T
     panel = np.empty((3, len(lags)))
     for i, x0 in enumerate((-1.5, 0.0, 1.5)):
         values = np.empty((reps, lags[-1] + 1))

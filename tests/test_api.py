@@ -1,7 +1,7 @@
 """Export lists: every name in a module's ``__all__`` exists, so a deleted
 name cannot linger in one, and something other than the tests uses it.
 Coefficient families are read through their polynomial forms, not by
-class."""
+class, and every path is drawn and filtered in ``sde``."""
 
 import ast
 import importlib
@@ -88,6 +88,17 @@ def test_families_read_through_their_polynomial_forms():
         if path.name not in allowed
     }
     assert families and {name: found for name, found in named.items() if found} == {}
+
+
+def test_paths_are_drawn_and_filtered_only_in_sde():
+    # one way to simulate a panel of paths: outside levy.py, which defines
+    # sample_increments, and the package namespace, which re-exports it,
+    # only sde.py draws increments or filters them into paths
+    users = {
+        name: {path.name for path in (ROOT / "src").rglob("*.py") if name in _names(path)} - {"levy.py", "__init__.py"}
+        for name in ("sample_increments", "_affine_paths")
+    }
+    assert users == {"sample_increments": {"sde.py"}, "_affine_paths": {"sde.py"}}
 
 
 def test_commands_resolve_no_setting_themselves():

@@ -3,14 +3,13 @@
 import itertools
 import math
 import os
-import sys
 import time
 
 import numpy as np
 import pytest
 from scipy.signal import lfilter
 
-from levy_gqmle import _util, asymptotics
+from levy_gqmle import _util, asymptotics, sde
 from levy_gqmle._util import batch_means_se, core_map, substream
 from levy_gqmle.asymptotics import (
     _BLOCK_CELLS,
@@ -23,7 +22,6 @@ from levy_gqmle.asymptotics import (
     MixingError,
     NotCenteredError,
     SingularGammaError,
-    _chunked_increments,
     _PolyRHS,
     _epe_rhs,
     _gamma_terms,
@@ -51,6 +49,7 @@ from levy_gqmle.sde import DIVERGENCE_BOUND, DivergenceError, SamplePath, TrueMo
 from _oracles import (
     _euler_columns,
     benchmark_oracle,
+    chunk_draws,
     cgf_cumulants,
     g1_eval,
     g2_eval,
@@ -213,6 +212,19 @@ class TestSampleInvariant:
         not_reverting = TrueModel(rate=0.0, level=0.5, sigma=1.0)
         with pytest.raises(ValueError, match="mean-reverting"):
             sample_invariant(not_reverting, CASE_I)
+
+    @pytest.mark.parametrize("sigma", [0.0, 1e-200])
+    def test_zero_variance_refused_before_drawing(self, sigma, oracle_i, monkeypatch):
+        # sigma = 1e-200 gives pi_0 a variance that underflows to zero
+        def refuse(*args, **kwargs):
+            raise AssertionError("paths were drawn before pi_0's variance was checked")
+
+        monkeypatch.setattr(asymptotics, "_chunked_paths", refuse)
+        flat = TrueModel(rate=0.5, level=0.0, sigma=sigma)
+        with pytest.raises(ValueError, match="sigma"):
+            sample_invariant(flat, CASE_I, budget=1000)
+        with pytest.raises(ValueError, match="sigma"):
+            run_asymptotics(BENCH, flat, CASE_I, (oracle_i.alpha_star, oracle_i.gamma_star), budget=1000)
 
     def test_mixing_gate_on_coarse_step(self):
         # Euler variance inflation 1/(1 - rate*step/2) = 25% at step 0.8
@@ -421,7 +433,7 @@ class TestEPESolve:
         def refuse(*args, **kwargs):
             raise AssertionError("paths were drawn before g was checked")
 
-        monkeypatch.setattr(asymptotics, "_chunked_increments", refuse)
+        monkeypatch.setattr(asymptotics, "_chunked_paths", refuse)
         with pytest.raises(TypeError, match="_PolyRHS"):
             epe_solve(lambda x: np.asarray(x, float), OU, CASE_I, m=60, seed=2, inv=inv_i)
 
@@ -464,7 +476,7 @@ class TestEPESolve:
         t_max, m, step, seed = 12.34, 300, 0.01, 4
         steps, block = int(round(t_max / step)), max(1, _BLOCK_CELLS // m)
         assert steps % 500 != 0 and 500 % block != 0
-        z = _chunked_increments(CASE_I, step, steps, m, seed, _TAG_EPE)
+        z = chunk_draws(CASE_I, step, steps, m, seed, _TAG_EPE)
         for model, inv, g, grid in inputs:
             got = epe_solve(g, model, CASE_I, grid=grid, t_max=t_max, m=m, seed=seed, inv=inv, step=step)
             want = np.empty((2, 3, grid.size))
@@ -503,49 +515,31 @@ class TestEPESolve:
                 for name in ("x", "f", "se", "tail_bound"):
                     assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
 
-    def test_power_sums_map_the_draw_chunks(self, inv_i, oracle_i, res_i, monkeypatch):
-        # the last pool call of a solve is the power-sum pass: one task per
-        # 500-step chunk of the increment draw, the short last chunk
-        # included, whatever the grid's size (33 run_asymptotics points or 5)
+    def test_one_pool_call_over_the_draw_chunks(self, inv_i, oracle_i, res_i, monkeypatch):
+        # a solve makes one pool call, with one task per 500-step chunk of
+        # the paths, the short last chunk included, whatever the grid's size
+        # (33 run_asymptotics points or 5); the power sums are taken as the
+        # chunks arrive
         g = _epe_rhs(BENCH, OU, (oracle_i.alpha_star, oracle_i.gamma_star))
-        tasks = []
+        calls = []
 
-        def spy(fn, items, core_map=asymptotics.core_map):
-            tasks.append(list(items))
-            return core_map(fn, tasks[-1])
+        def spy(fn, items, core_map=sde.core_map):
+            calls.append(list(items))
+            return core_map(fn, calls[-1])
 
-        monkeypatch.setattr(asymptotics, "core_map", spy)
+        monkeypatch.setattr(sde, "core_map", spy)
         kw = dict(t_max=12.34, m=200, seed=3, inv=inv_i)
         for grid in (res_i.f1.x, np.linspace(-1.0, 2.0, 5)):
+            calls.clear()
             out = epe_solve(g, OU, CASE_I, grid=grid, **kw)
-            draw, sums = tasks[-2:]
-            assert sums == draw == [0, 500, 1000]
+            assert calls == [[(0, 500, 0), (1, 500, 0), (2, 234, 0)]]
             assert len(out) == 2 and all(np.array_equal(a.x, grid) for a in out)
-
-    def test_chunked_increments_independent_of_worker_count(self, monkeypatch):
-        # 1234 steps: two full 500-step chunks and a short one, each drawn
-        # from its own substream into its own rows; the tasks write one
-        # shared array, so threads are also switched as often as possible
-        steps, cols, seed = 1234, 7, 12
-        want = np.concatenate([
-            sample_increments(CASE_I, 0.01, (min(500, steps - c0), cols), substream(seed, _TAG_EPE, c0 // 500))
-            for c0 in range(0, steps, 500)
-        ])
-        interval = sys.getswitchinterval()
-        try:
-            sys.setswitchinterval(1e-6)
-            for workers in (1, 3):
-                monkeypatch.setattr(_util, "_pool_size", lambda tasks, n=workers: n)
-                got = _chunked_increments(CASE_I, 0.01, steps, cols, seed, _TAG_EPE)
-                assert got.tobytes() == want.tobytes(), workers
-        finally:
-            sys.setswitchinterval(interval)
 
     def test_non_finite_grid_refused_before_drawing(self, inv_i, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("paths were drawn before the grid was checked")
 
-        monkeypatch.setattr(asymptotics, "_chunked_increments", refuse)
+        monkeypatch.setattr(asymptotics, "_chunked_paths", refuse)
         for grid in ([0.0, math.nan], [0.0, 1.0, math.inf]):
             with pytest.raises(ValueError, match="finite"):
                 epe_solve(IDENTITY, OU, CASE_I, grid=grid, m=60, seed=2, inv=inv_i)
@@ -558,7 +552,7 @@ class TestEPESolve:
     def test_linear_tail_extrapolation(self):
         # the two outer pieces extend the outermost grid slopes
         grid = np.linspace(-2.0, 2.0, 5)
-        f = EPEApprox(grid, grid**2, np.ones(5), 40.0, 100, np.ones(5))
+        f = EPEApprox(grid, grid**2, np.ones(5), np.ones(5))
         q = np.array([1.5, 4.0, -5.0])
         intercepts, slopes, j = f._segments(q)
         assert j.tolist() == [3, 3, 0]
@@ -576,9 +570,9 @@ class TestEPESolve:
 
     def test_approx_validation(self, inv_i):
         with pytest.raises(ValueError, match="increasing"):
-            EPEApprox(np.array([0.0, 0.0]), np.zeros(2), np.zeros(2), 1.0, 30, np.zeros(2))
+            EPEApprox(np.array([0.0, 0.0]), np.zeros(2), np.zeros(2), np.zeros(2))
         with pytest.raises(ValueError, match="shapes"):
-            EPEApprox(np.array([0.0, 1.0]), np.zeros(3), np.zeros(2), 1.0, 30, np.zeros(2))
+            EPEApprox(np.array([0.0, 1.0]), np.zeros(3), np.zeros(2), np.zeros(2))
         with pytest.raises(ValueError, match="two points"):
             epe_solve(ZERO, OU, CASE_I, grid=np.array([1.0]), m=60, inv=inv_i)
         for bad in (dict(t_max=math.inf), dict(step=math.inf), dict(step=math.nan)):
@@ -588,21 +582,22 @@ class TestEPESolve:
             with pytest.raises(ValueError, match="m must be an integer"):
                 epe_solve(ZERO, OU, CASE_I, m=m, inv=inv_i)
         # an integral float runs as its integer
-        (f,) = epe_solve(ZERO, OU, CASE_I, t_max=1.0, m=60.0, inv=inv_i)
-        assert type(f.m) is int and f.m == 60
+        (f,) = epe_solve(IDENTITY, OU, CASE_I, t_max=1.0, m=60.0, inv=inv_i)
+        (want,) = epe_solve(IDENTITY, OU, CASE_I, t_max=1.0, m=60, inv=inv_i)
+        assert f.f.tobytes() == want.f.tobytes() and f.se.tobytes() == want.se.tobytes()
 
 
 class TestMartingaleCheck:
     def test_pure_ou_analytic_martingale(self):
         grid = np.linspace(-4, 4, 41)
-        f = EPEApprox(grid, 2 * grid, np.zeros(41), 40.0, 100, np.zeros(41))
+        f = EPEApprox(grid, 2 * grid, np.zeros(41), np.zeros(41))
         z = martingale_check(f, lambda x: np.asarray(x, float), OU, CASE_I, reps=4000, seed=3)
         assert z.shape == (3, 3)
         assert z.max() <= 3.0
 
     def test_zero_case_identically_zero(self):
         grid = np.linspace(-4, 4, 9)
-        f = EPEApprox(grid, np.zeros(9), np.zeros(9), 40.0, 100, np.zeros(9))
+        f = EPEApprox(grid, np.zeros(9), np.zeros(9), np.zeros(9))
         z = martingale_check(f, lambda x: np.zeros_like(np.asarray(x, float)), OU, CASE_I, reps=100, seed=1)
         assert np.all(z == 0.0)
 
@@ -706,8 +701,8 @@ class TestSigmaMatrix:
         # 1e-13 of them, outside the grid and in between
         theta = (oracle_i.alpha_star, oracle_i.gamma_star)
         grid, ones = np.linspace(-2.0, 2.0, 9), np.ones(9)
-        f1 = EPEApprox(grid, 0.3 * grid**2 - 0.1 * grid, ones, 40.0, 100, ones)
-        f2 = EPEApprox(grid, np.tanh(grid), ones, 40.0, 100, ones)
+        f1 = EPEApprox(grid, 0.3 * grid**2 - 0.1 * grid, ones, ones)
+        f2 = EPEApprox(grid, np.tanh(grid), ones, ones)
         near = [grid, grid + 1e-13, grid - 1e-13, np.nextafter(grid, np.inf), np.nextafter(grid, -np.inf)]
         outside = [-9.0, -3.5, -2.0 - 1e-9, 2.5, 7.0]
         states = np.concatenate(near + [outside, np.random.default_rng(2).normal(0.0, 1.5, 200)])
@@ -727,10 +722,10 @@ class TestSigmaMatrix:
         # no model, states or nodes: any work would fail on them first
         theta = (oracle_i.alpha_star, oracle_i.gamma_star)
         grid = np.linspace(-2.0, 2.0, 9)
-        f = EPEApprox(grid, np.tanh(grid), np.ones(9), 40.0, 100, np.ones(9))
+        f = EPEApprox(grid, np.tanh(grid), np.ones(9), np.ones(9))
         with pytest.raises(TypeError, match="EPEApprox"):
             _sigma_terms(None, None, theta, None, f, np.tanh, None, None)
-        coarse = EPEApprox(grid[::2], np.tanh(grid[::2]), np.ones(5), 40.0, 100, np.ones(5))
+        coarse = EPEApprox(grid[::2], np.tanh(grid[::2]), np.ones(5), np.ones(5))
         with pytest.raises(ValueError, match="one grid"):
             _sigma_terms(None, None, theta, None, f, coarse, None, None)
 

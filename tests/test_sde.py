@@ -3,11 +3,13 @@
 import dataclasses
 import io
 import math
+import sys
 
 import numpy as np
 import pytest
 from scipy.signal import lfilter
 
+from levy_gqmle import _util
 from levy_gqmle._util import _integer, batch_means_se, substream
 from levy_gqmle.experiment import true_ou
 from levy_gqmle.levy import BilateralGamma, Brownian, NormalInverseGaussian, cumulants, sample_increments
@@ -17,6 +19,7 @@ from levy_gqmle.sde import (
     SamplePath,
     TrueModel,
     _affine_paths,
+    _chunked_paths,
     _euler_panel,
     _first_bad,
     _step_map,
@@ -24,7 +27,7 @@ from levy_gqmle.sde import (
     simulate_euler,
     write_path,
 )
-from _oracles import _euler_columns
+from _oracles import _euler_columns, chunk_draws
 from test_levy import CASE_I, CASE_II, CASE_III
 
 OU = TrueModel(rate=0.5, level=0.0, sigma=1.0)
@@ -173,6 +176,54 @@ class TestAffinePaths:
         one = z[:1].copy()
         _affine_paths(OU, 0.05, np.inf, one)
         assert _first_bad(one, np.inf).tolist() == [0]
+
+
+# two _chunked_paths runs over 1234 steps in 500-step chunks, the last
+# one short: 7 columns keeping every state, and one column keeping every
+# 7th state from X_620, in the second chunk (500 is no multiple of 7)
+SHIFTED = TrueModel(rate=0.5, level=0.5 * 0.7, sigma=1.3)
+CHUNK_RUNS = {"panel": dict(cols=7, first=1, keep=1), "thinned": dict(cols=1, first=620, keep=7)}
+
+
+def _chunk_blocks(steps: int, cols: int, first: int, keep: int) -> list[np.ndarray]:
+    return list(_chunked_paths(SHIFTED, CASE_I, 0.01, steps, cols, -0.4, 500, 12, 7001, first=first, keep=keep))
+
+
+class TestChunkedPaths:
+    @pytest.mark.parametrize("run", CHUNK_RUNS)
+    def test_independent_of_worker_count(self, run, monkeypatch):
+        # each chunk is drawn from its own substream and composed in time
+        # order; threads are switched as often as possible
+        want = _chunk_blocks(1234, **CHUNK_RUNS[run])
+        interval = sys.getswitchinterval()
+        try:
+            sys.setswitchinterval(1e-6)
+            for workers in (1, 3):
+                monkeypatch.setattr(_util, "_pool_size", lambda tasks, n=workers: n)
+                got = _chunk_blocks(1234, **CHUNK_RUNS[run])
+                assert [b.tobytes() for b in got] == [b.tobytes() for b in want], workers
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("run", CHUNK_RUNS)
+    def test_matches_one_filter_pass(self, run):
+        # the chunks composed through the affine start map against one
+        # lfilter pass over the same draws; a longer run starts with the
+        # same blocks, bitwise
+        cols, first, keep = CHUNK_RUNS[run].values()
+        rho, scale, shift = _step_map(SHIFTED, 0.01)
+        dz = chunk_draws(CASE_I, 0.01, 1234, cols, 12, 7001)
+        path, _ = lfilter([1.0], [1.0, -rho], dz * scale + shift, axis=0, zi=np.full((1, cols), -0.4 * rho))
+        want = path[first - 1 :: keep]
+        blocks = _chunk_blocks(1234, cols, first, keep)
+        assert len(blocks) == 3 and all(b.shape[1] == cols for b in blocks)
+        # the thinned run keeps nothing in its first chunk
+        assert (blocks[0].shape[0] == 0) == (run == "thinned")
+        got = np.concatenate(blocks)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        longer = _chunk_blocks(1600, cols, first, keep)
+        assert [b.tobytes() for b in longer[:2]] == [b.tobytes() for b in blocks[:2]]
 
 
 _STATIONARY_CACHE = {}
