@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import k1e
 
 from ._util import NumericalError
 
@@ -153,7 +152,11 @@ def sample_increments(
         # after all of y; a normal fill keeps no state between calls
         dh = law.delta * h
         mu_h = law.mu * h
-        out = rng.wald(dh / law._gbar, dh**2, size)
+        try:
+            lam = dh**2
+        except OverflowError:
+            raise NumericalError(f"NIG increments overflow at h={h!r}: (delta h)^2 is out of range") from None
+        out = rng.wald(dh / law._gbar, lam, size)
         flat = out.reshape(-1)
         z = np.empty(min(flat.size, _BLOCK))
         root = np.empty_like(z)
@@ -188,6 +191,7 @@ def levy_density(law: LevyLaw, z: float | np.ndarray) -> float | np.ndarray:
     if np.any(z_arr == 0.0):
         raise ValueError("levy_density is undefined at z = 0")
     if isinstance(law, NormalInverseGaussian):
+        from scipy.special import k1e  # deferred: only the NIG density needs scipy
         az = law.alpha * np.abs(z_arr)
         # k1e = e^x K_1(x) keeps the product finite for large |z| and beta != 0
         out = (law.delta * law.alpha / math.pi) * np.exp(law.beta * z_arr - az) * k1e(az) / np.abs(z_arr)

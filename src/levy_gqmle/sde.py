@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from typing import Iterator
 
 import numpy as np
-from scipy.signal import lfilter
 
 from ._util import NumericalError, _integer, atomic_write_text, core_map, substream
 from .levy import LevyLaw, sample_increments
@@ -147,6 +146,7 @@ def _affine_paths(model: TrueModel, dt: float, x0: float | np.ndarray, z: np.nda
     past a bad one; callers that need the divergence check call
     :func:`_first_bad` on the result.
     """
+    from scipy.signal import lfilter  # deferred: import levy_gqmle loads no scipy
     rho, scale, shift = _step_map(model, dt)
     rows, steps = z.shape
     x0 = np.broadcast_to(np.asarray(x0, dtype=float), (rows,))

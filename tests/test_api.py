@@ -1,14 +1,21 @@
 """Export lists: every name in a module's ``__all__`` exists, so a deleted
 name cannot linger in one, and something other than the tests uses it.
 Coefficient families are read through their polynomial forms, not by
-class, and every path is drawn and filtered in ``sde``."""
+class, and every path is drawn and filtered in ``sde``.  No module imports
+scipy at module level, so ``import levy_gqmle`` and the commands that need
+no filtered path load none of it."""
 
 import ast
 import importlib
+import json
+import os
 import pathlib
 import pkgutil
 import re
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 
 import levy_gqmle
@@ -140,3 +147,92 @@ def test_every_setting_is_read_by_its_command():
         if missing:
             unread[command] = missing
     assert cli._COMMANDS and unread == {}
+
+
+def _module_level_imports(node: ast.AST):
+    """Modules imported by ``node`` outside any function body."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Import):
+            yield from (alias.name for alias in child.names)
+        elif isinstance(child, ast.ImportFrom):
+            yield child.module or ""
+        elif not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            yield from _module_level_imports(child)
+
+
+def test_no_module_imports_scipy_at_module_level():
+    # scipy.signal and scipy.special made most of the package's import
+    # time; lfilter and k1e are imported inside the one function that
+    # calls each
+    found = {
+        path.name: names
+        for path in (ROOT / "src").rglob("*.py")
+        for names in [[n for n in _module_level_imports(ast.parse(path.read_text())) if n.split(".")[0] == "scipy"]]
+        if names
+    }
+    assert found == {}
+
+
+def _fresh(script: str, cwd: pathlib.Path) -> None:
+    """Run ``script`` in a new interpreter that imports the package from src/."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run([sys.executable, "-c", script], cwd=cwd, env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr[-2000:]
+
+
+_LOADED = "def scipy_loaded():\n    return sorted(m for m in sys.modules if m.startswith('scipy'))\n"
+
+
+def test_commands_without_filtered_paths_load_no_scipy(tmp_path):
+    from levy_gqmle.experiment import noise_case, true_ou
+    from levy_gqmle.sde import PathConfig, simulate_euler, write_path
+
+    write_path(simulate_euler(true_ou(), noise_case("ii"), PathConfig(200, 0.05, seed=3)), tmp_path / "path.csv")
+    runs = {
+        "optimal": ["optimal", "--case", "iii"],
+        "estimate": ["estimate", "--path", str(tmp_path / "path.csv")],
+        "mc": ["mc", "--replications", "x"],
+        "simulate": ["simulate", "--n", "20", "--out-dir", str(tmp_path / "simulated")],
+    }
+    _fresh(
+        "import json, sys\nimport levy_gqmle\nfrom levy_gqmle import cli\n" + _LOADED
+        + "seen = {'import': [0, scipy_loaded()]}\n"
+        + f"for name, argv in {runs!r}.items():\n    seen[name] = [cli.run(argv), scipy_loaded()]\n"
+        + "open('seen.json', 'w').write(json.dumps(seen))\n",
+        tmp_path,
+    )
+    seen = json.loads((tmp_path / "seen.json").read_text())
+    assert {name: seen[name] for name in ("import", "optimal", "estimate", "mc")} == {
+        "import": [0, []], "optimal": [0, []], "estimate": [0, []], "mc": [1, []],
+    }
+    assert seen["simulate"][0] == 0 and "scipy.signal" in seen["simulate"][1]
+
+
+# each call's first filtered path is filtered on a pool worker, so in a
+# process with no scipy loaded the workers race the first lfilter import
+_COLD_CALLS = {
+    "chunked_paths": (
+        "from levy_gqmle.experiment import noise_case, true_ou\n"
+        "from levy_gqmle.sde import _chunked_paths\n"
+        "out = np.concatenate(list(_chunked_paths(true_ou(), noise_case('iii'), 0.01, 2345, 3, -0.4, 500, 12, 7001)))\n"
+    ),
+    "run_mc": (
+        "from levy_gqmle.experiment import ExperimentDesign, run_mc\n"
+        "summary = run_mc(ExperimentDesign('i', designs=((300, 0.05),), replications=100, seed=7))\n"
+        "out = summary.per_design[0].estimates\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("call", _COLD_CALLS)
+def test_first_filter_on_pool_workers_matches_warm_process(call, tmp_path):
+    _fresh(
+        "import sys\nimport numpy as np\n" + _LOADED
+        + "assert scipy_loaded() == [], scipy_loaded()\nsys.setswitchinterval(1e-6)\n"
+        + _COLD_CALLS[call] + "assert 'scipy.signal' in sys.modules\nnp.save('out.npy', out)\n",
+        tmp_path,
+    )
+    namespace = {"np": np}
+    exec(_COLD_CALLS[call], namespace)
+    cold, warm = np.load(tmp_path / "out.npy"), namespace["out"]
+    assert cold.shape == warm.shape and cold.dtype == warm.dtype and cold.tobytes() == warm.tobytes()

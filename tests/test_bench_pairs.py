@@ -48,6 +48,7 @@ def test_record_has_the_committed_schema(record):
     assert _keys(record) == _keys(committed)
     assert record["command"] == "python3 perfbench/run.py --workload asymptotics_i --seconds 30 --trace 0"
     assert set(record["host"]) == {"nproc", "cpu_model", "python", "blas_env"}
+    assert record["claimed_metric"] == "wall_s"
 
 
 def test_summary_of_fake_pairs(record):
@@ -89,9 +90,11 @@ def test_main_alternates_which_side_runs_first(tmp_path, monkeypatch):
 
     monkeypatch.setattr(bench_pairs, "run_once", fake_run_once)
     monkeypatch.setattr(bench_pairs, "_side", lambda prov, checkout: {"commit": None, "src_sha256": prov["src_sha256"]})
-    assert bench_pairs.main(["--parent", str(parent), "--change", str(change), "--workload", "w", "--pairs", "4"]) == 0
+    assert bench_pairs.main(["--parent", str(parent), "--change", str(change), "--workload", "w", "--pairs", "4",
+                            "--claim", "setup_s"]) == 0
     assert calls == [parent, change, change, parent, parent, change, change, parent]
     record = json.loads((change / "BENCH_w.json").read_text())
+    assert record["claimed_metric"] == "setup_s"
     assert record["summary"]["wall_s"]["change_lower"] == 4
     assert all(list(p) == ["pair", "parent", "change"] for p in record["pairs"])
 

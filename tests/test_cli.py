@@ -118,6 +118,18 @@ class TestSimulate:
         assert code == 1
         assert msg in err
 
+    @pytest.mark.parametrize("case", ["i", "iii"])
+    def test_nig_overflow_at_huge_step_exits_two(self, capsys, tmp_path, case):
+        # (delta h)^2 overflows a float above h ~ 1e154; the command ends
+        # with one line, as a diverged path does
+        code, out, err = invoke(capsys, "simulate", "--case", case, "--n", "10", "--h", "1e200",
+                                "--out-dir", str(tmp_path))
+        assert code == 2 and out == ""
+        assert err.splitlines() == [
+            "numerical failure: NIG increments overflow at h=1e+200: (delta h)^2 is out of range"
+        ]
+        assert not (tmp_path / "path.csv").exists()
+
     def test_negative_seed_exits_one(self, capsys, tmp_path):
         code, _, err = invoke(capsys, "simulate", "--seed", "-1", "--n", "10", "--h", "0.1",
                               "--out-dir", str(tmp_path))

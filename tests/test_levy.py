@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _oracles import cgf_cumulants, char_exponent
+from levy_gqmle._util import NumericalError
 from levy_gqmle.levy import (
     BilateralGamma,
     Brownian,
@@ -142,6 +143,15 @@ class TestSampling:
     def test_negative_h_rejected(self):
         with pytest.raises(ValueError):
             sample_increments(CASE_I, -0.1, 10, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("law", [CASE_I, CASE_III], ids=str)
+    def test_nig_overflow_raises_numerical_error(self, law):
+        # the IG shape (delta h)^2 is out of float range; nothing is drawn
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(NumericalError, match=r"overflow at h=1e\+200"):
+            sample_increments(law, 1e200, 10, rng)
+        assert rng.bit_generator.state == state
 
     @pytest.mark.parametrize("law", STANDARDIZED, ids=str)
     def test_deterministic_given_stream(self, law):

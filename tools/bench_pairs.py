@@ -16,7 +16,8 @@ provenance.  The record, written to ``BENCH_<workload>.json`` in the change
 checkout, holds every pair's end-to-end metrics with ``correct``,
 ``attempted`` and ``failed``, and per metric the median and inclusive
 quartiles of each side, the median change in percent, and the number of
-pairs where the change's value is lower.
+pairs where the change's value is lower.  ``--claim`` names the metric the
+change claims to improve (``wall_s`` unless given); the record states it.
 """
 
 from __future__ import annotations
@@ -113,11 +114,11 @@ def _side(provenance: dict, checkout: Path) -> dict:
     return {"commit": commit, "src_sha256": provenance["src_sha256"]}
 
 
-def build_record(workload: str, sides: dict, host: dict, pairs: list[dict]) -> dict:
+def build_record(workload: str, sides: dict, host: dict, pairs: list[dict], claim: str = "wall_s") -> dict:
     """The ``BENCH_<workload>.json`` object for ``pairs`` of ``{"parent": entry, "change": entry}``."""
     return {
         "workload": workload,
-        "claimed_metric": "wall_s",
+        "claimed_metric": claim,
         "command": " ".join(command(workload)),
         "method": (
             f"{len(pairs)} pairs; even-numbered pairs run the parent checkout first, odd-numbered pairs the "
@@ -138,6 +139,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--change", type=Path, required=True, help="checkout of the change")
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--claim", choices=METRICS, default="wall_s", help="metric the change claims to improve")
     ns = parser.parse_args(argv)
     if ns.pairs < 2:
         parser.error("--pairs must be at least 2")
@@ -152,7 +154,7 @@ def main(argv: list[str] | None = None) -> int:
             print(f"pair {i} {side}: " + json.dumps(pair[side]), file=sys.stderr)
         pairs.append({"parent": pair["parent"], "change": pair["change"]})
     sides = {side: _side(provenance[side], checkout) for side, checkout in checkouts.items()}
-    record = build_record(ns.workload, sides, provenance["change"], pairs)
+    record = build_record(ns.workload, sides, provenance["change"], pairs, ns.claim)
     out = ns.change / f"BENCH_{ns.workload}.json"
     out.write_text(json.dumps(record, indent=2) + "\n")
     print(f"wrote {out}", file=sys.stderr)
