@@ -22,7 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._util import NumericalError, _integer, batch_means_se
-from .gqmle import ModelSpec, _criterion_terms
+from .coefficients import _horner
+from .gqmle import ModelSpec
 from .levy import (
     Brownian,
     LevyLaw,
@@ -178,11 +179,11 @@ def sample_invariant(
 
 
 def _poly_form(model: ModelSpec) -> tuple[float, np.ndarray, np.ndarray]:
-    """(x_c, b, q): the drift ``basis`` b and q = 1/p(x)^2, with p the scale
-    ``profile``, as coefficients in powers of t = x - x_c, constant first.
+    """(x_c, b, q): the drift basis b and q = 1/p(x)^2, with p the scale
+    profile, as coefficients in powers of t = x - x_c, constant first.
 
-    This is the one place that reads the fitted families as polynomials,
-    from their ``basis_coef`` (degree <= 1) and ``q_coef``.  x_c is the
+    This is the one place here that reads the fitted families, from their
+    ``basis_coef`` (degree <= 1) and ``q_coef``.  x_c is the
     basis's root (0 if it has none), so b(x_c) = 0 is b's constant term.
     Both are re-expanded about x_c by the binomial theorem.
     """
@@ -227,14 +228,13 @@ def pseudo_true(model: ModelSpec, true_model: TrueModel, noise: LevyLaw) -> tupl
 
 @dataclass(frozen=True, eq=False)
 class _PolyRHS:
-    """Right-hand sides that are polynomials in the state: row i of ``coef``
-    holds g_i's coefficients in powers of t = x - ``center``, constant
-    first, zero-padded to one common degree d = coef.shape[1] - 1.
+    """Integrands that are polynomials in the state: row i of ``coef``
+    holds one integrand's coefficients in powers of t = x - ``center``,
+    constant first, zero-padded to one common degree d = coef.shape[1] - 1.
 
     This is the one input type of ``epe_solve``, which sums it along each
     path from the path's mixed power sums.  Calling it evaluates each row
-    with numpy's ``polyval`` and returns the rows' values as a tuple; the
-    centering gate and the paths' two end states evaluate it this way.
+    by ``coefficients._horner`` and returns the rows' values as a tuple.
     """
 
     coef: np.ndarray
@@ -242,27 +242,26 @@ class _PolyRHS:
 
     def __call__(self, x) -> tuple[np.ndarray, ...]:
         t = np.asarray(x, dtype=float) - self.center
-        return tuple(np.polynomial.polynomial.polyval(t, row) for row in self.coef)
+        return tuple(_horner(row, t) for row in self.coef)
 
 
-def _epe_rhs(model: ModelSpec, true_model: TrueModel, theta_star: tuple[float, float]) -> _PolyRHS:
-    """Both score integrands (g_1, g_2) at the optimal parameter, as polynomials.
+def _integrands(model: ModelSpec, true_model: TrueModel, theta_star: tuple[float, float]) -> tuple[_PolyRHS, ...]:
+    """Every pi_0 integrand at the optimal parameter, as polynomials.
 
-    Scale families are multiplicative, c = gamma p(x) with dc/dgamma = p(x),
-    and drifts are linear, a = alpha b(x) with da/dalpha = b(x), so
-    g_1 = c'(c^2 - C^2)/c^3 = (c^2 - C^2)/(gamma c^2) and
-    g_2 = b(A - a)/c^2, with the true drift A(x) = level - rate x and the
-    true scale C = sigma of ``sde.TrueModel``.  q = 1/p(x)^2 and b are
-    polynomials (``_poly_form``), so
-
-      g_1 = (gamma^2 - sigma^2 q) / gamma^3              (degree <= 2),
-      g_2 = b (level - rate x - alpha b) q / gamma^2     (degree <= 4)
-
-    are polynomials too, returned as one ``_PolyRHS`` with a (2, d + 1)
-    coefficient array.  Both are expanded about the root x_c of b, so g_2
-    has no constant term and keeps b's relative accuracy next to x_c.
-    g_1's constant term is (gamma^2 - sigma^2 q_0) / gamma^3, so a correct
-    constant scale (q = 1, gamma = sigma) gives g_1 = 0 exactly.
+    Under pi_0 a state x enters the criteria with increment moments
+    (A, C^2) = (level - rate x, sigma^2) on a unit step.  With a = alpha b
+    and c^2 = gamma^2 / q (``_poly_form``), each integrand is a polynomial,
+    and each group below is one ``_PolyRHS`` about b's root x_c:
+    - the scores, ``epe_solve``'s right-hand sides: g_1 = (c^2 - C^2) /
+      (gamma c^2) = (gamma^2 - sigma^2 q) / gamma^3 and g_2 = b (A - a) / c^2;
+    - the curvatures Gamma_gamma = 2 / gamma^2 - 6 sigma^2 q / gamma^4 of
+      stage one, and the negated stage-two Gamma_alpha = 2 b^2 q / gamma^2
+      and Gamma_alphagamma = 4 g_2 / gamma;
+    - Sigma's jump weights w_g = p C^2 / c^3 = sigma^2 q / gamma^3 and
+      w_a = b C / c^2 = sigma b q / gamma^2.
+    g_2 has no constant term, so it keeps b's relative accuracy next to
+    x_c, and a correct constant scale (q = 1, gamma = sigma) gives g_1 = 0
+    exactly.
     """
     alpha_s, gamma_s = theta_star
     rate, level, sigma = true_model.rate, true_model.level, true_model.sigma
@@ -272,9 +271,17 @@ def _epe_rhs(model: ModelSpec, true_model: TrueModel, theta_star: tuple[float, f
     g1[0] = (gamma_s**2 - sigma**2 * q[0]) / gamma_s**3
     residual = poly.polysub([level - rate * center, -rate], alpha_s * b)
     g2 = poly.polymul(poly.polymul(b, residual), q) / gamma_s**2
-    coef = np.zeros((2, max(g1.size, g2.size)))
-    coef[0, : g1.size], coef[1, : g2.size] = g1, g2
-    return _PolyRHS(coef, center)
+    curv = -6.0 * sigma**2 * q / gamma_s**4
+    curv[0] += 2.0 / gamma_s**2
+    bq = poly.polymul(b, q)
+    groups = (
+        (g1, g2),
+        (curv, 2.0 * poly.polymul(b, bq) / gamma_s**2, 4.0 * g2 / gamma_s),
+        (sigma**2 * q / gamma_s**3, sigma * bq / gamma_s**2),
+    )
+    return tuple(
+        _PolyRHS(np.array([np.pad(p, (0, max(map(len, polys)) - len(p))) for p in polys]), center) for polys in groups
+    )
 
 
 @dataclass(frozen=True)
@@ -354,8 +361,8 @@ def epe_solve(
     """Monte Carlo solution f(x) = int_0^t_max E^x[g(X_t)] dt on a grid.
 
     This is the Poisson-equation representation of Glynn & Meyn (1996,
-    Ann. Probab.).  ``g`` is a ``_PolyRHS`` of degree d, as built by
-    ``_epe_rhs``; any other ``g`` is refused with ``TypeError`` before
+    Ann. Probab.).  ``g`` is a ``_PolyRHS`` of degree d, as the first group
+    of ``_integrands``; any other ``g`` is refused with ``TypeError`` before
     anything is drawn.  Every row of ``g.coef`` is solved on the same paths
     and gets its own :class:`EPEApprox`, returned as a tuple in row order.
 
@@ -404,7 +411,7 @@ def epe_solve(
     for the Monte Carlo fluctuation of everything beyond the horizon.
     """
     if not isinstance(g, _PolyRHS):
-        raise TypeError(f"g must be a _PolyRHS, as built by _epe_rhs; got {type(g).__name__}")
+        raise TypeError(f"g must be a _PolyRHS, as built by _integrands; got {type(g).__name__}")
     m = _check_epe_args(t_max, step, m)
     rate = _linear_ou_form(model)[0]
     centering = []
@@ -487,29 +494,17 @@ def epe_solve(
 
 
 def _gamma_terms(
-    model: ModelSpec,
-    true_model: TrueModel,
-    theta_star: tuple[float, float],
-    states: np.ndarray,
+    model: ModelSpec, true_model: TrueModel, theta_star: tuple[float, float], states: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-state integrands of (Gamma_gamma, Gamma_alpha, Gamma_alphagamma).
-
-    These are the stage-criterion curvatures under pi_0, whose states enter
-    with increment moments (level - rate x, sigma^2) on a unit step:
-    Gamma_gamma is the stage-one curvature, Gamma_alpha and Gamma_alphagamma
-    are the negated stage-two ones.  They are evaluated on blocks of ``_BLOCK_CELLS`` states,
-    elementwise and so bitwise equal to one call on all states, and returned
-    as the rows of one (3, n) array.
-    """
-    alpha_s, gamma_s = theta_star
+    """Per-state integrands of (Gamma_gamma, Gamma_alpha, Gamma_alphagamma),
+    the curvature rows of ``_integrands``, evaluated on blocks of
+    ``_BLOCK_CELLS`` states into one (3, n) array: elementwise, and so
+    bitwise equal to one call on all states."""
+    rows = _integrands(model, true_model, theta_star)[1]
     out = np.empty((3, states.size))
     for b0 in range(0, states.size, _BLOCK_CELLS):
-        x = states[b0 : b0 + _BLOCK_CELLS]
-        (_, _, gg), (_, _, ga, gag) = _criterion_terms(
-            model, x, true_model.level - true_model.rate * x, true_model.sigma**2, 1.0, gamma_s, alpha_s
-        )
-        block = out[:, b0 : b0 + x.size]
-        block[0], block[1], block[2] = gg, -ga, -gag
+        for row, vals in zip(out[:, b0 : b0 + _BLOCK_CELLS], rows(states[b0 : b0 + _BLOCK_CELLS])):
+            row[:] = vals
     return out[0], out[1], out[2]
 
 
@@ -552,7 +547,8 @@ def _sigma_terms(
     """Per-state inner jump integrals (S_gamma, S_alpha, S_cross): the
     weighted sums over the nodes z of v1^2, v2^2 and v1 v2, where
     v1 = w_g z^2 + f1(x + sigma z) - f1(x) and
-    v2 = w_a z + f2(x + sigma z) - f2(x).
+    v2 = w_a z + f2(x + sigma z) - f2(x), with the jump weights w_g and
+    w_a of ``_integrands``.
 
     f1 and f2 must be :class:`EPEApprox` on one grid (``TypeError`` or
     ``ValueError`` otherwise, before any work).  Both are linear on each
@@ -570,12 +566,8 @@ def _sigma_terms(
         raise TypeError(f"f1 and f2 must be EPEApprox; got {type(f1).__name__}, {type(f2).__name__}")
     if not np.array_equal(f1.x, f2.x):
         raise ValueError("f1 and f2 must share one grid")
-    alpha_s, gamma_s = theta_star
-    x = states[:, None]
-    profile, sigma = model.scale.profile(x), true_model.sigma
-    c = gamma_s * profile
-    w_g = profile * sigma**2 / c**3
-    w_a = model.drift.basis(x) * sigma / c**2
+    x, sigma = states[:, None], true_model.sigma
+    w_g, w_a = (w[:, None] for w in _integrands(model, true_model, theta_star)[2](states))
     (i1, s1, j0), (i2, s2, _) = f1._segments(states), f2._segments(states)
     # a = f(x + sigma z) - f(x) at z = 0 on each piece, zero on x's own piece
     a1 = (i1 - i1[j0, None]) + (s1 - s1[j0, None]) * x
@@ -714,7 +706,7 @@ def run_asymptotics(
     grid = np.concatenate([left, base, right])
 
     f1, f2 = epe_solve(
-        _epe_rhs(model, true_model, theta_star), true_model, noise, inv, grid, t_max, m, seed, step
+        _integrands(model, true_model, theta_star)[0], true_model, noise, inv, grid, t_max, m, seed, step
     )
 
     gg, ga, gag = terms = _gamma_terms(model, true_model, theta_star, inv.states)

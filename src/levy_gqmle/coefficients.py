@@ -1,14 +1,12 @@
-"""Parametric drift and scale families.
+"""Parametric drift and scale families, each one its coefficients.
 
-Every family is scalar-parametric.  Drift families are linear in their
-parameter, ``a(x, theta) = theta * basis(x)``; scale families are
-multiplicative, ``c(x, theta) = theta * profile(x)``.  ``basis`` and
-``profile`` are vectorized over the state, and callers write the product
-themselves.  Every parameter derivative follows from them, and the
-estimation stages use both structures for their closed forms.  Each
-family also carries its polynomial form, constant first: ``basis_coef``
-for b and ``q_coef`` for q = 1/p(x)^2; other modules read the families as
-polynomials through these alone.
+Drift families are linear in their parameter, a(x, alpha) = alpha b(x);
+scale families are multiplicative, c(x, gamma) = gamma p(x), and are read
+only through the variance c^2 = gamma^2 / q with q = 1/p(x)^2.  b and q
+are polynomials, so a family is their coefficients, constant first:
+``basis_coef`` (degree <= 1) and ``q_coef`` (degree <= 2).  Other modules
+evaluate them with :func:`_horner` or re-expand them; no family evaluates
+itself.
 """
 
 from __future__ import annotations
@@ -38,18 +36,12 @@ class MeanRevertLinear:
     def basis_coef(self) -> tuple[float, ...]:
         return (float(self.m), -1.0)
 
-    def basis(self, x):
-        return self.m - np.asarray(x, dtype=float)
-
 
 @dataclass(frozen=True)
 class ConstantDrift:
     """a(x, alpha) = alpha."""
 
     basis_coef = (1.0,)
-
-    def basis(self, x):
-        return np.ones_like(np.asarray(x, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -58,29 +50,30 @@ class LinearDecay:
 
     basis_coef = (0.0, -1.0)
 
-    def basis(self, x):
-        return -np.asarray(x, dtype=float)
-
 
 @dataclass(frozen=True)
 class RationalSqrt:
-    """c(x, gamma) = gamma (1 + x^2)^{-1/2}."""
+    """c(x, gamma) = gamma (1 + x^2)^{-1/2}: q = 1 + x^2."""
 
     q_coef = (1.0, 0.0, 1.0)
-
-    def profile(self, x):
-        return 1.0 / np.sqrt(1.0 + np.asarray(x, dtype=float) ** 2)
 
 
 @dataclass(frozen=True)
 class ConstantScale:
-    """c(x, gamma) = gamma."""
+    """c(x, gamma) = gamma: q = 1."""
 
     q_coef = (1.0,)
-
-    def profile(self, x):
-        return np.ones_like(np.asarray(x, dtype=float))
 
 
 DriftFamily = MeanRevertLinear | ConstantDrift | LinearDecay
 ScaleFamily = RationalSqrt | ConstantScale
+
+
+def _horner(coef, x) -> np.ndarray:
+    """sum_i coef[i] x^i as a new array, by Horner's rule in place: for
+    finite x bitwise numpy's ``polyval``, which takes the same steps."""
+    acc = np.full(np.shape(x), coef[-1], dtype=float)
+    for c in coef[-2::-1]:
+        acc *= x
+        acc += c
+    return acc

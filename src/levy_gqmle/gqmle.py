@@ -8,13 +8,13 @@ least squares with the stage-one gamma plugged into the weights.
 
 Every catalog drift is a = alpha b(x) and every catalog scale is
 c = gamma p(x), so each stage is a weighted least-squares problem with a
-closed form and no optimizer is needed.  Both criteria are written once,
-in ``_criterion_terms``, as functions of the state and of the increment
-moments (m1, m2): a path enters with (D_j X, (D_j X)^2), the invariant law
-pi_0 with the true model's (h (level - rate x), h sigma^2).  The closed
-forms fit a block of rows at a time, shape (R, n+1) with time contiguous;
-a single path is a one-row block, and each row reduces exactly as a lone
-path would.
+closed form and no optimizer is needed.  Both read the scale through
+c^2 = gamma^2 / q, q = 1/p^2 a polynomial like b, and take no square root
+but gamma's.  Both criteria are written once, in ``_criterion_terms``, as
+functions of a path's states and increment moments; pi_0's integrands are
+the polynomials of ``asymptotics._integrands``.  The closed forms fit a
+block of rows at a time, shape (R, n+1) with time contiguous; a single
+path is a one-row block, and each row reduces exactly as a lone path would.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .coefficients import DriftFamily, ScaleFamily
+from .coefficients import DriftFamily, ScaleFamily, _horner
 from .sde import SamplePath
 
 __all__ = [
@@ -75,8 +75,10 @@ class EstimateResult:
         return asdict(self)
 
 
-def _check_scale(c: np.ndarray) -> None:
-    if not np.all(c > 0):
+def _check_scale(gamma, q: np.ndarray) -> None:
+    """Refuse a scale whose variance c^2 = gamma^2 / q is not positive and
+    finite on the path: gamma <= 0, or q outside (0, inf)."""
+    if not (np.all(gamma > 0) and np.all((q > 0) & (q < np.inf))):
         raise ValueError("scale coefficient evaluated non-positive on the path")
 
 
@@ -85,8 +87,8 @@ def _criterion_terms(
 ) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
     """Per-state terms of both stage criteria and their parameter derivatives.
 
-    With c = gamma p(x) and a = alpha b(x), a state x whose next increment
-    has moments (m1, m2) over a step h contributes
+    With c^2 = gamma^2 / q(x) and a = alpha b(x), a state x whose next
+    increment has moments (m1, m2) over a step h contributes
 
         stage one  l1 = -(h log c^2 + m2 / c^2),
         stage two  l2 = -(m1 - h a)^2 / (h c^2).
@@ -97,10 +99,10 @@ def _criterion_terms(
     first derivatives gives the closed forms of :func:`_fit_scale` and
     :func:`_fit_drift`.
     """
-    c = gamma * model.scale.profile(x)
-    _check_scale(c)
-    c2 = c * c
-    b = model.drift.basis(x)
+    q = _horner(model.scale.q_coef, x)
+    _check_scale(gamma, q)
+    c2 = gamma**2 / q
+    b = _horner(model.drift.basis_coef, x)
     u = m2 / c2
     r = m1 - h * (alpha * b)
     rb = r * b / c2
@@ -116,30 +118,30 @@ def _path_criteria(path: SamplePath, model: ModelSpec, gamma: float, alpha: floa
     return [tuple(float(np.sum(t)) / path.T for t in terms[:3]) for terms in (stage1, stage2)]
 
 
-def _fit_scale(model: ModelSpec, x: np.ndarray, m2: np.ndarray, h: float):
-    """Closed-form stage one for each row: gamma^2 = sum(m2 / p^2) / (N h).
+def _fit_scale(model: ModelSpec, q: np.ndarray, m2: np.ndarray, h: float):
+    """Closed-form stage one for each row: gamma^2 = sum(m2 q) / (N h).
 
-    ``x`` and ``m2`` have shape (R, N).  Returns (gamma, boundary,
+    ``q`` and ``m2`` have shape (R, N).  Returns (gamma, boundary,
     degenerate), each of shape (R,); gamma is clamped to the box, and a row
     with zero quadratic variation is degenerate and sits at the lower edge.
     """
     lo, hi = model.gamma_box
-    raw = np.sqrt(np.sum(m2 / model.scale.profile(x) ** 2, axis=1) / (x.shape[1] * h))
+    raw = np.sqrt(np.sum(m2 * q, axis=1) / (q.shape[1] * h))
     return np.clip(raw, lo, hi), (raw < lo) | (raw > hi), raw == 0.0
 
 
-def _fit_drift(model: ModelSpec, x: np.ndarray, m1: np.ndarray, h: float, gamma: np.ndarray):
-    """Closed-form stage two for each row, with that row's gamma in the weights:
-    alpha = sum(m1 b / c^2) / (h sum(b^2 / c^2)).
+def _fit_drift(model: ModelSpec, x: np.ndarray, q: np.ndarray, m1: np.ndarray, h: float, gamma: np.ndarray):
+    """Closed-form stage two for each row, with that row's gamma in the
+    weights w = b q / gamma^2 = b / c^2: alpha = sum(m1 w) / (h sum(b w)).
 
     Returns (alpha, boundary, degenerate) like :func:`_fit_scale`; a row
     whose denominator vanishes is degenerate and sits at the lower edge.
     """
     lo, hi = model.alpha_box
-    c = gamma[:, None] * model.scale.profile(x)
-    _check_scale(c)
-    b = model.drift.basis(x)
-    w = b / (c * c)
+    _check_scale(gamma, q)
+    b = _horner(model.drift.basis_coef, x)
+    w = b * q
+    w /= gamma[:, None] ** 2
     denom = np.sum(b * w, axis=1) * h
     degenerate = denom == 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -155,8 +157,9 @@ def _fit_rows(model: ModelSpec, values: np.ndarray, h: float):
     """
     x = values[:, :-1]
     dx = np.diff(values, axis=1)
-    gamma, *stage1 = _fit_scale(model, x, dx**2, h)
-    alpha, *stage2 = _fit_drift(model, x, dx, h, gamma)
+    q = _horner(model.scale.q_coef, x)
+    gamma, *stage1 = _fit_scale(model, q, dx**2, h)
+    alpha, *stage2 = _fit_drift(model, x, q, dx, h, gamma)
     return alpha, gamma, stage1, stage2
 
 

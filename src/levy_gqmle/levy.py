@@ -140,7 +140,9 @@ def sample_increments(
     Reproducible given the generator state; ``h = 0`` yields exact zeros.
     The arithmetic runs in place, NIG's in blocks of ``_BLOCK`` draws, in
     the order of the textbook expressions, so the result is bitwise equal to
-    them on the same generator.
+    them on the same generator.  A step at which the draws lose the law to
+    rounding (NIG's (delta h)^2 overflows, or a bilateral gamma's shape h
+    exceeds 2^104) raises :class:`NumericalError` before anything is drawn.
     """
     if h < 0:
         raise ValueError(f"h must be nonnegative, got {h}")
@@ -171,6 +173,10 @@ def sample_increments(
             y += rb
         return out
     if isinstance(law, BilateralGamma):
+        # a gamma draw's relative spread 1/sqrt(shape h) is below 2^-52 here
+        if max(law.shape_pos, law.shape_neg) * h > 2.0**104:
+            raise NumericalError(f"bilateral gamma increments degenerate at h={h!r}: shape h exceeds "
+                                 "2^104, so each gamma draw rounds to its mean")
         gp = rng.gamma(law.shape_pos * h, 1.0 / law.rate_pos, size)
         gp -= rng.gamma(law.shape_neg * h, 1.0 / law.rate_neg, size)
         return gp

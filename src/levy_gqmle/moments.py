@@ -15,6 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from ._util import _integer
+from .coefficients import _horner
 from .gqmle import EstimateResult, ModelSpec, _check_scale
 from .sde import SamplePath
 
@@ -33,8 +34,9 @@ def residual_moment(path: SamplePath, est: EstimateResult, model: ModelSpec, r: 
     if not (np.isfinite(est.alpha_hat) and np.isfinite(est.gamma_hat)):
         raise ValueError("estimates must be finite")
     x = path.values[:-1]
-    a = est.alpha_hat * model.drift.basis(x)
-    c = est.gamma_hat * model.scale.profile(x)
-    _check_scale(c)
+    q = _horner(model.scale.q_coef, x)
+    _check_scale(est.gamma_hat, q)
+    a = est.alpha_hat * _horner(model.drift.basis_coef, x)
+    c = est.gamma_hat * (1.0 / np.sqrt(q))
     z = (path.increments() - path.h * a) / c
     return float(np.sum(z**r)) / path.T

@@ -35,8 +35,8 @@ __all__ = [
 ]
 
 DIVERGENCE_BOUND = 1e12
-# cells per block of the filter here and of asymptotics' EPE and Gamma
-# evaluations: a block of temporaries stays in cache
+# cells per block of the filter here, of asymptotics' EPE power sums and of
+# its Horner passes over Gamma's integrand rows: a block stays in cache
 _BLOCK_CELLS = 1 << 16
 
 

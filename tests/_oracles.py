@@ -28,11 +28,28 @@ from numpy.polynomial import polynomial as npp
 from scipy.signal import convolve2d
 
 from levy_gqmle._util import batch_means_se, substream
+from levy_gqmle.coefficients import ConstantDrift, ConstantScale, LinearDecay, MeanRevertLinear, RationalSqrt
 from levy_gqmle.gqmle import ModelSpec, _path_criteria
 from levy_gqmle.levy import BilateralGamma, Brownian, LevyLaw, NormalInverseGaussian, sample_increments
 from levy_gqmle.sde import DIVERGENCE_BOUND, SamplePath, TrueModel, _affine_paths, _first_bad
 
 DRIFT_RATE = 0.5  # benchmark true drift is -x/2
+
+# the catalog's textbook forms, written out apart from the families'
+# coefficients: the basis b(x) of each drift family, the profile p(x) of
+# each scale family
+FAMILY_FORMS = {
+    MeanRevertLinear: lambda family, x: family.m - x,
+    ConstantDrift: lambda family, x: np.ones_like(x),
+    LinearDecay: lambda family, x: -x,
+    RationalSqrt: lambda family, x: 1.0 / np.sqrt(1.0 + x**2),
+    ConstantScale: lambda family, x: np.ones_like(x),
+}
+
+
+def family_form(family, x) -> np.ndarray:
+    """A catalog family's textbook function at x: b for a drift, p for a scale."""
+    return FAMILY_FORMS[type(family)](family, np.asarray(x, dtype=float))
 
 
 def chunk_draws(noise: LevyLaw, step: float, steps: int, cols: int, seed: int, tag: int, chunk: int = 500) -> np.ndarray:
@@ -181,13 +198,14 @@ def pseudo_true_oracle(model: ModelSpec, true_model: TrueModel, law: LevyLaw) ->
     """(alpha*, gamma*) = (E[A b q] / E[b^2 q], sqrt(E[C^2 q])), each clipped
     to its box, with q = 1/p^2, from pi_0's raw moments E[x^j].
 
-    The families are read through their callables and the true model
-    through its fields: the three integrands, each of degree <= 4 in x, are interpolated at five
-    integer points, and the moments come from ``cgf_cumulants``.
+    The families are read through ``FAMILY_FORMS`` and the true model
+    through its fields: the three integrands, each of degree <= 4 in x, are
+    interpolated at five integer points, and the moments come from
+    ``cgf_cumulants``.
     """
     x = np.arange(-2.0, 3.0)
     rate, level, sigma = true_model.rate, true_model.level, true_model.sigma
-    b, q, big_a = model.drift.basis(x), 1.0 / model.scale.profile(x) ** 2, level - rate * x
+    b, q, big_a = family_form(model.drift, x), 1.0 / family_form(model.scale, x) ** 2, level - rate * x
     num, den, q = (npp.polyfit(x, y, 4) for y in (big_a * b * q, b * b * q, q))
     m = cumulants_to_moments(invariant_cumulants(cgf_cumulants(law, 4), rate, sigma, level))
     alpha = npp.polyval(1.0, num * m) / npp.polyval(1.0, den * m)
@@ -341,10 +359,10 @@ def sigma_terms_by_node(
     and each state's weighted node sum is one ``einsum`` row reduction."""
     alpha_s, gamma_s = theta_star
     x, z = states[:, None], nodes[None, :]
-    c = gamma_s * model.scale.profile(x)
-    big_c = true_model.sigma
-    w_g = model.scale.profile(x) * big_c**2 / c**3
-    w_a = model.drift.basis(x) * big_c / c**2
+    p = family_form(model.scale, x)
+    c, big_c = gamma_s * p, true_model.sigma
+    w_g = p * big_c**2 / c**3
+    w_a = family_form(model.drift, x) * big_c / c**2
     xz = x + big_c * z
     v1 = w_g * z**2 + _interp_extended(f1, xz) - _interp_extended(f1, x)
     v2 = w_a * z + _interp_extended(f2, xz) - _interp_extended(f2, x)

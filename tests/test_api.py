@@ -1,9 +1,9 @@
 """Export lists: every name in a module's ``__all__`` exists, so a deleted
 name cannot linger in one, and something other than the tests uses it.
 Coefficient families are read through their polynomial forms, not by
-class, and every path is drawn and filtered in ``sde``.  No module imports
-scipy at module level, so ``import levy_gqmle`` and the commands that need
-no filtered path load none of it."""
+class, and define no method; every path is drawn and filtered in ``sde``.
+No module imports scipy at module level, so ``import levy_gqmle`` and the
+commands that need no filtered path load none of it."""
 
 import ast
 import importlib
@@ -95,6 +95,19 @@ def test_families_read_through_their_polynomial_forms():
         if path.name not in allowed
     }
     assert families and {name: found for name, found in named.items() if found} == {}
+    # and a family is its coefficients: no family defines a method, so no
+    # second form of one can come back.  The one function allowed is a
+    # property that returns a coefficient tuple, as MeanRevertLinear's
+    # basis_coef depends on its m
+    methods = [
+        f"{node.name}.{item.name}"
+        for node in tree.body
+        if isinstance(node, ast.ClassDef)
+        for item in node.body
+        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not (item.name.endswith("_coef") and [ast.unparse(d) for d in item.decorator_list] == ["property"])
+    ]
+    assert methods == []
 
 
 def test_paths_are_drawn_and_filtered_only_in_sde():

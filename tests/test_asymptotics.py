@@ -23,8 +23,8 @@ from levy_gqmle.asymptotics import (
     NotCenteredError,
     SingularGammaError,
     _PolyRHS,
-    _epe_rhs,
     _gamma_terms,
+    _integrands,
     _invariant_cumulants,
     _poly_form,
     _sigma_full,
@@ -55,6 +55,7 @@ from _oracles import (
     g2_eval,
     invariant_cumulants,
     martingale_check,
+    family_form,
     pseudo_true_oracle,
     sigma_terms_by_node,
 )
@@ -238,14 +239,14 @@ class TestSampleInvariant:
 
 class TestEPERhs:
     def test_scale_rhs_reduces_to_quadratic(self, oracle_i):
-        g = _epe_rhs(BENCH, OU, (oracle_i.alpha_star, oracle_i.gamma_star))
+        g = _integrands(BENCH, OU, (oracle_i.alpha_star, oracle_i.gamma_star))[0]
         x = np.linspace(-3, 3, 13)
         want = (1.0 - x**2) / (2.0 * math.sqrt(2.0))
         np.testing.assert_allclose(g(x)[0], want, atol=1e-14)
 
     def test_drift_rhs_explicit_form(self, oracle_i):
         a_s, g_s = oracle_i.alpha_star, oracle_i.gamma_star
-        g = _epe_rhs(BENCH, OU, (a_s, g_s))
+        g = _integrands(BENCH, OU, (a_s, g_s))[0]
         x = np.linspace(-3, 3, 13)
         want = (1.0 - x) * (-x / 2.0 - a_s * (1.0 - x)) * (1.0 + x**2) / g_s**2
         np.testing.assert_allclose(g(x)[1], want, atol=1e-14)
@@ -262,15 +263,16 @@ class TestEPERhs:
         alpha, gamma = 0.4, 1.1
         model = ModelSpec(drift=drift, scale=scale)
         x = np.linspace(-6.0, 6.0, 241)
-        c2 = (gamma * model.scale.profile(x)) ** 2
+        c2 = (gamma * family_form(scale, x)) ** 2
         big_c2 = true_model.sigma**2
-        b, big_a, a = drift.basis(x), true_model.level - true_model.rate * x, alpha * drift.basis(x)
+        b = family_form(drift, x)
+        big_a, a = true_model.level - true_model.rate * x, alpha * b
         want1 = (c2 - big_c2) / (gamma * c2)
         want2 = b * (big_a - a) / c2
         size1 = (c2 + big_c2) / (gamma * c2)
         level = true_model.level
         size2 = np.abs(b) * (abs(level) + np.abs(big_a - level) + np.abs(a)) / c2
-        got = _epe_rhs(model, true_model, (alpha, gamma))(x)
+        got = _integrands(model, true_model, (alpha, gamma))[0](x)
         for g, want, size in zip(got, (want1, want2), (size1, size2)):
             assert np.all(np.abs(g - want) <= 1e-13 * size)
             clear = np.abs(want) > 0.1 * size
@@ -282,25 +284,35 @@ class TestEPERhs:
         "drift", [MeanRevertLinear(m=0.7), ConstantDrift(), LinearDecay()], ids=lambda d: type(d).__name__
     )
     def test_coefficients_match_score_forms(self, drift, scale, true_model):
-        # the coefficient array itself, evaluated by numpy's polyval, against
-        # g_1 = c'(c^2 - C^2)/c^3 and g_2 = b(A - a)/c^2 from the families
+        # every row of the integrand table, evaluated by numpy's polyval, at
+        # 1e-12 of its terms' size: g_1 = p(c^2 - C^2)/c^3, g_2 = b(A - a)/c^2
+        # and the jump weights w_g = p C^2/c^3, w_a = b C/c^2 from the
+        # textbook forms; the curvatures against _criterion_terms' second
+        # derivatives at pi_0's increment moments (A, C^2) on a unit step
         alpha, gamma = 0.4, 1.1
         model = ModelSpec(drift=drift, scale=scale)
         x = np.linspace(-6.0, 6.0, 241)
-        c = gamma * scale.profile(x)
-        want1 = scale.profile(x) * (c**2 - true_model.sigma**2) / c**3
-        want2 = drift.basis(x) * (true_model.level - true_model.rate * x - alpha * drift.basis(x)) / c**2
-        g = _epe_rhs(model, true_model, (alpha, gamma))
+        p, b = family_form(scale, x), family_form(drift, x)
+        c, big_c, big_a = gamma * p, true_model.sigma, true_model.level - true_model.rate * x
+        (_, _, gg), (_, _, ga, gag) = _criterion_terms(model, x, big_a, big_c**2, 1.0, gamma, alpha)
+        wants = (
+            (p * (c**2 - big_c**2) / c**3, b * (big_a - alpha * b) / c**2),
+            (gg, -ga, -gag),
+            (p * big_c**2 / c**3, b * big_c / c**2),
+        )
+        groups = _integrands(model, true_model, (alpha, gamma))
         # degree of g_2: deg b + max(deg b, 1) + deg(1/p^2)
         degree = (1 if isinstance(drift, ConstantDrift) else 2) + (2 if isinstance(scale, RationalSqrt) else 0)
-        assert g.coef.shape == (2, degree + 1)
-        for coef, want in zip(g.coef, (want1, want2)):
-            got = np.polynomial.polynomial.polyval(x - g.center, coef)
-            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        assert groups[0].coef.shape == (2, degree + 1)
+        assert [g.coef.shape[0] for g in groups] == [len(w) for w in wants]
+        for g, want in zip(groups, wants):
+            for coef, w in zip(g.coef, want):
+                got = np.polynomial.polynomial.polyval(x - g.center, coef)
+                assert np.max(np.abs(got - w)) <= 1e-12 * np.max(np.abs(w))
 
     def test_unknown_family_refused(self):
         with pytest.raises(ValueError, match="catalog drift"):
-            _epe_rhs(ModelSpec(drift=Cubic(), scale=ConstantScale()), OU, (0.4, 1.1))
+            _integrands(ModelSpec(drift=Cubic(), scale=ConstantScale()), OU, (0.4, 1.1))
 
     @pytest.mark.parametrize("value", [0.7, 0.3])
     def test_correct_constant_scale_gives_exact_zero(self, value):
@@ -308,12 +320,12 @@ class TestEPERhs:
         # exactly; at 0.3 the folded 1/gamma - sigma^2/gamma^3 is not
         true_model = TrueModel(rate=0.5, level=0.0, sigma=value)
         model = ModelSpec(drift=MeanRevertLinear(m=1.0), scale=ConstantScale())
-        g1, _ = _epe_rhs(model, true_model, (0.25, value))(np.linspace(-6.0, 6.0, 241))
+        g1, _ = _integrands(model, true_model, (0.25, value))[0](np.linspace(-6.0, 6.0, 241))
         assert np.all(g1 == 0.0)
 
     def test_both_centered_under_invariant_law(self, inv_i, oracle_i):
         theta = (oracle_i.alpha_star, oracle_i.gamma_star)
-        for vals in _epe_rhs(BENCH, OU, theta)(inv_i.states):
+        for vals in _integrands(BENCH, OU, theta)[0](inv_i.states):
             mean, se = _batched(vals, np.mean)
             assert abs(mean) <= 3 * se
 
@@ -323,13 +335,13 @@ class TestPolyForm:
     @pytest.mark.parametrize("drift", DRIFTS + [MeanRevertLinear(m=0.7)], ids=repr)
     def test_expanded_about_the_basis_root(self, drift, scale):
         # x_c is b's root where b has one, so b has no constant term, and both
-        # polynomials in t = x - x_c reproduce the family callables
+        # polynomials in t = x - x_c reproduce the families' textbook forms
         center, b, q = _poly_form(ModelSpec(drift, scale))
         if not isinstance(drift, ConstantDrift):
-            assert drift.basis(center) == 0.0 and b[0] == 0.0
+            assert family_form(drift, center) == 0.0 and b[0] == 0.0
         x = np.linspace(-4.0, 4.0, 81)
-        np.testing.assert_allclose(np.polynomial.polynomial.polyval(x - center, b), drift.basis(x), atol=1e-14)
-        want = 1.0 / scale.profile(x) ** 2
+        np.testing.assert_allclose(np.polynomial.polynomial.polyval(x - center, b), family_form(drift, x), atol=1e-14)
+        want = 1.0 / family_form(scale, x) ** 2
         np.testing.assert_allclose(np.polynomial.polynomial.polyval(x - center, q), want, rtol=1e-14)
 
     def test_unknown_scale_refused(self):
@@ -380,9 +392,9 @@ class TestPseudoTrue:
         alpha_s, gamma_s = pseudo_true(model, OU_SHIFTED, CASE_III)
         x = sample_invariant(OU_SHIFTED, CASE_III, budget=100000, seed=21).states[None, :]
         big_a = OU_SHIFTED.level - OU_SHIFTED.rate * x
-        gamma = _fit_scale(model, x, OU_SHIFTED.sigma**2, 1.0)[0]
-        alpha = _fit_drift(model, x, big_a, 1.0, gamma)[0]
-        b, q = model.drift.basis(x[0]), 1.0 / model.scale.profile(x[0]) ** 2
+        b, q = family_form(model.drift, x[0]), 1.0 / family_form(model.scale, x[0]) ** 2
+        gamma = _fit_scale(model, q[None], OU_SHIFTED.sigma**2, 1.0)[0]
+        alpha = _fit_drift(model, x, q[None], big_a, 1.0, gamma)[0]
         influence = (big_a[0] - alpha[0] * b) * b * q / np.mean(b * b * q)
         assert abs(alpha[0] - alpha_s) <= 4.0 * batch_means_se(influence)
         assert abs(gamma[0] - gamma_s) <= 4.0 * batch_means_se(q) / (2.0 * gamma[0])
@@ -460,14 +472,14 @@ class TestEPESolve:
         # the one-pass power-sum solve against the Euler recursion run from
         # every grid point on the same increment panel, for three inputs: a
         # cubic about m = 0.7 != 0, which exercises the mean term of the
-        # affine form, on 7 points; _epe_rhs's benchmark polynomials on the
+        # affine form, on 7 points; _integrands' benchmark polynomials on the
         # 33-point run_asymptotics grid; and the same polynomials out to
         # |x - x_c| = 9, case ii's jump reach.  The 1234-step horizon ends
         # in a short third chunk, and the 218-step blocks end short inside
         # every chunk
         shifted = TrueModel(rate=0.5, level=0.5 * 0.7, sigma=1.0)
         cubic = _PolyRHS(np.array([[0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0]]), 0.7)
-        bench = _epe_rhs(BENCH, OU, (oracle_i.alpha_star, oracle_i.gamma_star))
+        bench = _integrands(BENCH, OU, (oracle_i.alpha_star, oracle_i.gamma_star))[0]
         inputs = (
             (shifted, sample_invariant(shifted, CASE_I, budget=20000, seed=31), cubic, np.linspace(-5.0, 5.0, 7)),
             (OU, inv_i, bench, res_i.f1.x),
@@ -501,9 +513,9 @@ class TestEPESolve:
             assert np.array_equal(alone.f, got[0].f) and np.array_equal(alone.se, got[0].se)
 
     def test_independent_of_worker_count(self, inv_i, oracle_i, monkeypatch):
-        # _epe_rhs's polynomials over three chunks, the last one short
+        # _integrands' score polynomials over three chunks, the last one short
         # (1234 steps), whose partial sums are added in chunk order
-        g = _epe_rhs(BENCH, OU, (oracle_i.alpha_star, oracle_i.gamma_star))
+        g = _integrands(BENCH, OU, (oracle_i.alpha_star, oracle_i.gamma_star))[0]
         default = _util._pool_size
         grid = np.linspace(-2.0, 2.0, 7)
         runs = []
@@ -520,7 +532,7 @@ class TestEPESolve:
         # the paths, the short last chunk included, whatever the grid's size
         # (33 run_asymptotics points or 5); the power sums are taken as the
         # chunks arrive
-        g = _epe_rhs(BENCH, OU, (oracle_i.alpha_star, oracle_i.gamma_star))
+        g = _integrands(BENCH, OU, (oracle_i.alpha_star, oracle_i.gamma_star))[0]
         calls = []
 
         def spy(fn, items, core_map=sde.core_map):
@@ -602,7 +614,7 @@ class TestMartingaleCheck:
         assert np.all(z == 0.0)
 
     def test_benchmark_f1_panel(self, res_i, oracle_i):
-        g = _epe_rhs(BENCH, OU, (oracle_i.alpha_star, oracle_i.gamma_star))
+        g = _integrands(BENCH, OU, (oracle_i.alpha_star, oracle_i.gamma_star))[0]
         z = martingale_check(res_i.f1, lambda x: g(x)[0], OU, CASE_I, reps=4000, seed=13)
         assert z.max() <= 4.0
 
@@ -618,10 +630,8 @@ class TestGammaMatrix:
     def test_blocked_terms_match_one_call_bitwise(self, oracle_i):
         alpha_s, gamma_s = oracle_i.alpha_star, oracle_i.gamma_star
         x = np.random.default_rng(3).standard_normal(2 * _BLOCK_CELLS + 5)
-        moments = (OU.level - OU.rate * x, OU.sigma**2)
-        (_, _, gg), (_, _, ga, gag) = _criterion_terms(BENCH, x, *moments, 1.0, gamma_s, alpha_s)
         got = _gamma_terms(BENCH, OU, (alpha_s, gamma_s), x)
-        for a, b in zip(got, (gg, -ga, -gag)):
+        for a, b in zip(got, _integrands(BENCH, OU, (alpha_s, gamma_s))[1](x)):
             assert np.array_equal(a, b)
             assert np.mean(a) == np.mean(b)
 
@@ -687,7 +697,7 @@ class TestSigmaMatrix:
         # c constant and correct: f1 = 0 and Sigma_gamma = 4 kappa_4 exactly
         model = ModelSpec(drift=MeanRevertLinear(m=1.0), scale=ConstantScale())
         theta = (0.25, 1.0)
-        g = _epe_rhs(model, OU, theta)
+        g = _integrands(model, OU, theta)[0]
         (f1,) = epe_solve(_PolyRHS(g.coef[:1], g.center), OU, CASE_I, m=60, seed=15, inv=inv_i)
         assert np.all(f1.f == 0.0)
         (f2,) = epe_solve(_PolyRHS(g.coef[1:], g.center), OU, CASE_I, m=800, seed=15, inv=inv_i)

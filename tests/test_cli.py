@@ -130,6 +130,19 @@ class TestSimulate:
         ]
         assert not (tmp_path / "path.csv").exists()
 
+    @pytest.mark.parametrize("h", ["1e40", "1e200"])
+    def test_bilateral_gamma_degenerate_at_huge_step_exits_two(self, capsys, tmp_path, h):
+        # shape h beyond 2^104: each gamma draw rounds to its mean, and the
+        # path would be all zeros; the command ends with one line
+        code, out, err = invoke(capsys, "simulate", "--case", "ii", "--n", "5", "--h", h,
+                                "--out-dir", str(tmp_path))
+        assert code == 2 and out == ""
+        assert err.splitlines() == [
+            f"numerical failure: bilateral gamma increments degenerate at h={float(h)!r}: "
+            "shape h exceeds 2^104, so each gamma draw rounds to its mean"
+        ]
+        assert not (tmp_path / "path.csv").exists()
+
     def test_negative_seed_exits_one(self, capsys, tmp_path):
         code, _, err = invoke(capsys, "simulate", "--seed", "-1", "--n", "10", "--h", "0.1",
                               "--out-dir", str(tmp_path))
@@ -186,6 +199,14 @@ class TestEstimate:
         assert code == 1
         assert out == ""
         assert "finite" in err
+
+    def test_overflowing_state_exits_one(self, capsys, tmp_path):
+        # q = 1 + x^2 overflows at x = 1e200, so the fitted scale is refused
+        bad = tmp_path / "bad.csv"
+        bad.write_text("t,x\n0,0\n0.1,0.3\n0.2,1e200\n0.3,0.2\n0.4,-0.1\n")
+        code, out, err = invoke(capsys, "estimate", "--path", str(bad))
+        assert code == 1 and out == ""
+        assert err.splitlines() == ["error: scale coefficient evaluated non-positive on the path"]
 
     def test_missing_path_flag(self, capsys):
         code, _, err = invoke(capsys, "estimate")

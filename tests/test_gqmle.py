@@ -11,6 +11,7 @@ from levy_gqmle.coefficients import (
     LinearDecay,
     MeanRevertLinear,
     RationalSqrt,
+    _horner,
 )
 from levy_gqmle.gqmle import (
     ModelSpec,
@@ -32,15 +33,21 @@ def _sim(n=400, h=0.05, seed=0, noise=CASE_I):
     return simulate_euler(OU, noise, PathConfig(n=n, h=h, x0=0.0, seed=seed))
 
 
+def _q(path, model):
+    """q = 1/p^2 at the path's states as the fit reads it, a one-row block."""
+    return _horner(model.scale.q_coef, path.values[None, :-1])
+
+
 def _stage_one(path, model):
     """Stage one's gamma alone on one path."""
-    return float(_fit_scale(model, path.values[None, :-1], path.increments()[None] ** 2, path.h)[0][0])
+    return float(_fit_scale(model, _q(path, model), path.increments()[None] ** 2, path.h)[0][0])
 
 
 def _stage_two(path, model, gamma):
     """Stage two's alpha alone on one path, with ``gamma`` in the weights."""
     dx = path.increments()[None]
-    return float(_fit_drift(model, path.values[None, :-1], dx, path.h, np.array([float(gamma)]))[0][0])
+    x = path.values[None, :-1]
+    return float(_fit_drift(model, x, _q(path, model), dx, path.h, np.array([float(gamma)]))[0][0])
 
 
 class TestG1:
@@ -155,6 +162,13 @@ class TestEstimators:
         res = estimate_staged(path, CONST)
         assert res.gamma_hat == CONST.gamma_box[0]
         assert res.stage1_boundary and not res.stage1_degenerate
+
+    def test_overflowing_state_refused(self):
+        # q = 1 + x^2 is inf at x = 1e200: the scale is refused, not carried
+        # on as a gamma clamped to the box
+        path = SamplePath(h=0.1, values=np.array([0.0, 0.3, 1e200, 0.2, -0.1, 0.4]))
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="scale coefficient evaluated non-positive"):
+            estimate_staged(path, BENCH)
 
     def test_degenerate_path_lower_edge(self):
         path = SamplePath(h=1.0, values=np.zeros(50))

@@ -153,6 +153,23 @@ class TestSampling:
             sample_increments(law, 1e200, 10, rng)
         assert rng.bit_generator.state == state
 
+    @pytest.mark.parametrize("h", [2.0**104 * (1.0 + 2.0**-52), 1e40, 1e200])
+    def test_bilateral_gamma_degenerate_step_raises_numerical_error(self, h):
+        # past shape h = 2^104 a gamma draw rounds to its mean, so the two
+        # draws' difference would be 0; nothing is drawn
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(NumericalError, match=r"bilateral gamma increments degenerate"):
+            sample_increments(CASE_II, h, 10, rng)
+        assert rng.bit_generator.state == state
+
+    @pytest.mark.parametrize("h", [0.05, 2.0**104])
+    def test_bilateral_gamma_drawn_up_to_the_bound(self, h):
+        # up to shape h = 2^104 the increments are the two gamma draws' difference
+        rng = np.random.default_rng(5)
+        want = rng.gamma(h, 1.0 / math.sqrt(2), 10) - rng.gamma(h, 1.0 / math.sqrt(2), 10)
+        assert np.array_equal(sample_increments(CASE_II, h, 10, np.random.default_rng(5)), want)
+
     @pytest.mark.parametrize("law", STANDARDIZED, ids=str)
     def test_deterministic_given_stream(self, law):
         a = sample_increments(law, 0.1, 50, np.random.default_rng(42))

@@ -13,6 +13,7 @@ from levy_gqmle.gqmle import ModelSpec, estimate_staged
 from levy_gqmle.levy import sample_increments
 from levy_gqmle.moments import residual_moment
 from levy_gqmle.sde import SamplePath
+from _oracles import family_form
 from test_levy import CASE_I, CASE_II, CASE_III
 
 CONST = ModelSpec(drift=ConstantDrift(), scale=ConstantScale())
@@ -36,7 +37,7 @@ def _ou_path(noise, n, h, seed=0):
 def _moment_and_se(path, est, model, r):
     m = residual_moment(path, est, model, r)
     x = path.values[:-1]
-    a, c = est.alpha_hat * model.drift.basis(x), est.gamma_hat * model.scale.profile(x)
+    a, c = est.alpha_hat * family_form(model.drift, x), est.gamma_hat * family_form(model.scale, x)
     z = (path.increments() - path.h * a) / c
     se = float(np.std(z**r, ddof=1)) / (math.sqrt(path.n) * path.h)
     return m, se
