@@ -59,8 +59,10 @@ def _pool_size(tasks: int) -> int:
 def core_map(fn: Callable, items: Iterable) -> Iterator:
     """``fn`` over ``items`` on ``_pool_size(len(items))`` threads, yielded in input order.
 
-    This is the package's one thread pool: the numpy and scipy kernels the
-    tasks run release the GIL, so independent tasks share the cores.  All
+    This is the package's one thread pool: the tasks' numpy kernels (the
+    draws, ``sde``'s AR(1) scan, the fits) release the GIL while they run,
+    so independent tasks share the cores as long as each numpy call covers
+    many cells.  All
     tasks are submitted at once, but only as many run, and hold their
     temporaries, as there are workers; callers size tasks with that in mind.
     Results come back in the order of ``items`` whatever order the tasks

@@ -124,9 +124,14 @@ def _fit_scale(model: ModelSpec, q: np.ndarray, m2: np.ndarray, h: float):
     ``q`` and ``m2`` have shape (R, N).  Returns (gamma, boundary,
     degenerate), each of shape (R,); gamma is clamped to the box, and a row
     with zero quadratic variation is degenerate and sits at the lower edge.
+    A row whose sum(m2 q) is not finite (an increment that overflows when
+    squared) is refused with ``_check_scale``'s ``ValueError``, not clamped.
     """
     lo, hi = model.gamma_box
-    raw = np.sqrt(np.sum(m2 * q, axis=1) / (q.shape[1] * h))
+    total = np.sum(m2 * q, axis=1)
+    if not np.all(total < np.inf):
+        raise ValueError("scale coefficient evaluated non-positive on the path")
+    raw = np.sqrt(total / (q.shape[1] * h))
     return np.clip(raw, lo, hi), (raw < lo) | (raw > hi), raw == 0.0
 
 

@@ -3,13 +3,14 @@
 The true model is the Levy-driven OU dX = (level - rate X) dt + sigma dZ;
 misspecification means the fitted catalog family differs from it.  Its
 Euler step is the AR(1) recursion X_{k+1} = rho X_k + scale dZ_k + shift,
-with coefficients from :func:`_step_map` alone.  Every path of the
-package is drawn and filtered here, in place by :func:`_affine_paths`,
-in one of two ways: :func:`_euler_panel` gives each path its own
-substream (``simulate_euler`` and ``run_mc``), and :func:`_chunked_paths`
-gives each time chunk of a panel one (``asymptotics``' pi_0 path and EPE
-panel).  Callers that act on divergence scan the result with
-:func:`_first_bad` or the chunks' extremes.
+with coefficients from :func:`_step_map` alone, and :func:`_scan` is
+the one kernel that runs it.  Every path of the package is drawn and
+scanned here, in one of two ways: :func:`_euler_panel` gives each path
+its own substream (``simulate_euler`` and ``run_mc``), and
+:func:`_chunked_paths` gives each time chunk of a panel one
+(``asymptotics``' pi_0 path and EPE panel).  Callers that act on
+divergence check the result with :func:`_first_bad` or the chunks'
+extremes.
 """
 
 from __future__ import annotations
@@ -35,9 +36,11 @@ __all__ = [
 ]
 
 DIVERGENCE_BOUND = 1e12
-# cells per block of the filter here, of asymptotics' EPE power sums and of
+# cells per block of the scan here, of asymptotics' EPE power sums and of
 # its Horner passes over Gamma's integrand rows: a block stays in cache
 _BLOCK_CELLS = 1 << 16
+# longest sub-block of the scan: its power tables are built per call
+_SUB_BLOCK_MAX = 1 << 16
 
 
 class DivergenceError(NumericalError):
@@ -140,22 +143,69 @@ def _affine_paths(model: TrueModel, dt: float, x0: float | np.ndarray, z: np.nda
 
     ``z`` has shape (R, steps) and any strides (a time-major panel passes
     ``panel.T``, one path ``path[None]``); ``x0`` is a scalar or shape (R,).
-    ``lfilter`` runs along time in blocks of about ``_BLOCK_CELLS`` cells
-    with its state carried, so a row comes out bitwise as from one call
-    over that row alone.  States are left as the recursion makes them, even
-    past a bad one; callers that need the divergence check call
-    :func:`_first_bad` on the result.
+    This is :func:`_scan` of the Euler step, so a row comes out bitwise as
+    from one call over that row alone.  States are left as the recursion
+    makes them, even past a bad one; callers that need the divergence check
+    call :func:`_first_bad` on the result.
     """
-    from scipy.signal import lfilter  # deferred: import levy_gqmle loads no scipy
-    rho, scale, shift = _step_map(model, dt)
+    _scan(*_step_map(model, dt), x0, z)
+
+
+def _scan(rho: float, scale: float, shift: float, x0: float | np.ndarray, z: np.ndarray) -> None:
+    """Overwrite ``z`` (R, steps) with X_1..X_steps of X_{k+1} = rho X_k + u_k,
+    u_k = scale z_k + shift, from X_0 = ``x0`` (a scalar or shape (R,)).
+
+    Each row's time axis is cut into sub-blocks of ``_sub_block(rho)``
+    steps from step 0.  Within a sub-block started at X_s, the states are
+    X_{s+j+1} = rho^j C_j with C_j = rho X_s + sum_{i<=j} rho^-i u_{s+i},
+    a cumulative sum; rho^(+-j) stays within 2^(+-900), so no term
+    overflows while the states stay inside ``DIVERGENCE_BOUND``.  The sum
+    runs along time in blocks of about ``_BLOCK_CELLS`` cells, each seeded
+    with the running C, so its additions are the same in any blocking:
+    a row's bits depend only on its own increments, start, rho and length,
+    never on the rows beside it or the array's strides.  A time-major block
+    is summed one step at a time across rows, any other along each row.
+    """
     rows, steps = z.shape
-    x0 = np.broadcast_to(np.asarray(x0, dtype=float), (rows,))
-    zi = (rho * x0)[:, None]
-    width = max(1, _BLOCK_CELLS // rows)
-    for k0 in range(0, steps, width):
-        u = z[:, k0 : k0 + width] * scale
-        u += shift
-        z[:, k0 : k0 + width], zi = lfilter([1.0], [1.0, -rho], u, axis=1, zi=zi)
+    if steps == 0:
+        return
+    sub = _sub_block(rho)
+    # a diverging path may reach inf and nan; _first_bad reports it
+    with np.errstate(over="ignore", invalid="ignore"):
+        up = rho ** np.arange(min(sub, steps), dtype=float)
+        down = 1.0 / up
+        carry = rho * np.broadcast_to(np.asarray(x0, dtype=float), (rows,))
+        width = max(1, _BLOCK_CELLS // rows)
+        k = 0
+        while k < steps:
+            j = k % sub
+            n = min(sub - j, width, steps - k)
+            block = z[:, k : k + n]
+            # same memory order as the block: a time-major block stays time-major
+            c = block * scale
+            if shift:
+                c += shift
+            c *= down[j : j + n]
+            c[:, 0] += carry
+            if rows > 1 and c.flags.f_contiguous:
+                for prev, col in zip(c.T, c.T[1:]):
+                    np.add(prev, col, out=col)
+            else:
+                np.cumsum(c, axis=1, out=c)
+            np.multiply(c, up[j : j + n], out=block)
+            carry = rho * block[:, -1] if j + n == sub else c[:, -1]
+            k += n
+
+
+def _sub_block(rho: float) -> int:
+    """Steps per sub-block of :func:`_scan`: the most with |rho|^(+-j) <= 2^900
+    for every j in the block, at most ``_SUB_BLOCK_MAX``; 1 if rho is 0 or not finite."""
+    r = abs(rho)
+    if r == 0.0 or not math.isfinite(r):
+        return 1
+    if r == 1.0:
+        return _SUB_BLOCK_MAX
+    return int(min(_SUB_BLOCK_MAX, 1 + 900 * math.log(2.0) // abs(math.log(r))))
 
 
 def _first_bad(z: np.ndarray, x0: float | np.ndarray) -> np.ndarray:
@@ -183,7 +233,7 @@ def _euler_panel(
     """(values, first_bad) of one Euler path X_0..X_steps from x0 per generator.
 
     ``values`` has shape (len(rngs), steps + 1) and row j holds the path
-    driven by ``rngs[j]``'s increments, filtered in place by
+    driven by ``rngs[j]``'s increments, scanned in place by
     :func:`_affine_paths`; ``first_bad`` is :func:`_first_bad` of it.
     """
     values = np.empty((len(rngs), steps + 1))
@@ -204,15 +254,17 @@ def _chunked_paths(
 
     Chunk c draws its increments from the substream (seed, tag, c), so the
     first chunks are the same whatever ``steps`` is, and a worker of
-    ``_util.core_map`` filters it from zero in place by
-    :func:`_affine_paths`.  The AR(1) is affine in its start: k steps from
-    x reach Y_k + rho^k x, with Y the path from 0, so each chunk's kept
+    ``_util.core_map`` runs it from zero: in place by :func:`_affine_paths`
+    when every state is kept, else by :func:`_thinned`, which forms only
+    the kept states.  The AR(1) is affine in its start: k steps from x
+    reach Y_k + rho^k x, with Y the path from 0, so each chunk's kept
     states are composed with the previous chunk's end states as the chunks
     arrive.  The result does not depend on the number of workers, and
-    equals one filter pass over the whole path up to rounding (about 1e-14
+    equals one scan over the whole path up to rounding (about 1e-14
     relative).
     """
-    rho = _step_map(model, dt)[0]
+    rho, scale, shift = _step_map(model, dt)
+    rho = np.float64(rho)  # rho**size overflows to inf, not OverflowError
     # (substream index, steps, chunk-local index of the first kept state)
     plans = [
         (start // chunk, min(chunk, steps - start),
@@ -221,14 +273,15 @@ def _chunked_paths(
     ]
 
     def from_zero(plan: tuple[int, int, int]) -> tuple[np.ndarray, np.ndarray]:
-        """Kept states and end states of one chunk, filtered from a zero start."""
+        """Kept states and end states of one chunk, from a zero start."""
         index, size, local = plan
         path = sample_increments(noise, dt, (size, cols), substream(seed, tag, index))
+        if keep > 1:
+            return _thinned(rho, scale, shift, path, local, keep)
         _affine_paths(model, dt, 0.0, path.T)
-        # a thinned block is copied, so the chunk is freed while its result
-        # waits in the pool; the end states are copied before the block is
-        # composed in place, which with keep = 1 is the chunk itself
-        return np.ascontiguousarray(path[local::keep]), path[-1].copy()
+        # the end states are copied before the block, the chunk itself, is
+        # composed in place
+        return path[local:], path[-1].copy()
 
     x = np.full(cols, float(x0))
     for (block, last), (_, size, local) in zip(core_map(from_zero, plans), plans):
@@ -236,6 +289,47 @@ def _chunked_paths(
         block += rho**lag[:, None] * x
         x = last + rho**size * x
         yield block
+
+
+def _thinned(
+    rho: float, scale: float, shift: float, z: np.ndarray, local: int, keep: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """(kept, end) of the paths X_{k+1} = rho X_k + scale z_k + shift from
+    zero, one per column of ``z`` (size, cols): the states after rows
+    local, local + keep, ... of ``z`` (none if local >= size), and the
+    state after its last row.
+
+    The skipped states are never formed.  The rows are cut into groups of
+    ``keep`` that end at rows congruent to ``local`` (the first group may
+    be short), so that from a group's start X_t, X_{t+keep} = rho^keep X_t
+    + V with V = sum_i rho^(keep-1-i) u_{t+i} its weighted sum of the
+    u = scale z + shift: :func:`_scan` at rho^keep over the sums gives the
+    states at every group end, of which those before row ``local`` are
+    dropped.  The rows after the last group end carry it to the end state.
+    The sums are ``einsum`` contractions, with no BLAS.
+    """
+    size, cols = z.shape
+    pad = (keep - 1 - local) % keep
+    groups, tail = divmod(pad + size, keep)
+    rho = np.float64(rho)
+    with np.errstate(over="ignore", invalid="ignore"):
+        weights = rho ** np.arange(keep - 1, -1, -1, dtype=float)
+        sums = np.empty((groups, cols))
+        last = np.zeros(cols)
+        if groups:
+            head = keep - pad
+            sums[0] = np.einsum("kc,k->c", z[:head], weights[pad:]) * scale + shift * np.sum(weights[pad:])
+            body = z[head : head + (groups - 1) * keep].reshape(groups - 1, keep, cols)
+            np.einsum("gkc,k->gc", body, weights, out=sums[1:])
+            sums[1:] *= scale
+            sums[1:] += shift * np.sum(weights)
+            _scan(rho**keep, 1.0, 0.0, 0.0, sums.T)
+            last = sums[-1]
+        else:
+            tail = size
+        weights = weights[keep - tail :]
+        end = rho**tail * last + (np.einsum("kc,k->c", z[size - tail :], weights) * scale + shift * np.sum(weights))
+    return sums[(local + 1 + pad) // keep - 1 :], end
 
 
 def simulate_euler(model: TrueModel, noise: LevyLaw, cfg: PathConfig) -> SamplePath:

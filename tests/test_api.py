@@ -1,9 +1,10 @@
 """Export lists: every name in a module's ``__all__`` exists, so a deleted
 name cannot linger in one, and something other than the tests uses it.
 Coefficient families are read through their polynomial forms, not by
-class, and define no method; every path is drawn and filtered in ``sde``.
-No module imports scipy at module level, so ``import levy_gqmle`` and the
-commands that need no filtered path load none of it."""
+class, and define no method; every path is drawn and scanned in ``sde``.
+No module imports scipy at module level and none imports ``scipy.signal``,
+so ``import levy_gqmle``, and every command that needs no NIG jump
+density, load none of it."""
 
 import ast
 import importlib
@@ -113,12 +114,13 @@ def test_families_read_through_their_polynomial_forms():
 def test_paths_are_drawn_and_filtered_only_in_sde():
     # one way to simulate a panel of paths: outside levy.py, which defines
     # sample_increments, and the package namespace, which re-exports it,
-    # only sde.py draws increments or filters them into paths
+    # only sde.py draws increments or scans them into paths
+    kernels = ("sample_increments", "_affine_paths", "_scan", "_thinned")
     users = {
         name: {path.name for path in (ROOT / "src").rglob("*.py") if name in _names(path)} - {"levy.py", "__init__.py"}
-        for name in ("sample_increments", "_affine_paths")
+        for name in kernels
     }
-    assert users == {"sample_increments": {"sde.py"}, "_affine_paths": {"sde.py"}}
+    assert users == dict.fromkeys(kernels, {"sde.py"})
 
 
 def test_commands_resolve_no_setting_themselves():
@@ -173,17 +175,29 @@ def _module_level_imports(node: ast.AST):
             yield from _module_level_imports(child)
 
 
+def _imports(node: ast.AST):
+    """Modules imported anywhere in ``node``, function bodies included."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Import):
+            yield from (alias.name for alias in sub.names)
+        elif isinstance(sub, ast.ImportFrom):
+            yield sub.module or ""
+
+
 def test_no_module_imports_scipy_at_module_level():
-    # scipy.signal and scipy.special made most of the package's import
-    # time; lfilter and k1e are imported inside the one function that
-    # calls each
-    found = {
-        path.name: names
-        for path in (ROOT / "src").rglob("*.py")
-        for names in [[n for n in _module_level_imports(ast.parse(path.read_text())) if n.split(".")[0] == "scipy"]]
-        if names
+    # scipy.special made most of the package's import time; k1e is
+    # imported inside the one function that calls it.  scipy.signal is
+    # imported nowhere: the AR(1) scan in sde is numpy's
+    trees = {path.name: ast.parse(path.read_text()) for path in (ROOT / "src").rglob("*.py")}
+    at_module_level = {
+        name: found for name, tree in trees.items()
+        for found in [[n for n in _module_level_imports(tree) if n.split(".")[0] == "scipy"]] if found
     }
-    assert found == {}
+    signal = {
+        name: found for name, tree in trees.items()
+        for found in [[n for n in _imports(tree) if n == "scipy.signal" or n.startswith("scipy.signal.")]] if found
+    }
+    assert "sde.py" in trees and at_module_level == {} and signal == {}
 
 
 def _fresh(script: str, cwd: pathlib.Path) -> None:
@@ -197,6 +211,8 @@ _LOADED = "def scipy_loaded():\n    return sorted(m for m in sys.modules if m.st
 
 
 def test_commands_without_filtered_paths_load_no_scipy(tmp_path):
+    # only the NIG jump density loads scipy (scipy.special); simulating and
+    # scanning paths load none
     from levy_gqmle.experiment import noise_case, true_ou
     from levy_gqmle.sde import PathConfig, simulate_euler, write_path
 
@@ -204,8 +220,11 @@ def test_commands_without_filtered_paths_load_no_scipy(tmp_path):
     runs = {
         "optimal": ["optimal", "--case", "iii"],
         "estimate": ["estimate", "--path", str(tmp_path / "path.csv")],
-        "mc": ["mc", "--replications", "x"],
+        "mc_refused": ["mc", "--replications", "x"],
         "simulate": ["simulate", "--n", "20", "--out-dir", str(tmp_path / "simulated")],
+        "mc": ["mc", "--case", "ii", "--replications", "100", "--format", "json", "--out-dir", str(tmp_path / "mc")],
+        "asymptotics": ["asymptotics", "--case", "i", "--budget", "2000", "--m", "30", "--format", "json",
+                        "--out-dir", str(tmp_path / "asymptotics")],
     }
     _fresh(
         "import json, sys\nimport levy_gqmle\nfrom levy_gqmle import cli\n" + _LOADED
@@ -215,14 +234,18 @@ def test_commands_without_filtered_paths_load_no_scipy(tmp_path):
         tmp_path,
     )
     seen = json.loads((tmp_path / "seen.json").read_text())
-    assert {name: seen[name] for name in ("import", "optimal", "estimate", "mc")} == {
-        "import": [0, []], "optimal": [0, []], "estimate": [0, []], "mc": [1, []],
+    assert {name: seen[name] for name in ("import", "optimal", "estimate", "mc_refused", "simulate", "mc")} == {
+        "import": [0, []], "optimal": [0, []], "estimate": [0, []], "mc_refused": [1, []],
+        "simulate": [0, []], "mc": [0, []],
     }
-    assert seen["simulate"][0] == 0 and "scipy.signal" in seen["simulate"][1]
+    assert (tmp_path / "mc" / "report.json").is_file()
+    # case i's Sigma quadrature needs the NIG density, so scipy.special loads
+    assert seen["asymptotics"][0] == 0 and "scipy.special" in seen["asymptotics"][1]
+    assert not any(m == "scipy.signal" or m.startswith("scipy.signal.") for m in seen["asymptotics"][1])
 
 
-# each call's first filtered path is filtered on a pool worker, so in a
-# process with no scipy loaded the workers race the first lfilter import
+# each call's first path is scanned on a pool worker: a cold process gives
+# the warm process's bits and loads no scipy
 _COLD_CALLS = {
     "chunked_paths": (
         "from levy_gqmle.experiment import noise_case, true_ou\n"
@@ -242,7 +265,7 @@ def test_first_filter_on_pool_workers_matches_warm_process(call, tmp_path):
     _fresh(
         "import sys\nimport numpy as np\n" + _LOADED
         + "assert scipy_loaded() == [], scipy_loaded()\nsys.setswitchinterval(1e-6)\n"
-        + _COLD_CALLS[call] + "assert 'scipy.signal' in sys.modules\nnp.save('out.npy', out)\n",
+        + _COLD_CALLS[call] + "assert scipy_loaded() == [], scipy_loaded()\nnp.save('out.npy', out)\n",
         tmp_path,
     )
     namespace = {"np": np}

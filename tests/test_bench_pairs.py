@@ -40,12 +40,20 @@ def record():
     blas_env = dict.fromkeys(["OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS",
                               "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS"])
     host = {"nproc": 2, "cpu_model": "cpu", "python": "3.11", "blas_env": blas_env, "workload": "w"}
-    return bench_pairs.build_record("asymptotics_i", sides, host, pairs)
+    return bench_pairs.build_record("asymptotics_i", sides, host, pairs, "wall_s", BOUNDS)
+
+
+BOUNDS = {"wall_s": 0.25, "cpu_s": 0.25, "peak_rss_mb": 0.1, "setup_s": 0.25}
+COMMITTED = ["BENCH_mc_table_ii.json", "BENCH_asymptotics_i.json", "BENCH_invariant_iii.json"]
+
+
+def test_bounds_read_from_benchmark_json():
+    assert bench_pairs.bounds(ROOT) == BOUNDS
 
 
 def test_record_has_the_committed_schema(record):
-    committed = json.loads((ROOT / "BENCH_mc_table_ii.json").read_text())
-    assert _keys(record) == _keys(committed)
+    for name in COMMITTED:
+        assert _keys(record) == _keys(json.loads((ROOT / name).read_text())), name
     assert record["command"] == "python3 perfbench/run.py --workload asymptotics_i --seconds 30 --trace 0"
     assert set(record["host"]) == {"nproc", "cpu_model", "python", "blas_env"}
     assert record["claimed_metric"] == "wall_s"
@@ -59,8 +67,13 @@ def test_summary_of_fake_pairs(record):
     assert wall["change"]["q1"] == pytest.approx(1.2) and wall["change"]["q3"] == pytest.approx(2.0)
     assert wall["median_change_pct"] == pytest.approx(-50.0)
     assert wall["change_lower"] == 4
+    # lower in 4 of 5 pairs is short of nine tenths, whatever the gap
+    assert wall["bound"] == 0.25 and wall["verdict"] == "not met"
     assert record["summary"]["peak_rss_mb"]["change_lower"] == 0
+    assert record["summary"]["peak_rss_mb"]["verdict"] == "within bound"
     assert record["summary"]["setup_s"]["change_lower"] == 5
+    # cpu is twice the wall on each side, so its IQR is as wide against the median
+    assert record["summary"]["cpu_s"]["verdict"] == "unresolved"
     assert [p["pair"] for p in record["pairs"]] == list(range(5))
     assert record["pairs"][4]["change"]["failed"] == 1
     assert record["pairs"][0]["parent"] == {"wall_s": 3.0, "cpu_s": 6.0, "peak_rss_mb": 100.0, "setup_s": 1.5,
@@ -68,13 +81,41 @@ def test_summary_of_fake_pairs(record):
 
 
 def test_summary_reproduces_committed_record():
-    committed = json.loads((ROOT / "BENCH_mc_table_ii.json").read_text())
-    assert bench_pairs.summarize(committed["pairs"]) == committed["summary"]
+    # every verdict of a committed record follows from its pairs and the bounds
+    for name in COMMITTED:
+        committed = json.loads((ROOT / name).read_text())
+        summary = bench_pairs.summarize(committed["pairs"], committed["claimed_metric"], bench_pairs.bounds(ROOT))
+        assert summary == committed["summary"], name
+
+
+def _pairs(parent, change):
+    return [{"parent": {"wall_s": p}, "change": {"wall_s": c}} for p, c in zip(parent, change)]
+
+
+@pytest.mark.parametrize("parent,change,claimed,want", [
+    # claimed: 9 of 10 lower and a median gap of 1.0 against a parent IQR of 0.5
+    ([10.0 + 0.1 * i for i in range(10)], [9.0] * 9 + [20.0], True, "met"),
+    # 8 of 10 lower
+    ([10.0 + 0.1 * i for i in range(10)], [9.0] * 8 + [20.0, 20.0], True, "not met"),
+    # 10 of 10 lower, but by less than the parent's IQR
+    ([10.0 + 0.1 * i for i in range(10)], [10.0 + 0.1 * i - 0.05 for i in range(10)], True, "not met"),
+    # not claimed: 20% above with a tight parent is within the 25% bound, 30% above is worse
+    ([10.0] * 10, [12.0] * 10, False, "within bound"),
+    ([10.0] * 10, [13.0] * 10, False, "worse"),
+    # a parent IQR above the bound leaves the metric unresolved, unless every change run is lower
+    ([5.0, 5.0, 5.0, 10.0, 10.0, 10.0, 15.0, 15.0, 15.0, 15.0], [10.0] * 10, False, "unresolved"),
+    ([5.0, 5.0, 5.0, 10.0, 10.0, 10.0, 15.0, 15.0, 15.0, 15.0], [4.0] * 10, False, "within bound"),
+])
+def test_verdicts(monkeypatch, parent, change, claimed, want):
+    monkeypatch.setattr(bench_pairs, "METRICS", ("wall_s",))
+    summary = bench_pairs.summarize(_pairs(parent, change), "wall_s" if claimed else "cpu_s", {"wall_s": 0.25})
+    assert summary["wall_s"]["verdict"] == want
 
 
 def _benchmark_checkout(path):
     (path / "perfbench").mkdir(parents=True)
-    (path / "BENCHMARK.json").write_bytes(b'{"paths": ["perfbench"]}\n')
+    (path / "BENCHMARK.json").write_text(json.dumps({
+        "paths": ["perfbench"], "end_to_end": [{"name": k, "bound": v} for k, v in BOUNDS.items()]}) + "\n")
     (path / "perfbench" / "run.py").write_bytes(b"print(1)\n")
     return path
 
@@ -96,6 +137,7 @@ def test_main_alternates_which_side_runs_first(tmp_path, monkeypatch):
     record = json.loads((change / "BENCH_w.json").read_text())
     assert record["claimed_metric"] == "setup_s"
     assert record["summary"]["wall_s"]["change_lower"] == 4
+    assert {name: m["bound"] for name, m in record["summary"].items()} == BOUNDS
     assert all(list(p) == ["pair", "parent", "change"] for p in record["pairs"])
 
 
@@ -116,7 +158,7 @@ def test_main_refuses_differing_benchmarks(tmp_path, monkeypatch, edit):
     elif edit == "extra_file":
         (parent / "perfbench" / "spans.py").write_bytes(b"")
     elif edit == "benchmark_json":
-        (change / "BENCHMARK.json").write_bytes(b'{"paths": ["perfbench"]} \n')
+        (change / "BENCHMARK.json").write_text((change / "BENCHMARK.json").read_text() + " ")
     else:
         (parent / "BENCHMARK.json").unlink()
     monkeypatch.setattr(bench_pairs, "run_once", lambda *a: pytest.fail("ran a benchmark"))

@@ -164,11 +164,13 @@ class TestEstimators:
         assert res.stage1_boundary and not res.stage1_degenerate
 
     def test_overflowing_state_refused(self):
-        # q = 1 + x^2 is inf at x = 1e200: the scale is refused, not carried
-        # on as a gamma clamped to the box
+        # at x = 1e200, q = 1 + x^2 is inf, and (dX)^2 overflows even where
+        # q = 1: either scale is refused, not carried on as a gamma clamped
+        # to the box with -inf criteria
         path = SamplePath(h=0.1, values=np.array([0.0, 0.3, 1e200, 0.2, -0.1, 0.4]))
-        with np.errstate(over="ignore"), pytest.raises(ValueError, match="scale coefficient evaluated non-positive"):
-            estimate_staged(path, BENCH)
+        for model in (BENCH, CONST):
+            with np.errstate(over="ignore"), pytest.raises(ValueError, match="scale coefficient evaluated non-positive"):
+                estimate_staged(path, model)
 
     def test_degenerate_path_lower_edge(self):
         path = SamplePath(h=1.0, values=np.zeros(50))

@@ -22,6 +22,7 @@ from levy_gqmle.sde import (
     _chunked_paths,
     _euler_panel,
     _first_bad,
+    _scan,
     _step_map,
     load_path,
     simulate_euler,
@@ -137,27 +138,68 @@ class TestAffinePaths:
             _affine_paths(model, 0.02, x0[row], alone)
             assert np.array_equal(alone[0], block[row]), row
 
-    def test_time_major_panel_in_place_equals_one_lfilter(self):
-        # a (steps, m) panel passed as panel.T is filtered along time in
-        # blocks of a few hundred steps, bitwise as one call over the panel
+    def test_time_major_panel_in_place_matches_one_lfilter(self):
+        # a (steps, m) panel passed as panel.T is scanned along time in
+        # blocks of a few hundred steps, one step at a time across the rows;
+        # lfilter is the reference, and the bound is twice the largest
+        # error measured when the scan replaced it (1.9e-15)
         model = TrueModel(rate=0.5, level=0.5 * 0.7, sigma=1.3)
         panel = sample_increments(CASE_I, 0.01, (1000, 300), substream(7, 1))
         x0 = np.linspace(-2.0, 2.0, 300)
         rho, scale, shift = _step_map(model, 0.01)
         want, _ = lfilter([1.0], [1.0, -rho], panel * scale + shift, axis=0, zi=rho * x0[None])
         _affine_paths(model, 0.01, x0, panel.T)
-        assert np.array_equal(panel, want)
+        assert np.max(np.abs(panel - want)) <= 4e-15 * np.max(np.abs(want))
         assert np.all(_first_bad(panel.T, x0) == -1)
 
-    def test_long_row_in_place_equals_one_lfilter(self):
-        # a 1-D path passed as path[None], longer than one filter block
+    def test_long_row_in_place_matches_one_lfilter(self):
+        # a 1-D path passed as path[None], longer than one time block and
+        # one sub-block; the bound is as above (measured 1.1e-15)
         model = TrueModel(rate=0.5, level=0.5 * 0.7, sigma=1.3)
         path = sample_increments(CASE_III, 0.01, 200_000, substream(7, 2))
         rho, scale, shift = _step_map(model, 0.01)
         want, _ = lfilter([1.0], [1.0, -rho], path * scale + shift, zi=[rho * 0.4])
         _affine_paths(model, 0.01, 0.4, path[None])
-        assert np.array_equal(path, want)
+        assert np.max(np.abs(path - want)) <= 4e-15 * np.max(np.abs(want))
         assert _first_bad(path[None], 0.4).tolist() == [-1]
+
+    # the scan cuts time into sub-blocks (1 step at rho = 0, 2 at 1e-200,
+    # 349 at 6, 568 at -3, 2^16 at |rho| = 1 and 0.9975) and time blocks
+    # (2^16 // rows steps); no length below is a multiple of either
+    @pytest.mark.parametrize("rho", [0.0, 1e-200, -1.0, 1.0, -3.0, 6.0, 0.9975])
+    @pytest.mark.parametrize("rows,steps", [(1, 70_001), (8, 8_195), (16, 8_195), (1500, 1001)])
+    def test_scan_matches_euler_oracle(self, rho, rows, steps):
+        # the oracle is the Euler step of rate 1 - rho at dt = 1 (rho = 1e-200
+        # rounds to rate 1, rho = 0, which moves no state by more than 1e-188);
+        # 1500 rows are scanned time-major, as the EPE panel is.  The oracle
+        # rounds twice a step, so the bound is recursive summation's worst
+        # case, 2 eps a step: at rho = 1 over 70001 steps it is 1.3e-12 off
+        # (the scan is bitwise lfilter there)
+        model = TrueModel(rate=1.0 - rho, level=0.3, sigma=1.3)
+        z = sample_increments(CASE_III, 0.01, (steps, rows), substream(8, rows))
+        x0 = np.linspace(-2.0, 3.0, rows)
+        got = z.copy().T if rows == 1500 else z.T.copy()
+        _scan(rho, 1.3, 0.3, x0, got)
+        first_bad = _first_bad(got, x0)
+        want, want_bad = _euler_columns(model, 1.0, x0, z)
+        np.testing.assert_array_equal(first_bad, want_bad)
+        assert ((first_bad >= 0) == (abs(rho) > 1.0)).all()
+        for row, bad in enumerate(first_bad):
+            end = steps if bad < 0 else bad - 1
+            ref = want[1 : end + 1, row]
+            bound = 2 * steps * np.finfo(float).eps * np.max(np.abs(ref), initial=0.0)
+            assert np.max(np.abs(got[row, :end] - ref), initial=0.0) <= bound, row
+
+    def test_layout_keeps_bits(self):
+        # row-major rows and a time-major panel are summed in different
+        # loops, with the same additions; 70001 steps span two sub-blocks
+        model = TrueModel(rate=0.25, level=0.1, sigma=1.3)
+        z = sample_increments(CASE_II, 0.01, (70_001, 3), substream(6, 2))
+        x0 = np.array([0.5, -1.0, 2.0])
+        rows = np.ascontiguousarray(z.T)
+        _affine_paths(model, 0.01, x0, rows)
+        _affine_paths(model, 0.01, x0, z.T)
+        assert rows.tobytes() == np.ascontiguousarray(z.T).tobytes()
 
     def test_panel_rows_are_lone_paths(self):
         # a panel row is bitwise the path simulate_euler draws from its generator
@@ -225,6 +267,25 @@ class TestChunkedPaths:
         longer = _chunk_blocks(1600, cols, first, keep)
         assert [b.tobytes() for b in longer[:2]] == [b.tobytes() for b in blocks[:2]]
 
+
+    @pytest.mark.parametrize("keep", [7, 100, 200])
+    @pytest.mark.parametrize("first", [1, 2345, 4100])
+    @pytest.mark.parametrize("cols", [1, 3])
+    def test_thinned_matches_every_state(self, keep, first, cols):
+        # a thinned run forms only its kept states, from weighted sums of
+        # each keep steps' increments; against a keep = 1 run at pi_0's step
+        # over 9000 steps in 2000-step chunks, with the first kept state in
+        # the first, second (mid-chunk) or third chunk.  The bound is about
+        # three times the largest error measured before (1.4e-15)
+        run = dict(model=SHIFTED, noise=CASE_III, dt=0.005, steps=9000, cols=cols, x0=-0.4, chunk=2000, seed=12,
+                   tag=3101)
+        every = np.concatenate(list(_chunked_paths(**run)))[first - 1 :: keep]
+        blocks = list(_chunked_paths(**run, first=first, keep=keep))
+        kept = [sum(c0 < k <= c0 + 2000 for k in range(first, 9001, keep)) for c0 in range(0, 9000, 2000)]
+        assert [b.shape for b in blocks] == [(k, cols) for k in kept]
+        got = np.concatenate(blocks)
+        assert got.shape == every.shape
+        assert np.max(np.abs(got - every)) <= 4e-15 * np.max(np.abs(every))
 
 _STATIONARY_CACHE = {}
 

@@ -15,9 +15,18 @@ line of each run's output is its result; the line before it, its
 provenance.  The record, written to ``BENCH_<workload>.json`` in the change
 checkout, holds every pair's end-to-end metrics with ``correct``,
 ``attempted`` and ``failed``, and per metric the median and inclusive
-quartiles of each side, the median change in percent, and the number of
-pairs where the change's value is lower.  ``--claim`` names the metric the
-change claims to improve (``wall_s`` unless given); the record states it.
+quartiles of each side, the median change in percent, the number of
+pairs where the change's value is lower, the metric's bound from
+``BENCHMARK.json`` and a verdict.  ``--claim`` names the metric the change
+claims to improve (``wall_s`` unless given); the record states it.  All four
+metrics are better lower.  The claimed metric's verdict is ``met`` when the
+change is lower in at least nine tenths of the pairs (ties count for
+neither) and its median is below the parent's by more than the parent's
+interquartile range, else ``not met``.  Every other metric is ``within
+bound`` when the change's median exceeds the parent's by at most the bound
+(a fraction of the parent's median), ``worse`` when by more, and
+``unresolved`` when the parent's interquartile range is wider than the
+bound, unless every run of the change is below every run of the parent.
 """
 
 from __future__ import annotations
@@ -89,18 +98,35 @@ def _spread(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "iqr": q3 - q1}
 
 
-def summarize(pairs: list[dict]) -> dict:
-    """Per metric: each side's median and quartiles, the median change and the pairs the change lowered."""
+def bounds(checkout: Path) -> dict[str, float]:
+    """Each end-to-end metric's bound, from ``BENCHMARK.json`` in ``checkout``."""
+    spec = json.loads((checkout / "BENCHMARK.json").read_text())
+    return {metric["name"]: metric["bound"] for metric in spec["end_to_end"]}
+
+
+def summarize(pairs: list[dict], claim: str, bound: dict[str, float]) -> dict:
+    """Per metric: each side's median and quartiles, the median change, the
+    pairs the change lowered, the bound and the verdict."""
     out = {}
     for name in METRICS:
         parent = [p["parent"][name] for p in pairs]
         change = [p["change"][name] for p in pairs]
         base, new = _spread(parent), _spread(change)
+        lower = sum(c < p for p, c in zip(parent, change))
+        if name == claim:
+            won = lower >= 0.9 * len(pairs) and base["median"] - new["median"] > base["iqr"]
+            verdict = "met" if won else "not met"
+        elif base["iqr"] > bound[name] * base["median"] and not max(change) < min(parent):
+            verdict = "unresolved"
+        else:
+            verdict = "within bound" if new["median"] <= (1.0 + bound[name]) * base["median"] else "worse"
         out[name] = {
             "parent": base,
             "change": new,
             "median_change_pct": 100.0 * (new["median"] - base["median"]) / base["median"],
-            "change_lower": sum(c < p for p, c in zip(parent, change)),
+            "change_lower": lower,
+            "bound": bound[name],
+            "verdict": verdict,
         }
     return out
 
@@ -114,7 +140,7 @@ def _side(provenance: dict, checkout: Path) -> dict:
     return {"commit": commit, "src_sha256": provenance["src_sha256"]}
 
 
-def build_record(workload: str, sides: dict, host: dict, pairs: list[dict], claim: str = "wall_s") -> dict:
+def build_record(workload: str, sides: dict, host: dict, pairs: list[dict], claim: str, bound: dict[str, float]) -> dict:
     """The ``BENCH_<workload>.json`` object for ``pairs`` of ``{"parent": entry, "change": entry}``."""
     return {
         "workload": workload,
@@ -123,13 +149,17 @@ def build_record(workload: str, sides: dict, host: dict, pairs: list[dict], clai
         "method": (
             f"{len(pairs)} pairs; even-numbered pairs run the parent checkout first, odd-numbered pairs the "
             "change checkout first, each run in its own directory; perfbench and BENCHMARK.json are identical "
-            "in both. 'change_lower' counts the pairs where the change's value is below the parent's."
+            "in both. 'change_lower' counts the pairs where the change's value is below the parent's. The "
+            "claimed metric is 'met' when the change is lower in at least 9 of 10 pairs and its median below "
+            "the parent's by more than the parent's IQR; any other metric is 'within bound' or 'worse' by its "
+            "median against (1 + bound) times the parent's, and 'unresolved' when the parent's IQR exceeds the "
+            "bound times its median, unless every change run is below every parent run."
         ),
         "parent": sides["parent"],
         "change": sides["change"],
         "host": {key: host.get(key) for key in HOST_KEYS},
         "pairs": [{"pair": i, "parent": p["parent"], "change": p["change"]} for i, p in enumerate(pairs)],
-        "summary": summarize(pairs),
+        "summary": summarize(pairs, claim, bound),
     }
 
 
@@ -154,7 +184,7 @@ def main(argv: list[str] | None = None) -> int:
             print(f"pair {i} {side}: " + json.dumps(pair[side]), file=sys.stderr)
         pairs.append({"parent": pair["parent"], "change": pair["change"]})
     sides = {side: _side(provenance[side], checkout) for side, checkout in checkouts.items()}
-    record = build_record(ns.workload, sides, provenance["change"], pairs, ns.claim)
+    record = build_record(ns.workload, sides, provenance["change"], pairs, ns.claim, bounds(ns.change))
     out = ns.change / f"BENCH_{ns.workload}.json"
     out.write_text(json.dumps(record, indent=2) + "\n")
     print(f"wrote {out}", file=sys.stderr)
