@@ -103,10 +103,17 @@ def _linear_ou_form(model: TrueModel) -> tuple[float, float, float]:
 def _invariant_cumulants(true_model: TrueModel, noise: LevyLaw) -> tuple[float, float, float, float]:
     """pi_0's first four cumulants: the mean + sigma kappa_1 / rate, then
     sigma^j kappa_j / (j rate) for j = 2, 3, 4 (Barndorff-Nielsen & Shephard
-    2001, JRSS B 63(2)), with kappa_j those of the driving law."""
+    2001, JRSS B 63(2)), with kappa_j those of the driving law.  Cumulants
+    that overflow are refused with :class:`NumericalError`."""
     rate, mean, sigma = _linear_ou_form(true_model)
     k = cumulants(noise, 4)
-    return (mean + sigma * k[0] / rate, *(sigma**j * k[j - 1] / (j * rate) for j in (2, 3, 4)))
+    try:
+        kappa = (mean + sigma * k[0] / rate, *(sigma**j * k[j - 1] / (j * rate) for j in (2, 3, 4)))
+    except OverflowError:
+        kappa = (math.inf,)
+    if not all(map(math.isfinite, kappa)):
+        raise NumericalError(f"pi_0's cumulants overflow at sigma={sigma!r}, rate={rate!r}, mean={mean!r}")
+    return kappa
 
 
 @dataclass(frozen=True)
@@ -135,12 +142,14 @@ def sample_invariant(
 ) -> InvariantSample:
     """Draw ``budget`` states from one long thinned Euler path.
 
-    The path starts at the stationary mean, discards ``_BURN_IN`` (50) time
-    units, then keeps one state every ``_SPACING`` (1) time unit.
-    ``sde._chunked_paths`` draws it in chunks of ``_INVARIANT_CHUNK`` steps
-    from the substreams (seed, 3101, chunk), a worker holding about 16 MB
-    of live arrays, and its kept states fill the preallocated sample.  The
-    result does not depend on the number of workers.
+    The path starts at the stationary mean and keeps one state every
+    ``_SPACING`` (1) time unit, rounded to ``keep`` whole steps; the first
+    ``_BURN_IN`` / ``_SPACING`` (50) kept states are discarded as burn-in.
+    ``sde._chunked_paths`` draws it in chunks of ``_INVARIANT_CHUNK`` // keep
+    spacings (``_INVARIANT_CHUNK`` steps whenever keep divides it) from the
+    substreams (seed, 3101, chunk), a worker holding about 16 MB of live
+    arrays, and its kept states fill one preallocated array.  The result
+    does not depend on the number of workers.
 
     pi_0's variance (``_invariant_cumulants``) must be positive, which a
     zero or underflowing sigma is not (``ValueError`` before anything is
@@ -162,13 +171,14 @@ def sample_invariant(
         raise ValueError(f"sigma must give pi_0 a positive variance; got sigma={sigma}, variance {theory}")
 
     keep = max(1, int(round(_SPACING / step)))
-    burn_steps = int(round(_BURN_IN / step))
-    states = np.empty(budget)
+    burn = int(round(_BURN_IN / _SPACING))
+    states = np.empty(burn + budget)
     got = 0
-    for block in _chunked_paths(model, noise, step, burn_steps + budget * keep, 1, mean, _INVARIANT_CHUNK, seed,
-                                _TAG_INVARIANT, first=burn_steps + keep, keep=keep):
+    for block in _chunked_paths(model, noise, step, burn + budget, 1, mean, max(1, _INVARIANT_CHUNK // keep), seed,
+                                _TAG_INVARIANT, keep):
         states[got : got + block.shape[0]] = block[:, 0]
         got += block.shape[0]
+    states = states[burn:]
 
     var = float(np.var(states))
     if abs(var / theory - 1.0) > 0.10:

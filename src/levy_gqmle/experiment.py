@@ -299,7 +299,7 @@ def run_mc(
     true_model = true_model or true_ou()
     law = noise_case(design.case)
     if theta_star is None:
-        theta_star = optimal_values(design.case)
+        theta_star = pseudo_true(model, true_model, law)
     R = design.replications
     per = []
     blocks = [range(k0, min(R, k0 + _FIT_ROWS)) for k0 in range(0, R, _FIT_ROWS)]

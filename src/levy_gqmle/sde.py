@@ -138,19 +138,6 @@ def _step_map(model: TrueModel, dt: float) -> tuple[float, float, float]:
     return 1.0 - model.rate * dt, model.sigma, model.level * dt
 
 
-def _affine_paths(model: TrueModel, dt: float, x0: float | np.ndarray, z: np.ndarray) -> None:
-    """Overwrite increments ``z`` with Euler states X_1..X_steps, one path per row.
-
-    ``z`` has shape (R, steps) and any strides (a time-major panel passes
-    ``panel.T``, one path ``path[None]``); ``x0`` is a scalar or shape (R,).
-    This is :func:`_scan` of the Euler step, so a row comes out bitwise as
-    from one call over that row alone.  States are left as the recursion
-    makes them, even past a bad one; callers that need the divergence check
-    call :func:`_first_bad` on the result.
-    """
-    _scan(*_step_map(model, dt), x0, z)
-
-
 def _scan(rho: float, scale: float, shift: float, x0: float | np.ndarray, z: np.ndarray) -> None:
     """Overwrite ``z`` (R, steps) with X_1..X_steps of X_{k+1} = rho X_k + u_k,
     u_k = scale z_k + shift, from X_0 = ``x0`` (a scalar or shape (R,)).
@@ -233,103 +220,81 @@ def _euler_panel(
     """(values, first_bad) of one Euler path X_0..X_steps from x0 per generator.
 
     ``values`` has shape (len(rngs), steps + 1) and row j holds the path
-    driven by ``rngs[j]``'s increments, scanned in place by
-    :func:`_affine_paths`; ``first_bad`` is :func:`_first_bad` of it.
+    driven by ``rngs[j]``'s increments, scanned in place by :func:`_scan`;
+    ``first_bad`` is :func:`_first_bad` of it.
     """
     values = np.empty((len(rngs), steps + 1))
     values[:, 0] = x0
     for row, rng in zip(values, rngs):
         row[1:] = sample_increments(noise, dt, steps, rng)
-    _affine_paths(model, dt, x0, values[:, 1:])
+    _scan(*_step_map(model, dt), x0, values[:, 1:])
     return values, _first_bad(values[:, 1:], x0)
 
 
 def _chunked_paths(
-    model: TrueModel, noise: LevyLaw, dt: float, steps: int, cols: int, x0: float, chunk: int, seed: int, tag: int,
-    first: int = 1, keep: int = 1,
+    model: TrueModel, noise: LevyLaw, dt: float, groups: int, cols: int, x0: float, chunk: int, seed: int, tag: int,
+    keep: int = 1,
 ) -> Iterator[np.ndarray]:
-    """Kept Euler states X_first, X_first+keep, ... <= X_steps of ``cols``
-    paths from ``x0``, yielded in time order as one (kept, cols) block per
-    chunk of ``chunk`` steps (the last one short; a block may be empty).
+    """Euler states X_keep, X_2keep, ..., X_(groups keep) of ``cols`` paths
+    from ``x0``, yielded in time order as one (kept, cols) block per chunk
+    of ``chunk`` groups of ``keep`` steps (the last one short).
 
     Chunk c draws its increments from the substream (seed, tag, c), so the
-    first chunks are the same whatever ``steps`` is, and a worker of
-    ``_util.core_map`` runs it from zero: in place by :func:`_affine_paths`
-    when every state is kept, else by :func:`_thinned`, which forms only
-    the kept states.  The AR(1) is affine in its start: k steps from x
-    reach Y_k + rho^k x, with Y the path from 0, so each chunk's kept
-    states are composed with the previous chunk's end states as the chunks
-    arrive.  The result does not depend on the number of workers, and
-    equals one scan over the whole path up to rounding (about 1e-14
-    relative).
+    first chunks are the same whatever ``groups`` is, and a worker of
+    ``_util.core_map`` runs it from zero: in place by :func:`_scan` when
+    every state is kept, else by :func:`_thinned`, which forms only the
+    kept states.  The AR(1) is affine in its start: k steps from x reach
+    Y_k + rho^k x, with Y the path from 0, so each chunk's kept states are
+    composed with the previous chunk's end states as the chunks arrive.
+    The result does not depend on the number of workers, and equals one
+    scan over the whole path up to rounding (about 1e-14 relative).
     """
     rho, scale, shift = _step_map(model, dt)
-    rho = np.float64(rho)  # rho**size overflows to inf, not OverflowError
-    # (substream index, steps, chunk-local index of the first kept state)
-    plans = [
-        (start // chunk, min(chunk, steps - start),
-         first - 1 - start if start < first else (first - 1 - start) % keep)
-        for start in range(0, steps, chunk)
-    ]
+    rho = np.float64(rho)  # rho**steps overflows to inf, not OverflowError
+    # (substream index, groups)
+    plans = [(start // chunk, min(chunk, groups - start)) for start in range(0, groups, chunk)]
+    # rho^lag, with lag the steps from a chunk's start to each kept state
+    decay = rho ** (keep * (1.0 + np.arange(min(chunk, groups))))
 
-    def from_zero(plan: tuple[int, int, int]) -> tuple[np.ndarray, np.ndarray]:
+    def from_zero(plan: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
         """Kept states and end states of one chunk, from a zero start."""
-        index, size, local = plan
-        path = sample_increments(noise, dt, (size, cols), substream(seed, tag, index))
+        index, size = plan
+        path = sample_increments(noise, dt, (size * keep, cols), substream(seed, tag, index))
         if keep > 1:
-            return _thinned(rho, scale, shift, path, local, keep)
-        _affine_paths(model, dt, 0.0, path.T)
-        # the end states are copied before the block, the chunk itself, is
-        # composed in place
-        return path[local:], path[-1].copy()
+            return _thinned(rho, scale, shift, path, keep)
+        _scan(rho, scale, shift, 0.0, path.T)
+        return path, path[-1]
 
     x = np.full(cols, float(x0))
-    for (block, last), (_, size, local) in zip(core_map(from_zero, plans), plans):
-        lag = local + 1.0 + keep * np.arange(block.shape[0])
-        block += rho**lag[:, None] * x
-        x = last + rho**size * x
+    for (block, last), (_, size) in zip(core_map(from_zero, plans), plans):
+        # last is the block's last row: the next start is taken before the
+        # block is composed in place
+        end = last + rho ** (size * keep) * x
+        block += decay[:size, None] * x
+        x = end
         yield block
 
 
 def _thinned(
-    rho: float, scale: float, shift: float, z: np.ndarray, local: int, keep: int
+    rho: np.float64, scale: float, shift: float, z: np.ndarray, keep: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """(kept, end) of the paths X_{k+1} = rho X_k + scale z_k + shift from
-    zero, one per column of ``z`` (size, cols): the states after rows
-    local, local + keep, ... of ``z`` (none if local >= size), and the
-    state after its last row.
+    zero, one per column of ``z`` (groups keep, cols): the states after
+    every ``keep``-th row of ``z``, and the last of them.
 
-    The skipped states are never formed.  The rows are cut into groups of
-    ``keep`` that end at rows congruent to ``local`` (the first group may
-    be short), so that from a group's start X_t, X_{t+keep} = rho^keep X_t
-    + V with V = sum_i rho^(keep-1-i) u_{t+i} its weighted sum of the
-    u = scale z + shift: :func:`_scan` at rho^keep over the sums gives the
-    states at every group end, of which those before row ``local`` are
-    dropped.  The rows after the last group end carry it to the end state.
-    The sums are ``einsum`` contractions, with no BLAS.
+    The skipped states are never formed.  From a group's start X_t,
+    X_{t+keep} = rho^keep X_t + V with V = sum_i rho^(keep-1-i) u_{t+i}
+    its weighted sum of the u = scale z + shift, so :func:`_scan` at
+    rho^keep over the groups' sums gives every kept state.  The sums are
+    one ``einsum`` contraction, with no BLAS.
     """
-    size, cols = z.shape
-    pad = (keep - 1 - local) % keep
-    groups, tail = divmod(pad + size, keep)
-    rho = np.float64(rho)
     with np.errstate(over="ignore", invalid="ignore"):
         weights = rho ** np.arange(keep - 1, -1, -1, dtype=float)
-        sums = np.empty((groups, cols))
-        last = np.zeros(cols)
-        if groups:
-            head = keep - pad
-            sums[0] = np.einsum("kc,k->c", z[:head], weights[pad:]) * scale + shift * np.sum(weights[pad:])
-            body = z[head : head + (groups - 1) * keep].reshape(groups - 1, keep, cols)
-            np.einsum("gkc,k->gc", body, weights, out=sums[1:])
-            sums[1:] *= scale
-            sums[1:] += shift * np.sum(weights)
-            _scan(rho**keep, 1.0, 0.0, 0.0, sums.T)
-            last = sums[-1]
-        else:
-            tail = size
-        weights = weights[keep - tail :]
-        end = rho**tail * last + (np.einsum("kc,k->c", z[size - tail :], weights) * scale + shift * np.sum(weights))
-    return sums[(local + 1 + pad) // keep - 1 :], end
+        sums = np.einsum("gkc,k->gc", z.reshape(-1, keep, z.shape[1]), weights)
+        sums *= scale
+        sums += shift * np.sum(weights)
+        _scan(rho**keep, 1.0, 0.0, 0.0, sums.T)
+    return sums, sums[-1]
 
 
 def simulate_euler(model: TrueModel, noise: LevyLaw, cfg: PathConfig) -> SamplePath:

@@ -31,7 +31,7 @@ from levy_gqmle._util import batch_means_se, substream
 from levy_gqmle.coefficients import ConstantDrift, ConstantScale, LinearDecay, MeanRevertLinear, RationalSqrt
 from levy_gqmle.gqmle import ModelSpec, _path_criteria
 from levy_gqmle.levy import BilateralGamma, Brownian, LevyLaw, NormalInverseGaussian, sample_increments
-from levy_gqmle.sde import DIVERGENCE_BOUND, SamplePath, TrueModel, _affine_paths, _first_bad
+from levy_gqmle.sde import DIVERGENCE_BOUND, SamplePath, TrueModel, _first_bad, _scan, _step_map
 
 DRIFT_RATE = 0.5  # benchmark true drift is -x/2
 
@@ -165,7 +165,7 @@ def martingale_check(f, g, model: TrueModel, noise: LevyLaw, reps: int, seed: in
     for i, x0 in enumerate((-1.5, 0.0, 1.5)):
         values = np.empty((reps, lags[-1] + 1))
         values[:, 0], values[:, 1:] = x0, z
-        _affine_paths(model, step, x0, values[:, 1:])
+        _scan(*_step_map(model, step), x0, values[:, 1:])
         assert (_first_bad(values[:, 1:], x0) < 0).all()
         gx = np.asarray(g(values), dtype=float)
         f0 = float(_piecewise(f, np.float64(x0)))

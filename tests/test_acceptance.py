@@ -37,7 +37,7 @@ from levy_gqmle.experiment import (
 from levy_gqmle.gqmle import ModelSpec, estimate_staged
 from levy_gqmle.levy import sample_increments
 from levy_gqmle.moments import residual_moment
-from levy_gqmle.sde import PathConfig, SamplePath, _affine_paths, _first_bad, simulate_euler
+from levy_gqmle.sde import PathConfig, SamplePath, _first_bad, _scan, _step_map, simulate_euler
 from _oracles import g1_eval, g2_eval, martingale_check
 
 BENCH = benchmark_model()
@@ -203,7 +203,7 @@ def test_criterion_8_residual_moments_correctly_specified():
         values = np.zeros((paths, n + 1))
         for p in range(paths):
             values[p, 1:] = sample_increments(law, h, n, substream(41, 7301, ci, p))
-        _affine_paths(OU, h, 0.0, values[:, 1:])
+        _scan(*_step_map(OU, h), 0.0, values[:, 1:])
         assert np.all(_first_bad(values[:, 1:], 0.0) < 0)
         for r, want in ((2, k2), (3, k3), (4, k4)):
             ests = []

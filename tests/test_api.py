@@ -115,7 +115,7 @@ def test_paths_are_drawn_and_filtered_only_in_sde():
     # one way to simulate a panel of paths: outside levy.py, which defines
     # sample_increments, and the package namespace, which re-exports it,
     # only sde.py draws increments or scans them into paths
-    kernels = ("sample_increments", "_affine_paths", "_scan", "_thinned")
+    kernels = ("sample_increments", "_scan", "_thinned")
     users = {
         name: {path.name for path in (ROOT / "src").rglob("*.py") if name in _names(path)} - {"levy.py", "__init__.py"}
         for name in kernels

@@ -10,7 +10,7 @@ import pytest
 from scipy.signal import lfilter
 
 from levy_gqmle import _util, asymptotics, sde
-from levy_gqmle._util import batch_means_se, core_map, substream
+from levy_gqmle._util import NumericalError, batch_means_se, core_map, substream
 from levy_gqmle.asymptotics import (
     _BLOCK_CELLS,
     _TAG_EPE,
@@ -155,17 +155,21 @@ class TestSampleInvariant:
         b = sample_invariant(OU, CASE_I, budget=1000, seed=3)
         assert np.array_equal(a.states, b.states)
 
-    def test_matches_serial_reference(self, inv_long):
+    @pytest.mark.parametrize("step,budget", [(LONG_PATH["step"], LONG_PATH["budget"]), (0.003, 7000)])
+    def test_matches_serial_reference(self, inv_long, step, budget):
         # the zero-start chunks composed through the affine start map against
-        # one lfilter pass over the whole path, started at the mean
-        rate, mean, step = 0.5, 0.7, LONG_PATH["step"]
+        # one lfilter pass over the whole path, started at the mean.  The
+        # burn-in is 50 spacings and a chunk 2_000_000 // keep spacings of
+        # keep steps, also at step 0.003, where keep = 333 divides neither
+        # 50 / step nor 2_000_000
+        rate, mean = 0.5, 0.7
         rho = 1.0 - rate * step
         keep = round(asymptotics._SPACING / step)
-        burn = round(asymptotics._BURN_IN / step)
-        total = burn + LONG_PATH["budget"] * keep
-        chunk = 2_000_000
-        # the burn-in ends inside the first chunk, and the third chunk is short
-        assert burn == 50_000 < chunk and total == 5_050_000 and 0 < total - 2 * chunk < chunk
+        burn = 50 * keep
+        chunk = 2_000_000 // keep * keep
+        total = burn + budget * keep
+        # the burn-in ends inside the first chunk, and the last chunk is short
+        assert burn < chunk < total and total % chunk
         dz = np.concatenate([
             sample_increments(CASE_I, step, min(chunk, total - start),
                               substream(LONG_PATH["seed"], _TAG_INVARIANT, start // chunk))
@@ -173,7 +177,8 @@ class TestSampleInvariant:
         ])
         y, _ = lfilter([1.0], [1.0, -rho], rate * mean * step + dz, zi=np.array([rho * mean]))
         want = y[burn + keep - 1 :: keep]
-        got = inv_long.states
+        got = (inv_long if step == LONG_PATH["step"] else
+               sample_invariant(OU_SHIFTED, CASE_I, budget=budget, seed=LONG_PATH["seed"], step=step)).states
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
@@ -226,6 +231,19 @@ class TestSampleInvariant:
             sample_invariant(flat, CASE_I, budget=1000)
         with pytest.raises(ValueError, match="sigma"):
             run_asymptotics(BENCH, flat, CASE_I, (oracle_i.alpha_star, oracle_i.gamma_star), budget=1000)
+
+    def test_overflowing_cumulants_refused_before_drawing(self, monkeypatch):
+        # sigma^4 overflows a float at sigma = 1e150: pi_0's cumulants are
+        # refused as a numerical failure by both of their users
+        def refuse(*args, **kwargs):
+            raise AssertionError("paths were drawn before pi_0's cumulants were checked")
+
+        monkeypatch.setattr(asymptotics, "_chunked_paths", refuse)
+        huge = TrueModel(rate=0.5, level=0.0, sigma=1e150)
+        with pytest.raises(NumericalError, match="sigma=1e\\+150"):
+            sample_invariant(huge, CASE_I, budget=1000)
+        with pytest.raises(NumericalError, match="sigma=1e\\+150"):
+            pseudo_true(BENCH, huge, CASE_I)
 
     def test_mixing_gate_on_coarse_step(self):
         # Euler variance inflation 1/(1 - rate*step/2) = 25% at step 0.8
@@ -544,7 +562,7 @@ class TestEPESolve:
         for grid in (res_i.f1.x, np.linspace(-1.0, 2.0, 5)):
             calls.clear()
             out = epe_solve(g, OU, CASE_I, grid=grid, **kw)
-            assert calls == [[(0, 500, 0), (1, 500, 0), (2, 234, 0)]]
+            assert calls == [[(0, 500), (1, 500), (2, 234)]]
             assert len(out) == 2 and all(np.array_equal(a.x, grid) for a in out)
 
     def test_non_finite_grid_refused_before_drawing(self, inv_i, monkeypatch):

@@ -12,6 +12,7 @@ from scipy.special import ndtri
 
 from levy_gqmle import _util
 from levy_gqmle._util import substream
+from levy_gqmle.asymptotics import pseudo_true
 from levy_gqmle.coefficients import ConstantScale, MeanRevertLinear
 from levy_gqmle.experiment import (
     _TAG_MC,
@@ -29,7 +30,7 @@ from levy_gqmle.experiment import (
 )
 from levy_gqmle.gqmle import ModelSpec, estimate_staged
 from levy_gqmle.levy import BilateralGamma, Brownian, NormalInverseGaussian, cumulants, sample_increments
-from levy_gqmle.sde import SamplePath, TrueModel, _affine_paths, _first_bad
+from levy_gqmle.sde import SamplePath, TrueModel, _first_bad, _scan, _step_map
 from _oracles import _euler_columns
 
 EXACT_ALPHA = {
@@ -161,7 +162,7 @@ class TestRunMc:
                 z = sample_increments(law, h, n, substream(7, _TAG_MC, d_index, k))
                 values = np.zeros((1, n + 1))
                 values[0, 1:] = z
-                _affine_paths(true_ou(), h, 0.0, values[:, 1:])
+                _scan(*_step_map(true_ou(), h), 0.0, values[:, 1:])
                 assert _first_bad(values[:, 1:], 0.0)[0] == -1
                 est = estimate_staged(SamplePath(h=h, values=values[0]), model)
                 assert (a.estimates[k, 0], a.estimates[k, 1]) == (est.alpha_hat, est.gamma_hat)
@@ -244,6 +245,22 @@ class TestRunMc:
         design = ExperimentDesign("i", designs=((250, 0.04),), replications=120, seed=7)
         s = run_mc(design, theta_star=(0.3, 1.4))
         assert s.theta_star == (0.3, 1.4)
+
+    @pytest.mark.parametrize("model,truth", [
+        (ModelSpec(MeanRevertLinear(m=0.0), ConstantScale()), None),
+        (None, TrueModel(rate=1.0, level=0.3, sigma=0.8)),
+    ], ids=["model", "truth"])
+    def test_default_theta_star_is_the_pseudo_true_value(self, model, truth):
+        # the summary is centred on the pseudo-true value of the model and
+        # truth it is given, not on the benchmark's
+        design = ExperimentDesign("diffusion", designs=((2000, 0.01),), replications=100, seed=1)
+        s = run_mc(design, model=model, true_model=truth)
+        want = pseudo_true(model or benchmark_model(), truth or true_ou(), noise_case("diffusion"))
+        assert s.theta_star == want != optimal_values("diffusion")
+        d = s.per_design[0]
+        again = summarize_replications(d.n, d.h, d.estimates, want)
+        assert again.cov_scaled.tobytes() == d.cov_scaled.tobytes()
+        assert again.tail_fractions == d.tail_fractions
 
     def test_summary_roundtrips_to_json(self, summary_small):
         obj = summary_small.to_obj()
@@ -328,7 +345,8 @@ class TestNormalityCheck:
         # sqrt(T) scaling the gamma variance is gamma^2 h / 2
         model = ModelSpec(MeanRevertLinear(m=0.0), ConstantScale())
         design = ExperimentDesign("diffusion", designs=((20000, 0.005),), replications=300, seed=21)
-        s = run_mc(design, model=model, theta_star=(0.5, 1.0))
+        s = run_mc(design, model=model)
+        assert s.theta_star == (0.5, 1.0)
         v = np.array([[0.005 / 2.0, 0.0], [0.0, 1.0]])
         _, diag_rel, coverage, _ = normality_check(s, v)
         assert np.all((0.90 < coverage) & (coverage < 0.99))

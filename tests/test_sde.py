@@ -18,7 +18,6 @@ from levy_gqmle.sde import (
     PathConfig,
     SamplePath,
     TrueModel,
-    _affine_paths,
     _chunked_paths,
     _euler_panel,
     _first_bad,
@@ -117,7 +116,7 @@ class TestAffinePaths:
         x0 = np.linspace(-2.0, 3.0, R)
         got = np.empty((R, steps + 1))
         got[:, 0], got[:, 1:] = x0, z
-        _affine_paths(model, dt, x0, got[:, 1:])
+        _scan(*_step_map(model, dt), x0, got[:, 1:])
         first_bad = _first_bad(got[:, 1:], x0)
         want, want_bad = _euler_columns(model, dt, x0, z.T)
         assert got.shape == (R, steps + 1)
@@ -132,10 +131,10 @@ class TestAffinePaths:
         z = sample_increments(CASE_II, 0.02, (32, 5000), substream(6, 1))
         x0 = np.linspace(-1.0, 1.0, 32)
         block = z.copy()
-        _affine_paths(model, 0.02, x0, block)
+        _scan(*_step_map(model, 0.02), x0, block)
         for row in (0, 17, 31):
             alone = z[row : row + 1].copy()
-            _affine_paths(model, 0.02, x0[row], alone)
+            _scan(*_step_map(model, 0.02), x0[row], alone)
             assert np.array_equal(alone[0], block[row]), row
 
     def test_time_major_panel_in_place_matches_one_lfilter(self):
@@ -148,7 +147,7 @@ class TestAffinePaths:
         x0 = np.linspace(-2.0, 2.0, 300)
         rho, scale, shift = _step_map(model, 0.01)
         want, _ = lfilter([1.0], [1.0, -rho], panel * scale + shift, axis=0, zi=rho * x0[None])
-        _affine_paths(model, 0.01, x0, panel.T)
+        _scan(*_step_map(model, 0.01), x0, panel.T)
         assert np.max(np.abs(panel - want)) <= 4e-15 * np.max(np.abs(want))
         assert np.all(_first_bad(panel.T, x0) == -1)
 
@@ -159,7 +158,7 @@ class TestAffinePaths:
         path = sample_increments(CASE_III, 0.01, 200_000, substream(7, 2))
         rho, scale, shift = _step_map(model, 0.01)
         want, _ = lfilter([1.0], [1.0, -rho], path * scale + shift, zi=[rho * 0.4])
-        _affine_paths(model, 0.01, 0.4, path[None])
+        _scan(*_step_map(model, 0.01), 0.4, path[None])
         assert np.max(np.abs(path - want)) <= 4e-15 * np.max(np.abs(want))
         assert _first_bad(path[None], 0.4).tolist() == [-1]
 
@@ -197,8 +196,8 @@ class TestAffinePaths:
         z = sample_increments(CASE_II, 0.01, (70_001, 3), substream(6, 2))
         x0 = np.array([0.5, -1.0, 2.0])
         rows = np.ascontiguousarray(z.T)
-        _affine_paths(model, 0.01, x0, rows)
-        _affine_paths(model, 0.01, x0, z.T)
+        _scan(*_step_map(model, 0.01), x0, rows)
+        _scan(*_step_map(model, 0.01), x0, z.T)
         assert rows.tobytes() == np.ascontiguousarray(z.T).tobytes()
 
     def test_panel_rows_are_lone_paths(self):
@@ -213,22 +212,22 @@ class TestAffinePaths:
     def test_bad_start_is_index_zero(self):
         z = sample_increments(CASE_I, 0.05, (5, 100), substream(7, 3))
         x0 = np.array([np.nan, 2e12, -np.inf, 0.5, -1e12])
-        _affine_paths(OU, 0.05, x0, z)
+        _scan(*_step_map(OU, 0.05), x0, z)
         assert _first_bad(z, x0).tolist() == [0, 0, 0, -1, -1]
         one = z[:1].copy()
-        _affine_paths(OU, 0.05, np.inf, one)
+        _scan(*_step_map(OU, 0.05), np.inf, one)
         assert _first_bad(one, np.inf).tolist() == [0]
 
 
-# two _chunked_paths runs over 1234 steps in 500-step chunks, the last
+# two _chunked_paths runs over 1234 groups in 500-group chunks, the last
 # one short: 7 columns keeping every state, and one column keeping every
-# 7th state from X_620, in the second chunk (500 is no multiple of 7)
+# 7th state
 SHIFTED = TrueModel(rate=0.5, level=0.5 * 0.7, sigma=1.3)
-CHUNK_RUNS = {"panel": dict(cols=7, first=1, keep=1), "thinned": dict(cols=1, first=620, keep=7)}
+CHUNK_RUNS = {"panel": dict(cols=7, keep=1), "thinned": dict(cols=1, keep=7)}
 
 
-def _chunk_blocks(steps: int, cols: int, first: int, keep: int) -> list[np.ndarray]:
-    return list(_chunked_paths(SHIFTED, CASE_I, 0.01, steps, cols, -0.4, 500, 12, 7001, first=first, keep=keep))
+def _chunk_blocks(groups: int, cols: int, keep: int) -> list[np.ndarray]:
+    return list(_chunked_paths(SHIFTED, CASE_I, 0.01, groups, cols, -0.4, 500, 12, 7001, keep))
 
 
 class TestChunkedPaths:
@@ -250,42 +249,45 @@ class TestChunkedPaths:
     @pytest.mark.parametrize("run", CHUNK_RUNS)
     def test_matches_one_filter_pass(self, run):
         # the chunks composed through the affine start map against one
-        # lfilter pass over the same draws; a longer run starts with the
-        # same blocks, bitwise
-        cols, first, keep = CHUNK_RUNS[run].values()
+        # lfilter pass over the same draws, kept at X_keep, X_2keep, ...; a
+        # longer run starts with the same blocks, bitwise
+        cols, keep = CHUNK_RUNS[run].values()
         rho, scale, shift = _step_map(SHIFTED, 0.01)
-        dz = chunk_draws(CASE_I, 0.01, 1234, cols, 12, 7001)
+        dz = chunk_draws(CASE_I, 0.01, 1234 * keep, cols, 12, 7001, chunk=500 * keep)
         path, _ = lfilter([1.0], [1.0, -rho], dz * scale + shift, axis=0, zi=np.full((1, cols), -0.4 * rho))
-        want = path[first - 1 :: keep]
-        blocks = _chunk_blocks(1234, cols, first, keep)
-        assert len(blocks) == 3 and all(b.shape[1] == cols for b in blocks)
-        # the thinned run keeps nothing in its first chunk
-        assert (blocks[0].shape[0] == 0) == (run == "thinned")
+        want = path[keep - 1 :: keep]
+        blocks = _chunk_blocks(1234, cols, keep)
+        assert [b.shape for b in blocks] == [(500, cols), (500, cols), (234, cols)]
         got = np.concatenate(blocks)
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
-        longer = _chunk_blocks(1600, cols, first, keep)
+        longer = _chunk_blocks(1600, cols, keep)
         assert [b.tobytes() for b in longer[:2]] == [b.tobytes() for b in blocks[:2]]
 
-
     @pytest.mark.parametrize("keep", [7, 100, 200])
-    @pytest.mark.parametrize("first", [1, 2345, 4100])
+    @pytest.mark.parametrize("chunking", ["ragged", "exact", "whole"])
     @pytest.mark.parametrize("cols", [1, 3])
-    def test_thinned_matches_every_state(self, keep, first, cols):
+    def test_thinned_matches_every_state(self, keep, chunking, cols):
         # a thinned run forms only its kept states, from weighted sums of
-        # each keep steps' increments; against a keep = 1 run at pi_0's step
-        # over 9000 steps in 2000-step chunks, with the first kept state in
-        # the first, second (mid-chunk) or third chunk.  The bound is about
-        # three times the largest error measured before (1.4e-15)
-        run = dict(model=SHIFTED, noise=CASE_III, dt=0.005, steps=9000, cols=cols, x0=-0.4, chunk=2000, seed=12,
-                   tag=3101)
-        every = np.concatenate(list(_chunked_paths(**run)))[first - 1 :: keep]
-        blocks = list(_chunked_paths(**run, first=first, keep=keep))
-        kept = [sum(c0 < k <= c0 + 2000 for k in range(first, 9001, keep)) for c0 in range(0, 9000, 2000)]
-        assert [b.shape for b in blocks] == [(k, cols) for k in kept]
+        # each keep steps' increments; against every keep-th state of a
+        # keep = 1 run on the same draws at pi_0's step, over about 9000
+        # steps in chunks of about 2000 steps, a number of groups that does
+        # not divide the run's ("ragged"), in five equal chunks ("exact"),
+        # or in one chunk ("whole").  The bound is about three times the
+        # largest error measured (1.4e-15 when the first kept state could
+        # lie mid-chunk, 1.1e-15 on these runs)
+        groups = 9000 // keep
+        chunk = {"ragged": 2000 // keep, "exact": groups // 5, "whole": groups}[chunking]
+        assert (groups % chunk > 0) == (chunking == "ragged")
+        run = dict(model=SHIFTED, noise=CASE_III, dt=0.005, cols=cols, x0=-0.4, seed=12, tag=3101)
+        every = np.concatenate(list(_chunked_paths(**run, groups=groups * keep, chunk=chunk * keep)))[keep - 1 :: keep]
+        blocks = list(_chunked_paths(**run, groups=groups, chunk=chunk, keep=keep))
+        sizes = [min(chunk, groups - c0) for c0 in range(0, groups, chunk)]
+        assert [b.shape for b in blocks] == [(size, cols) for size in sizes]
         got = np.concatenate(blocks)
         assert got.shape == every.shape
         assert np.max(np.abs(got - every)) <= 4e-15 * np.max(np.abs(every))
+
 
 _STATIONARY_CACHE = {}
 
@@ -463,7 +465,7 @@ def small_time_moment_check(model, noise, cfg, p, reps):
         dt = h / cfg.refine
         for k, x0 in enumerate(grid):
             z = sample_increments(noise, dt, (cfg.refine, reps), substream(cfg.seed, i, k))
-            _affine_paths(model, dt, x0, z.T)
+            _scan(*_step_map(model, dt), x0, z.T)
             assert (_first_bad(z.T, x0) < 0).all()
             ratios[i, k] = float(np.mean(np.abs(z[-1] - x0) ** p)) / (h * (1.0 + abs(x0) ** 2.0))
     return ratios
