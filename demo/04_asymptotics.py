@@ -3,9 +3,12 @@
 The scaled estimation error is asymptotically normal with covariance
 V = Gamma^-1 Sigma Gamma^-T.  Gamma is a pi_0 average of criterion
 curvatures; Sigma needs the Poisson-equation solutions f1, f2 for both
-stages' influence terms, integrated against the jump measure.  Budgets
-here are cut well below the defaults so the script runs in seconds;
-expect a few percent of Monte Carlo wobble on Sigma and V.
+stages' influence terms, integrated against the jump measure.  All of
+them are taken at the optimal parameter theta*, which run_asymptotics
+computes itself; optimal_values(case) gives the same number for the
+benchmark fit.  Budgets here are cut well below the defaults so the
+script runs in seconds; expect a few percent of Monte Carlo wobble on
+Sigma and V.
 """
 
 import numpy as np
@@ -14,8 +17,7 @@ from levy_gqmle import benchmark_model, noise_case, optimal_values, run_asymptot
 
 case = "i"
 theta = optimal_values(case)
-res = run_asymptotics(benchmark_model(), true_ou(), noise_case(case), theta,
-                      seed=17, budget=8000, m=400)
+res = run_asymptotics(benchmark_model(), true_ou(), noise_case(case), seed=17, budget=8000, m=400)
 
 np.set_printoptions(precision=4, suppress=True)
 print(f"case {case} at theta* = ({theta[0]:.6f}, {theta[1]:.6f}); rows/cols ordered (gamma, alpha)")

@@ -14,6 +14,9 @@ import numpy as np
 _MAX_WORKERS = 4
 # contiguous batches of batch_means_se
 _N_BATCHES = 30
+# cells per block of the package's blocked array passes (the NIG draws, the
+# AR(1) scan, the EPE power sums, Gamma's Horner passes): a block stays in cache
+_BLOCK_CELLS = 1 << 16
 
 
 class NumericalError(RuntimeError):

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import NumericalError, _integer, batch_means_se
+from ._util import _BLOCK_CELLS, NumericalError, _integer, batch_means_se
 from .coefficients import _horner
 from .gqmle import ModelSpec
 from .levy import (
@@ -34,7 +34,6 @@ from .levy import (
     cumulants,
 )
 from .sde import (
-    _BLOCK_CELLS,
     DIVERGENCE_BOUND,
     DivergenceError,
     TrueModel,
@@ -217,7 +216,8 @@ def pseudo_true(model: ModelSpec, true_model: TrueModel, noise: LevyLaw) -> tupl
     alpha* = E[(level - rate X) b q] / E[b^2 q]: polynomials in t = X - x_c
     (``_poly_form``) whose means need the moments E[t^j], j <= 4, of
     ``_invariant_cumulants``.  A true drift that does not revert (rate <= 0)
-    is refused with ``ValueError``.
+    is refused with ``ValueError``, and so is an alpha* that pi_0 does not
+    identify, E[b^2 q] = 0 (a zero-sigma truth at b's root).
     """
     kappa = _invariant_cumulants(true_model, noise)
     rate, level, sigma = true_model.rate, true_model.level, true_model.sigma
@@ -232,6 +232,8 @@ def pseudo_true(model: ModelSpec, true_model: TrueModel, noise: LevyLaw) -> tupl
         sum(c * moments[i] for i, c in enumerate(coef))
         for coef in (poly.polymul([level - rate * center, -rate], bq), poly.polymul(b, bq), q)
     )
+    if not den > 0.0:
+        raise ValueError(f"alpha* is not identified: E[b^2 q] = {den} under pi_0 for {model!r} and {true_model!r}")
     gamma = math.sqrt(sigma**2 * mean_q)
     return float(np.clip(num / den, *model.alpha_box)), float(np.clip(gamma, *model.gamma_box))
 
@@ -366,7 +368,6 @@ def epe_solve(
     t_max: float = 40.0,
     m: int = 2000,
     seed: int = 0,
-    step: float = 0.01,
 ) -> tuple[EPEApprox, ...]:
     """Monte Carlo solution f(x) = int_0^t_max E^x[g(X_t)] dt on a grid.
 
@@ -379,7 +380,8 @@ def epe_solve(
     Every row must average to zero under pi_0; the centering is gated at
     three batch-means standard errors against the pi_0 sample ``inv``,
     before any path is drawn, because a non-centered g makes the time
-    integral diverge linearly.  ``t_max`` and ``step`` must be finite,
+    integral diverge linearly.  The paths take ``inv.step``, the step of
+    the chain ``inv`` came from.  ``t_max`` and that step must be finite,
     ``t_max`` must round to at least one step, and ``m`` must be an
     integer of at least 30 (``_check_epe_args``, which ``run_asymptotics``
     also calls before it samples pi_0), and every grid point must be
@@ -422,6 +424,7 @@ def epe_solve(
     """
     if not isinstance(g, _PolyRHS):
         raise TypeError(f"g must be a _PolyRHS, as built by _integrands; got {type(g).__name__}")
+    step = inv.step
     m = _check_epe_args(t_max, step, m)
     rate = _linear_ou_form(model)[0]
     centering = []
@@ -503,14 +506,11 @@ def epe_solve(
     )
 
 
-def _gamma_terms(
-    model: ModelSpec, true_model: TrueModel, theta_star: tuple[float, float], states: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-state integrands of (Gamma_gamma, Gamma_alpha, Gamma_alphagamma),
-    the curvature rows of ``_integrands``, evaluated on blocks of
+def _gamma_terms(rows: _PolyRHS, states: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-state integrands of (Gamma_gamma, Gamma_alpha, Gamma_alphagamma):
+    ``rows``, the curvature group of ``_integrands``, evaluated on blocks of
     ``_BLOCK_CELLS`` states into one (3, n) array: elementwise, and so
     bitwise equal to one call on all states."""
-    rows = _integrands(model, true_model, theta_star)[1]
     out = np.empty((3, states.size))
     for b0 in range(0, states.size, _BLOCK_CELLS):
         for row, vals in zip(out[:, b0 : b0 + _BLOCK_CELLS], rows(states[b0 : b0 + _BLOCK_CELLS])):
@@ -541,13 +541,12 @@ def gamma_matrix(
     ``theta_star`` is (alpha, gamma).  The matrix is lower triangular: the
     scale stage does not involve alpha, so the upper-right entry is zero.
     """
-    return _assemble_gamma(_gamma_terms(model, true_model, theta_star, inv.states))
+    return _assemble_gamma(_gamma_terms(_integrands(model, true_model, theta_star)[1], inv.states))
 
 
 def _sigma_terms(
-    model: ModelSpec,
-    true_model: TrueModel,
-    theta_star: tuple[float, float],
+    jumps: _PolyRHS,
+    sigma: float,
     states: np.ndarray,
     f1: EPEApprox,
     f2: EPEApprox,
@@ -558,7 +557,8 @@ def _sigma_terms(
     weighted sums over the nodes z of v1^2, v2^2 and v1 v2, where
     v1 = w_g z^2 + f1(x + sigma z) - f1(x) and
     v2 = w_a z + f2(x + sigma z) - f2(x), with the jump weights w_g and
-    w_a of ``_integrands``.
+    w_a the rows of ``jumps``, the last group of ``_integrands``, and sigma
+    the true model's.
 
     f1 and f2 must be :class:`EPEApprox` on one grid (``TypeError`` or
     ``ValueError`` otherwise, before any work).  Both are linear on each
@@ -576,8 +576,8 @@ def _sigma_terms(
         raise TypeError(f"f1 and f2 must be EPEApprox; got {type(f1).__name__}, {type(f2).__name__}")
     if not np.array_equal(f1.x, f2.x):
         raise ValueError("f1 and f2 must share one grid")
-    x, sigma = states[:, None], true_model.sigma
-    w_g, w_a = (w[:, None] for w in _integrands(model, true_model, theta_star)[2](states))
+    x = states[:, None]
+    w_g, w_a = (w[:, None] for w in jumps(states))
     (i1, s1, j0), (i2, s2, _) = f1._segments(states), f2._segments(states)
     # a = f(x + sigma z) - f(x) at z = 0 on each piece, zero on x's own piece
     a1 = (i1 - i1[j0, None]) + (s1 - s1[j0, None]) * x
@@ -617,13 +617,7 @@ def _assemble_sigma(terms: tuple[np.ndarray, np.ndarray, np.ndarray]) -> np.ndar
 
 
 def _sigma_full(
-    model: ModelSpec,
-    true_model: TrueModel,
-    theta_star: tuple[float, float],
-    inv: InvariantSample,
-    f1: EPEApprox,
-    f2: EPEApprox,
-    noise: LevyLaw,
+    jumps: _PolyRHS, sigma: float, inv: InvariantSample, f1: EPEApprox, f2: EPEApprox, noise: LevyLaw
 ) -> tuple[np.ndarray, np.ndarray]:
     """(Sigma, entrywise standard errors) with a half-step quadrature gate.
 
@@ -636,19 +630,19 @@ def _sigma_full(
         stride = states.size // _SIGMA_STATES
         states = states[::stride][:_SIGMA_STATES]
     z, w, qstep = _converged_nodes(noise)
-    coarse = _assemble_sigma(_sigma_terms(model, true_model, theta_star, states, f1, f2, z, w))
+    coarse = _assemble_sigma(_sigma_terms(jumps, sigma, states, f1, f2, z, w))
     z2, w2 = _nodes_at(noise, qstep / 2.0)
-    fine_terms = _sigma_terms(model, true_model, theta_star, states, f1, f2, z2, w2)
-    sigma = _assemble_sigma(fine_terms)
-    drift_err = float(np.max(np.abs(sigma - coarse)))
-    if drift_err > 1e-3 * max(1.0, float(np.max(np.abs(sigma)))):
+    fine_terms = _sigma_terms(jumps, sigma, states, f1, f2, z2, w2)
+    fine = _assemble_sigma(fine_terms)
+    drift_err = float(np.max(np.abs(fine - coarse)))
+    if drift_err > 1e-3 * max(1.0, float(np.max(np.abs(fine)))):
         raise QuadratureError(f"jump quadrature unstable for Sigma: delta {drift_err:.3g}")
-    eig = np.linalg.eigvalsh(sigma)
+    eig = np.linalg.eigvalsh(fine)
     if eig.min() < -1e-6:
         raise CovarianceError(f"Sigma has negative eigenvalue {eig.min():.3g}")
     se_g, se_a, se_x = (4.0 * batch_means_se(t) for t in fine_terms)
     ses = np.array([[se_g, se_x], [se_x, se_a]])
-    return sigma, ses
+    return fine, ses
 
 
 def avar(gamma: np.ndarray, sigma: np.ndarray) -> np.ndarray:
@@ -691,7 +685,6 @@ def run_asymptotics(
     model: ModelSpec,
     true_model: TrueModel,
     noise: LevyLaw,
-    theta_star: tuple[float, float],
     seed: int = 0,
     budget: int = 20000,
     t_max: float = 40.0,
@@ -699,6 +692,12 @@ def run_asymptotics(
     step: float = 0.01,
 ) -> AsymptoticsResult:
     """Full pipeline: pi_0 sample, EPE solves, Gamma, Sigma, V.
+
+    All of it is at theta* = ``pseudo_true(model, true_model, noise)``,
+    whose ``_integrands`` are built once.  A theta* clipped to a box edge is
+    no critical point, so its EPE right-hand sides are not centered: it is
+    refused with ``ValueError`` before anything is drawn, as are a Brownian
+    noise and bad EPE arguments (``_check_epe_args``).
 
     The EPE grid is the pi_0 quantile grid of ``_GRID_POINTS`` (25) points,
     extended sideways by four points on each side up to the jump reach
@@ -708,6 +707,11 @@ def run_asymptotics(
     if isinstance(noise, Brownian):
         raise ValueError("asymptotics pipeline needs a pure-jump noise")
     m = _check_epe_args(t_max, step, m)
+    theta = pseudo_true(model, true_model, noise)
+    for name, value, (lo, hi) in zip(("alpha*", "gamma*"), theta, (model.alpha_box, model.gamma_box)):
+        if not lo < value < hi:
+            raise ValueError(f"{name} = {value} is on the edge of its box ({lo}, {hi}): not a critical point")
+    scores, curvatures, jumps = _integrands(model, true_model, theta)
     inv = sample_invariant(true_model, noise, budget=budget, seed=seed, step=step)
     base = np.quantile(inv.states, np.linspace(0.01, 0.99, _GRID_POINTS))
     reach = 8.0 / min(_tail_rates(noise))
@@ -715,16 +719,14 @@ def run_asymptotics(
     right = np.linspace(base[-1], base[-1] + reach, 5)[1:]
     grid = np.concatenate([left, base, right])
 
-    f1, f2 = epe_solve(
-        _integrands(model, true_model, theta_star)[0], true_model, noise, inv, grid, t_max, m, seed, step
-    )
+    f1, f2 = epe_solve(scores, true_model, noise, inv, grid, t_max, m, seed)
 
-    gg, ga, gag = terms = _gamma_terms(model, true_model, theta_star, inv.states)
+    gg, ga, gag = terms = _gamma_terms(curvatures, inv.states)
     gamma = _assemble_gamma(terms)
     gamma_se = np.array(
         [[batch_means_se(gg), 0.0], [batch_means_se(gag), batch_means_se(ga)]]
     )
-    sigma, sigma_se = _sigma_full(model, true_model, theta_star, inv, f1, f2, noise)
+    sigma, sigma_se = _sigma_full(jumps, true_model.sigma, inv, f1, f2, noise)
     v = avar(gamma, sigma)
 
     diagnostics = {

@@ -129,10 +129,8 @@ def _cmd_mc(s, cfg) -> int:
 
 
 def _cmd_asymptotics(s, cfg) -> int:
-    result = run_asymptotics(
-        benchmark_model(), true_ou(), noise_case(s.case), optimal_values(s.case),
-        seed=s.seed, **_given(s, "budget", "m", "t_max", "step"),
-    )
+    result = run_asymptotics(benchmark_model(), true_ou(), noise_case(s.case), seed=s.seed,
+                             **_given(s, "budget", "m", "t_max", "step"))
     for ext in s.format:
         target = _target(s.out_dir, f"asymptotics.{ext}")
         if ext == "json":

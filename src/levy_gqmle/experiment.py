@@ -270,7 +270,6 @@ def run_mc(
     design: ExperimentDesign,
     model: ModelSpec | None = None,
     true_model: TrueModel | None = None,
-    theta_star: tuple[float, float] | None = None,
     x0: float = 0.0,
 ) -> McSummary:
     """Simulate-and-fit replication study over the design grids.
@@ -290,7 +289,8 @@ def run_mc(
     Failed replications (divergent paths) are excluded and counted; once a
     design is done, more than ``_MAX_FAILURE_FRACTION`` (1%) of them raises
     ExperimentError.  Defaults reproduce the benchmark study from x0 = 0,
-    which must be finite.
+    which must be finite.  The summary is centred on ``pseudo_true``'s
+    theta* for the model and truth, computed before anything is drawn.
     """
     x0 = float(x0)
     if not math.isfinite(x0):
@@ -298,8 +298,7 @@ def run_mc(
     model = model or benchmark_model()
     true_model = true_model or true_ou()
     law = noise_case(design.case)
-    if theta_star is None:
-        theta_star = pseudo_true(model, true_model, law)
+    theta_star = pseudo_true(model, true_model, law)
     R = design.replications
     per = []
     blocks = [range(k0, min(R, k0 + _FIT_ROWS)) for k0 in range(0, R, _FIT_ROWS)]
@@ -330,7 +329,7 @@ def run_mc(
         )
     return McSummary(
         case=design.case,
-        theta_star=(float(theta_star[0]), float(theta_star[1])),
+        theta_star=theta_star,
         replications=R,
         seed=design.seed,
         per_design=tuple(per),

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import NumericalError
+from ._util import _BLOCK_CELLS, NumericalError
 
 __all__ = [
     "NormalInverseGaussian",
@@ -29,9 +29,6 @@ __all__ = [
     "levy_density",
     "QuadratureError",
 ]
-
-# draws per block of in-place NIG arithmetic: the temporaries stay in cache
-_BLOCK = 1 << 16
 
 
 class QuadratureError(NumericalError):
@@ -138,7 +135,7 @@ def sample_increments(
     """Exact draws of ``Z_{t+h} - Z_t``, shape ``size``.
 
     Reproducible given the generator state; ``h = 0`` yields exact zeros.
-    The arithmetic runs in place, NIG's in blocks of ``_BLOCK`` draws, in
+    The arithmetic runs in place, NIG's in blocks of ``_BLOCK_CELLS`` draws, in
     the order of the textbook expressions, so the result is bitwise equal to
     them on the same generator.  A step at which the draws lose the law to
     rounding (NIG's (delta h)^2 overflows, or a bilateral gamma's shape h
@@ -160,10 +157,10 @@ def sample_increments(
             raise NumericalError(f"NIG increments overflow at h={h!r}: (delta h)^2 is out of range") from None
         out = rng.wald(dh / law._gbar, lam, size)
         flat = out.reshape(-1)
-        z = np.empty(min(flat.size, _BLOCK))
+        z = np.empty(min(flat.size, _BLOCK_CELLS))
         root = np.empty_like(z)
-        for b0 in range(0, flat.size, _BLOCK):
-            y = flat[b0 : b0 + _BLOCK]
+        for b0 in range(0, flat.size, _BLOCK_CELLS):
+            y = flat[b0 : b0 + _BLOCK_CELLS]
             zb, rb = z[: y.size], root[: y.size]
             rng.standard_normal(out=zb)
             np.sqrt(y, out=rb)

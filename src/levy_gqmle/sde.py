@@ -22,7 +22,7 @@ from typing import Iterator
 
 import numpy as np
 
-from ._util import NumericalError, _integer, atomic_write_text, core_map, substream
+from ._util import _BLOCK_CELLS, NumericalError, _integer, atomic_write_text, core_map, substream
 from .levy import LevyLaw, sample_increments
 
 __all__ = [
@@ -36,9 +36,6 @@ __all__ = [
 ]
 
 DIVERGENCE_BOUND = 1e12
-# cells per block of the scan here, of asymptotics' EPE power sums and of
-# its Horner passes over Gamma's integrand rows: a block stays in cache
-_BLOCK_CELLS = 1 << 16
 # longest sub-block of the scan: its power tables are built per call
 _SUB_BLOCK_MAX = 1 << 16
 

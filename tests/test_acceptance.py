@@ -88,8 +88,7 @@ def table2():
 
 @pytest.fixture(scope="module")
 def asym_i():
-    return run_asymptotics(BENCH, OU, noise_case("i"), optimal_values("i"),
-                           seed=29, budget=40000, m=1500)
+    return run_asymptotics(BENCH, OU, noise_case("i"), seed=29, budget=40000, m=1500)
 
 
 def test_criterion_1_optimal_values_exact():

@@ -79,9 +79,8 @@ def inv_i():
 
 
 @pytest.fixture(scope="module")
-def res_i(oracle_i):
-    theta = (oracle_i.alpha_star, oracle_i.gamma_star)
-    return run_asymptotics(BENCH, OU, CASE_I, theta, seed=5, budget=40000, m=1500)
+def res_i():
+    return run_asymptotics(BENCH, OU, CASE_I, seed=5, budget=40000, m=1500)
 
 
 # three invariant-path chunks: the 50,000 burn-in steps end inside the
@@ -220,8 +219,10 @@ class TestSampleInvariant:
             sample_invariant(not_reverting, CASE_I)
 
     @pytest.mark.parametrize("sigma", [0.0, 1e-200])
-    def test_zero_variance_refused_before_drawing(self, sigma, oracle_i, monkeypatch):
-        # sigma = 1e-200 gives pi_0 a variance that underflows to zero
+    def test_zero_variance_refused_before_drawing(self, sigma, monkeypatch):
+        # sigma = 1e-200 gives pi_0 a variance that underflows to zero.  A
+        # point mass at 0 puts the benchmark's alpha* and gamma* on their box
+        # edges, which run_asymptotics refuses before it samples pi_0
         def refuse(*args, **kwargs):
             raise AssertionError("paths were drawn before pi_0's variance was checked")
 
@@ -229,8 +230,8 @@ class TestSampleInvariant:
         flat = TrueModel(rate=0.5, level=0.0, sigma=sigma)
         with pytest.raises(ValueError, match="sigma"):
             sample_invariant(flat, CASE_I, budget=1000)
-        with pytest.raises(ValueError, match="sigma"):
-            run_asymptotics(BENCH, flat, CASE_I, (oracle_i.alpha_star, oracle_i.gamma_star), budget=1000)
+        with pytest.raises(ValueError, match="edge of its box"):
+            run_asymptotics(BENCH, flat, CASE_I, budget=1000)
 
     def test_overflowing_cumulants_refused_before_drawing(self, monkeypatch):
         # sigma^4 overflows a float at sigma = 1e150: pi_0's cumulants are
@@ -432,6 +433,16 @@ class TestPseudoTrue:
             with pytest.raises(ValueError, match="mean-reverting"):
                 pseudo_true(BENCH, truth, CASE_I)
 
+    @pytest.mark.parametrize("model", [ModelSpec(MeanRevertLinear(m=0.0), ConstantScale()),
+                                       ModelSpec(LinearDecay(), RationalSqrt())], ids=repr)
+    def test_unidentified_alpha_refused(self, model):
+        # a zero-sigma truth is a point mass at the basis's root 0, so
+        # E[b^2 q] = 0 and no alpha fits better than another
+        flat = TrueModel(rate=0.5, level=0.0, sigma=0.0)
+        with pytest.raises(ValueError, match="not identified") as refused:
+            pseudo_true(model, flat, CASE_I)
+        assert repr(model) in str(refused.value) and repr(flat) in str(refused.value)
+
 
 class TestEPESolve:
     def test_pure_ou_analytic(self, inv_i):
@@ -508,7 +519,8 @@ class TestEPESolve:
         assert steps % 500 != 0 and 500 % block != 0
         z = chunk_draws(CASE_I, step, steps, m, seed, _TAG_EPE)
         for model, inv, g, grid in inputs:
-            got = epe_solve(g, model, CASE_I, grid=grid, t_max=t_max, m=m, seed=seed, inv=inv, step=step)
+            assert inv.step == step
+            got = epe_solve(g, model, CASE_I, grid=grid, t_max=t_max, m=m, seed=seed, inv=inv)
             want = np.empty((2, 3, grid.size))
             for i, x0 in enumerate(grid):
                 values, first_bad = _euler_columns(model, step, np.full(m, x0), z)
@@ -527,7 +539,7 @@ class TestEPESolve:
                 assert approx.g_mean == float(np.mean(gv)) and approx.g_se == batch_means_se(gv)
             # a single right-hand side gives the same numbers as its slot in the tuple
             (alone,) = epe_solve(_PolyRHS(g.coef[:1], g.center), model, CASE_I, grid=grid, t_max=t_max, m=m,
-                                 seed=seed, inv=inv, step=step)
+                                 seed=seed, inv=inv)
             assert np.array_equal(alone.f, got[0].f) and np.array_equal(alone.se, got[0].se)
 
     def test_independent_of_worker_count(self, inv_i, oracle_i, monkeypatch):
@@ -593,6 +605,16 @@ class TestEPESolve:
         lo_slope = (1.0 - 4.0) / 1.0
         assert low == pytest.approx(4.0 + lo_slope * -3.0)
 
+    @pytest.mark.parametrize("step", [math.inf, math.nan])
+    def test_non_finite_sample_step_refused_before_drawing(self, inv_i, monkeypatch, step):
+        # the paths take the step of the chain the pi_0 sample came from
+        def refuse(*args, **kwargs):
+            raise AssertionError("paths were drawn before the step was checked")
+
+        monkeypatch.setattr(asymptotics, "_chunked_paths", refuse)
+        with pytest.raises(ValueError, match="finite"):
+            epe_solve(ZERO, OU, CASE_I, m=60, inv=InvariantSample(inv_i.states, inv_i.seed, step))
+
     def test_horizon_below_one_step_rejected(self, inv_i):
         # 0.004 / 0.01 rounds to zero steps: refused before any path is drawn
         with pytest.raises(ValueError, match="at least one"):
@@ -605,9 +627,8 @@ class TestEPESolve:
             EPEApprox(np.array([0.0, 1.0]), np.zeros(3), np.zeros(2), np.zeros(2))
         with pytest.raises(ValueError, match="two points"):
             epe_solve(ZERO, OU, CASE_I, grid=np.array([1.0]), m=60, inv=inv_i)
-        for bad in (dict(t_max=math.inf), dict(step=math.inf), dict(step=math.nan)):
-            with pytest.raises(ValueError, match="finite"):
-                epe_solve(ZERO, OU, CASE_I, m=60, inv=inv_i, **bad)
+        with pytest.raises(ValueError, match="finite"):
+            epe_solve(ZERO, OU, CASE_I, m=60, inv=inv_i, t_max=math.inf)
         for m in (60.5, True):
             with pytest.raises(ValueError, match="m must be an integer"):
                 epe_solve(ZERO, OU, CASE_I, m=m, inv=inv_i)
@@ -648,8 +669,8 @@ class TestGammaMatrix:
     def test_blocked_terms_match_one_call_bitwise(self, oracle_i):
         alpha_s, gamma_s = oracle_i.alpha_star, oracle_i.gamma_star
         x = np.random.default_rng(3).standard_normal(2 * _BLOCK_CELLS + 5)
-        got = _gamma_terms(BENCH, OU, (alpha_s, gamma_s), x)
-        for a, b in zip(got, _integrands(BENCH, OU, (alpha_s, gamma_s))[1](x)):
+        rows = _integrands(BENCH, OU, (alpha_s, gamma_s))[1]
+        for a, b in zip(_gamma_terms(rows, x), rows(x)):
             assert np.array_equal(a, b)
             assert np.mean(a) == np.mean(b)
 
@@ -715,11 +736,11 @@ class TestSigmaMatrix:
         # c constant and correct: f1 = 0 and Sigma_gamma = 4 kappa_4 exactly
         model = ModelSpec(drift=MeanRevertLinear(m=1.0), scale=ConstantScale())
         theta = (0.25, 1.0)
-        g = _integrands(model, OU, theta)[0]
+        g, _, jumps = _integrands(model, OU, theta)
         (f1,) = epe_solve(_PolyRHS(g.coef[:1], g.center), OU, CASE_I, m=60, seed=15, inv=inv_i)
         assert np.all(f1.f == 0.0)
         (f2,) = epe_solve(_PolyRHS(g.coef[1:], g.center), OU, CASE_I, m=800, seed=15, inv=inv_i)
-        sig = _sigma_full(model, OU, theta, inv_i, f1, f2, CASE_I)[0]
+        sig = _sigma_full(jumps, OU.sigma, inv_i, f1, f2, CASE_I)[0]
         assert sig[0, 0] == pytest.approx(4.0 * oracle_i.kappas[4], rel=1e-6)
 
     def test_matches_per_node_oracle(self, oracle_i):
@@ -739,28 +760,27 @@ class TestSigmaMatrix:
             z, w, qstep = _converged_nodes(law)
             node_sets = ((z, w), _nodes_at(law, qstep / 2.0))
             for (nodes, weights), true_model in itertools.product(node_sets, (OU, flipped)):
-                got = _sigma_terms(BENCH, true_model, theta, states, f1, f2, nodes, weights)
+                jumps = _integrands(BENCH, true_model, theta)[2]
+                got = _sigma_terms(jumps, true_model.sigma, states, f1, f2, nodes, weights)
                 want = sigma_terms_by_node(BENCH, true_model, theta, states, f1, f2, nodes, weights)
                 # S_cross is measured against its Cauchy-Schwarz bound
                 for name, a, b, scale in zip("gax", got, want, (want[0], want[1], np.sqrt(want[0] * want[1]))):
                     err = np.max(np.abs(a - b) / scale)
                     assert err <= 1e-12, (law, nodes.size, true_model.sigma, name, err)
 
-    def test_refuses_other_f_before_any_work(self, oracle_i):
-        # no model, states or nodes: any work would fail on them first
-        theta = (oracle_i.alpha_star, oracle_i.gamma_star)
+    def test_refuses_other_f_before_any_work(self):
+        # no weights, states or nodes: any work would fail on them first
         grid = np.linspace(-2.0, 2.0, 9)
         f = EPEApprox(grid, np.tanh(grid), np.ones(9), np.ones(9))
         with pytest.raises(TypeError, match="EPEApprox"):
-            _sigma_terms(None, None, theta, None, f, np.tanh, None, None)
+            _sigma_terms(None, None, None, f, np.tanh, None, None)
         coarse = EPEApprox(grid[::2], np.tanh(grid[::2]), np.ones(5), np.ones(5))
         with pytest.raises(ValueError, match="one grid"):
-            _sigma_terms(None, None, theta, None, f, coarse, None, None)
+            _sigma_terms(None, None, None, f, coarse, None, None)
 
-    def test_seed_exchangeable(self, oracle_i):
-        theta = (oracle_i.alpha_star, oracle_i.gamma_star)
-        a = run_asymptotics(BENCH, OU, CASE_I, theta, seed=21, budget=15000, m=600, t_max=30.0)
-        b = run_asymptotics(BENCH, OU, CASE_I, theta, seed=22, budget=15000, m=600, t_max=30.0)
+    def test_seed_exchangeable(self):
+        a = run_asymptotics(BENCH, OU, CASE_I, seed=21, budget=15000, m=600, t_max=30.0)
+        b = run_asymptotics(BENCH, OU, CASE_I, seed=22, budget=15000, m=600, t_max=30.0)
         gate = 3.0 * np.sqrt(a.sigma_se**2 + b.sigma_se**2) + 0.02 * np.abs(a.sigma)
         assert np.all(np.abs(a.sigma - b.sigma) <= gate)
 
@@ -804,28 +824,55 @@ class TestRunAsymptotics:
     def test_v_consistent_with_parts(self, res_i):
         np.testing.assert_allclose(res_i.v, avar(res_i.gamma, res_i.sigma), atol=1e-14)
 
-    def test_brownian_rejected(self, oracle_i):
+    def test_brownian_rejected(self):
         with pytest.raises(ValueError, match="pure-jump"):
-            run_asymptotics(BENCH, OU, Brownian(1.0), (1.0 / 3.0, math.sqrt(2.0)))
+            run_asymptotics(BENCH, OU, Brownian(1.0))
 
     @pytest.mark.parametrize(
         "bad",
         [dict(t_max=0.004), dict(t_max=math.inf), dict(step=math.nan), dict(m=29), dict(m=60.5), dict(m=True)],
     )
-    def test_epe_arguments_checked_before_sampling(self, oracle_i, monkeypatch, bad):
+    def test_epe_arguments_checked_before_sampling(self, monkeypatch, bad):
         def refuse(*args, **kwargs):
             raise AssertionError("pi_0 was sampled before the arguments were checked")
 
         monkeypatch.setattr(asymptotics, "sample_invariant", refuse)
-        theta = (oracle_i.alpha_star, oracle_i.gamma_star)
         # a boolean or non-integral m is refused as such, the rest by range
         match = "m must be an integer" if isinstance(bad.get("m"), (bool, float)) else "m >= 30"
         with pytest.raises(ValueError, match=match):
-            run_asymptotics(BENCH, OU, CASE_I, theta, budget=600000, **bad)
+            run_asymptotics(BENCH, OU, CASE_I, budget=600000, **bad)
 
-    def test_deterministic(self, oracle_i):
-        theta = (oracle_i.alpha_star, oracle_i.gamma_star)
+    def test_boundary_theta_star_refused_before_sampling(self, monkeypatch):
+        # under case iii's skew a constant drift's alpha* is -2/15, which
+        # pseudo_true clips to the box edge 0: not a critical point, so the
+        # EPE right-hand side g_2 is not centered
+        def refuse(*args, **kwargs):
+            raise AssertionError("pi_0 was sampled before theta* was checked")
+
+        monkeypatch.setattr(asymptotics, "sample_invariant", refuse)
+        model = ModelSpec(ConstantDrift(), RationalSqrt())
+        assert pseudo_true(model, OU, CASE_III)[0] == 0.0
+        with pytest.raises(ValueError, match=r"alpha\* = 0.0 is on the edge of its box \(0.0, 10.0\)"):
+            run_asymptotics(model, OU, CASE_III)
+        narrow = ModelSpec(MeanRevertLinear(m=1.0), RationalSqrt(), gamma_box=(0.05, 1.2))
+        with pytest.raises(ValueError, match=r"gamma\* = 1.2 is on the edge"):
+            run_asymptotics(narrow, OU, CASE_I)
+
+    def test_deterministic(self):
         kw = dict(seed=8, budget=2000, m=60, t_max=10.0)
-        a = run_asymptotics(BENCH, OU, CASE_I, theta, **kw)
-        b = run_asymptotics(BENCH, OU, CASE_I, theta, **kw)
+        a = run_asymptotics(BENCH, OU, CASE_I, **kw)
+        b = run_asymptotics(BENCH, OU, CASE_I, **kw)
         assert np.array_equal(a.sigma, b.sigma) and np.array_equal(a.gamma, b.gamma)
+
+    def test_builds_the_integrand_table_once(self, monkeypatch):
+        # theta* comes from pseudo_true, and its one _integrands table feeds
+        # the EPE solves, Gamma and Sigma
+        built = []
+
+        def spy(*args, integrands=asymptotics._integrands):
+            built.append(args)
+            return integrands(*args)
+
+        monkeypatch.setattr(asymptotics, "_integrands", spy)
+        run_asymptotics(BENCH, OU, CASE_I, seed=8, budget=2000, m=60, t_max=10.0)
+        assert built == [(BENCH, OU, pseudo_true(BENCH, OU, CASE_I))]

@@ -141,6 +141,25 @@ def test_main_alternates_which_side_runs_first(tmp_path, monkeypatch):
     assert all(list(p) == ["pair", "parent", "change"] for p in record["pairs"])
 
 
+def test_main_claim_none_gives_every_metric_a_bound_verdict(tmp_path, monkeypatch):
+    # the change is lower in every pair on wall_s, which a claim would call
+    # "met"; claiming nothing, it is a bound verdict like the rest
+    parent = _benchmark_checkout(tmp_path / "parent")
+    change = _benchmark_checkout(tmp_path / "change")
+
+    def fake_run_once(checkout, workload):
+        return {"src_sha256": checkout.name}, _result(2.0 if checkout == parent else 1.0, 3.0, 100.0, 1.5)
+
+    monkeypatch.setattr(bench_pairs, "run_once", fake_run_once)
+    monkeypatch.setattr(bench_pairs, "_side", lambda prov, checkout: {"commit": None, "src_sha256": prov["src_sha256"]})
+    assert bench_pairs.main(["--parent", str(parent), "--change", str(change), "--workload", "w", "--pairs", "2",
+                            "--claim", "none"]) == 0
+    record = json.loads((change / "BENCH_w.json").read_text())
+    assert record["claimed_metric"] is None
+    assert {name: m["verdict"] for name, m in record["summary"].items()} == dict.fromkeys(BOUNDS, "within bound")
+    assert record["summary"] == bench_pairs.summarize(record["pairs"], None, BOUNDS)
+
+
 @pytest.mark.parametrize("edit", ["perfbench", "extra_file", "benchmark_json", "no_benchmark_json"])
 def test_main_refuses_differing_benchmarks(tmp_path, monkeypatch, edit):
     parent = _benchmark_checkout(tmp_path / "parent")

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from scipy.special import ndtri
 
-from levy_gqmle import _util
+from levy_gqmle import _util, experiment
 from levy_gqmle._util import substream
 from levy_gqmle.asymptotics import pseudo_true
 from levy_gqmle.coefficients import ConstantScale, MeanRevertLinear
@@ -241,10 +241,16 @@ class TestRunMc:
         with pytest.raises(ExperimentError, match="replications failed"):
             run_mc(design)
 
-    def test_theta_star_override(self):
+    def test_unidentified_alpha_refused_before_drawing(self, monkeypatch):
+        # a zero-sigma truth is a point mass at the basis's root, so
+        # pseudo_true has no alpha* to centre the summary on
+        def refuse(*args, **kwargs):
+            raise AssertionError("paths were drawn before theta* was checked")
+
+        monkeypatch.setattr(experiment, "_euler_panel", refuse)
         design = ExperimentDesign("i", designs=((250, 0.04),), replications=120, seed=7)
-        s = run_mc(design, theta_star=(0.3, 1.4))
-        assert s.theta_star == (0.3, 1.4)
+        with pytest.raises(ValueError, match="not identified"):
+            run_mc(design, ModelSpec(MeanRevertLinear(m=0.0), ConstantScale()), TrueModel(0.5, 0.0, 0.0))
 
     @pytest.mark.parametrize("model,truth", [
         (ModelSpec(MeanRevertLinear(m=0.0), ConstantScale()), None),

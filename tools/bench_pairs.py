@@ -18,7 +18,8 @@ checkout, holds every pair's end-to-end metrics with ``correct``,
 quartiles of each side, the median change in percent, the number of
 pairs where the change's value is lower, the metric's bound from
 ``BENCHMARK.json`` and a verdict.  ``--claim`` names the metric the change
-claims to improve (``wall_s`` unless given); the record states it.  All four
+claims to improve (``wall_s`` unless given), or ``none`` for a change that
+claims no gain; the record states it, ``null`` for ``none``.  All four
 metrics are better lower.  The claimed metric's verdict is ``met`` when the
 change is lower in at least nine tenths of the pairs (ties count for
 neither) and its median is below the parent's by more than the parent's
@@ -104,9 +105,10 @@ def bounds(checkout: Path) -> dict[str, float]:
     return {metric["name"]: metric["bound"] for metric in spec["end_to_end"]}
 
 
-def summarize(pairs: list[dict], claim: str, bound: dict[str, float]) -> dict:
+def summarize(pairs: list[dict], claim: str | None, bound: dict[str, float]) -> dict:
     """Per metric: each side's median and quartiles, the median change, the
-    pairs the change lowered, the bound and the verdict."""
+    pairs the change lowered, the bound and the verdict.  With ``claim``
+    None every metric gets a bound verdict."""
     out = {}
     for name in METRICS:
         parent = [p["parent"][name] for p in pairs]
@@ -140,7 +142,9 @@ def _side(provenance: dict, checkout: Path) -> dict:
     return {"commit": commit, "src_sha256": provenance["src_sha256"]}
 
 
-def build_record(workload: str, sides: dict, host: dict, pairs: list[dict], claim: str, bound: dict[str, float]) -> dict:
+def build_record(
+    workload: str, sides: dict, host: dict, pairs: list[dict], claim: str | None, bound: dict[str, float]
+) -> dict:
     """The ``BENCH_<workload>.json`` object for ``pairs`` of ``{"parent": entry, "change": entry}``."""
     return {
         "workload": workload,
@@ -169,7 +173,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--change", type=Path, required=True, help="checkout of the change")
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--claim", choices=METRICS, default="wall_s", help="metric the change claims to improve")
+    parser.add_argument("--claim", choices=(*METRICS, "none"), default="wall_s",
+                        help="metric the change claims to improve, or none")
     ns = parser.parse_args(argv)
     if ns.pairs < 2:
         parser.error("--pairs must be at least 2")
@@ -184,7 +189,8 @@ def main(argv: list[str] | None = None) -> int:
             print(f"pair {i} {side}: " + json.dumps(pair[side]), file=sys.stderr)
         pairs.append({"parent": pair["parent"], "change": pair["change"]})
     sides = {side: _side(provenance[side], checkout) for side, checkout in checkouts.items()}
-    record = build_record(ns.workload, sides, provenance["change"], pairs, ns.claim, bounds(ns.change))
+    claim = None if ns.claim == "none" else ns.claim
+    record = build_record(ns.workload, sides, provenance["change"], pairs, claim, bounds(ns.change))
     out = ns.change / f"BENCH_{ns.workload}.json"
     out.write_text(json.dumps(record, indent=2) + "\n")
     print(f"wrote {out}", file=sys.stderr)
