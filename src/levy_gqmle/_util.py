@@ -15,7 +15,8 @@ _MAX_WORKERS = 4
 # contiguous batches of batch_means_se
 _N_BATCHES = 30
 # cells per block of the package's blocked array passes (the NIG draws, the
-# AR(1) scan, the EPE power sums, Gamma's Horner passes): a block stays in cache
+# AR(1) scan, the EPE power sums, Gamma's Horner passes): a block stays in cache;
+# the fit's tiles are fixed in time steps instead, ``gqmle._FIT_TILE``
 _BLOCK_CELLS = 1 << 16
 
 

@@ -52,8 +52,8 @@ CASES = ("i", "ii", "iii", "diffusion")
 TAIL_RADII = (1.0, 2.0, 4.0, 8.0)
 
 _TAG_MC = 5501  # replication increment streams hang off (seed, tag, design, k)
-# replications per block: the blocks in flight on the core pool hold the only
-# per-replication arrays alive, and two 16-row blocks hold as much as one of 32
+# replications per block: the (16, n+1) panels of the blocks in flight on the
+# core pool are the only per-replication arrays alive, one per worker
 _FIT_ROWS = 16
 # a design with more failed (divergent) replications than this raises
 _MAX_FAILURE_FRACTION = 0.01
@@ -279,9 +279,8 @@ def run_mc(
     replications run in blocks of 16 on ``_util.core_map``, one worker
     per usable core up to 4.  Each block draws its own (16, n+1) panel of
     paths from x0 with ``sde._euler_panel``, which also scans it for
-    divergence, and its surviving rows are fitted in the closed form.
-    Blocks have 16 rows so that two workers hold as many temporaries as
-    one 32-row block did.
+    divergence, and its surviving rows are fitted in the closed form, one
+    time tile at a time, so the fit's temporaries do not grow with n.
     Each row reduces along time exactly as a lone path does, so every
     estimate is bitwise equal to ``estimate_staged`` on that replication's
     path, and the blocks' results are joined in replication order, so

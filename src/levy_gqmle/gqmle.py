@@ -12,9 +12,11 @@ closed form and no optimizer is needed.  Both read the scale through
 c^2 = gamma^2 / q, q = 1/p^2 a polynomial like b, and take no square root
 but gamma's.  Both criteria are written once, in ``_criterion_terms``, as
 functions of a path's states and increment moments; pi_0's integrands are
-the polynomials of ``asymptotics._integrands``.  The closed forms fit a
-block of rows at a time, shape (R, n+1) with time contiguous; a single
-path is a one-row block, and each row reduces exactly as a lone path would.
+the polynomials of ``asymptotics._integrands``.  The closed forms read a
+block of rows (R, n+1), time contiguous, only through S2 = sum dx^2 q,
+S1 = sum dx b q and Sb = sum b^2 q (gamma cancels from stage two), summed
+one tile of steps at a time; a single path is a one-row block, and each
+row reduces exactly as a lone path would.
 """
 
 from __future__ import annotations
@@ -25,6 +27,9 @@ import numpy as np
 
 from .coefficients import DriftFamily, ScaleFamily, _horner
 from .sde import SamplePath
+
+# time steps per tile of ``_fit_rows``, whatever R, so a row sums as it would alone
+_FIT_TILE = 1024
 
 __all__ = [
     "ModelSpec",
@@ -75,7 +80,7 @@ class EstimateResult:
         return asdict(self)
 
 
-def _check_scale(gamma, q: np.ndarray) -> None:
+def _check_scale(q: np.ndarray, gamma=1.0) -> None:
     """Refuse a scale whose variance c^2 = gamma^2 / q is not positive and
     finite on the path: gamma <= 0, or q outside (0, inf)."""
     if not (np.all(gamma > 0) and np.all((q > 0) & (q < np.inf))):
@@ -100,7 +105,7 @@ def _criterion_terms(
     :func:`_fit_drift`.
     """
     q = _horner(model.scale.q_coef, x)
-    _check_scale(gamma, q)
+    _check_scale(q, gamma)
     c2 = gamma**2 / q
     b = _horner(model.drift.basis_coef, x)
     u = m2 / c2
@@ -118,53 +123,58 @@ def _path_criteria(path: SamplePath, model: ModelSpec, gamma: float, alpha: floa
     return [tuple(float(np.sum(t)) / path.T for t in terms[:3]) for terms in (stage1, stage2)]
 
 
-def _fit_scale(model: ModelSpec, q: np.ndarray, m2: np.ndarray, h: float):
-    """Closed-form stage one for each row: gamma^2 = sum(m2 q) / (N h).
+def _fit_scale(model: ModelSpec, s2: np.ndarray, n: int, h: float):
+    """Closed-form stage one for each row from its S2 over n steps: gamma^2 = S2 / (n h).
 
-    ``q`` and ``m2`` have shape (R, N).  Returns (gamma, boundary,
-    degenerate), each of shape (R,); gamma is clamped to the box, and a row
-    with zero quadratic variation is degenerate and sits at the lower edge.
-    A row whose sum(m2 q) is not finite (an increment that overflows when
-    squared) is refused with ``_check_scale``'s ``ValueError``, not clamped.
+    Returns (gamma, boundary, degenerate), each of shape (R,); gamma is
+    clamped to the box, and a row with zero quadratic variation is
+    degenerate and sits at the lower edge.  A row whose S2 is not finite (an
+    increment that overflows when squared) is refused with
+    ``_check_scale``'s ``ValueError``, not clamped.
     """
     lo, hi = model.gamma_box
-    total = np.sum(m2 * q, axis=1)
-    if not np.all(total < np.inf):
+    if not np.all(s2 < np.inf):
         raise ValueError("scale coefficient evaluated non-positive on the path")
-    raw = np.sqrt(total / (q.shape[1] * h))
+    raw = np.sqrt(s2 / (n * h))
     return np.clip(raw, lo, hi), (raw < lo) | (raw > hi), raw == 0.0
 
 
-def _fit_drift(model: ModelSpec, x: np.ndarray, q: np.ndarray, m1: np.ndarray, h: float, gamma: np.ndarray):
-    """Closed-form stage two for each row, with that row's gamma in the
-    weights w = b q / gamma^2 = b / c^2: alpha = sum(m1 w) / (h sum(b w)).
+def _fit_drift(model: ModelSpec, s1: np.ndarray, sb: np.ndarray, h: float):
+    """Closed-form stage two for each row: alpha = S1 / (h Sb), the weights
+    b / c^2 = b q / gamma^2 with the stage-one gamma cancelled.
 
     Returns (alpha, boundary, degenerate) like :func:`_fit_scale`; a row
-    whose denominator vanishes is degenerate and sits at the lower edge.
+    whose Sb vanishes is degenerate and sits at the lower edge.
     """
     lo, hi = model.alpha_box
-    _check_scale(gamma, q)
-    b = _horner(model.drift.basis_coef, x)
-    w = b * q
-    w /= gamma[:, None] ** 2
-    denom = np.sum(b * w, axis=1) * h
+    denom = sb * h
     degenerate = denom == 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
-        raw = np.sum(m1 * w, axis=1) / denom
+        raw = s1 / denom
     return np.where(degenerate, lo, np.clip(raw, lo, hi)), degenerate | (raw < lo) | (raw > hi), degenerate
 
 
 def _fit_rows(model: ModelSpec, values: np.ndarray, h: float):
-    """Both stages for every row of a (R, n+1) block of paths on step h.
+    """Both stages for every row of a (R, n+1) block of paths on step h, one time tile at a time.
 
     Returns alpha and gamma of shape (R,), then stage one's and stage two's
     (boundary, degenerate) masks, each of shape (R,).
     """
-    x = values[:, :-1]
-    dx = np.diff(values, axis=1)
-    q = _horner(model.scale.q_coef, x)
-    gamma, *stage1 = _fit_scale(model, q, dx**2, h)
-    alpha, *stage2 = _fit_drift(model, x, q, dx, h, gamma)
+    n = values.shape[1] - 1
+    s2, s1, sb = np.zeros((3, len(values)))
+    with np.errstate(over="ignore", invalid="ignore"):  # the checks refuse what overflows
+        for j in range(0, n, _FIT_TILE):
+            x = values[:, j : min(j + _FIT_TILE, n)]
+            dx = values[:, j + 1 : j + 1 + x.shape[1]] - x
+            q = _horner(model.scale.q_coef, x)
+            _check_scale(q)
+            s2 += np.sum(dx * dx * q, axis=1)
+            b = _horner(model.drift.basis_coef, x)
+            q *= b
+            s1 += np.sum(dx * q, axis=1)
+            sb += np.sum(b * q, axis=1)
+    gamma, *stage1 = _fit_scale(model, s2, n, h)
+    alpha, *stage2 = _fit_drift(model, s1, sb, h)
     return alpha, gamma, stage1, stage2
 
 

@@ -9,7 +9,8 @@ polynomial algebra in (x, z).  Only the benchmark model (drift -x/2, unit
 scale, fitted drift alpha(1-x), fitted scale gamma/sqrt(1+x^2)) is covered,
 except for pseudo-true values, which take raw moments for any catalog pair.
 Paths are checked against the Euler recursion stepped one time step at a
-time in Python, and fits against the benchmark closed forms written out.
+time in Python, and fits against the benchmark closed forms written out
+and against every catalog pair's closed forms summed over whole paths.
 The characteristic exponent is the mpmath CGF on the imaginary axis, the
 stage criteria are read off the package's one criterion algebra, and
 Poisson-equation solutions are checked by their martingale increments.
@@ -103,6 +104,28 @@ def benchmark_closed_form(path: SamplePath) -> tuple[float, float]:
     gamma_hat = math.sqrt(float(np.sum(dx**2 * w)) / (path.n * path.h))
     alpha_hat = float(np.sum(dx * (1.0 - x_prev) * w)) / (path.h * float(np.sum((x_prev - 1.0) ** 2 * w)))
     return alpha_hat, gamma_hat
+
+
+def fit_rows_untiled(model: ModelSpec, values: np.ndarray, h: float):
+    """Both closed-form stages for every row of a (R, n+1) block, as
+    ``gqmle._fit_rows`` returns them, each sum taken over a whole row at
+    once, from the catalog's textbook b and p, with the stage-one gamma in
+    stage two's weights w = b / c^2 = b / (gamma p)^2.
+    """
+    x, dx = values[:, :-1], np.diff(values, axis=1)
+    b, p2 = family_form(model.drift, x), family_form(model.scale, x) ** 2
+    (g_lo, g_hi), (a_lo, a_hi) = model.gamma_box, model.alpha_box
+    raw_gamma = np.sqrt(np.sum(dx**2 / p2, axis=1) / (dx.shape[1] * h))
+    gamma = np.clip(raw_gamma, g_lo, g_hi)
+    w = b / (gamma[:, None] ** 2 * p2)
+    denom = h * np.sum(b * w, axis=1)
+    degenerate = denom == 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        raw_alpha = np.sum(dx * w, axis=1) / denom
+    alpha = np.where(degenerate, a_lo, np.clip(raw_alpha, a_lo, a_hi))
+    stage1 = ((raw_gamma < g_lo) | (raw_gamma > g_hi), raw_gamma == 0.0)
+    stage2 = (degenerate | (raw_alpha < a_lo) | (raw_alpha > a_hi), degenerate)
+    return alpha, gamma, stage1, stage2
 
 
 def _cgf(law: LevyLaw):

@@ -412,8 +412,8 @@ class TestPseudoTrue:
         x = sample_invariant(OU_SHIFTED, CASE_III, budget=100000, seed=21).states[None, :]
         big_a = OU_SHIFTED.level - OU_SHIFTED.rate * x
         b, q = family_form(model.drift, x[0]), 1.0 / family_form(model.scale, x[0]) ** 2
-        gamma = _fit_scale(model, q[None], OU_SHIFTED.sigma**2, 1.0)[0]
-        alpha = _fit_drift(model, x, q[None], big_a, 1.0, gamma)[0]
+        gamma = _fit_scale(model, np.array([np.sum(OU_SHIFTED.sigma**2 * q)]), q.size, 1.0)[0]
+        alpha = _fit_drift(model, np.array([np.sum(big_a[0] * b * q)]), np.array([np.sum(b * b * q)]), 1.0)[0]
         influence = (big_a[0] - alpha[0] * b) * b * q / np.mean(b * b * q)
         assert abs(alpha[0] - alpha_s) <= 4.0 * batch_means_se(influence)
         assert abs(gamma[0] - gamma_s) <= 4.0 * batch_means_se(q) / (2.0 * gamma[0])

@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -125,7 +126,7 @@ def test_main_alternates_which_side_runs_first(tmp_path, monkeypatch):
     change = _benchmark_checkout(tmp_path / "change")
     calls = []
 
-    def fake_run_once(checkout, workload):
+    def fake_run_once(checkout, workload, seed=None):
         calls.append(checkout)
         return {"src_sha256": checkout.name}, _result(2.0 if checkout == parent else 1.0, 3.0, 100.0, 1.5)
 
@@ -147,7 +148,7 @@ def test_main_claim_none_gives_every_metric_a_bound_verdict(tmp_path, monkeypatc
     parent = _benchmark_checkout(tmp_path / "parent")
     change = _benchmark_checkout(tmp_path / "change")
 
-    def fake_run_once(checkout, workload):
+    def fake_run_once(checkout, workload, seed=None):
         return {"src_sha256": checkout.name}, _result(2.0 if checkout == parent else 1.0, 3.0, 100.0, 1.5)
 
     monkeypatch.setattr(bench_pairs, "run_once", fake_run_once)
@@ -158,6 +159,29 @@ def test_main_claim_none_gives_every_metric_a_bound_verdict(tmp_path, monkeypatc
     assert record["claimed_metric"] is None
     assert {name: m["verdict"] for name, m in record["summary"].items()} == dict.fromkeys(BOUNDS, "within bound")
     assert record["summary"] == bench_pairs.summarize(record["pairs"], None, BOUNDS)
+
+
+@pytest.mark.parametrize("seed", [None, 1])
+def test_main_passes_the_seed_to_perfbench_and_the_record(tmp_path, monkeypatch, seed):
+    parent = _benchmark_checkout(tmp_path / "parent")
+    change = _benchmark_checkout(tmp_path / "change")
+    argvs = []
+
+    def fake_subprocess_run(argv, cwd, **kwargs):
+        argvs.append(argv[1:])
+        result = _result(2.0 if cwd == parent else 1.0, 3.0, 100.0, 1.5)
+        lines = [json.dumps({"provenance": {"src_sha256": cwd.name}}), json.dumps(result)]
+        return subprocess.CompletedProcess(argv, 0, "\n".join(lines) + "\n", "")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_subprocess_run)
+    monkeypatch.setattr(bench_pairs, "_side", lambda prov, checkout: {"commit": None, "src_sha256": prov["src_sha256"]})
+    extra = [] if seed is None else ["--seed", str(seed)]
+    assert bench_pairs.main(["--parent", str(parent), "--change", str(change), "--workload", "w", "--pairs", "2",
+                            *extra]) == 0
+    want = ["perfbench/run.py", "--workload", "w", *extra, "--seconds", "30", "--trace", "0"]
+    assert argvs == [want] * 4
+    record = json.loads((change / "BENCH_w.json").read_text())
+    assert record["command"] == " ".join(["python3", *want])
 
 
 @pytest.mark.parametrize("edit", ["perfbench", "extra_file", "benchmark_json", "no_benchmark_json"])

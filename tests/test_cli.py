@@ -200,8 +200,10 @@ class TestEstimate:
         assert out == ""
         assert "finite" in err
 
+    @pytest.mark.filterwarnings("error")
     def test_overflowing_state_exits_one(self, capsys, tmp_path):
-        # q = 1 + x^2 overflows at x = 1e200, so the fitted scale is refused
+        # q = 1 + x^2 overflows at x = 1e200, so the fitted scale is refused,
+        # with no numpy warning ahead of the error line
         bad = tmp_path / "bad.csv"
         bad.write_text("t,x\n0,0\n0.1,0.3\n0.2,1e200\n0.3,0.2\n0.4,-0.1\n")
         code, out, err = invoke(capsys, "estimate", "--path", str(bad))

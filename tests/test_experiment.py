@@ -28,7 +28,7 @@ from levy_gqmle.experiment import (
     summarize_replications,
     true_ou,
 )
-from levy_gqmle.gqmle import ModelSpec, estimate_staged
+from levy_gqmle.gqmle import _FIT_TILE, ModelSpec, estimate_staged
 from levy_gqmle.levy import BilateralGamma, Brownian, NormalInverseGaussian, cumulants, sample_increments
 from levy_gqmle.sde import SamplePath, TrueModel, _first_bad, _scan, _step_map
 from _oracles import _euler_columns
@@ -150,8 +150,9 @@ class TestRunMc:
         # replication k's result depends only on (seed, tag, design, k): a
         # larger study repeats the smaller one's rows bitwise, and each row
         # is bitwise the per-path fit of that replication's own path, filtered
-        # as a one-row call; that path also agrees with the Euler loop
-        designs = ((250, 0.04), (1000, 0.02))
+        # as a one-row call, also on paths the fit sums over several time
+        # tiles; that path also agrees with the Euler loop
+        designs = ((250, 0.04), (1000, 0.02), (3 * _FIT_TILE + 7, 0.01))
         small = run_mc(ExperimentDesign("ii", designs=designs, replications=100, seed=7))
         large = run_mc(ExperimentDesign("ii", designs=designs, replications=130, seed=7))
         law, model = noise_case("ii"), benchmark_model()

@@ -1,6 +1,7 @@
 """Estimator tests: objectives, derivatives, closed forms, staging."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,13 +15,15 @@ from levy_gqmle.coefficients import (
     _horner,
 )
 from levy_gqmle.gqmle import (
+    _FIT_TILE,
     ModelSpec,
     _fit_drift,
+    _fit_rows,
     _fit_scale,
     estimate_staged,
 )
 from levy_gqmle.sde import PathConfig, SamplePath, TrueModel, simulate_euler
-from _oracles import benchmark_closed_form, g1_eval, g2_eval
+from _oracles import benchmark_closed_form, fit_rows_untiled, g1_eval, g2_eval
 from test_levy import CASE_I
 
 BENCH = ModelSpec(drift=MeanRevertLinear(m=1.0), scale=RationalSqrt())
@@ -33,21 +36,25 @@ def _sim(n=400, h=0.05, seed=0, noise=CASE_I):
     return simulate_euler(OU, noise, PathConfig(n=n, h=h, x0=0.0, seed=seed))
 
 
-def _q(path, model):
-    """q = 1/p^2 at the path's states as the fit reads it, a one-row block."""
-    return _horner(model.scale.q_coef, path.values[None, :-1])
+def _sums(path, model):
+    """(S2, S1, Sb) = (sum dx^2 q, sum dx b q, sum b^2 q) of one path, each
+    over the whole path as a one-row array, multiplied as the fit does."""
+    x, dx = path.values[None, :-1], path.increments()[None]
+    q = _horner(model.scale.q_coef, x)
+    b = _horner(model.drift.basis_coef, x)
+    bq = q * b
+    return np.sum(dx * dx * q, axis=1), np.sum(dx * bq, axis=1), np.sum(b * bq, axis=1)
 
 
 def _stage_one(path, model):
     """Stage one's gamma alone on one path."""
-    return float(_fit_scale(model, _q(path, model), path.increments()[None] ** 2, path.h)[0][0])
+    return float(_fit_scale(model, _sums(path, model)[0], path.n, path.h)[0][0])
 
 
-def _stage_two(path, model, gamma):
-    """Stage two's alpha alone on one path, with ``gamma`` in the weights."""
-    dx = path.increments()[None]
-    x = path.values[None, :-1]
-    return float(_fit_drift(model, x, _q(path, model), dx, path.h, np.array([float(gamma)]))[0][0])
+def _stage_two(path, model):
+    """Stage two's alpha alone on one path."""
+    _, s1, sb = _sums(path, model)
+    return float(_fit_drift(model, s1, sb, path.h)[0][0])
 
 
 class TestG1:
@@ -89,7 +96,7 @@ class TestG2:
     def test_constant_drift_endpoint_slope(self):
         path = _sim(seed=3)
         model = ModelSpec(drift=ConstantDrift(), scale=ConstantScale(), alpha_box=(-10.0, 10.0))
-        alpha = _stage_two(path, model, 1.0)
+        alpha = _stage_two(path, model)
         want = (path.values[-1] - path.values[0]) / path.T
         assert alpha == pytest.approx(want, abs=1e-12)
 
@@ -123,18 +130,20 @@ class TestEstimators:
         path = _sim(n=1000, seed=8)
         res = estimate_staged(path, BENCH)
         assert res.gamma_hat == _stage_one(path, BENCH)
-        assert res.alpha_hat == _stage_two(path, BENCH, res.gamma_hat)
+        assert res.alpha_hat == _stage_two(path, BENCH)
         assert res.g1_value == g1_eval(path, BENCH, res.gamma_hat)[0]
         assert res.g2_value == g2_eval(path, BENCH, res.gamma_hat, res.alpha_hat)[0]
         assert np.isfinite(res.g1_value) and np.isfinite(res.g2_value)
 
     def test_stage_two_invariant_to_scale_level(self):
-        # multiplicative scale cancels from the weighted LS, so rerunning
-        # stage two with any other gamma leaves alpha unchanged
+        # multiplicative scale cancels from the weighted LS: the stage-two
+        # criterion is quadratic in alpha, and its Newton step from the
+        # estimate stays there whatever gamma the criterion is read at
         path = _sim(n=800, seed=9)
         res = estimate_staged(path, BENCH)
-        alt = _stage_two(path, BENCH, math.sqrt(2))
-        assert alt == pytest.approx(res.alpha_hat, abs=1e-12)
+        for gamma in (math.sqrt(2), 0.3, 7.0):
+            _, g, H = g2_eval(path, BENCH, gamma, res.alpha_hat)
+            assert res.alpha_hat - g / H == pytest.approx(res.alpha_hat, abs=1e-12)
 
     def test_gradients_vanish_at_estimates(self):
         for seed in (21, 22, 23):
@@ -152,7 +161,7 @@ class TestEstimators:
             t = np.arange(201) * h
             path = SamplePath(h=h, values=2.0 * np.exp(-alpha_true * t))
             model = ModelSpec(drift=LinearDecay(), scale=ConstantScale())
-            alpha = _stage_two(path, model, 1.0)
+            alpha = _stage_two(path, model)
             errs.append(abs(alpha - alpha_true))
             assert errs[-1] < alpha_true**2 * h
         assert errs[1] < errs[0]
@@ -163,17 +172,24 @@ class TestEstimators:
         assert res.gamma_hat == CONST.gamma_box[0]
         assert res.stage1_boundary and not res.stage1_degenerate
 
-    def test_overflowing_state_refused(self):
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("tiles", ["one", "last"])
+    def test_overflowing_state_refused(self, tiles):
         # at x = 1e200, q = 1 + x^2 is inf, and (dX)^2 overflows even where
         # q = 1: either scale is refused, not carried on as a gamma clamped
-        # to the box with -inf criteria
-        path = SamplePath(h=0.1, values=np.array([0.0, 0.3, 1e200, 0.2, -0.1, 0.4]))
+        # to the box with -inf criteria, and without a numpy warning; on a
+        # longer path the overflow sits in the fit's last tile only
+        values = np.array([0.0, 0.3, 1e200, 0.2, -0.1, 0.4])
+        if tiles == "last":
+            values = np.concatenate([np.full(2 * _FIT_TILE, 0.2), values])
+        path = SamplePath(h=0.1, values=values)
         for model in (BENCH, CONST):
-            with np.errstate(over="ignore"), pytest.raises(ValueError, match="scale coefficient evaluated non-positive"):
+            with pytest.raises(ValueError, match="scale coefficient evaluated non-positive"):
                 estimate_staged(path, model)
 
-    def test_degenerate_path_lower_edge(self):
-        path = SamplePath(h=1.0, values=np.zeros(50))
+    @pytest.mark.parametrize("n", [49, 2 * _FIT_TILE + 5])
+    def test_degenerate_path_lower_edge(self, n):
+        path = SamplePath(h=1.0, values=np.zeros(n + 1))
         res = estimate_staged(path, BENCH)
         assert res.gamma_hat == BENCH.gamma_box[0]
         assert res.stage1_degenerate and res.stage1_boundary
@@ -217,15 +233,55 @@ class TestClosedFormExample:
         assert not (res.stage2_boundary or res.stage2_degenerate)
         assert res.alpha_hat == alpha == 0.0
 
-    def test_constant_path_at_one_degenerate(self):
+    @pytest.mark.parametrize("n", [19, 2 * _FIT_TILE + 5])
+    def test_constant_path_at_one_degenerate(self, n):
         # the drift basis 1 - x vanishes at x = 1, so the closed form's
         # denominator is zero: the staged fit returns the lower alpha edge, flagged;
         # a constant path also has zero quadratic variation, so stage one is too
-        path = SamplePath(h=1.0, values=np.ones(20))
+        path = SamplePath(h=1.0, values=np.ones(n + 1))
         res = estimate_staged(path, BENCH)
         assert res.alpha_hat == BENCH.alpha_box[0]
         assert res.stage2_degenerate and res.stage2_boundary
         assert res.stage1_degenerate and res.stage1_boundary
+
+
+class TestTiledFit:
+    MODELS = [BENCH_WIDE, CONST, ModelSpec(LinearDecay(), RationalSqrt(), alpha_box=(-50.0, 50.0))]
+
+    @pytest.mark.parametrize("n", [1, _FIT_TILE - 1, _FIT_TILE, _FIT_TILE + 1, 3 * _FIT_TILE + 7])
+    @pytest.mark.parametrize("rows", [1, 3, 16, 17])
+    def test_matches_untiled_oracle(self, rows, n):
+        # the tiled sums against whole-row textbook sums, within rounding
+        # (bound set beforehand); each row of the block is bitwise the fit
+        # of that row alone
+        block = np.stack([_sim(n=n, h=0.01, seed=700 + r).values for r in range(rows)])
+        for model in self.MODELS:
+            alpha, gamma, stage1, stage2 = _fit_rows(model, block, 0.01)
+            want = fit_rows_untiled(model, block, 0.01)
+            np.testing.assert_allclose(alpha, want[0], rtol=1e-13, atol=0)
+            np.testing.assert_allclose(gamma, want[1], rtol=1e-13, atol=0)
+            for got, oracle in zip((*stage1, *stage2), (*want[2], *want[3])):
+                assert np.array_equal(got, oracle)
+            for r in (0, rows - 1):
+                alone = _fit_rows(model, block[r : r + 1], 0.01)
+                assert (alone[0][0], alone[1][0]) == (alpha[r], gamma[r])
+
+    def test_memory_does_not_grow_with_path_length(self):
+        # the fit's temporaries span one tile, so its traced peak stays
+        # flat in n and far below the panel it reads
+        def peak(n):
+            values = np.cumsum(np.random.default_rng(n).normal(0.0, 0.1, (16, n + 1)), axis=1)
+            tracemalloc.start()
+            try:
+                _fit_rows(BENCH, values, 0.01)
+                return tracemalloc.get_traced_memory()[1], values.nbytes
+            finally:
+                tracemalloc.stop()
+
+        short, _ = peak(4 * _FIT_TILE)
+        long, panel = peak(40000)
+        assert long <= 1.2 * short
+        assert long < panel / 4
 
 
 class TestOptimizerProperties:

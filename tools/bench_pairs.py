@@ -9,25 +9,27 @@ and hidden run leftovers aside; the script refuses to run otherwise:
 
 Each run is ``python3 perfbench/run.py --workload W --seconds 30 --trace 0``
 in one checkout, as a fresh process with that checkout as its working
-directory.  Even-numbered pairs run the parent first, odd-numbered pairs
-the change first, so neither side always gets the warmer caches.  The last
-line of each run's output is its result; the line before it, its
-provenance.  The record, written to ``BENCH_<workload>.json`` in the change
-checkout, holds every pair's end-to-end metrics with ``correct``,
-``attempted`` and ``failed``, and per metric the median and inclusive
-quartiles of each side, the median change in percent, the number of
-pairs where the change's value is lower, the metric's bound from
-``BENCHMARK.json`` and a verdict.  ``--claim`` names the metric the change
-claims to improve (``wall_s`` unless given), or ``none`` for a change that
-claims no gain; the record states it, ``null`` for ``none``.  All four
-metrics are better lower.  The claimed metric's verdict is ``met`` when the
-change is lower in at least nine tenths of the pairs (ties count for
-neither) and its median is below the parent's by more than the parent's
-interquartile range, else ``not met``.  Every other metric is ``within
-bound`` when the change's median exceeds the parent's by at most the bound
-(a fraction of the parent's median), ``worse`` when by more, and
-``unresolved`` when the parent's interquartile range is wider than the
-bound, unless every run of the change is below every run of the parent.
+directory; ``--seed S`` passes ``--seed S`` on in place of the workload's
+default seed, and the record's command states it.  Even-numbered pairs run
+the parent first, odd-numbered pairs the change first, so neither side
+always gets the warmer caches.  The last line of each run's output is its
+result; the line before it, its provenance.  The record, written to
+``BENCH_<workload>.json`` in the change checkout, holds every pair's
+end-to-end metrics with ``correct``, ``attempted`` and ``failed``, and per
+metric the median and inclusive quartiles of each side, the median change
+in percent, the number of pairs where the change's value is lower, the
+metric's bound from ``BENCHMARK.json`` and a verdict.  ``--claim`` names
+the metric the change claims to improve (``wall_s`` unless given), or
+``none`` for a change that claims no gain; the record states it, ``null``
+for ``none``.  All four metrics are better lower.  The claimed metric's
+verdict is ``met`` when the change is lower in at least nine tenths of the
+pairs (ties count for neither) and its median is below the parent's by
+more than the parent's interquartile range, else ``not met``.  Every other
+metric is ``within bound`` when the change's median exceeds the parent's
+by at most the bound (a fraction of the parent's median), ``worse`` when
+by more, and ``unresolved`` when the parent's interquartile range is wider
+than the bound, unless every run of the change is below every run of the
+parent.
 """
 
 from __future__ import annotations
@@ -71,14 +73,15 @@ def check_same_benchmark(parent: Path, change: Path) -> None:
         raise SystemExit(f"perfbench/ and BENCHMARK.json differ between {parent} and {change}: {', '.join(differ)}")
 
 
-def command(workload: str) -> list[str]:
-    return ["python3", "perfbench/run.py", "--workload", workload, "--seconds", str(SECONDS), "--trace", "0"]
+def command(workload: str, seed: int | None = None) -> list[str]:
+    seeded = [] if seed is None else ["--seed", str(seed)]
+    return ["python3", "perfbench/run.py", "--workload", workload, *seeded, "--seconds", str(SECONDS), "--trace", "0"]
 
 
-def run_once(checkout: Path, workload: str) -> tuple[dict, dict]:
+def run_once(checkout: Path, workload: str, seed: int | None = None) -> tuple[dict, dict]:
     """(provenance, result) of one ``perfbench/run.py`` run in ``checkout``."""
     done = subprocess.run(
-        [sys.executable, *command(workload)[1:]],
+        [sys.executable, *command(workload, seed)[1:]],
         cwd=checkout, capture_output=True, text=True, check=False,
     )
     lines = done.stdout.strip().splitlines()
@@ -143,13 +146,14 @@ def _side(provenance: dict, checkout: Path) -> dict:
 
 
 def build_record(
-    workload: str, sides: dict, host: dict, pairs: list[dict], claim: str | None, bound: dict[str, float]
+    workload: str, sides: dict, host: dict, pairs: list[dict], claim: str | None, bound: dict[str, float],
+    seed: int | None = None,
 ) -> dict:
     """The ``BENCH_<workload>.json`` object for ``pairs`` of ``{"parent": entry, "change": entry}``."""
     return {
         "workload": workload,
         "claimed_metric": claim,
-        "command": " ".join(command(workload)),
+        "command": " ".join(command(workload, seed)),
         "method": (
             f"{len(pairs)} pairs; even-numbered pairs run the parent checkout first, odd-numbered pairs the "
             "change checkout first, each run in its own directory; perfbench and BENCHMARK.json are identical "
@@ -175,6 +179,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--claim", choices=(*METRICS, "none"), default="wall_s",
                         help="metric the change claims to improve, or none")
+    parser.add_argument("--seed", type=int, default=None, help="perfbench's --seed; default: the workload's own")
     ns = parser.parse_args(argv)
     if ns.pairs < 2:
         parser.error("--pairs must be at least 2")
@@ -184,13 +189,13 @@ def main(argv: list[str] | None = None) -> int:
     for i in range(ns.pairs):
         pair = {}
         for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
-            provenance[side], result = run_once(checkouts[side], ns.workload)
+            provenance[side], result = run_once(checkouts[side], ns.workload, ns.seed)
             pair[side] = pair_entry(result)
             print(f"pair {i} {side}: " + json.dumps(pair[side]), file=sys.stderr)
         pairs.append({"parent": pair["parent"], "change": pair["change"]})
     sides = {side: _side(provenance[side], checkout) for side, checkout in checkouts.items()}
     claim = None if ns.claim == "none" else ns.claim
-    record = build_record(ns.workload, sides, provenance["change"], pairs, claim, bounds(ns.change))
+    record = build_record(ns.workload, sides, provenance["change"], pairs, claim, bounds(ns.change), ns.seed)
     out = ns.change / f"BENCH_{ns.workload}.json"
     out.write_text(json.dumps(record, indent=2) + "\n")
     print(f"wrote {out}", file=sys.stderr)
