@@ -80,7 +80,7 @@ class EstimateResult:
         return asdict(self)
 
 
-def _check_scale(q: np.ndarray, gamma=1.0) -> None:
+def _check_scale(gamma, q: np.ndarray) -> None:
     """Refuse a scale whose variance c^2 = gamma^2 / q is not positive and
     finite on the path: gamma <= 0, or q outside (0, inf)."""
     if not (np.all(gamma > 0) and np.all((q > 0) & (q < np.inf))):
@@ -105,7 +105,7 @@ def _criterion_terms(
     :func:`_fit_drift`.
     """
     q = _horner(model.scale.q_coef, x)
-    _check_scale(q, gamma)
+    _check_scale(gamma, q)
     c2 = gamma**2 / q
     b = _horner(model.drift.basis_coef, x)
     u = m2 / c2
@@ -128,13 +128,9 @@ def _fit_scale(model: ModelSpec, s2: np.ndarray, n: int, h: float):
 
     Returns (gamma, boundary, degenerate), each of shape (R,); gamma is
     clamped to the box, and a row with zero quadratic variation is
-    degenerate and sits at the lower edge.  A row whose S2 is not finite (an
-    increment that overflows when squared) is refused with
-    ``_check_scale``'s ``ValueError``, not clamped.
+    degenerate and sits at the lower edge.
     """
     lo, hi = model.gamma_box
-    if not np.all(s2 < np.inf):
-        raise ValueError("scale coefficient evaluated non-positive on the path")
     raw = np.sqrt(s2 / (n * h))
     return np.clip(raw, lo, hi), (raw < lo) | (raw > hi), raw == 0.0
 
@@ -158,21 +154,25 @@ def _fit_rows(model: ModelSpec, values: np.ndarray, h: float):
     """Both stages for every row of a (R, n+1) block of paths on step h, one time tile at a time.
 
     Returns alpha and gamma of shape (R,), then stage one's and stage two's
-    (boundary, degenerate) masks, each of shape (R,).
+    (boundary, degenerate) masks, each of shape (R,).  A q outside (0, inf)
+    or a sum that is not finite (an overflowing dx^2 or b^2 q) is refused
+    with ``_check_scale``'s ``ValueError``, not clamped.
     """
     n = values.shape[1] - 1
-    s2, s1, sb = np.zeros((3, len(values)))
+    s2, s1, sb = sums = np.zeros((3, len(values)))
     with np.errstate(over="ignore", invalid="ignore"):  # the checks refuse what overflows
         for j in range(0, n, _FIT_TILE):
             x = values[:, j : min(j + _FIT_TILE, n)]
             dx = values[:, j + 1 : j + 1 + x.shape[1]] - x
             q = _horner(model.scale.q_coef, x)
-            _check_scale(q)
+            _check_scale(1.0, q)
             s2 += np.sum(dx * dx * q, axis=1)
             b = _horner(model.drift.basis_coef, x)
             q *= b
             s1 += np.sum(dx * q, axis=1)
             sb += np.sum(b * q, axis=1)
+    if not np.all(np.isfinite(sums)):
+        raise ValueError("scale coefficient evaluated non-positive on the path")
     gamma, *stage1 = _fit_scale(model, s2, n, h)
     alpha, *stage2 = _fit_drift(model, s1, sb, h)
     return alpha, gamma, stage1, stage2

@@ -174,16 +174,23 @@ class TestEstimators:
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("tiles", ["one", "last"])
-    def test_overflowing_state_refused(self, tiles):
+    @pytest.mark.parametrize(
+        "tail, models",
+        [([1e200, 0.2, -0.1, 0.4], (BENCH, CONST)), ([0.2, -0.1, 0.4, 1e150, 1e150], (BENCH,))],
+        ids=["q", "drift-weight"],
+    )
+    def test_overflowing_state_refused(self, tiles, tail, models):
         # at x = 1e200, q = 1 + x^2 is inf, and (dX)^2 overflows even where
         # q = 1: either scale is refused, not carried on as a gamma clamped
-        # to the box with -inf criteria, and without a numpy warning; on a
-        # longer path the overflow sits in the fit's last tile only
-        values = np.array([0.0, 0.3, 1e200, 0.2, -0.1, 0.4])
+        # to the box with -inf criteria, and without a numpy warning.  A path
+        # that climbs to 1e150 and stays keeps q = 1e300 and (dX)^2 q finite,
+        # but b^2 q overflows: refused too, not fitted as an unflagged nan
+        # alpha.  On a longer path the overflow sits in the fit's last tile only
+        values = np.array([0.0, 0.3, *tail])
         if tiles == "last":
             values = np.concatenate([np.full(2 * _FIT_TILE, 0.2), values])
         path = SamplePath(h=0.1, values=values)
-        for model in (BENCH, CONST):
+        for model in models:
             with pytest.raises(ValueError, match="scale coefficient evaluated non-positive"):
                 estimate_staged(path, model)
 

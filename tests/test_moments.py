@@ -138,3 +138,12 @@ class TestValidation:
         bad = dataclasses.replace(est, gamma_hat=0.0)
         with pytest.raises(ValueError, match="non-positive"):
             residual_moment(path, bad, CONST, 2)
+
+    def test_overflowing_scale_on_path_rejected(self, fitted):
+        # an estimate fitted on another path, applied to one where q = 1 + x^2
+        # overflows to inf at x = 1e200: refused, not a zero scale's inf or nan
+        path, _ = fitted
+        est = estimate_staged(path, BENCH)
+        bad_path = SamplePath(h=0.1, values=np.array([0.0, 0.3, 1e200, 0.2, -0.1, 0.4]))
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-positive"):
+            residual_moment(bad_path, est, BENCH, 2)
