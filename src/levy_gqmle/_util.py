@@ -5,7 +5,9 @@ from __future__ import annotations
 
 import os
 import tempfile
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
+from itertools import islice
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
@@ -15,8 +17,9 @@ _MAX_WORKERS = 4
 # contiguous batches of batch_means_se
 _N_BATCHES = 30
 # cells per block of the package's blocked array passes (the NIG draws, the
-# AR(1) scan, the EPE power sums, Gamma's Horner passes): a block stays in cache;
-# the fit's tiles are fixed in time steps instead, ``gqmle._FIT_TILE``
+# AR(1) scan, the EPE power sums, Gamma's Horner passes, Sigma's state
+# blocks): a block stays in cache; the fit's tiles are fixed in time steps
+# instead, ``gqmle._FIT_TILE``
 _BLOCK_CELLS = 1 << 16
 
 
@@ -66,21 +69,32 @@ def core_map(fn: Callable, items: Iterable) -> Iterator:
     This is the package's one thread pool: the tasks' numpy kernels (the
     draws, ``sde``'s AR(1) scan, the fits) release the GIL while they run,
     so independent tasks share the cores as long as each numpy call covers
-    many cells.  All
-    tasks are submitted at once, but only as many run, and hold their
-    temporaries, as there are workers; callers size tasks with that in mind.
+    many cells.  Tasks are submitted lazily: while the consumer holds
+    result i, tasks up to i + workers have been submitted, so each worker
+    has one task in flight and at most workers + 1 results (the one held
+    included) exist at once, however slowly the consumer works on them.
     Results come back in the order of ``items`` whatever order the tasks
     finish in, so an ordered reduction over them does not depend on the
     worker count.  A task must not call ``core_map`` itself, so pools never
     nest.  A generator that yields from it (``sde._chunked_paths``) holds
     the pool open while its consumer works on each result in the calling
-    thread; results not yet reached wait in the pool.  A task's exception
-    is raised when its result is reached, and tasks not yet started are
-    then cancelled.
+    thread.  A task's exception is raised when its result is reached; then,
+    or when the generator is closed early, the submitted tasks not yet
+    started are cancelled and the running ones finish before it returns.
     """
     items = list(items)
-    with ThreadPoolExecutor(_pool_size(len(items))) as pool:
-        yield from pool.map(fn, items)
+    workers = _pool_size(len(items))
+    todo = iter(items)
+    with ThreadPoolExecutor(workers) as pool:
+        ahead = deque(pool.submit(fn, item) for item in islice(todo, workers))
+        try:
+            while ahead:
+                result = ahead.popleft().result()
+                ahead.extend(pool.submit(fn, item) for item in islice(todo, 1))
+                yield result
+        finally:
+            for future in ahead:
+                future.cancel()
 
 
 def batch_means_se(samples: np.ndarray) -> float:

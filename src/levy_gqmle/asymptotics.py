@@ -72,7 +72,10 @@ _SPACING = 1.0
 # run_asymptotics' before its sideways extension.  The grid only says where
 # f is reported: one pass over the paths serves every point
 _GRID_POINTS = 25
-# Sigma averages over at most this many pi_0 states, thinned evenly
+# Sigma averages over at most this many pi_0 states: of n > 4000 states,
+# states[::n // 4000][:4000], every (n // 4000)-th of the first 4000 (n // 4000)
+# (at n = 6000 the first 4000 in a row, at n = 10000 every second of the
+# first 8000)
 _SIGMA_STATES = 4000
 
 
@@ -394,7 +397,9 @@ def epe_solve(
     ``_CHUNK_STEPS`` (500) steps from the substreams (seed, 7001, chunk),
     so runs at t_max and 2 t_max share their common time range draw for
     draw.  Each chunk is consumed as it arrives: its per-step extremes, its
-    power sums (below) and, from the last, the paths' end states.  A state
+    power sums (below) and, from the last, the paths' end states.  The core
+    pool draws at most one chunk per worker ahead of the one being summed,
+    so the chunks alive at once do not grow with ``t_max``.  A state
     that is non-finite or beyond ``DIVERGENCE_BOUND`` raises
     :class:`DivergenceError`; after the last chunk every grid point is
     gated, in grid order, before any is solved.
@@ -571,19 +576,18 @@ def _sigma_terms(
     difference, so the large weights next to z = 0 never enter a
     difference that cancels.  Each state costs one ``searchsorted`` of the
     grid's cut points into the sorted nodes and a few operations per piece.
+
+    The node-side data (the sort, the prefix sums, sum w z^4) is built
+    once; the states then run in blocks of max(1, _BLOCK_CELLS //
+    (8 grid.size)) into one (3, n) array, so the temporaries, led by the
+    (block, pieces, 2, 4) gather of moments, span one block whatever the
+    number of states.  Each state's terms are sums over its own row of
+    pieces, so they are bitwise the same for any split of the states.
     """
     if not (isinstance(f1, EPEApprox) and isinstance(f2, EPEApprox)):
         raise TypeError(f"f1 and f2 must be EPEApprox; got {type(f1).__name__}, {type(f2).__name__}")
     if not np.array_equal(f1.x, f2.x):
         raise ValueError("f1 and f2 must share one grid")
-    x = states[:, None]
-    w_g, w_a = (w[:, None] for w in jumps(states))
-    (i1, s1, j0), (i2, s2, _) = f1._segments(states), f2._segments(states)
-    # a = f(x + sigma z) - f(x) at z = 0 on each piece, zero on x's own piece
-    a1 = (i1 - i1[j0, None]) + (s1 - s1[j0, None]) * x
-    a2 = (i2 - i2[j0, None]) + (s2 - s2[j0, None]) * x
-    b1, b2 = s1 * sigma, s2 * sigma + w_a
-
     order = np.argsort(nodes)
     z, w = nodes[order], weights[order]
     neg = int(np.searchsorted(z, 0.0))
@@ -595,19 +599,34 @@ def _sigma_terms(
     sums[neg + 1 :, 0] = sums[neg, 0]
     sums[neg:-1, 1] = np.cumsum(zw[neg:, :4][::-1], axis=0)[::-1]
     sums[:neg, 1] = sums[neg, 1]
-    # piece j holds the nodes between (x_j - x) / sigma and
-    # (x_{j+1} - x) / sigma, which run backwards if sigma < 0
-    cuts = np.concatenate([[-np.inf], f1.x[1:-1], [np.inf]]) - x
-    d = np.diff(sums[np.searchsorted(z, cuts / sigma)], axis=1)
-    m0, m1, m2, m3 = np.moveaxis(d[..., 0, :] - d[..., 1, :], -1, 0)
-
-    u0, u1, u2 = a2 * m0 + b2 * m1, a2 * m1 + b2 * m2, a2 * m2 + b2 * m3
-    s_g = a1 * (a1 * m0 + 2.0 * (b1 * m1 + w_g * m2)) + b1 * (b1 * m2 + 2.0 * w_g * m3)
-    s_a = a2 * u0 + b2 * u1
-    s_x = a1 * u0 + b1 * u1 + w_g * u2
+    m4 = zw[:, 4].sum()
+    cuts = np.concatenate([[-np.inf], f1.x[1:-1], [np.inf]])
     sign = np.sign(sigma)
-    s_g = sign * s_g.sum(axis=1) + w_g[:, 0] ** 2 * zw[:, 4].sum()
-    return s_g, sign * s_a.sum(axis=1), sign * s_x.sum(axis=1)
+    out = np.empty((3, states.size))
+    block = max(1, _BLOCK_CELLS // (8 * f1.x.size))
+    for b0 in range(0, states.size, block):
+        xs = states[b0 : b0 + block]
+        x = xs[:, None]
+        w_g, w_a = (row[:, None] for row in jumps(xs))
+        (i1, s1, j0), (i2, s2, _) = f1._segments(xs), f2._segments(xs)
+        # a = f(x + sigma z) - f(x) at z = 0 on each piece, zero on x's own piece
+        a1 = (i1 - i1[j0, None]) + (s1 - s1[j0, None]) * x
+        a2 = (i2 - i2[j0, None]) + (s2 - s2[j0, None]) * x
+        b1, b2 = s1 * sigma, s2 * sigma + w_a
+        # piece j holds the nodes between (x_j - x) / sigma and
+        # (x_{j+1} - x) / sigma, which run backwards if sigma < 0
+        d = np.diff(sums[np.searchsorted(z, (cuts - x) / sigma)], axis=1)
+        m0, m1, m2, m3 = np.moveaxis(d[..., 0, :] - d[..., 1, :], -1, 0)
+
+        u0, u1, u2 = a2 * m0 + b2 * m1, a2 * m1 + b2 * m2, a2 * m2 + b2 * m3
+        s_g = a1 * (a1 * m0 + 2.0 * (b1 * m1 + w_g * m2)) + b1 * (b1 * m2 + 2.0 * w_g * m3)
+        s_a = a2 * u0 + b2 * u1
+        s_x = a1 * u0 + b1 * u1 + w_g * u2
+        g_row, a_row, x_row = out[:, b0 : b0 + block]
+        g_row[:] = sign * s_g.sum(axis=1) + w_g[:, 0] ** 2 * m4
+        a_row[:] = sign * s_a.sum(axis=1)
+        x_row[:] = sign * s_x.sum(axis=1)
+    return out[0], out[1], out[2]
 
 
 def _assemble_sigma(terms: tuple[np.ndarray, np.ndarray, np.ndarray]) -> np.ndarray:
@@ -622,8 +641,13 @@ def _sigma_full(
     """(Sigma, entrywise standard errors) with a half-step quadrature gate.
 
     Both quadratures, at the converged node step and at half of it, run
-    ``_sigma_terms`` on the same thinned pi_0 states, in the calling thread;
-    its cost grows with the states and the grid pieces, not the nodes.
+    ``_sigma_terms`` on the same pi_0 states, in the calling thread.  Of
+    n > ``_SIGMA_STATES`` states they are ``states[::n // 4000][:4000]``,
+    every (n // 4000)-th of the first 4000 (n // 4000), not an even thinning
+    of all n: at n = 6000 the first 4000 in a row, at n = 10000 every second
+    of the first 8000.
+    ``_sigma_terms``' time grows with the states and the grid pieces, not
+    the nodes, and its memory with one block of states, not with the states.
     """
     states = inv.states
     if states.size > _SIGMA_STATES:

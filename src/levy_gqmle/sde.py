@@ -242,7 +242,9 @@ def _chunked_paths(
     every state is kept, else by :func:`_thinned`, which forms only the
     kept states.  The AR(1) is affine in its start: k steps from x reach
     Y_k + rho^k x, with Y the path from 0, so each chunk's kept states are
-    composed with the previous chunk's end states as the chunks arrive.
+    composed with the previous chunk's end states as the chunks arrive, in
+    row blocks of about ``_BLOCK_CELLS`` cells, so no chunk-sized
+    temporary is formed.
     The result does not depend on the number of workers, and equals one
     scan over the whole path up to rounding (about 1e-14 relative).
     """
@@ -263,11 +265,14 @@ def _chunked_paths(
         return path, path[-1]
 
     x = np.full(cols, float(x0))
+    rows = max(1, _BLOCK_CELLS // cols)
     for (block, last), (_, size) in zip(core_map(from_zero, plans), plans):
         # last is the block's last row: the next start is taken before the
-        # block is composed in place
+        # block is composed in place, ``rows`` rows at a time
         end = last + rho ** (size * keep) * x
-        block += decay[:size, None] * x
+        lag = decay[:size, None]
+        for r0 in range(0, size, rows):
+            block[r0 : r0 + rows] += lag[r0 : r0 + rows] * x
         x = end
         yield block
 

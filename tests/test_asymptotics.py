@@ -3,7 +3,9 @@
 import itertools
 import math
 import os
+import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -123,6 +125,66 @@ class TestCoreMap:
             return i
         with pytest.raises(ValueError, match="task 2"):
             list(core_map(task, range(5)))
+
+    WORKERS, TASKS = 3, 12
+
+    def _logged(self, monkeypatch, fail=None):
+        """A task that logs its start and its finish, raising at ``fail``,
+        on a pool forced to WORKERS threads; and a wait for finishes."""
+        monkeypatch.setattr(_util, "_pool_size", lambda tasks: self.WORKERS)
+        started, finished, cond = [], set(), threading.Condition()
+
+        def task(i):
+            with cond:
+                started.append(i)
+            try:
+                if i == fail:
+                    raise ValueError(f"task {i}")
+                return i
+            finally:
+                with cond:
+                    finished.add(i)
+                    cond.notify_all()
+
+        def settle(upto):
+            # tasks through ``upto`` have finished, and an idle worker has had
+            # time to start any further task it was given
+            with cond:
+                assert cond.wait_for(lambda: finished >= set(range(min(upto, self.TASKS - 1) + 1)), timeout=10)
+            time.sleep(0.02)
+
+        return task, started, settle
+
+    def test_window_of_workers_ahead_of_the_consumer(self, monkeypatch):
+        # while the consumer holds result i, tasks i + 1 .. i + workers run
+        # and none beyond has started; results come back in input order
+        task, started, settle = self._logged(monkeypatch)
+        got = []
+        for i, result in enumerate(core_map(task, range(self.TASKS))):
+            got.append(result)
+            settle(i + self.WORKERS)
+            assert max(started) == min(i + self.WORKERS, self.TASKS - 1), (i, started)
+        assert got == list(range(self.TASKS))
+        assert sorted(started) == list(range(self.TASKS))
+
+    def test_task_error_surfaces_at_its_index(self, monkeypatch):
+        task, started, settle = self._logged(monkeypatch, fail=5)
+        got = []
+        with pytest.raises(ValueError, match="task 5"):
+            for result in core_map(task, range(self.TASKS)):
+                got.append(result)
+                settle(len(got) - 1 + self.WORKERS)
+        assert got == [0, 1, 2, 3, 4]
+        assert max(started) <= 4 + self.WORKERS
+
+    def test_early_close_starts_nothing_beyond_the_window(self, monkeypatch):
+        task, started, settle = self._logged(monkeypatch)
+        results = core_map(task, range(self.TASKS))
+        assert [next(results) for _ in range(3)] == [0, 1, 2]
+        settle(2 + self.WORKERS)
+        results.close()
+        time.sleep(0.02)
+        assert sorted(started) == list(range(3 + self.WORKERS))
 
 
 class TestSampleInvariant:
@@ -577,6 +639,28 @@ class TestEPESolve:
             assert calls == [[(0, 500), (1, 500), (2, 234)]]
             assert len(out) == 2 and all(np.array_equal(a.x, grid) for a in out)
 
+    def test_memory_does_not_grow_with_horizon(self, inv_i, oracle_i, monkeypatch):
+        # two workers keep at most two chunks ahead of the one the solve
+        # holds, and the chunk before it lives until the next arrives: four
+        # (500, m) chunks at t_max 80 against the two of t_max 10, plus the
+        # per-step extremes, decays and powers, and each worker's NIG draw
+        # buffers (two blocks of _BLOCK_CELLS), which the long run's peak
+        # may hold and the short run's need not
+        monkeypatch.setattr(_util, "_pool_size", lambda tasks: 2)
+        g, m = _integrands(BENCH, OU, (oracle_i.alpha_star, oracle_i.gamma_star))[0], 1000
+
+        def peak(t_max):
+            tracemalloc.start()
+            try:
+                epe_solve(g, OU, CASE_I, grid=np.linspace(-1.0, 1.0, 5), t_max=t_max, m=m, seed=4, inv=inv_i)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        short, long = peak(10.0), peak(80.0)
+        steps = round(80.0 / inv_i.step)
+        assert long <= short + 2 * 8 * 500 * m + 8 * steps * (g.coef.shape[1] + 3) + 2 * 2 * 8 * _BLOCK_CELLS
+
     def test_non_finite_grid_refused_before_drawing(self, inv_i, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("paths were drawn before the grid was checked")
@@ -777,6 +861,42 @@ class TestSigmaMatrix:
         coarse = EPEApprox(grid[::2], np.tanh(grid[::2]), np.ones(5), np.ones(5))
         with pytest.raises(ValueError, match="one grid"):
             _sigma_terms(None, None, None, f, coarse, None, None)
+
+    def _sigma_inputs(self, oracle_i):
+        jumps = _integrands(BENCH, OU, (oracle_i.alpha_star, oracle_i.gamma_star))[2]
+        z, w, qstep = _converged_nodes(CASE_I)
+        return jumps, (z, w), _nodes_at(CASE_I, qstep / 2.0)
+
+    def test_blocks_bitwise_any_split(self, inv_i, res_i, oracle_i):
+        # 2 blocks + 5 states of run_asymptotics' 33-point grid, against
+        # calls on arbitrary splits of them: each state bitwise the same
+        jumps, *node_sets = self._sigma_inputs(oracle_i)
+        rows = max(1, _BLOCK_CELLS // (8 * res_i.f1.x.size))
+        states = inv_i.states[: 2 * rows + 5]
+        for nodes, weights in node_sets:
+            whole = _sigma_terms(jumps, OU.sigma, states, res_i.f1, res_i.f2, nodes, weights)
+            for cuts in ([1, rows - 1, rows + 3, 2 * rows + 4], [rows, 2 * rows], [7, 100, 301, 302]):
+                parts = np.split(states, cuts)
+                got = [_sigma_terms(jumps, OU.sigma, p, res_i.f1, res_i.f2, nodes, weights) for p in parts]
+                for j in range(3):
+                    joined = np.concatenate([g[j] for g in got])
+                    assert joined.tobytes() == whole[j].tobytes(), (nodes.size, cuts, j)
+
+    def test_memory_does_not_grow_with_states(self, inv_i, res_i, oracle_i):
+        # the temporaries span one block of states, so the traced peak,
+        # less the (3, n) result, stays flat in n
+        jumps, (z, w), _ = self._sigma_inputs(oracle_i)
+
+        def peak(n):
+            states = inv_i.states[:n].copy()
+            tracemalloc.start()
+            try:
+                _sigma_terms(jumps, OU.sigma, states, res_i.f1, res_i.f2, z, w)
+                return tracemalloc.get_traced_memory()[1] - 24 * n
+            finally:
+                tracemalloc.stop()
+
+        assert peak(16000) <= 1.2 * peak(1000)
 
     def test_seed_exchangeable(self):
         a = run_asymptotics(BENCH, OU, CASE_I, seed=21, budget=15000, m=600, t_max=30.0)
