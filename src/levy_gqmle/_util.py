@@ -70,9 +70,10 @@ def core_map(fn: Callable, items: Iterable) -> Iterator:
     draws, ``sde``'s AR(1) scan, the fits) release the GIL while they run,
     so independent tasks share the cores as long as each numpy call covers
     many cells.  Tasks are submitted lazily: while the consumer holds
-    result i, tasks up to i + workers have been submitted, so each worker
-    has one task in flight and at most workers + 1 results (the one held
-    included) exist at once, however slowly the consumer works on them.
+    result i, tasks up to i + workers have been submitted and none beyond,
+    so each worker has one task in flight and the pool holds at most one
+    result per worker beyond the consumer's, however slowly it works.  The
+    window is the worker count.
     Results come back in the order of ``items`` whatever order the tasks
     finish in, so an ordered reduction over them does not depend on the
     worker count.  A task must not call ``core_map`` itself, so pools never

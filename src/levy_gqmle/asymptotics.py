@@ -72,10 +72,9 @@ _SPACING = 1.0
 # run_asymptotics' before its sideways extension.  The grid only says where
 # f is reported: one pass over the paths serves every point
 _GRID_POINTS = 25
-# Sigma averages over at most this many pi_0 states: of n > 4000 states,
-# states[::n // 4000][:4000], every (n // 4000)-th of the first 4000 (n // 4000)
-# (at n = 6000 the first 4000 in a row, at n = 10000 every second of the
-# first 8000)
+# Sigma averages over at most this many pi_0 states.  Of n > 4000 it takes
+# states[::n // 4000][:4000], not an even thinning of all n: at n = 6000 the
+# first 4000 states in a row, at n = 10000 every second of the first 8000
 _SIGMA_STATES = 4000
 
 
@@ -642,12 +641,12 @@ def _sigma_full(
 
     Both quadratures, at the converged node step and at half of it, run
     ``_sigma_terms`` on the same pi_0 states, in the calling thread.  Of
-    n > ``_SIGMA_STATES`` states they are ``states[::n // 4000][:4000]``,
-    every (n // 4000)-th of the first 4000 (n // 4000), not an even thinning
-    of all n: at n = 6000 the first 4000 in a row, at n = 10000 every second
-    of the first 8000.
-    ``_sigma_terms``' time grows with the states and the grid pieces, not
-    the nodes, and its memory with one block of states, not with the states.
+    n > ``_SIGMA_STATES`` (4000) states they are
+    ``states[::n // 4000][:4000]``, not an even thinning of all n: at
+    n = 6000 the first 4000 states in a row, at n = 10000 every second of
+    the first 8000.  ``_sigma_terms``' time grows with the states and the
+    grid pieces, not the nodes; its memory grows with one block of states,
+    not with the states.
     """
     states = inv.states
     if states.size > _SIGMA_STATES:
