@@ -69,11 +69,12 @@ def core_map(fn: Callable, items: Iterable) -> Iterator:
     This is the package's one thread pool: the tasks' numpy kernels (the
     draws, ``sde``'s AR(1) scan, the fits) release the GIL while they run,
     so independent tasks share the cores as long as each numpy call covers
-    many cells.  Tasks are submitted lazily: while the consumer holds
-    result i, tasks up to i + workers have been submitted and none beyond,
-    so each worker has one task in flight and the pool holds at most one
-    result per worker beyond the consumer's, however slowly it works.  The
-    window is the worker count.
+    many cells.  Tasks are submitted lazily, in a window of the worker
+    count: while the consumer holds result i, tasks up to i + workers have
+    been submitted and none beyond.  Asking for the next result submits one
+    more before the wait, so a worker that finishes ahead of an earlier
+    task is not left idle.  The pool thus holds at most workers + 1 tasks
+    and results, however slowly the consumer works on them.
     Results come back in the order of ``items`` whatever order the tasks
     finish in, so an ordered reduction over them does not depend on the
     worker count.  A task must not call ``core_map`` itself, so pools never
@@ -87,12 +88,11 @@ def core_map(fn: Callable, items: Iterable) -> Iterator:
     workers = _pool_size(len(items))
     todo = iter(items)
     with ThreadPoolExecutor(workers) as pool:
-        ahead = deque(pool.submit(fn, item) for item in islice(todo, workers))
+        ahead = deque(pool.submit(fn, item) for item in islice(todo, workers + 1))
         try:
             while ahead:
-                result = ahead.popleft().result()
+                yield ahead.popleft().result()
                 ahead.extend(pool.submit(fn, item) for item in islice(todo, 1))
-                yield result
         finally:
             for future in ahead:
                 future.cancel()

@@ -175,7 +175,7 @@ class TestCoreMap:
                 got.append(result)
                 settle(len(got) - 1 + self.WORKERS)
         assert got == [0, 1, 2, 3, 4]
-        assert max(started) <= 4 + self.WORKERS
+        assert max(started) <= 5 + self.WORKERS
 
     def test_early_close_starts_nothing_beyond_the_window(self, monkeypatch):
         task, started, settle = self._logged(monkeypatch)
