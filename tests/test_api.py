@@ -2,9 +2,8 @@
 name cannot linger in one, and something other than the tests uses it.
 Coefficient families are read through their polynomial forms, not by
 class, and define no method; every path is drawn and scanned in ``sde``.
-No module imports scipy at module level and none imports ``scipy.signal``,
-so ``import levy_gqmle``, and every command that needs no NIG jump
-density, load none of it."""
+No module imports scipy, so ``import levy_gqmle`` and every command load
+none of it."""
 
 import ast
 import importlib
@@ -164,17 +163,6 @@ def test_every_setting_is_read_by_its_command():
     assert cli._COMMANDS and unread == {}
 
 
-def _module_level_imports(node: ast.AST):
-    """Modules imported by ``node`` outside any function body."""
-    for child in ast.iter_child_nodes(node):
-        if isinstance(child, ast.Import):
-            yield from (alias.name for alias in child.names)
-        elif isinstance(child, ast.ImportFrom):
-            yield child.module or ""
-        elif not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-            yield from _module_level_imports(child)
-
-
 def _imports(node: ast.AST):
     """Modules imported anywhere in ``node``, function bodies included."""
     for sub in ast.walk(node):
@@ -184,20 +172,15 @@ def _imports(node: ast.AST):
             yield sub.module or ""
 
 
-def test_no_module_imports_scipy_at_module_level():
-    # scipy.special made most of the package's import time; k1e is
-    # imported inside the one function that calls it.  scipy.signal is
-    # imported nowhere: the AR(1) scan in sde is numpy's
+def test_no_module_imports_scipy():
+    # numpy is the one runtime dependency: the NIG density's K_1 is
+    # levy._k1e and the AR(1) scan is sde's
     trees = {path.name: ast.parse(path.read_text()) for path in (ROOT / "src").rglob("*.py")}
-    at_module_level = {
-        name: found for name, tree in trees.items()
-        for found in [[n for n in _module_level_imports(tree) if n.split(".")[0] == "scipy"]] if found
+    found = {
+        name: hits for name, tree in trees.items()
+        for hits in [[n for n in _imports(tree) if n.split(".")[0] == "scipy"]] if hits
     }
-    signal = {
-        name: found for name, tree in trees.items()
-        for found in [[n for n in _imports(tree) if n == "scipy.signal" or n.startswith("scipy.signal.")]] if found
-    }
-    assert "sde.py" in trees and at_module_level == {} and signal == {}
+    assert "levy.py" in trees and found == {}
 
 
 def _fresh(script: str, cwd: pathlib.Path) -> None:
@@ -210,9 +193,9 @@ def _fresh(script: str, cwd: pathlib.Path) -> None:
 _LOADED = "def scipy_loaded():\n    return sorted(m for m in sys.modules if m.startswith('scipy'))\n"
 
 
-def test_commands_without_filtered_paths_load_no_scipy(tmp_path):
-    # only the NIG jump density loads scipy (scipy.special); simulating and
-    # scanning paths load none
+def test_no_command_loads_scipy(tmp_path):
+    # case i's Sigma quadrature reaches the NIG jump density; no command,
+    # that one included, loads any scipy module
     from levy_gqmle.experiment import noise_case, true_ou
     from levy_gqmle.sde import PathConfig, simulate_euler, write_path
 
@@ -225,6 +208,7 @@ def test_commands_without_filtered_paths_load_no_scipy(tmp_path):
         "mc": ["mc", "--case", "ii", "--replications", "100", "--format", "json", "--out-dir", str(tmp_path / "mc")],
         "asymptotics": ["asymptotics", "--case", "i", "--budget", "2000", "--m", "30", "--format", "json",
                         "--out-dir", str(tmp_path / "asymptotics")],
+        "moments": ["moments", "--case", "i", "--n", "200"],
     }
     _fresh(
         "import json, sys\nimport levy_gqmle\nfrom levy_gqmle import cli\n" + _LOADED
@@ -234,14 +218,12 @@ def test_commands_without_filtered_paths_load_no_scipy(tmp_path):
         tmp_path,
     )
     seen = json.loads((tmp_path / "seen.json").read_text())
-    assert {name: seen[name] for name in ("import", "optimal", "estimate", "mc_refused", "simulate", "mc")} == {
+    assert seen == {
         "import": [0, []], "optimal": [0, []], "estimate": [0, []], "mc_refused": [1, []],
-        "simulate": [0, []], "mc": [0, []],
+        "simulate": [0, []], "mc": [0, []], "asymptotics": [0, []], "moments": [0, []],
     }
     assert (tmp_path / "mc" / "report.json").is_file()
-    # case i's Sigma quadrature needs the NIG density, so scipy.special loads
-    assert seen["asymptotics"][0] == 0 and "scipy.special" in seen["asymptotics"][1]
-    assert not any(m == "scipy.signal" or m.startswith("scipy.signal.") for m in seen["asymptotics"][1])
+    assert (tmp_path / "asymptotics" / "asymptotics.json").is_file()
 
 
 # each call's first path is scanned on a pool worker: a cold process gives

@@ -9,12 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _oracles import cgf_cumulants, char_exponent
-from levy_gqmle._util import NumericalError
+from levy_gqmle import levy
+from levy_gqmle._util import _BLOCK_CELLS, NumericalError
 from levy_gqmle.levy import (
+    _K1E_NODES,
     BilateralGamma,
     Brownian,
     NormalInverseGaussian,
     _converged_nodes,
+    _k1e,
     cumulants,
     levy_density,
     sample_increments,
@@ -109,7 +112,7 @@ class TestDensity:
 
     def test_nig_reference_point(self):
         want = float(100 / mpmath.pi * mpmath.besselk(1, 10))
-        assert levy_density(CASE_I, 1.0) == pytest.approx(want, rel=1e-8)
+        assert levy_density(CASE_I, 1.0) == pytest.approx(want, rel=1e-14)
         assert want == pytest.approx(5.936e-4, rel=1e-3)
 
     @pytest.mark.parametrize("law", [CASE_I, CASE_II], ids=str)
@@ -132,6 +135,35 @@ class TestDensity:
             levy_density(CASE_II, np.array([1.0, 0.0]))
         with pytest.raises(ValueError, match="no jump part"):
             levy_density(DIFFUSION, 1.0)
+
+
+class TestK1e:
+    # levy_density passes x = alpha |z| with |z| >= e^-30 and any alpha > 0,
+    # so every positive x: 10 decades apart over the doubles, 8 per decade
+    # where the rule's step and the series' remainder matter, and both sides
+    # of the switch to the series
+    X = np.unique(np.concatenate([
+        np.logspace(-300, 300, 61), np.logspace(-12, 4, 129), [np.nextafter(1e-10, 0.0), 1e-10],
+    ]))
+
+    def test_matches_mpmath(self):
+        with mpmath.workdps(40):
+            want = np.array([float(mpmath.besselk(1, x) * mpmath.exp(x)) for x in map(mpmath.mpf, self.X)])
+        np.testing.assert_allclose(_k1e(self.X), want, rtol=2e-15, atol=0)
+
+    @pytest.mark.parametrize("cells", [1, 3 * _K1E_NODES + 1, _BLOCK_CELLS])
+    def test_blocks_bitwise_any_split(self, cells, monkeypatch):
+        # each x is summed over its own row of nodes: one row per block,
+        # three, and the default blocks all give the same bits, and so do
+        # calls on arbitrary pieces and on single x
+        rows = _BLOCK_CELLS // _K1E_NODES
+        x = np.logspace(-16, 4, 2 * rows + 5)
+        whole = _k1e(x)
+        monkeypatch.setattr(levy, "_BLOCK_CELLS", cells)
+        for cuts in ([1, rows - 1, rows + 3, 2 * rows + 4], [rows, 2 * rows], [7, 100, 301, 302]):
+            got = np.concatenate([_k1e(part) for part in np.split(x, cuts)])
+            assert got.tobytes() == whole.tobytes(), cuts
+        assert [_k1e(v).item() for v in x[::97]] == whole[::97].tolist()
 
 
 class TestSampling:
