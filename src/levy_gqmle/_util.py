@@ -17,9 +17,10 @@ _MAX_WORKERS = 4
 # contiguous batches of batch_means_se
 _N_BATCHES = 30
 # cells per block of the package's blocked array passes (the NIG draws, the
-# AR(1) scan, the EPE power sums, Gamma's Horner passes, Sigma's state
-# blocks): a block stays in cache; the fit's tiles are fixed in time steps
-# instead, ``gqmle._FIT_TILE``
+# AR(1) scan, the EPE power sums, Sigma's state blocks): a block stays in
+# cache; the fit's tiles are fixed in time steps instead,
+# ``gqmle._FIT_TILE``, and the pi_0 averages run in the batches of
+# ``_batch_layout``
 _BLOCK_CELLS = 1 << 16
 
 
@@ -98,20 +99,29 @@ def core_map(fn: Callable, items: Iterable) -> Iterator:
                 future.cancel()
 
 
+def _batch_layout(n: int) -> tuple[int, int]:
+    """(b, m): ``batch_means_se``'s split of n >= 2 samples into b
+    contiguous batches of m, leaving out the last n - b m.  b is
+    ``_N_BATCHES`` (30) or n // 2 if fewer, and a series of two or three
+    samples is its own n batches of one."""
+    b = min(_N_BATCHES, n // 2) if n >= 4 else n
+    return b, n // b
+
+
 def batch_means_se(samples: np.ndarray) -> float:
     """Standard error of the mean of a (possibly serially correlated) series.
 
-    Splits the series into ``_N_BATCHES`` contiguous batches and uses the
-    spread of batch means.  Falls back to fewer batches for short series.
+    Splits the series into the contiguous batches of ``_batch_layout`` and
+    uses the spread of batch means (Flegal & Jones 2010, Ann. Statist.
+    38(2)): np.std(means, ddof=1) / sqrt(b), each batch mean its batch's
+    sum over m.  ``asymptotics._pi0_stats`` takes the same steps on each
+    batch's sum alone, so it matches this bit for bit.  A series of fewer
+    than two samples has an infinite error.
     """
     x = np.asarray(samples, dtype=float).ravel()
-    n = x.size
-    if n < 2:
+    if x.size < 2:
         return float("inf")
-    b = min(_N_BATCHES, n // 2)
-    if b < 2:
-        return float(np.std(x, ddof=1) / np.sqrt(n))
-    m = n // b
+    b, m = _batch_layout(x.size)
     means = x[: b * m].reshape(b, m).mean(axis=1)
     return float(np.std(means, ddof=1) / np.sqrt(b))
 

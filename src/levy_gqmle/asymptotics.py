@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import _BLOCK_CELLS, NumericalError, _integer, batch_means_se
+from ._util import _BLOCK_CELLS, NumericalError, _batch_layout, _integer, batch_means_se
 from .coefficients import _horner
 from .gqmle import ModelSpec
 from .levy import (
@@ -156,8 +156,10 @@ def sample_invariant(
     zero or underflowing sigma is not (``ValueError`` before anything is
     drawn).  The sample variance must land within 10% of it; a larger
     mismatch means the chain did not mix at this step size and raises
-    :class:`MixingError`.  ``budget`` must be integral; a float such as
-    2000.0 runs as its integer.
+    :class:`MixingError`.  That variance is the ``_pi0_stats`` mean of
+    (x - mean)^2 about the sample mean, np.var's up to rounding with no
+    temporary the size of the states.  ``budget`` must be integral; a
+    float such as 2000.0 runs as its integer.
     """
     budget = _integer(budget, "budget")
     if budget < 1000:
@@ -181,7 +183,7 @@ def sample_invariant(
         got += block.shape[0]
     states = states[burn:]
 
-    var = float(np.var(states))
+    var = float(_pi0_stats(_PolyRHS(np.array([[0.0, 0.0, 1.0]]), float(np.mean(states))), states)[0][0])
     if abs(var / theory - 1.0) > 0.10:
         raise MixingError(
             f"invariant sample variance {var:.4g} vs theory {theory:.4g}: mixing suspect"
@@ -247,8 +249,9 @@ class _PolyRHS:
     constant first, zero-padded to one common degree d = coef.shape[1] - 1.
 
     This is the one input type of ``epe_solve``, which sums it along each
-    path from the path's mixed power sums.  Calling it evaluates each row
-    by ``coefficients._horner`` and returns the rows' values as a tuple.
+    path from the path's mixed power sums, and of ``_pi0_stats``, which
+    averages it over pi_0.  Calling it evaluates each row by
+    ``coefficients._horner`` and returns the rows' values as a tuple.
     """
 
     coef: np.ndarray
@@ -382,12 +385,14 @@ def epe_solve(
     Every row must average to zero under pi_0; the centering is gated at
     three batch-means standard errors against the pi_0 sample ``inv``,
     before any path is drawn, because a non-centered g makes the time
-    integral diverge linearly.  The paths take ``inv.step``, the step of
-    the chain ``inv`` came from.  ``t_max`` and that step must be finite,
-    ``t_max`` must round to at least one step, and ``m`` must be an
-    integer of at least 30 (``_check_epe_args``, which ``run_asymptotics``
-    also calls before it samples pi_0), and every grid point must be
-    finite; each is refused with ``ValueError`` before any path is drawn.
+    integral diverge linearly.  ``_pi0_stats`` takes each row's mean and
+    error one batch of states at a time, so g is never held on all
+    states.  The paths take ``inv.step``, the step of the chain ``inv``
+    came from.  ``t_max`` and that step must be finite, ``t_max`` must
+    round to at least one step, and ``m`` must be an integer of at least
+    30 (``_check_epe_args``, which ``run_asymptotics`` also calls before
+    it samples pi_0), and every grid point must be finite; each is refused
+    with ``ValueError`` before any path is drawn.
 
     All starts share one panel of ``m`` Euler paths (common random
     numbers).  The Euler recursion is the AR(1) of ``sde._step_map``, which
@@ -431,13 +436,11 @@ def epe_solve(
     step = inv.step
     m = _check_epe_args(t_max, step, m)
     rate = _linear_ou_form(model)[0]
-    centering = []
-    for i, gvals in enumerate(g(inv.states)):
-        gbar = float(np.mean(gvals))
-        gse = batch_means_se(gvals)
+    means, ses = _pi0_stats(g, inv.states)
+    centering = list(zip(means.tolist(), ses.tolist()))
+    for i, (gbar, gse) in enumerate(centering):
         if abs(gbar) > 3.0 * gse:
             raise NotCenteredError(f"mean of g[{i}] under pi_0 is {gbar:.4g} ({gse:.4g} se): not centered")
-        centering.append((gbar, gse))
     if grid is None:
         grid = np.quantile(inv.states, np.linspace(0.01, 0.99, _GRID_POINTS))
     grid = np.unique(np.asarray(grid, dtype=float))
@@ -510,16 +513,24 @@ def epe_solve(
     )
 
 
-def _gamma_terms(rows: _PolyRHS, states: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-state integrands of (Gamma_gamma, Gamma_alpha, Gamma_alphagamma):
-    ``rows``, the curvature group of ``_integrands``, evaluated on blocks of
-    ``_BLOCK_CELLS`` states into one (3, n) array: elementwise, and so
-    bitwise equal to one call on all states."""
-    out = np.empty((3, states.size))
-    for b0 in range(0, states.size, _BLOCK_CELLS):
-        for row, vals in zip(out[:, b0 : b0 + _BLOCK_CELLS], rows(states[b0 : b0 + _BLOCK_CELLS])):
-            row[:] = vals
-    return out[0], out[1], out[2]
+def _pi0_stats(rows: _PolyRHS, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(means, ses) of each row of ``rows`` over the pi_0 ``states``.
+
+    The rows are evaluated on one batch of ``_batch_layout`` at a time (30
+    batches of n // 30 states, then the tail), and only each batch's sum
+    per row is kept, so no array outgrows a batch.  The ses are the batch
+    means' spread exactly as ``batch_means_se`` takes it, and so bitwise
+    its value on the per-state values; the means are the batch sums and
+    the tail's, added exactly by ``math.fsum``, over n: np.mean up to
+    rounding.
+    """
+    n = states.size
+    b, m = _batch_layout(n)
+    # column i holds batch i's sum per row, the last column the tail's
+    sums = np.array([[v.sum() for v in rows(states[i * m : (i + 1) * m])] for i in range(b)]
+                    + [[v.sum() for v in rows(states[b * m :])]]).T
+    ses = [np.std(row[:b] / m, ddof=1) / np.sqrt(b) for row in sums]
+    return np.array([math.fsum(row) for row in sums]) / n, np.array(ses)
 
 
 def _check_invertible(g: np.ndarray) -> None:
@@ -527,11 +538,13 @@ def _check_invertible(g: np.ndarray) -> None:
         raise SingularGammaError(f"Gamma is numerically singular: {g.tolist()}")
 
 
-def _assemble_gamma(terms: tuple[np.ndarray, np.ndarray, np.ndarray]) -> np.ndarray:
-    gg, ga, gag = terms
-    g = np.array([[float(np.mean(gg)), 0.0], [float(np.mean(gag)), float(np.mean(ga))]])
-    _check_invertible(g)
-    return g
+def _gamma_stats(curvatures: _PolyRHS, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(Gamma, entrywise standard errors) from ``_pi0_stats`` of the
+    curvature group of ``_integrands``; a singular Gamma is refused."""
+    (gg, ga, gag), (se_g, se_a, se_ag) = _pi0_stats(curvatures, states)
+    gamma = np.array([[gg, 0.0], [gag, ga]])
+    _check_invertible(gamma)
+    return gamma, np.array([[se_g, 0.0], [se_ag, se_a]])
 
 
 def gamma_matrix(
@@ -544,8 +557,10 @@ def gamma_matrix(
 
     ``theta_star`` is (alpha, gamma).  The matrix is lower triangular: the
     scale stage does not involve alpha, so the upper-right entry is zero.
+    The integrands are averaged by ``_pi0_stats``, one batch of states at
+    a time, so the memory is one batch's arrays whatever the states.
     """
-    return _assemble_gamma(_gamma_terms(_integrands(model, true_model, theta_star)[1], inv.states))
+    return _gamma_stats(_integrands(model, true_model, theta_star)[1], inv.states)[0]
 
 
 def _sigma_terms(
@@ -744,11 +759,7 @@ def run_asymptotics(
 
     f1, f2 = epe_solve(scores, true_model, noise, inv, grid, t_max, m, seed)
 
-    gg, ga, gag = terms = _gamma_terms(curvatures, inv.states)
-    gamma = _assemble_gamma(terms)
-    gamma_se = np.array(
-        [[batch_means_se(gg), 0.0], [batch_means_se(gag), batch_means_se(ga)]]
-    )
+    gamma, gamma_se = _gamma_stats(curvatures, inv.states)
     sigma, sigma_se = _sigma_full(jumps, true_model.sigma, inv, f1, f2, noise)
     v = avar(gamma, sigma)
 

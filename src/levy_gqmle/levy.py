@@ -185,14 +185,17 @@ def sample_increments(
 
 
 def levy_density(law: LevyLaw, z: float | np.ndarray) -> float | np.ndarray:
-    """Jump-measure density ``nu(z)`` at nonzero ``z``.
+    """Jump-measure density ``nu(z)`` at nonzero, finite ``z``.
 
     Vectorized; rejects ``z = 0`` (the measure has a nonintegrable
-    singularity there) and laws without a jump part.
+    singularity there), a non-finite ``z`` and laws without a jump part,
+    each with ``ValueError``.
     """
     z_arr = np.asarray(z, dtype=float)
     if np.any(z_arr == 0.0):
         raise ValueError("levy_density is undefined at z = 0")
+    if not np.isfinite(z_arr).all():
+        raise ValueError("levy_density needs a finite z")
     if isinstance(law, NormalInverseGaussian):
         az = law.alpha * np.abs(z_arr)
         # the scaled e^x K_1(x) keeps the product finite for large |z| and beta != 0

@@ -15,7 +15,8 @@ The characteristic exponent is the mpmath CGF on the imaginary axis, the
 stage criteria are read off the package's one criterion algebra, and
 Poisson-equation solutions are checked by their martingale increments.
 The limit covariance's per-state jump integrals are summed node by node,
-with the Poisson-equation solutions interpolated by ``np.interp``.
+with the Poisson-equation solutions interpolated by ``np.interp``, and pi_0
+averages are taken from the integrands' values on all states at once.
 """
 
 from __future__ import annotations
@@ -197,6 +198,14 @@ def martingale_check(f, g, model: TrueModel, noise: LevyLaw, reps: int, seed: in
             mean, se = float(np.mean(d)), batch_means_se(d)
             panel[i, j] = abs(mean) / se if se > 0 else (0.0 if mean == 0.0 else math.inf)
     return panel
+
+
+def pi0_stats_per_state(rows, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(means, batch-means errors) of each row of a ``_PolyRHS`` over pi_0
+    states, from its values on all states at once: ``np.mean`` and
+    ``batch_means_se`` of ``rows(states)``."""
+    values = rows(states)
+    return np.array([np.mean(v) for v in values]), np.array([batch_means_se(v) for v in values])
 
 
 def invariant_cumulants(

@@ -25,9 +25,9 @@ from levy_gqmle.asymptotics import (
     NotCenteredError,
     SingularGammaError,
     _PolyRHS,
-    _gamma_terms,
     _integrands,
     _invariant_cumulants,
+    _pi0_stats,
     _poly_form,
     _sigma_full,
     _sigma_terms,
@@ -58,6 +58,7 @@ from _oracles import (
     invariant_cumulants,
     martingale_check,
     family_form,
+    pi0_stats_per_state,
     pseudo_true_oracle,
     sigma_terms_by_node,
 )
@@ -102,6 +103,11 @@ class Cubic:
 @pytest.fixture(scope="module")
 def inv_long():
     return sample_invariant(OU_SHIFTED, CASE_I, **LONG_PATH)
+
+
+# |_pi0_stats' mean - np.mean| <= PI0_MEAN_RTOL mean(|values|): both are
+# pairwise sums, each within about log2(n) eps of the values' magnitudes
+PI0_MEAN_RTOL = 1e-14
 
 
 def _batched(states, stat, n_batches=30):
@@ -307,6 +313,41 @@ class TestSampleInvariant:
             sample_invariant(huge, CASE_I, budget=1000)
         with pytest.raises(NumericalError, match="sigma=1e\\+150"):
             pseudo_true(BENCH, huge, CASE_I)
+
+    def test_mixing_gate_streams_its_variance(self, monkeypatch):
+        # replaying the path's kept states, the traced peak is the states'
+        # own array, InvariantSample's finiteness mask (a byte a state) and
+        # one batch of _pi0_stats (two arrays of n // 30): at most 3 bytes
+        # a state beyond the array, where one more temporary the size of
+        # the states takes 8; the gate's variance is np.var's up to rounding
+        budget, burn, blocks, seen = 200_000, 50, [], []
+        chunked, stats = asymptotics._chunked_paths, asymptotics._pi0_stats
+
+        def record(*args):
+            for block in chunked(*args):
+                blocks.append(block.copy())
+                yield block
+
+        def spy(rows, states):
+            out = stats(rows, states)
+            seen.append((states, float(out[0][0])))
+            return out
+
+        monkeypatch.setattr(asymptotics, "_chunked_paths", record)
+        inv = sample_invariant(OU, CASE_I, budget=budget, seed=5)
+        monkeypatch.setattr(asymptotics, "_chunked_paths", lambda *args: iter(blocks))
+        monkeypatch.setattr(asymptotics, "_pi0_stats", spy)
+        tracemalloc.start()
+        try:
+            again = sample_invariant(OU, CASE_I, budget=budget, seed=5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert again.states.tobytes() == inv.states.tobytes()
+        assert peak - 8 * (burn + budget) <= 3 * budget, peak
+        ((states, var),) = seen
+        assert states.tobytes() == inv.states.tobytes()
+        assert abs(var - np.var(states)) <= 1e-14 * np.var(states)
 
     def test_mixing_gate_on_coarse_step(self):
         # Euler variance inflation 1/(1 - rate*step/2) = 25% at step 0.8
@@ -598,7 +639,8 @@ class TestEPESolve:
                 for name, ref in zip(("f", "se", "tail_bound"), want[j]):
                     err = np.max(np.abs(getattr(approx, name) - ref))
                     assert err <= 1e-12 * np.max(np.abs(ref)), (grid.size, j, name, err)
-                assert approx.g_mean == float(np.mean(gv)) and approx.g_se == batch_means_se(gv)
+                assert abs(approx.g_mean - float(np.mean(gv))) <= PI0_MEAN_RTOL * float(np.mean(np.abs(gv)))
+                assert approx.g_se == batch_means_se(gv)
             # a single right-hand side gives the same numbers as its slot in the tuple
             (alone,) = epe_solve(_PolyRHS(g.coef[:1], g.center), model, CASE_I, grid=grid, t_max=t_max, m=m,
                                  seed=seed, inv=inv)
@@ -750,13 +792,19 @@ class TestGammaMatrix:
         assert g[1, 1] == pytest.approx(oracle_i.gamma_alpha, abs=0.45)
         assert abs(g[1, 0]) <= 0.08
 
-    def test_blocked_terms_match_one_call_bitwise(self, oracle_i):
-        alpha_s, gamma_s = oracle_i.alpha_star, oracle_i.gamma_star
-        x = np.random.default_rng(3).standard_normal(2 * _BLOCK_CELLS + 5)
-        rows = _integrands(BENCH, OU, (alpha_s, gamma_s))[1]
-        for a, b in zip(_gamma_terms(rows, x), rows(x)):
-            assert np.array_equal(a, b)
-            assert np.mean(a) == np.mean(b)
+    def test_memory_is_one_batch(self, oracle_i):
+        # 600,000 states, criterion 5's sample: _pi0_stats holds one batch
+        # of 20,000, its t and three rows (640 kB), where a per-state
+        # (3, n) array of the integrands would take 14.4 MB
+        inv = InvariantSample(np.random.default_rng(4).standard_normal(600_000), 0, 0.005)
+        theta = (oracle_i.alpha_star, oracle_i.gamma_star)
+        tracemalloc.start()
+        try:
+            gamma_matrix(BENCH, OU, theta, inv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1 << 20, peak
 
     def test_diffusion_values(self):
         orc = benchmark_oracle(DIFFUSION)
@@ -804,6 +852,24 @@ class TestGammaMatrix:
         ) / eps**2
         assert fd2 == pytest.approx(hess2, rel=1e-5)
         assert -hess2 == pytest.approx(gmat[1, 1], abs=1.5)
+
+
+class TestPi0Stats:
+    # tails of 10, 11 and 29 states, and none at 600,000
+    STATES = 0.2 + 1.3 * np.random.default_rng(17).standard_normal(600_000)
+
+    @pytest.mark.parametrize("n", [1000, 1001, 30 * 2053 + 29, 600_000])
+    def test_matches_per_state_form(self, n):
+        # every _integrands group of every catalog pair: the errors bit for
+        # bit, the means within PI0_MEAN_RTOL of the values' magnitudes
+        states = self.STATES[:n]
+        for drift, scale in itertools.product(DRIFTS, SCALES):
+            for rows in _integrands(ModelSpec(drift=drift, scale=scale), OU, (0.4, 1.1)):
+                means, ses = _pi0_stats(rows, states)
+                want_means, want_ses = pi0_stats_per_state(rows, states)
+                assert ses.tobytes() == want_ses.tobytes()
+                size = np.array([np.mean(np.abs(v)) for v in rows(states)])
+                assert np.all(np.abs(means - want_means) <= PI0_MEAN_RTOL * size), (drift, scale, means - want_means)
 
 
 class TestSigmaMatrix:

@@ -136,6 +136,15 @@ class TestDensity:
         with pytest.raises(ValueError, match="no jump part"):
             levy_density(DIFFUSION, 1.0)
 
+    @pytest.mark.parametrize("law", [CASE_I, CASE_II, CASE_III], ids=str)
+    @pytest.mark.parametrize("z", [math.inf, -math.inf, math.nan])
+    def test_rejects_non_finite(self, law, z):
+        # refused, as z = 0 is, rather than answered with nan, 0 or a
+        # RuntimeWarning; alone and among finite z
+        for arg in (z, np.array([1.0, z, -2.0])):
+            with pytest.raises(ValueError, match="finite"):
+                levy_density(law, arg)
+
 
 class TestK1e:
     # levy_density passes x = alpha |z| with |z| >= e^-30 and any alpha > 0,
