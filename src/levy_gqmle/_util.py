@@ -126,14 +126,20 @@ def batch_means_se(samples: np.ndarray) -> float:
     return float(np.std(means, ddof=1) / np.sqrt(b))
 
 
-def atomic_write_text(path: str | os.PathLike, text: str) -> None:
-    """Write ``text`` to ``path`` via a temp file + rename in the same directory."""
+def atomic_write_text(path: str | os.PathLike, text: str | Iterable[str]) -> None:
+    """Write ``text``, a string or an iterable of string chunks, to ``path``
+    via a temp file + rename in the same directory.
+
+    Chunks are written as they come, so a streamed text is never joined
+    whole.  If the chunks raise, the temp file is removed and ``path`` is
+    left as it was.
+    """
     path = os.fspath(path)
     d = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", text=True)
     try:
         with os.fdopen(fd, "w") as f:
-            f.write(text)
+            f.writelines((text,) if isinstance(text, str) else text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

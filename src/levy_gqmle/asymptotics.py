@@ -156,10 +156,10 @@ def sample_invariant(
     zero or underflowing sigma is not (``ValueError`` before anything is
     drawn).  The sample variance must land within 10% of it; a larger
     mismatch means the chain did not mix at this step size and raises
-    :class:`MixingError`.  That variance is the ``_pi0_stats`` mean of
-    (x - mean)^2 about the sample mean, np.var's up to rounding with no
-    temporary the size of the states.  ``budget`` must be integral; a
-    float such as 2000.0 runs as its integer.
+    :class:`MixingError`.  That variance is ``_pi0_var``'s, np.var's up to
+    rounding with no temporary the size of the states, and the one
+    ``run_asymptotics`` reports.  ``budget`` must be integral; a float such
+    as 2000.0 runs as its integer.
     """
     budget = _integer(budget, "budget")
     if budget < 1000:
@@ -183,7 +183,7 @@ def sample_invariant(
         got += block.shape[0]
     states = states[burn:]
 
-    var = float(_pi0_stats(_PolyRHS(np.array([[0.0, 0.0, 1.0]]), float(np.mean(states))), states)[0][0])
+    var = _pi0_var(states)
     if abs(var / theory - 1.0) > 0.10:
         raise MixingError(
             f"invariant sample variance {var:.4g} vs theory {theory:.4g}: mixing suspect"
@@ -533,6 +533,13 @@ def _pi0_stats(rows: _PolyRHS, states: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return np.array([math.fsum(row) for row in sums]) / n, np.array(ses)
 
 
+def _pi0_var(states: np.ndarray) -> float:
+    """The variance of the pi_0 ``states``: the ``_pi0_stats`` mean of
+    (x - mean)^2 about their mean, np.var's up to rounding with no
+    temporary the size of the states."""
+    return float(_pi0_stats(_PolyRHS(np.array([[0.0, 0.0, 1.0]]), float(np.mean(states))), states)[0][0])
+
+
 def _check_invertible(g: np.ndarray) -> None:
     if not np.isfinite(g).all() or np.linalg.cond(g) > _COND_LIMIT:
         raise SingularGammaError(f"Gamma is numerically singular: {g.tolist()}")
@@ -768,7 +775,7 @@ def run_asymptotics(
         "invariant": {
             "size": int(inv.states.size),
             "mean": float(np.mean(inv.states)),
-            "var": float(np.var(inv.states)),
+            "var": _pi0_var(inv.states),
             "burn_in": _BURN_IN,
             "spacing": _SPACING,
             "step": inv.step,

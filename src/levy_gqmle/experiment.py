@@ -16,6 +16,7 @@ import math
 import os
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import chain
 
 import numpy as np
 
@@ -53,7 +54,9 @@ TAIL_RADII = (1.0, 2.0, 4.0, 8.0)
 
 _TAG_MC = 5501  # replication increment streams hang off (seed, tag, design, k)
 # replications per block: the (16, n+1) panels of the blocks in flight on the
-# core pool are the only per-replication arrays alive, one per worker
+# core pool are the only per-replication arrays alive, one per worker, and
+# the only arrays of a block's size: the scan forms no copy of a panel, and
+# the fit's temporaries span one tile of gqmle._FIT_TILE steps
 _FIT_ROWS = 16
 # a design with more failed (divergent) replications than this raises
 _MAX_FAILURE_FRACTION = 0.01
@@ -410,9 +413,12 @@ def emit_report(summary: McSummary, out_dir: str | os.PathLike, formats=("csv", 
     """Write the summary as report.{csv,json,svg} under out_dir, atomically.
 
     The CSV mirrors the benchmark table layout (one row per design); the
-    JSON is a full dump including per-replication estimates; the SVG is a
-    boxplot per (case, design) and parameter.  Emitting the same summary
-    twice produces byte-identical files.
+    JSON is a full dump including per-replication estimates, streamed to
+    the file chunk by chunk from the encoder: the bytes of
+    ``json.dumps(summary.to_obj(), indent=2, sort_keys=True)`` and a
+    newline, never joined into one string; the SVG is a boxplot per
+    (case, design) and parameter.  Emitting the same summary twice
+    produces byte-identical files.
     """
     os.makedirs(out_dir, exist_ok=True)
     written = []
@@ -420,7 +426,8 @@ def emit_report(summary: McSummary, out_dir: str | os.PathLike, formats=("csv", 
         if fmt == "csv":
             text = _csv_report(summary)
         elif fmt == "json":
-            text = json.dumps(summary.to_obj(), indent=2, sort_keys=True) + "\n"
+            encoder = json.JSONEncoder(indent=2, sort_keys=True)
+            text = chain(encoder.iterencode(summary.to_obj()), ("\n",))
         elif fmt == "svg":
             text = _svg_report(summary)
         else:

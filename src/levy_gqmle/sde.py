@@ -149,6 +149,9 @@ def _scan(rho: float, scale: float, shift: float, x0: float | np.ndarray, z: np.
     a row's bits depend only on its own increments, start, rho and length,
     never on the rows beside it or the array's strides.  A time-major block
     is summed one step at a time across rows, any other along each row.
+    Each block turns into its C and then its states in its own memory, so
+    no copy of a block is formed: only the power tables rho^(+-j) and the
+    rows' running C are held beside ``z``.
     """
     rows, steps = z.shape
     if steps == 0:
@@ -164,20 +167,23 @@ def _scan(rho: float, scale: float, shift: float, x0: float | np.ndarray, z: np.
         while k < steps:
             j = k % sub
             n = min(sub - j, width, steps - k)
+            # the block turns into its C in place, then into its states
             block = z[:, k : k + n]
-            # same memory order as the block: a time-major block stays time-major
-            c = block * scale
+            if scale != 1.0:
+                block *= scale
             if shift:
-                c += shift
-            c *= down[j : j + n]
-            c[:, 0] += carry
-            if rows > 1 and c.flags.f_contiguous:
-                for prev, col in zip(c.T, c.T[1:]):
+                block += shift
+            block *= down[j : j + n]
+            block[:, 0] += carry
+            # a time-major block is summed one step at a time across rows
+            if rows > 1 and block.strides[0] < block.strides[1]:
+                for prev, col in zip(block.T, block.T[1:]):
                     np.add(prev, col, out=col)
             else:
-                np.cumsum(c, axis=1, out=c)
-            np.multiply(c, up[j : j + n], out=block)
-            carry = rho * block[:, -1] if j + n == sub else c[:, -1]
+                np.cumsum(block, axis=1, out=block)
+            last = block[:, -1].copy()  # the running C
+            block *= up[j : j + n]
+            carry = rho * block[:, -1] if j + n == sub else last
             k += n
 
 

@@ -28,6 +28,7 @@ from levy_gqmle.asymptotics import (
     _integrands,
     _invariant_cumulants,
     _pi0_stats,
+    _pi0_var,
     _poly_form,
     _sigma_full,
     _sigma_terms,
@@ -1006,6 +1007,14 @@ class TestRunAsymptotics:
         # jump-reach points on each side of the EPE grid
         assert (diag["invariant"]["burn_in"], diag["invariant"]["spacing"]) == (50.0, 1.0)
         assert diag["epe"]["grid_points"] == 33
+
+    def test_invariant_var_is_the_gates(self, res_i):
+        # the diagnostics' variance is the mixing gate's, taken without a
+        # state-sized temporary; np.var's up to rounding
+        states = sample_invariant(OU, CASE_I, budget=40000, seed=5).states
+        var = res_i.diagnostics["invariant"]["var"]
+        assert var == _pi0_var(states)
+        assert abs(var - np.var(states)) <= 1e-14 * np.var(states)
 
     def test_v_consistent_with_parts(self, res_i):
         np.testing.assert_allclose(res_i.v, avar(res_i.gamma, res_i.sigma), atol=1e-14)

@@ -1,10 +1,12 @@
 """Tests for the replication-study layer: case catalog, optimal values,
 run_mc determinism, normality of the replications, and report emission."""
 
+import dataclasses
 import json
 import math
 import os
 import pathlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -402,6 +404,62 @@ class TestEmitReport:
         target = tmp_path / "deep" / "er"
         paths = emit_report(summary_small, target, formats=("csv",))
         assert os.path.dirname(paths[0]) == str(target)
+
+    @staticmethod
+    def _large_summary(case: str = "ii") -> McSummary:
+        # the paper's three designs at R = 1000, from made-up estimates
+        rng = np.random.default_rng(11)
+        theta = optimal_values(case)
+        designs = tuple(summarize_replications(n, h, theta + rng.normal(0.0, 0.05, (1000, 2)), theta)
+                        for n, h in ((1000, 0.05), (5000, 0.02), (10000, 0.01)))
+        return McSummary(case=case, theta_star=theta, replications=1000, seed=0, per_design=designs)
+
+    def test_streamed_json_equals_dumps(self, tmp_path):
+        summary = self._large_summary()
+        (path,) = emit_report(summary, tmp_path, formats=("json",))
+        want = json.dumps(summary.to_obj(), indent=2, sort_keys=True) + "\n"
+        assert pathlib.Path(path).read_bytes() == want.encode()
+
+    def test_streamed_json_forms_no_whole_text(self, tmp_path):
+        # the encoder walks to_obj()'s tree; beside it the writer holds only
+        # the encoder's and the file's buffers, 64 KiB at most, less than
+        # the text (about 240 KB), so a joined copy of it exceeds the bound
+        summary = self._large_summary()
+        slack = 64 * 1024
+
+        def peak(fn):
+            tracemalloc.start()
+            try:
+                fn()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        bound = peak(summary.to_obj) + slack
+        written = peak(lambda: emit_report(summary, tmp_path, formats=("json",)))
+        assert slack < (tmp_path / "report.json").stat().st_size
+        assert written <= bound
+
+    def test_encoder_error_mid_stream_keeps_old_report(self, tmp_path, monkeypatch):
+        # an unserializable value in the second design fails the encoder
+        # after the first design's text has reached the temp file
+        summary = self._large_summary()
+        (path,) = emit_report(summary, tmp_path, formats=("json",))
+        before = pathlib.Path(path).read_bytes()
+        bad = dataclasses.replace(summary.per_design[1], failures=(object(),))
+        broken = dataclasses.replace(summary, per_design=(summary.per_design[0], bad, summary.per_design[2]))
+        written = []
+
+        def default(self, o):
+            written.extend(p.stat().st_size for p in tmp_path.glob(".tmp-*"))
+            raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+        monkeypatch.setattr(json.JSONEncoder, "default", default)
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            emit_report(broken, tmp_path, formats=("json",))
+        assert len(written) == 1 and written[0] > 0
+        assert pathlib.Path(path).read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["report.json"]
 
     def test_unknown_format(self, summary_small, tmp_path):
         with pytest.raises(ValueError, match="unknown format"):

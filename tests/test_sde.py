@@ -4,6 +4,7 @@ import dataclasses
 import io
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -199,6 +200,38 @@ class TestAffinePaths:
         _scan(*_step_map(model, 0.01), x0, rows)
         _scan(*_step_map(model, 0.01), x0, z.T)
         assert rows.tobytes() == np.ascontiguousarray(z.T).tobytes()
+
+    @staticmethod
+    def _scan_peak(z: np.ndarray, dt: float) -> int:
+        rho, scale, shift = _step_map(true_ou(), dt)
+        tracemalloc.start()
+        try:
+            _scan(rho, scale, shift, 0.3, z)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # numpy's ufunc iterator may buffer a strided in-place operation, up to
+    # np.getbufsize() elements for each of its three operands
+    UFUNC_BUFFERS = 3 * 8 * np.getbufsize()
+
+    def test_scan_forms_no_copy_of_a_panel_block(self):
+        # an mc block: the (16, n+1) panel's view values[:, 1:], scanned in
+        # time blocks of 16 x 4096 cells (512 KiB).  The scan keeps its two
+        # power tables of n floats and a few rows of 16 beside the panel
+        # (plus array headers, 1 KiB); a block-sized copy would exceed that
+        n = 10_000
+        values = sample_increments(CASE_II, 0.01, (16, n + 1), substream(9, 1))
+        bound = 2 * 8 * n + 8 * 8 * 16 + self.UFUNC_BUFFERS + 1024
+        assert self._scan_peak(values[:, 1:], 0.01) <= bound
+
+    def test_scan_forms_no_copy_of_a_time_major_chunk(self):
+        # an EPE chunk: 500 steps of 1500 paths, passed as chunk.T and
+        # scanned in time-major blocks of 1500 x 43 cells (504 KiB).  The
+        # scan keeps its two power tables of 500 floats and a few rows of 1500
+        chunk = sample_increments(CASE_I, 0.01, (500, 1500), substream(9, 2))
+        bound = 2 * 8 * 500 + 4 * 8 * 1500 + self.UFUNC_BUFFERS + 1024
+        assert self._scan_peak(chunk.T, 0.01) <= bound
 
     def test_panel_rows_are_lone_paths(self):
         # a panel row is bitwise the path simulate_euler draws from its generator
