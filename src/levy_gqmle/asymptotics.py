@@ -344,15 +344,6 @@ class EPEApprox:
         return self.f[:-1] - slopes * self.x[:-1], slopes, index
 
 
-def _weighted_sum(weights: np.ndarray, arrays: tuple[np.ndarray, ...]) -> np.ndarray:
-    """sum_j weights[j] arrays[j], elementwise in j order: no BLAS, so the
-    bits do not depend on threads or array sizes."""
-    acc = weights[0] * arrays[0]
-    for w, a in zip(weights[1:], arrays[1:]):
-        acc += w * a
-    return acc
-
-
 def _check_epe_args(t_max: float, step: float, m: int) -> int:
     """Refuse an EPE horizon, step or path count before anything is sampled;
     return the path count as an ``int`` (2000.0 runs as 2000)."""
@@ -416,13 +407,14 @@ def epe_solve(
     sum_{k=0..N} t_k^p = sum_i C(p, i) s^i S[i, p - i] with the per-path
     mixed sums S[i, j] = sum_k rho^{ik} u_k^j; S[i, 0] = 1 + sum_{k>=1}
     rho^{ik} is a scalar, the 1 counting X_0.  The calling thread adds
-    each chunk's partial S[i, j], j >= 1 and i + j <= d, in chunk order
+    each chunk's S[i, j], j >= 1 and i + j <= d, into the running sums
     while the workers draw later chunks; u is formed in time blocks of
     max(1, 2^16 // m) steps, so no temporary outgrows a block, and each sum
-    is taken elementwise with no BLAS.  A grid point's row sums are the
-    S[i, j] weighted by coef[i + j] C(i + j, i) s^i, added in a fixed order
-    with no BLAS; g is evaluated once at the point itself, the paths'
-    common start, and at each path's end state.  The time integral is the
+    is taken elementwise with no BLAS.  Each row's path sums are then one
+    polynomial in s per path, P[i] = sum_j coef[i + j] C(i + j, i) S[i, j],
+    evaluated at each grid point by Horner's rule, elementwise; g is
+    evaluated once at the point itself, the paths' common start, and at
+    each path's end state.  The time integral is the
     trapezoid rule on the simulation grid, and the sums match an Euler run
     from each grid point up to rounding (about 1e-15 relative).  The
     result does not depend on the number of workers.
@@ -462,18 +454,16 @@ def epe_solve(
     for y in _chunked_paths(model, noise, step, steps, m, 0.0, _CHUNK_STEPS, seed, _TAG_EPE):
         c0, end = end, end + y.shape[0]
         y_lo[c0:end], y_hi[c0:end] = y.min(axis=1), y.max(axis=1)
-        # this chunk's S[i, j] = sum_k rho^{ik} u_k^j, j >= 1, per path
-        part = np.zeros((k, k, m))
+        # S[i, j] = sum_k rho^{ik} u_k^j, j >= 1, per path
         for k0 in range(c0, end, block):
             k1 = min(k0 + block, end)
             u = y[k0 - c0 : k1 - c0] + g.center * (decay[k0:k1, None] - 1.0)
             uj = np.ones_like(u)
             for j in range(1, k):
                 uj *= u
-                part[0, j] += uj.sum(axis=0)
+                sums[0, j] += uj.sum(axis=0)
                 for i in range(1, k - j):
-                    part[i, j] += (powers[i, k0:k1, None] * uj).sum(axis=0)
-        sums += part
+                    sums[i, j] += (powers[i, k0:k1, None] * uj).sum(axis=0)
 
     # fl(a + y) is monotone in y, so each row's extreme states are the
     # shifted extremes of y: the divergence gate costs O(steps) per start
@@ -496,14 +486,14 @@ def epe_solve(
 
     # S[i, 0] = 1 + sum_k rho^{ik}: the 1 counts X_0, where u_0 = 0
     sums[:, 0] = 1.0 + powers.sum(axis=1)[:, None]
-    pairs = [(i, j) for i in range(k) for j in range(k - i)]
-    terms = tuple(sums[i, j] for i, j in pairs)
+    # each row's path sums as polynomials in s: P[i] = sum_j coef[i + j] C(i + j, i) S[i, j]
+    polys = [
+        np.array([sum(c[i + j] * math.comb(i + j, i) * sums[i, j] for j in range(k - i)) for i in range(k)])
+        for c in g.coef
+    ]
     columns = []
     for x0 in grid:
-        s = x0 - g.center
-        scale = np.array([math.comb(i + j, i) * s**i for i, j in pairs])
-        weights = g.coef[:, [i + j for i, j in pairs]] * scale
-        rows = [_weighted_sum(w, terms) for w in weights]
+        rows = [np.polynomial.polynomial.polyval(x0 - g.center, p) for p in polys]
         columns.append([column(*ends) for ends in zip(rows, g(x0), g(decay[-1] * x0 + y[-1]))])
     # (f, se, tail bound) per g, each of shape (grid.size,)
     stats = np.moveaxis(np.array(columns), 0, -1)

@@ -8,7 +8,8 @@ the one kernel that runs it.  Every path of the package is drawn and
 scanned here, in one of two ways: :func:`_euler_panel` gives each path
 its own substream (``simulate_euler`` and ``run_mc``), and
 :func:`_chunked_paths` gives each time chunk of a panel one
-(``asymptotics``' pi_0 path and EPE panel).  Callers that act on
+(``asymptotics``' pi_0 path and EPE panel); its workers draw the chunks,
+and the calling thread scans them in time order.  Callers that act on
 divergence check the result with :func:`_first_bad` or the chunks'
 extremes.
 """
@@ -243,66 +244,39 @@ def _chunked_paths(
     of ``chunk`` groups of ``keep`` steps (the last one short).
 
     Chunk c draws its increments from the substream (seed, tag, c), so the
-    first chunks are the same whatever ``groups`` is, and a worker of
-    ``_util.core_map`` runs it from zero: in place by :func:`_scan` when
-    every state is kept, else by :func:`_thinned`, which forms only the
-    kept states.  The AR(1) is affine in its start: k steps from x reach
-    Y_k + rho^k x, with Y the path from 0, so each chunk's kept states are
-    composed with the previous chunk's end states as the chunks arrive, in
-    row blocks of about ``_BLOCK_CELLS`` cells, so no chunk-sized
-    temporary is formed.
-    The result does not depend on the number of workers, and equals one
-    scan over the whole path up to rounding (about 1e-14 relative).
+    first chunks are the same whatever ``groups`` is.  A worker of
+    ``_util.core_map`` draws each chunk and, when keep > 1, sums each group
+    of keep increments z_i to W = sum_i rho^(keep-1-i) z_i (one ``einsum``,
+    no BLAS), since X_{t+keep} = rho^keep X_t + scale W + shift sum_i rho^i:
+    the skipped states are never formed.  The calling thread scans each
+    chunk in place by :func:`_scan`, in time order from the previous
+    chunk's last state, so the result does not depend on the number of
+    workers, and equals one scan over the whole path up to rounding (about
+    1e-14 relative).
     """
     rho, scale, shift = _step_map(model, dt)
-    rho = np.float64(rho)  # rho**steps overflows to inf, not OverflowError
+    rho = np.float64(rho)  # rho**keep overflows to inf, not OverflowError
     # (substream index, groups)
     plans = [(start // chunk, min(chunk, groups - start)) for start in range(0, groups, chunk)]
-    # rho^lag, with lag the steps from a chunk's start to each kept state
-    decay = rho ** (keep * (1.0 + np.arange(min(chunk, groups))))
-
-    def from_zero(plan: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
-        """Kept states and end states of one chunk, from a zero start."""
-        index, size = plan
-        path = sample_increments(noise, dt, (size * keep, cols), substream(seed, tag, index))
-        if keep > 1:
-            return _thinned(rho, scale, shift, path, keep)
-        _scan(rho, scale, shift, 0.0, path.T)
-        return path, path[-1]
-
-    x = np.full(cols, float(x0))
-    rows = max(1, _BLOCK_CELLS // cols)
-    for (block, last), (_, size) in zip(core_map(from_zero, plans), plans):
-        # last is the block's last row: the next start is taken before the
-        # block is composed in place, ``rows`` rows at a time
-        end = last + rho ** (size * keep) * x
-        lag = decay[:size, None]
-        for r0 in range(0, size, rows):
-            block[r0 : r0 + rows] += lag[r0 : r0 + rows] * x
-        x = end
-        yield block
-
-
-def _thinned(
-    rho: np.float64, scale: float, shift: float, z: np.ndarray, keep: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """(kept, end) of the paths X_{k+1} = rho X_k + scale z_k + shift from
-    zero, one per column of ``z`` (groups keep, cols): the states after
-    every ``keep``-th row of ``z``, and the last of them.
-
-    The skipped states are never formed.  From a group's start X_t,
-    X_{t+keep} = rho^keep X_t + V with V = sum_i rho^(keep-1-i) u_{t+i}
-    its weighted sum of the u = scale z + shift, so :func:`_scan` at
-    rho^keep over the groups' sums gives every kept state.  The sums are
-    one ``einsum`` contraction, with no BLAS.
-    """
+    # |rho| > 1 may overflow rho^i to inf; the callers' checks report the path
     with np.errstate(over="ignore", invalid="ignore"):
         weights = rho ** np.arange(keep - 1, -1, -1, dtype=float)
-        sums = np.einsum("gkc,k->gc", z.reshape(-1, keep, z.shape[1]), weights)
-        sums *= scale
-        sums += shift * np.sum(weights)
-        _scan(rho**keep, 1.0, 0.0, 0.0, sums.T)
-    return sums, sums[-1]
+        rho_keep, shift_keep = rho**keep, shift * np.sum(weights)
+
+    def draw(plan: tuple[int, int]) -> np.ndarray:
+        """One chunk's increments, or its groups' weighted sums W."""
+        index, size = plan
+        path = sample_increments(noise, dt, (size * keep, cols), substream(seed, tag, index))
+        if keep == 1:
+            return path
+        with np.errstate(over="ignore", invalid="ignore"):
+            return np.einsum("gkc,k->gc", path.reshape(-1, keep, cols), weights)
+
+    x = x0
+    for block in core_map(draw, plans):
+        _scan(rho_keep, scale, shift_keep, x, block.T)
+        x = block[-1].copy()  # a copy: the next start keeps no block alive
+        yield block
 
 
 def simulate_euler(model: TrueModel, noise: LevyLaw, cfg: PathConfig) -> SamplePath:

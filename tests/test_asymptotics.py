@@ -54,6 +54,7 @@ from _oracles import (
     benchmark_oracle,
     chunk_draws,
     cgf_cumulants,
+    cumulants_to_moments,
     g1_eval,
     g2_eval,
     invariant_cumulants,
@@ -225,8 +226,8 @@ class TestSampleInvariant:
 
     @pytest.mark.parametrize("step,budget", [(LONG_PATH["step"], LONG_PATH["budget"]), (0.003, 7000)])
     def test_matches_serial_reference(self, inv_long, step, budget):
-        # the zero-start chunks composed through the affine start map against
-        # one lfilter pass over the whole path, started at the mean.  The
+        # the chunks, each scanned from the previous chunk's last state,
+        # against one lfilter pass over the whole path, started at the mean.  The
         # burn-in is 50 spacings and a chunk 2_000_000 // keep spacings of
         # keep steps, also at step 0.003, where keep = 333 divides neither
         # 50 / step nor 2_000_000
@@ -451,6 +452,38 @@ class TestEPERhs:
         for vals in _integrands(BENCH, OU, theta)[0](inv_i.states):
             mean, se = _batched(vals, np.mean)
             assert abs(mean) <= 3 * se
+
+    @pytest.mark.parametrize("law", [CASE_I, CASE_II, CASE_III], ids=["i", "ii", "iii"])
+    @pytest.mark.parametrize("scale", SCALES, ids=lambda s: type(s).__name__)
+    @pytest.mark.parametrize(
+        "drift", [MeanRevertLinear(m=1.0), ConstantDrift(), LinearDecay()], ids=lambda d: type(d).__name__
+    )
+    def test_exactly_centered_under_continuous_invariant_law(self, drift, scale, law):
+        # theta*'s first-order conditions are E[g_1] = E[g_2] = 0 under pi_0,
+        # so at an unclipped theta* the coefficient rows dotted with pi_0's raw
+        # moments of t = x - center (mpmath cumulants, no sampling) vanish up
+        # to rounding: about 1e-15 of the terms' size sum_i |coef_i| E|t|^i,
+        # bounded here at 1e-12.  For odd i, E|t|^i is bounded above by
+        # Lyapunov's (E t^(i+1))^(i/(i+1)).  The one clipped theta* of these
+        # 18 triples, a constant drift's alpha* = -m3/4 < 0 under case iii's
+        # skew, leaves E[g_2] far from zero; under the symmetric cases its
+        # alpha* = 0 lies on the box edge, unclipped
+        model = ModelSpec(drift=drift, scale=scale)
+        theta = pseudo_true(model, OU, law)
+        clipped = theta != pseudo_true(ModelSpec(drift=drift, scale=scale, alpha_box=(-10.0, 10.0)), OU, law)
+        assert clipped == (isinstance(drift, ConstantDrift) and isinstance(scale, RationalSqrt) and law is CASE_III)
+        g = _integrands(model, OU, theta)[0]
+        k = g.coef.shape[1]
+        cums = invariant_cumulants(cgf_cumulants(law, k), OU.rate, OU.sigma, OU.level)
+        cums[1] -= g.center
+        moments = np.array(cumulants_to_moments(cums))
+        abs_moments = np.array([moments[i] if i % 2 == 0 else moments[i + 1] ** (i / (i + 1)) for i in range(k)])
+        means = np.array([math.fsum(c * moments[:k]) for c in g.coef])
+        size = np.array([math.fsum(np.abs(c) * abs_moments) for c in g.coef])
+        if not clipped:
+            assert np.all(np.abs(means) <= 1e-12 * size), means / size
+        else:
+            assert abs(means[1]) > 0.1 * size[1], means / size
 
 
 class TestPolyForm:

@@ -36,8 +36,8 @@ def record():
          "change": bench_pairs.pair_entry(_result(c, 2 * c, 101.0, 1.4, failed=i == 4))}
         for i, (p, c) in enumerate(walls)
     ]
-    sides = {"parent": {"commit": "a" * 40, "src_sha256": "1" * 64},
-             "change": {"commit": "b" * 40, "src_sha256": "2" * 64}}
+    sides = {"parent": {"commit": "a" * 40, "src_sha256": "1" * 64, "src_lines": 2000},
+             "change": {"commit": "b" * 40, "src_sha256": "2" * 64, "src_lines": 1900}}
     blas_env = dict.fromkeys(["OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS",
                               "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS"])
     host = {"nproc": 2, "cpu_model": "cpu", "python": "3.11", "blas_env": blas_env, "workload": "w"}
@@ -54,7 +54,9 @@ def test_bounds_read_from_benchmark_json():
 
 def test_record_has_the_committed_schema(record):
     for name in COMMITTED:
-        assert _keys(record) == _keys(json.loads((ROOT / name).read_text())), name
+        committed = json.loads((ROOT / name).read_text())
+        assert _keys(record) == _keys(committed), name
+        assert all(committed[side]["src_lines"] > 0 for side in ("parent", "change")), name
     assert record["command"] == "python3 perfbench/run.py --workload asymptotics_i --seconds 30 --trace 0"
     assert set(record["host"]) == {"nproc", "cpu_model", "python", "blas_env"}
     assert record["claimed_metric"] == "wall_s"
@@ -87,6 +89,23 @@ def test_summary_reproduces_committed_record():
         committed = json.loads((ROOT / name).read_text())
         summary = bench_pairs.summarize(committed["pairs"], committed["claimed_metric"], bench_pairs.bounds(ROOT))
         assert summary == committed["summary"], name
+
+
+def test_src_lines_counts_as_wc_does(tmp_path):
+    # the newlines of src/levy_gqmle/*.py, so a last line without one is not
+    # counted; other files and subpackages are not part of it
+    package = tmp_path / "src" / "levy_gqmle"
+    (package / "sub").mkdir(parents=True)
+    (package / "a.py").write_text("x = 1\n\n# c\n")
+    (package / "b.py").write_text("y = 2\nz = 3")
+    (package / "notes.txt").write_text("1\n2\n")
+    (package / "sub" / "c.py").write_text("w = 4\n")
+    assert bench_pairs.src_lines(tmp_path) == 4
+    assert bench_pairs._side({"git_commit": None, "src_sha256": "0" * 64}, tmp_path) == {
+        "commit": None, "src_sha256": "0" * 64, "src_lines": 4}
+    wc = subprocess.run("cat src/levy_gqmle/*.py | wc -l", shell=True, cwd=ROOT, capture_output=True, text=True,
+                        check=True)
+    assert bench_pairs.src_lines(ROOT) == int(wc.stdout)
 
 
 def _pairs(parent, change):

@@ -266,8 +266,9 @@ def _chunk_blocks(groups: int, cols: int, keep: int) -> list[np.ndarray]:
 class TestChunkedPaths:
     @pytest.mark.parametrize("run", CHUNK_RUNS)
     def test_independent_of_worker_count(self, run, monkeypatch):
-        # each chunk is drawn from its own substream and composed in time
-        # order; threads are switched as often as possible
+        # each chunk is drawn from its own substream and scanned in time
+        # order in the calling thread; threads are switched as often as
+        # possible
         want = _chunk_blocks(1234, **CHUNK_RUNS[run])
         interval = sys.getswitchinterval()
         try:
@@ -281,9 +282,9 @@ class TestChunkedPaths:
 
     @pytest.mark.parametrize("run", CHUNK_RUNS)
     def test_matches_one_filter_pass(self, run):
-        # the chunks composed through the affine start map against one
-        # lfilter pass over the same draws, kept at X_keep, X_2keep, ...; a
-        # longer run starts with the same blocks, bitwise
+        # the chunks, each scanned from the previous chunk's last state,
+        # against one lfilter pass over the same draws, kept at X_keep,
+        # X_2keep, ...; a longer run starts with the same blocks, bitwise
         cols, keep = CHUNK_RUNS[run].values()
         rho, scale, shift = _step_map(SHIFTED, 0.01)
         dz = chunk_draws(CASE_I, 0.01, 1234 * keep, cols, 12, 7001, chunk=500 * keep)

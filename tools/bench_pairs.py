@@ -14,7 +14,9 @@ default seed, and the record's command states it.  Even-numbered pairs run
 the parent first, odd-numbered pairs the change first, so neither side
 always gets the warmer caches.  The last line of each run's output is its
 result; the line before it, its provenance.  The record, written to
-``BENCH_<workload>.json`` in the change checkout, holds every pair's
+``BENCH_<workload>.json`` in the change checkout, holds each side's
+commit, ``src_sha256`` and ``src_lines`` (the lines of
+``src/levy_gqmle/*.py``, as ``wc -l`` counts them), every pair's
 end-to-end metrics with ``correct``, ``attempted`` and ``failed``, and per
 metric the median and inclusive quartiles of each side, the median change
 in percent, the number of pairs where the change's value is lower, the
@@ -136,13 +138,18 @@ def summarize(pairs: list[dict], claim: str | None, bound: dict[str, float]) -> 
     return out
 
 
+def src_lines(checkout: Path) -> int:
+    """``cat src/levy_gqmle/*.py | wc -l`` in ``checkout``: the line count the ROADMAP tracks."""
+    return sum(path.read_bytes().count(b"\n") for path in (checkout / "src" / "levy_gqmle").glob("*.py"))
+
+
 def _side(provenance: dict, checkout: Path) -> dict:
     commit = provenance.get("git_commit")
     dirty = subprocess.run(["git", "status", "--porcelain", "--", "src"], cwd=checkout,
                            capture_output=True, text=True, check=False).stdout.strip()
     if commit and dirty:
         commit = f"uncommitted changes on top of {commit}"
-    return {"commit": commit, "src_sha256": provenance["src_sha256"]}
+    return {"commit": commit, "src_sha256": provenance["src_sha256"], "src_lines": src_lines(checkout)}
 
 
 def build_record(
