@@ -16,11 +16,11 @@ import numpy as np
 _MAX_WORKERS = 4
 # contiguous batches of batch_means_se
 _N_BATCHES = 30
-# cells per block of the package's blocked array passes (the NIG draws, the
-# AR(1) scan, the EPE power sums, Sigma's state blocks): a block stays in
-# cache; the fit's tiles are fixed in time steps instead,
-# ``gqmle._FIT_TILE``, and the pi_0 averages run in the batches of
-# ``_batch_layout``
+# cells per block of the package's blocked array passes (the AR(1) scan, the
+# EPE power sums, Sigma's state blocks, _k1e's rows): a block stays in cache;
+# the draws' scratch blocks are ``levy._DRAW_BLOCK`` instead, the fit's tiles
+# are fixed in time steps, ``gqmle._FIT_TILE``, and the pi_0 averages run in
+# the batches of ``_batch_layout``
 _BLOCK_CELLS = 1 << 16
 
 
@@ -53,6 +53,17 @@ def _integer(value, name: str = "value") -> int:
     if not (integral or isinstance(value, (int, np.integer))) or isinstance(value, bool):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(value)
+
+
+def _real(value, name: str = "value") -> float:
+    """``value`` as a ``float``: integers and floats, numpy's too.
+
+    Anything else, booleans and strings included, is refused with
+    ``ValueError`` naming ``name`` rather than coerced or parsed.
+    """
+    if not isinstance(value, (int, float, np.integer, np.floating)) or isinstance(value, bool):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
 
 
 def _pool_size(tasks: int) -> int:

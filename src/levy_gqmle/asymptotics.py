@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import _BLOCK_CELLS, NumericalError, _batch_layout, _integer, batch_means_se
+from ._util import _BLOCK_CELLS, NumericalError, _batch_layout, _integer, _real, batch_means_se
 from .coefficients import _horner
 from .gqmle import ModelSpec
 from .levy import (
@@ -148,9 +148,10 @@ def sample_invariant(
     ``_BURN_IN`` / ``_SPACING`` (50) kept states are discarded as burn-in.
     ``sde._chunked_paths`` draws it in chunks of ``_INVARIANT_CHUNK`` // keep
     spacings (``_INVARIANT_CHUNK`` steps whenever keep divides it) from the
-    substreams (seed, 3101, chunk), a worker holding about 16 MB of live
-    arrays, and its kept states fill one preallocated array.  The result
-    does not depend on the number of workers.
+    substreams (seed, 3101, chunk), a worker holding the chunk's draw array
+    (16 MB) plus 128 KB of scratch, and its kept states fill one
+    preallocated array.  The result does not depend on the number of
+    workers.
 
     pi_0's variance (``_invariant_cumulants``) must be positive, which a
     zero or underflowing sigma is not (``ValueError`` before anything is
@@ -159,11 +160,13 @@ def sample_invariant(
     :class:`MixingError`.  That variance is ``_pi0_var``'s, np.var's up to
     rounding with no temporary the size of the states, and the one
     ``run_asymptotics`` reports.  ``budget`` must be integral; a float such
-    as 2000.0 runs as its integer.
+    as 2000.0 runs as its integer.  ``step`` must be a number; a boolean or
+    a string is refused.
     """
     budget = _integer(budget, "budget")
     if budget < 1000:
         raise ValueError(f"budget must be at least 1000, got {budget}")
+    step = _real(step, "step")
     if not 0.0 < step < math.inf:
         raise ValueError(f"step must be finite and > 0, got {step}")
     rate, mean, sigma = _linear_ou_form(model)
@@ -348,6 +351,7 @@ def _check_epe_args(t_max: float, step: float, m: int) -> int:
     """Refuse an EPE horizon, step or path count before anything is sampled;
     return the path count as an ``int`` (2000.0 runs as 2000)."""
     m = _integer(m, "m")
+    t_max, step = _real(t_max, "t_max"), _real(step, "step")
     if not (0 < t_max < math.inf and 0 < step < math.inf) or round(t_max / step) < 1 or m < 30:
         raise ValueError(
             f"need finite t_max of at least one finite step > 0 and m >= 30; got {t_max}, {step}, {m}"

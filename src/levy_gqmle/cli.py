@@ -21,7 +21,7 @@ import pathlib
 import sys
 
 from . import __version__
-from ._util import NumericalError, _integer, atomic_write_text
+from ._util import NumericalError, _integer, _real, atomic_write_text
 from .asymptotics import run_asymptotics
 from .experiment import (
     CASES,
@@ -58,13 +58,6 @@ def _one_of(*allowed):
             return (value,)
         raise _UsageError(f"format {value!r} not available here; choose from {', '.join(allowed)}")
     return cast
-
-
-def _real(value) -> float:
-    """Cast of a float setting: a number, not a boolean or a string."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"expected a number, got {value!r}")
-    return float(value)
 
 
 def _orders(text) -> tuple[int, ...]:

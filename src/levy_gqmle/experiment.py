@@ -20,7 +20,7 @@ from itertools import chain
 
 import numpy as np
 
-from ._util import NumericalError, _integer, atomic_write_text, core_map, substream
+from ._util import NumericalError, _integer, _real, atomic_write_text, core_map, substream
 from .asymptotics import pseudo_true
 from .coefficients import MeanRevertLinear, RationalSqrt
 from .gqmle import ModelSpec, _fit_rows
@@ -121,7 +121,7 @@ class ExperimentDesign:
 
     def __post_init__(self):
         object.__setattr__(self, "case", _case_key(self.case))
-        ds = tuple((_integer(n, "n"), float(h)) for n, h in self.designs)
+        ds = tuple((_integer(n, "n"), _real(h, "h")) for n, h in self.designs)
         if not ds:
             raise ValueError("need at least one (n, h) design")
         for n, h in ds:
@@ -294,7 +294,7 @@ def run_mc(
     which must be finite.  The summary is centred on ``pseudo_true``'s
     theta* for the model and truth, computed before anything is drawn.
     """
-    x0 = float(x0)
+    x0 = _real(x0, "x0")
     if not math.isfinite(x0):
         raise ValueError(f"x0 must be finite, got {x0}")
     model = model or benchmark_model()

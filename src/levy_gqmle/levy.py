@@ -18,6 +18,9 @@ import numpy as np
 
 from ._util import _BLOCK_CELLS, NumericalError
 
+# draws per scratch block of sample_increments
+_DRAW_BLOCK = 1 << 13
+
 __all__ = [
     "NormalInverseGaussian",
     "BilateralGamma",
@@ -135,11 +138,14 @@ def sample_increments(
     """Exact draws of ``Z_{t+h} - Z_t``, shape ``size``.
 
     Reproducible given the generator state; ``h = 0`` yields exact zeros.
-    The arithmetic runs in place, NIG's in blocks of ``_BLOCK_CELLS`` draws, in
-    the order of the textbook expressions, so the result is bitwise equal to
-    them on the same generator.  A step at which the draws lose the law to
-    rounding (NIG's (delta h)^2 overflows, or a bilateral gamma's shape h
-    exceeds 2^104) raises :class:`NumericalError` before anything is drawn.
+    The arithmetic runs in place, in the order of the textbook expressions,
+    so the result is bitwise equal to them on the same generator.  NIG's
+    normals and the bilateral gamma's negative jumps are drawn after the
+    first full-size draw in blocks of ``_DRAW_BLOCK`` (8,192) draws, so a
+    call holds its output and at most two such blocks (128 KB) besides.
+    A step at which the draws lose the law to rounding (NIG's (delta h)^2
+    overflows, or a bilateral gamma's shape h exceeds 2^104) raises
+    :class:`NumericalError` before anything is drawn.
     """
     if h < 0:
         raise ValueError(f"h must be nonnegative, got {h}")
@@ -157,10 +163,10 @@ def sample_increments(
             raise NumericalError(f"NIG increments overflow at h={h!r}: (delta h)^2 is out of range") from None
         out = rng.wald(dh / law._gbar, lam, size)
         flat = out.reshape(-1)
-        z = np.empty(min(flat.size, _BLOCK_CELLS))
+        z = np.empty(min(flat.size, _DRAW_BLOCK))
         root = np.empty_like(z)
-        for b0 in range(0, flat.size, _BLOCK_CELLS):
-            y = flat[b0 : b0 + _BLOCK_CELLS]
+        for b0 in range(0, flat.size, _DRAW_BLOCK):
+            y = flat[b0 : b0 + _DRAW_BLOCK]
             zb, rb = z[: y.size], root[: y.size]
             rng.standard_normal(out=zb)
             np.sqrt(y, out=rb)
@@ -174,9 +180,14 @@ def sample_increments(
         if max(law.shape_pos, law.shape_neg) * h > 2.0**104:
             raise NumericalError(f"bilateral gamma increments degenerate at h={h!r}: shape h exceeds "
                                  "2^104, so each gamma draw rounds to its mean")
-        gp = rng.gamma(law.shape_pos * h, 1.0 / law.rate_pos, size)
-        gp -= rng.gamma(law.shape_neg * h, 1.0 / law.rate_neg, size)
-        return gp
+        out = rng.gamma(law.shape_pos * h, 1.0 / law.rate_pos, size)
+        # consecutive gamma calls continue one stream, so the negative jumps
+        # drawn block by block are the values of one full-size call
+        flat = out.reshape(-1)
+        for b0 in range(0, flat.size, _DRAW_BLOCK):
+            y = flat[b0 : b0 + _DRAW_BLOCK]
+            y -= rng.gamma(law.shape_neg * h, 1.0 / law.rate_neg, y.size)
+        return out
     if isinstance(law, Brownian):
         z = rng.standard_normal(size)
         z *= law.sigma * math.sqrt(h)

@@ -23,7 +23,7 @@ from typing import Iterator
 
 import numpy as np
 
-from ._util import _BLOCK_CELLS, NumericalError, _integer, atomic_write_text, core_map, substream
+from ._util import _BLOCK_CELLS, NumericalError, _integer, _real, atomic_write_text, core_map, substream
 from .levy import LevyLaw, sample_increments
 
 __all__ = [
@@ -53,7 +53,8 @@ class DivergenceError(NumericalError):
 class TrueModel:
     """Data-generating Levy OU dX = (level - rate X) dt + sigma dZ.
 
-    All three must be finite (``ValueError`` naming the field otherwise).
+    All three must be finite numbers, stored as floats (``ValueError``
+    naming the field otherwise, a boolean or a string included).
     Any sign simulates (rate <= 0 gives a random walk or an explosive
     path); only the invariant-law code needs rate > 0.
     """
@@ -64,6 +65,7 @@ class TrueModel:
 
     def __post_init__(self):
         for name in ("rate", "level", "sigma"):
+            object.__setattr__(self, name, _real(getattr(self, name), name))
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
 
@@ -72,7 +74,8 @@ class TrueModel:
 class PathConfig:
     """Simulation design: n observation steps of size h from x0, seeded.
 
-    h and x0 must be finite.  ``refine`` simulates on the grid h/refine
+    h and x0 must be finite numbers, stored as floats; a boolean or a
+    string is refused.  ``refine`` simulates on the grid h/refine
     and subsamples, for discretization-bias studies; the observation grid
     is unchanged.  n, seed and refine must be integral (10.0 runs as 10),
     and seed >= 0; anything else is refused with ``ValueError``.
@@ -87,6 +90,8 @@ class PathConfig:
     def __post_init__(self):
         for name in ("n", "seed", "refine"):
             object.__setattr__(self, name, _integer(getattr(self, name), name))
+        for name in ("h", "x0"):
+            object.__setattr__(self, name, _real(getattr(self, name), name))
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
         if self.seed < 0:

@@ -209,11 +209,18 @@ def pi0_stats_per_state(rows, states: np.ndarray) -> tuple[np.ndarray, np.ndarra
 
 
 def invariant_cumulants(
-    kappas: list[float], drift_rate: float = DRIFT_RATE, sigma: float = 1.0, level: float = 0.0
+    kappas: list[float], drift_rate: float = DRIFT_RATE, sigma: float = 1.0, level: float = 0.0, step: float = 0.0
 ) -> list[float]:
-    """Cumulants 0..K of the stationary law of dX = (level - drift_rate*X) dt + sigma dZ."""
+    """Cumulants 0..K of the stationary law of dX = (level - drift_rate*X) dt + sigma dZ.
+
+    With ``step`` h > 0, those of its Euler chain X' = rho X + sigma dZ_h +
+    level h, rho = 1 - drift_rate h, instead: kappa_j sigma^j h / (1 - rho^j)
+    for j >= 2, and the same mean.
+    """
+    rho = 1.0 - drift_rate * step
     return [0.0, (level + sigma * kappas[1]) / drift_rate] + [
-        sigma**j * kappas[j] / (j * drift_rate) for j in range(2, len(kappas))
+        sigma**j * kappas[j] * (step / (1.0 - rho**j) if step else 1.0 / (j * drift_rate))
+        for j in range(2, len(kappas))
     ]
 
 

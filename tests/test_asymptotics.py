@@ -25,6 +25,7 @@ from levy_gqmle.asymptotics import (
     NotCenteredError,
     SingularGammaError,
     _PolyRHS,
+    _gamma_stats,
     _integrands,
     _invariant_cumulants,
     _pi0_stats,
@@ -47,7 +48,7 @@ from levy_gqmle.coefficients import (
     RationalSqrt,
 )
 from levy_gqmle.gqmle import ModelSpec, _criterion_terms, _fit_drift, _fit_scale
-from levy_gqmle.levy import Brownian, _converged_nodes, _nodes_at, sample_increments
+from levy_gqmle.levy import _DRAW_BLOCK, Brownian, _converged_nodes, _nodes_at, sample_increments
 from levy_gqmle.sde import DIVERGENCE_BOUND, DivergenceError, SamplePath, TrueModel
 from _oracles import (
     _euler_columns,
@@ -64,6 +65,7 @@ from _oracles import (
     pseudo_true_oracle,
     sigma_terms_by_node,
 )
+from test_acceptance import GAMMA_ALPHA_TARGET
 from test_levy import CASE_I, CASE_II, CASE_III, DIFFUSION
 
 OU = TrueModel(rate=0.5, level=0.0, sigma=1.0)
@@ -81,6 +83,12 @@ def oracle_i():
 @pytest.fixture(scope="module")
 def inv_i():
     return sample_invariant(OU, CASE_I, budget=60000, seed=11)
+
+
+@pytest.fixture(scope="module")
+def inv_29():
+    # criterion 5's chain at the acceptance budget, one pi_0 sample per case
+    return {law: sample_invariant(OU, law, budget=40000, seed=29, step=0.01) for law in (CASE_I, CASE_II, CASE_III)}
 
 
 @pytest.fixture(scope="module")
@@ -282,6 +290,17 @@ class TestSampleInvariant:
     def test_non_finite_parameter_rejected(self, name, value):
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             sample_invariant(OU, CASE_I, **{name: value})
+
+    @pytest.mark.parametrize("value", [True, np.True_, "0.1"])
+    def test_step_must_be_a_number(self, value):
+        # step=True used to run at step 1
+        with pytest.raises(ValueError, match="^step must be a number, got "):
+            sample_invariant(OU, CASE_I, step=value)
+
+    def test_numpy_step_runs_as_its_float(self):
+        a = sample_invariant(OU, CASE_I, budget=1000, seed=3, step=np.float32(0.0078125))
+        b = sample_invariant(OU, CASE_I, budget=1000, seed=3, step=0.0078125)
+        assert type(a.step) is float and a.states.tobytes() == b.states.tobytes()
 
     def test_catalog_restriction(self):
         not_reverting = TrueModel(rate=0.0, level=0.5, sigma=1.0)
@@ -720,7 +739,7 @@ class TestEPESolve:
         # holds, and the chunk before it lives until the next arrives: four
         # (500, m) chunks at t_max 80 against the two of t_max 10, plus the
         # per-step extremes, decays and powers, and each worker's NIG draw
-        # buffers (two blocks of _BLOCK_CELLS), which the long run's peak
+        # scratch (two blocks of _DRAW_BLOCK), which the long run's peak
         # may hold and the short run's need not
         monkeypatch.setattr(_util, "_pool_size", lambda tasks: 2)
         g, m = _integrands(BENCH, OU, (oracle_i.alpha_star, oracle_i.gamma_star))[0], 1000
@@ -735,7 +754,7 @@ class TestEPESolve:
 
         short, long = peak(10.0), peak(80.0)
         steps = round(80.0 / inv_i.step)
-        assert long <= short + 2 * 8 * 500 * m + 8 * steps * (g.coef.shape[1] + 3) + 2 * 2 * 8 * _BLOCK_CELLS
+        assert long <= short + 2 * 8 * 500 * m + 8 * steps * (g.coef.shape[1] + 3) + 2 * 2 * 8 * _DRAW_BLOCK
 
     def test_non_finite_grid_refused_before_drawing(self, inv_i, monkeypatch):
         def refuse(*args, **kwargs):
@@ -826,6 +845,29 @@ class TestGammaMatrix:
         assert g[1, 1] == pytest.approx(oracle_i.gamma_alpha, abs=0.45)
         assert abs(g[1, 0]) <= 0.08
 
+    @pytest.mark.parametrize("law", [CASE_I, CASE_II, CASE_III], ids=["i", "ii", "iii"])
+    @pytest.mark.parametrize("scale", SCALES, ids=lambda s: type(s).__name__)
+    @pytest.mark.parametrize(
+        "drift", [MeanRevertLinear(m=1.0), ConstantDrift(), LinearDecay()], ids=lambda d: type(d).__name__
+    )
+    def test_matches_exact_value(self, drift, scale, law, inv_29):
+        # Gamma is the pi_0 mean of the curvature rows, so pi_0's raw moments
+        # of t = x - center (mpmath cumulants, no sampling) give it exactly:
+        # the benchmark pair's is -2 and criterion 5's target.  The estimate
+        # on criterion 5's chain lies within 5 SE, entrywise, of the exact
+        # Gamma of that Euler chain at step 0.01
+        model = ModelSpec(drift=drift, scale=scale)
+        rows = _integrands(model, OU, pseudo_true(model, OU, law))[1]
+        if isinstance(drift, MeanRevertLinear) and isinstance(scale, RationalSqrt):
+            exact = _exact_gamma(rows, law)
+            case = {CASE_I: "i", CASE_II: "ii", CASE_III: "iii"}[law]
+            assert exact[0, 0] == pytest.approx(-2.0, rel=1e-12, abs=0.0)
+            assert exact[1, 1] == pytest.approx(float(GAMMA_ALPHA_TARGET[case]), rel=1e-12, abs=0.0)
+        inv = inv_29[law]
+        got, se = _gamma_stats(rows, inv.states)
+        want = _exact_gamma(rows, law, inv.step)
+        assert np.all(np.abs(got - want) <= 5.0 * se), (got - want) / np.where(se > 0, se, 1.0)
+
     def test_memory_is_one_batch(self, oracle_i):
         # 600,000 states, criterion 5's sample: _pi0_stats holds one batch
         # of 20,000, its t and three rows (640 kB), where a per-state
@@ -886,6 +928,18 @@ class TestGammaMatrix:
         ) / eps**2
         assert fd2 == pytest.approx(hess2, rel=1e-5)
         assert -hess2 == pytest.approx(gmat[1, 1], abs=1.5)
+
+
+def _exact_gamma(rows: _PolyRHS, law, step: float = 0.0) -> np.ndarray:
+    """Gamma from the curvature rows' exact means under OU's stationary law,
+    or its Euler chain's at ``step`` > 0, from the raw moments of
+    t = x - center."""
+    k = rows.coef.shape[1]
+    cums = invariant_cumulants(cgf_cumulants(law, k), OU.rate, OU.sigma, OU.level, step)
+    cums[1] -= rows.center
+    moments = np.array(cumulants_to_moments(cums))
+    gg, ga, gag = (math.fsum(c * moments[:k]) for c in rows.coef)
+    return np.array([[gg, 0.0], [gag, ga]])
 
 
 class TestPi0Stats:
@@ -1069,6 +1123,17 @@ class TestRunAsymptotics:
         match = "m must be an integer" if isinstance(bad.get("m"), (bool, float)) else "m >= 30"
         with pytest.raises(ValueError, match=match):
             run_asymptotics(BENCH, OU, CASE_I, budget=600000, **bad)
+
+    @pytest.mark.parametrize("value", [True, np.True_, "0.1"])
+    @pytest.mark.parametrize("name", ["t_max", "step"])
+    def test_epe_numbers_checked_before_sampling(self, monkeypatch, name, value):
+        # t_max=True used to run as a horizon of 1
+        def refuse(*args, **kwargs):
+            raise AssertionError("pi_0 was sampled before the arguments were checked")
+
+        monkeypatch.setattr(asymptotics, "sample_invariant", refuse)
+        with pytest.raises(ValueError, match=f"^{name} must be a number, got "):
+            run_asymptotics(BENCH, OU, CASE_I, **{name: value})
 
     def test_boundary_theta_star_refused_before_sampling(self, monkeypatch):
         # under case iii's skew a constant drift's alpha* is -2/15, which

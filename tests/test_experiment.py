@@ -130,6 +130,17 @@ class TestExperimentDesign:
         with pytest.raises(ValueError, match=msg):
             ExperimentDesign("i", **kwargs)
 
+    @pytest.mark.parametrize("value", [True, np.True_, "0.05"])
+    def test_design_step_must_be_a_number(self, value):
+        # "0.05" used to be parsed, and True ran as step 1
+        with pytest.raises(ValueError, match="^h must be a number, got "):
+            ExperimentDesign("ii", designs=((10, value),))
+
+    def test_numpy_design_step_becomes_a_float(self):
+        d = ExperimentDesign("ii", designs=((np.int64(1000), np.float32(0.25)), (500, np.int64(1))))
+        assert d.designs == ((1000, 0.25), (500, 1.0))
+        assert all(type(h) is float for _, h in d.designs)
+
     def test_integral_values_become_ints(self):
         d = ExperimentDesign("i", replications=150.0, seed=np.int64(3))
         assert (d.replications, d.seed) == (150, 3)
@@ -188,6 +199,22 @@ class TestRunMc:
         for x0 in (math.inf, math.nan):
             with pytest.raises(ValueError, match="x0 must be finite"):
                 run_mc(design, x0=x0)
+
+    @pytest.mark.parametrize("x0", [True, np.True_, "0.1"])
+    def test_start_must_be_a_number(self, x0, monkeypatch):
+        # "0.1" used to be parsed, and True ran from 1; refused before any
+        # path is drawn
+        def refuse(*args, **kwargs):
+            raise AssertionError("paths were drawn before x0 was checked")
+
+        monkeypatch.setattr(experiment, "_euler_panel", refuse)
+        with pytest.raises(ValueError, match="^x0 must be a number, got "):
+            run_mc(ExperimentDesign("i", designs=((100, 0.05),), replications=100), x0=x0)
+
+    def test_numpy_start_runs_as_its_float(self):
+        design = ExperimentDesign("i", designs=((100, 0.05),), replications=100, seed=2)
+        got, want = run_mc(design, x0=np.float32(0.5)), run_mc(design, x0=0.5)
+        assert got.per_design[0].estimates.tobytes() == want.per_design[0].estimates.tobytes()
 
     def test_zero_scale_truth_every_gamma_at_box_edge(self):
         # a zero true scale keeps every path constant at x0: each replication

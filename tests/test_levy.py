@@ -1,6 +1,7 @@
 """Noise-law tests: cumulants, densities, samplers, jump-measure quadrature."""
 
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -252,11 +253,26 @@ class TestSampling:
     @pytest.mark.parametrize("law", STANDARDIZED + [Brownian(0.3)], ids=str)
     def test_in_place_arithmetic_matches_textbook_bitwise(self, law):
         # the blocked, in-place sampler against the plain expressions on the
-        # same generator; sizes straddle the 2^16-draw NIG block
-        for size in (1, 7, (1 << 16) + 3, 2_000_000, (500, 1500), (3, 70000)):
+        # same generator; sizes fall below, on and past the scratch block of
+        # _DRAW_BLOCK draws, and past several of them
+        block = levy._DRAW_BLOCK
+        for size in (1, 7, block, block + 1, 3 * block + 5, (1 << 16) + 3, 2_000_000, (500, 1500), (3, 70000)):
             got = sample_increments(law, 0.01, size, np.random.default_rng(23))
             want = _textbook_increments(law, 0.01, size, np.random.default_rng(23))
             assert got.shape == want.shape and np.array_equal(got, want), size
+
+    @pytest.mark.parametrize("law", PURE_JUMP, ids=str)
+    def test_scratch_is_two_blocks(self, law):
+        # a 2M-step chunk's draw holds, beside its output, at most two
+        # scratch blocks of _DRAW_BLOCK draws, with 64 KiB to spare
+        rng = np.random.default_rng(3)
+        tracemalloc.start()
+        try:
+            out = sample_increments(law, 0.005, (2_000_000, 1), rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - out.nbytes <= 2 * 8 * levy._DRAW_BLOCK + 64 * 1024
 
 
 def _textbook_increments(law, h, size, rng):

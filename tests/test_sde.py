@@ -11,7 +11,7 @@ import pytest
 from scipy.signal import lfilter
 
 from levy_gqmle import _util
-from levy_gqmle._util import _integer, batch_means_se, substream
+from levy_gqmle._util import _integer, _real, batch_means_se, substream
 from levy_gqmle.experiment import true_ou
 from levy_gqmle.levy import BilateralGamma, Brownian, NormalInverseGaussian, cumulants, sample_increments
 from levy_gqmle.sde import (
@@ -32,6 +32,8 @@ from _oracles import _euler_columns, chunk_draws
 from test_levy import CASE_I, CASE_II, CASE_III
 
 OU = TrueModel(rate=0.5, level=0.0, sigma=1.0)
+# what a float setting refuses: a boolean, numpy's too, and a string
+NOT_NUMBERS = [True, np.True_, "0.1"]
 DRIFT_ONLY = TrueModel(rate=0.5, level=0.0, sigma=0.0)
 
 
@@ -435,6 +437,38 @@ class TestInteger:
             PathConfig(n="10", h=0.1, seed="3")
         with pytest.raises(ValueError, match="seed must be an integer"):
             PathConfig(n=10, h=0.1, seed="3")
+
+
+class TestReal:
+    @pytest.mark.parametrize("value", NOT_NUMBERS + [np.False_, b"1", None, 1j, np.array(0.5)])
+    def test_refused_by_name(self, value):
+        with pytest.raises(ValueError, match="^h must be a number, got "):
+            _real(value, "h")
+
+    @pytest.mark.parametrize("value", [np.float32(0.25), np.int64(2), np.float64(0.25), 0.25, 2])
+    def test_numbers_accepted(self, value):
+        assert type(_real(value)) is float and _real(value) == value
+
+    @pytest.mark.parametrize("value", NOT_NUMBERS)
+    @pytest.mark.parametrize("name", ["h", "x0"])
+    def test_path_config_refuses(self, name, value):
+        # h=True used to run at step 1, and h="0.1" raised a bare TypeError
+        with pytest.raises(ValueError, match=f"^{name} must be a number, got "):
+            PathConfig(**{"n": 10, "h": 0.1, name: value})
+
+    @pytest.mark.parametrize("value", NOT_NUMBERS)
+    @pytest.mark.parametrize("name", ["rate", "level", "sigma"])
+    def test_true_model_refuses(self, name, value):
+        # rate=True used to run as rate 1
+        with pytest.raises(ValueError, match=f"^{name} must be a number, got "):
+            TrueModel(**{"rate": 0.5, "level": 0.0, "sigma": 1.0, name: value})
+
+    def test_numpy_numbers_run_as_floats(self):
+        cfg = PathConfig(n=50, h=np.float32(0.25), x0=np.int64(1), seed=4)
+        model = TrueModel(np.float32(0.5), np.int64(0), np.float32(1.0))
+        assert all(type(v) is float for v in (cfg.h, cfg.x0, *dataclasses.astuple(model)))
+        want = simulate_euler(OU, CASE_I, PathConfig(n=50, h=0.25, x0=1.0, seed=4)).values
+        assert simulate_euler(model, CASE_I, cfg).values.tobytes() == want.tobytes()
 
 
 class TestConfigAndPathTypes:
